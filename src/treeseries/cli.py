@@ -334,10 +334,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_SIZE_FLAGS = {"n": "-n", "cap": "--cap", "solve": "--solve"}
+
+
+def _check_sizes(args):
+    for dest, flag in _SIZE_FLAGS.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < 0:
+            raise InputFormatError(f"{flag} must be nonnegative, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_sizes(args)
         return args.func(args)
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -754,7 +754,10 @@ def _parse_rational(ts: TokenStream) -> Fraction:
         sign = -1
     num = int(ts.expect("number").text)
     if ts.accept("/"):
-        den = int(ts.expect("number").text)
+        tok = ts.expect("number")
+        den = int(tok.text)
+        if den == 0:
+            raise ParseError("division by zero", tok.line, tok.column)
         return Fraction(sign * num, den)
     return Fraction(sign * num)
 
@@ -926,7 +929,10 @@ def _lower_da(expr, var_index: dict, nvars: int) -> RatFunc:
     from ._expr import Add, DVar, DivE, Mul, Neg, Pow
 
     if isinstance(expr, DVar):
-        return RatFunc.var(nvars, var_index[expr.name + "'"])
+        name = expr.name + "'"
+        if name not in var_index:
+            raise ParseError(f"unknown variable {name!r}")
+        return RatFunc.var(nvars, var_index[name])
     if isinstance(expr, Const):
         return RatFunc.const(nvars, expr.value)
     if isinstance(expr, Var):

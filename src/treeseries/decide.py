@@ -24,14 +24,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .closure import gf_add, gf_scale, ts_add, ts_hadamard, ts_scale
-from .core import Automaton, Tree, enumerate_trees, evaluate, format_tree, kron_all
+from .core import Automaton, Tree, enumerate_trees, evaluate, format_tree
 from .errors import TooManyTrees
-from .exactmath import (
-    CommonDenominatorForm,
-    format_unipoly,
-    normalize_common_denominator,
+from .exactmath import CommonDenominatorForm, format_unipoly
+from .series import (
+    CoefficientStream,
+    ConvolutionEngine,
+    VectorSeriesPrefix,
+    common_form,
+    initial_vector,
 )
-from .series import CoefficientStream, VectorSeriesPrefix
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +80,10 @@ class ZeroBound:
         return {"base": self.max_arity, "exponent": str(self.exponent)}
 
 
-def compute_bound(a: Automaton) -> ZeroBound:
-    form = _common_form(a)
+def compute_bound(a: Automaton, form: CommonDenominatorForm = None) -> ZeroBound:
+    """The bound for a; ``form`` is its common-denominator form, if at hand."""
+    if form is None:
+        form = common_form(a)
     s = form.r
     if form.q0.degree > s:
         s = form.q0.degree
@@ -91,13 +95,6 @@ def compute_bound(a: Automaton) -> ZeroBound:
     m = a.dimension * (s + 2) * (1 + weighted) + 1
     d_arity = a.alphabet.max_arity
     return ZeroBound(a.dimension, d_arity, s, m, m * (2**m))
-
-
-def _common_form(a: Automaton) -> CommonDenominatorForm:
-    weights = [
-        (name, k, a.weight(name)) for name, k in a.alphabet.symbols if k >= 1
-    ]
-    return normalize_common_denominator(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +147,13 @@ class DifferAt:
 def check_zero_genfun(a: Automaton, cap: int, progress=None):
     """Scan coefficients to min(cap, B): the first nonzero one refutes,
     a full zero scan either proves (cap >= B) or reports the honest prefix."""
-    bound = compute_bound(a)
+    form = common_form(a)
+    bound = compute_bound(a, form)
     limit = cap
     small = bound.small_value()
     if small is not None and small < cap:
         limit = small
-    stream = CoefficientStream(a)
+    stream = CoefficientStream(a, form)
     for n in range(limit + 1):
         value = stream.up_to(n)[n][0]
         if value != 0:
@@ -244,42 +242,10 @@ class DifferentialSystem:
         )
 
     def forward_solve(self, n_max: int) -> VectorSeriesPrefix:
-        """Coefficient-by-coefficient solution from a_0; independent of the
-        dynamic-programming recurrence (it runs on the decomposed form)."""
-        d = self.dimension
-        q = self.form.q0
-        vectors = [self.a0]
-        for n in range(1, n_max + 1):
-            acc = [Fraction(0)] * d
-            for name, dec in self.form.symbols.items():
-                k = dec.arity
-                for comp in _compositions(n - 1, k):
-                    # d_{g,i,m} = a_m / Q_{g,i}(m), scaled by m^{i_j} per slot
-                    for exps, matrix in dec.matrices.items():
-                        factor = Fraction(1)
-                        for slot in range(k):
-                            m_val = comp[slot]
-                            e = exps[slot]
-                            if e:
-                                if m_val == 0:
-                                    factor = Fraction(0)
-                                    break
-                                factor *= Fraction(m_val) ** e
-                            den = dec.child_denominators[slot](m_val)
-                            factor /= den
-                        if factor == 0:
-                            continue
-                        big = kron_all([vectors[m] for m in comp])
-                        for row, cells in enumerate(matrix):
-                            coeff = big[row]
-                            if coeff == 0:
-                                continue
-                            for col in range(d):
-                                if cells[col]:
-                                    acc[col] += factor * coeff * cells[col]
-            qn = q(n)
-            vectors.append(tuple(v / qn for v in acc))
-        return VectorSeriesPrefix(tuple(vectors))
+        """Coefficient vectors a_0..a_n_max, each forced by the system from
+        the ones before it: the coefficient engine run on self.form."""
+        engine = ConvolutionEngine(self.a0, self.form)
+        return VectorSeriesPrefix(tuple(engine.up_to(n_max)))
 
     def equations_text(self) -> str:
         lines = []
@@ -317,22 +283,10 @@ def _fmt_exps(exps) -> str:
     return ",".join(str(e) for e in exps)
 
 
-def _compositions(total: int, parts: int):
-    from .core import compositions
-
-    return compositions(total, parts)
-
-
 def emit_differential_system(a: Automaton) -> DifferentialSystem:
-    d = a.dimension
-    a0 = [Fraction(0)] * d
-    for name in a.alphabet.of_arity(0):
-        row = a.weight(name)[0]
-        for j in range(d):
-            a0[j] += row[j]
     return DifferentialSystem(
-        d,
-        tuple(a0),
-        _common_form(a),
+        a.dimension,
+        initial_vector(a),
+        common_form(a),
         {name: k for name, k in a.alphabet.symbols if k >= 1},
     )

@@ -31,6 +31,7 @@ from .errors import (
 )
 
 Rational = Fraction
+_ONE = (Fraction(1),)  # coefficients of the constant polynomial 1
 
 
 def _frac(value) -> Fraction:
@@ -76,7 +77,7 @@ class UniPolynomial:
 
     @property
     def is_one(self) -> bool:
-        return self.coeffs == (Fraction(1),)
+        return self.coeffs == _ONE
 
     def leading(self) -> Fraction:
         if not self.coeffs:
@@ -696,7 +697,12 @@ class _Scanner:
                 start = self.pos
                 while self.pos < len(self.text) and self.text[self.pos].isdigit():
                     self.pos += 1
-                return Fraction(value, int(self.text[start : self.pos]))
+                den = int(self.text[start : self.pos])
+                if den == 0:
+                    raise InputFormatError(
+                        f"division by zero at position {start} in {self.text!r}"
+                    )
+                return Fraction(value, den)
             self.pos = save
         return Fraction(value)
 
@@ -942,7 +948,7 @@ def normalize_common_denominator(weights) -> CommonDenominatorForm:
     for _, _, matrix in weights:
         for row in matrix:
             for entry in row:
-                if not entry.dens[0].is_one:
+                if not entry.is_zero and not entry.dens[0].is_one:
                     q0 = poly_lcm(q0, entry.dens[0])
     symbols = {}
     r = 0
@@ -951,6 +957,8 @@ def normalize_common_denominator(weights) -> CommonDenominatorForm:
         child_dens = [UniPolynomial.const(1)] * k
         for row in matrix:
             for entry in row:
+                if entry.is_zero:
+                    continue  # the denominators of zero are all 1
                 for i in range(1, nvars):
                     if not entry.dens[i].is_one:
                         child_dens[i - 1] = poly_lcm(child_dens[i - 1], entry.dens[i])

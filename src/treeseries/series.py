@@ -6,20 +6,35 @@ The coefficient vectors a_n of an automaton satisfy
     a_n = sum over symbols g of arity k >= 1, and over n1+...+nk = n-1, of
           (a_n1 (x) ... (x) a_nk) . mu(g)(n, n1, ..., nk)
 
-which the stream below evaluates by dynamic programming, enumerating
-compositions lexicographically.  The generating prefix is the first
-component of each vector.  brute_force_coefficient recomputes a_n by
-summing mu~ over every tree of size n and is the independent oracle for
-the recurrence.
+The common-denominator form of the weights (exactmath) writes each weight as
+
+    mu(g)(n, n1, ..., nk) = 1/Q0(n) * sum_e M_{g,e} * prod_i n_i^e_i / Q_{g,i}(n_i)
+
+on every realizable size tuple, so a_n[col] is 1/Q0(n) times the sum, over
+the nonzero cells c = M_{g,e}[row][col], of c times the k-fold Cauchy
+convolution at n-1 of the scalar sequences
+
+    s_i[m] = m^e_i * a_m[row_i] / Q_{g,i}(m).
+
+ConvolutionEngine extends every such sequence by one term per coefficient
+and keeps the partial convolutions s_1 * ... * s_j (j < k), shared by all
+cells, rows and symbols with the same leading sequences.  A coefficient then
+costs O(k n) products per cell, where summing over compositions costs
+O(n^(k-1)) weight evaluations.  This is the naive quadratic form of online
+series multiplication (van der Hoeven, "Relax, but don't be too lazy",
+JSC 2002).  The generating prefix is the first component of each vector.
+brute_force_coefficient recomputes a_n by summing mu~ over every tree of
+size n and is the independent oracle for the engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .core import Automaton, compositions, enumerate_trees, kron_all, unrank_row
-from .exactmath import _frac
+from .core import Automaton, enumerate_trees, kron_all, unrank_row
+from .exactmath import CommonDenominatorForm, _frac, normalize_common_denominator
 
 
 @dataclass(frozen=True)
@@ -77,57 +92,142 @@ def s_derive(s: SeriesPrefix) -> SeriesPrefix:
     return SeriesPrefix(tuple(n * a for n, a in enumerate(s.coefficients)))
 
 
+def initial_vector(a: Automaton) -> tuple:
+    """a_0: the sum of the nullary weight rows."""
+    a0 = [Fraction(0)] * a.dimension
+    for name in a.alphabet.of_arity(0):
+        for j, v in enumerate(a.weight(name)[0]):
+            a0[j] += v
+    return tuple(a0)
+
+
+def common_form(a: Automaton) -> CommonDenominatorForm:
+    """The common-denominator form of the non-nullary weights of a."""
+    weights = [
+        (name, k, a.weight(name)) for name, k in a.alphabet.symbols if k >= 1
+    ]
+    return normalize_common_denominator(weights)
+
+
+class ConvolutionEngine:
+    """Coefficient vectors a_0, a_1, ... from a_0 and a common-denominator form.
+
+    Scaled sequences are keyed by (Q, e, state), partial convolutions by the
+    tuple of their sequence keys; every list grows by one term per
+    coefficient.  Convolutions of a cell's full key are needed at one index
+    only and are not stored.
+    """
+
+    def __init__(self, a0, form: CommonDenominatorForm):
+        self.vectors = [tuple(a0)]
+        self._q0 = form.q0
+        d = len(a0)
+        cells = {}  # full key -> [(col, coefficient)]
+        for dec in form.symbols.values():
+            for exps, matrix in dec.matrices.items():
+                for row, entries in enumerate(matrix):
+                    if not any(entries):
+                        continue
+                    states = unrank_row(row, d, dec.arity)
+                    key = tuple(zip(dec.child_denominators, exps, states))
+                    for col, c in enumerate(entries):
+                        if c:
+                            cells.setdefault(key, []).append((col, c))
+        sequences = {}  # (Q, e, state) -> [s_0, s_1, ...]
+        partials = {}  # key prefix of length 2..k-1 -> its convolution
+        for key in cells:
+            for part in key:
+                sequences.setdefault(part, [])
+            for j in range(2, len(key)):
+                partials.setdefault(key[:j], [])
+
+        def factor(prefix):  # the convolution of the sequences in prefix
+            if len(prefix) > 1:
+                return partials[prefix]
+            return sequences[prefix[0]] if prefix else None
+
+        # a prefix is inserted before its extensions, so this order computes
+        # every left factor before it is used
+        self._sequences = sequences
+        self._partials = [
+            (factor(prefix[:-1]), sequences[prefix[-1]], values)
+            for prefix, values in partials.items()
+        ]
+        self._cells = [
+            (factor(key[:-1]), sequences[key[-1]], targets)
+            for key, targets in cells.items()
+        ]
+
+    def up_to(self, n_max: int):
+        while len(self.vectors) <= n_max:
+            self._step()
+        return self.vectors[: n_max + 1]
+
+    def _step(self):
+        m = len(self.vectors) - 1
+        last = self.vectors[m]
+        scales = {}
+        for (q, e, state), values in self._sequences.items():
+            v = last[state]
+            if v:
+                scale = scales.get((q, e))
+                if scale is None:
+                    scale = scales[(q, e)] = Fraction(m**e) / q(m)
+                if scale != 1:
+                    v *= scale
+            values.append(v or 0)  # zeros as int 0, the cheapest to test
+        for left, right, values in self._partials:
+            values.append(_convolve(left, right))
+        acc = [Fraction(0)] * len(last)
+        for left, right, targets in self._cells:
+            value = right[m] if left is None else _convolve(left, right)
+            if value:
+                for col, c in targets:
+                    acc[col] += c * value
+        qn = self._q0(m + 1)
+        self.vectors.append(tuple(v / qn for v in acc) if qn != 1 else tuple(acc))
+
+
+def _convolve(left, right):
+    """Coefficient at the last index of the Cauchy product of two equally
+    long prefixes, summed over one running denominator and reduced once."""
+    num, den = 0, 1
+    for x, y in zip(left, reversed(right)):
+        if x and y:
+            p = x.numerator * y.numerator
+            q = x.denominator * y.denominator
+            g = gcd(den, q)
+            num = num * (q // g) + p * (den // g)
+            den = den // g * q
+    return Fraction(num, den) if num else 0
+
+
 class CoefficientStream:
     """Resumable cache of the coefficient vectors of one automaton.
 
-    Not safe to share between threads; create one per consumer.
+    The engine, and the common-denominator form it runs on, is built on the
+    first request for a coefficient of size >= 1; pass ``form`` when it is
+    already at hand.  Not safe to share between threads; create one per
+    consumer.
     """
 
-    def __init__(self, automaton: Automaton):
+    def __init__(self, automaton: Automaton, form: CommonDenominatorForm = None):
         self.automaton = automaton
-        d = automaton.dimension
-        a0 = [Fraction(0)] * d
-        for name in automaton.alphabet.of_arity(0):
-            row = automaton.weight(name)[0]
-            for j in range(d):
-                a0[j] += row[j]
-        self._cache = [tuple(a0)]
-        # per symbol: (arity, [(state indices of the row, column, entry)]);
-        # only these few Kronecker components are ever multiplied out
-        self._entries = {}
-        for name, k in automaton.alphabet.symbols:
-            if k >= 1:
-                cells = [
-                    (unrank_row(row, d, k), col, entry)
-                    for row, col, entry in automaton.nonzero_entries(name)
-                ]
-                self._entries[name] = (k, cells)
+        self._form = form
+        self._a0 = initial_vector(automaton)
+        self._engine = None
 
     def up_to(self, n_max: int):
-        while len(self._cache) <= n_max:
-            self._cache.append(self._next(len(self._cache)))
-        return self._cache[: n_max + 1]
-
-    def _next(self, n: int):
-        d = self.automaton.dimension
-        acc = [Fraction(0)] * d
-        for name, (k, cells) in self._entries.items():
-            for comp in compositions(n - 1, k):
-                vecs = [self._cache[m] for m in comp]
-                sizes = (n,) + comp
-                for indices, col, entry in cells:
-                    coeff = Fraction(1)
-                    for vec, i in zip(vecs, indices):
-                        coeff *= vec[i]
-                        if not coeff:
-                            break
-                    if coeff:
-                        acc[col] += coeff * entry(sizes)
-        return tuple(acc)
+        if self._engine is None:
+            if n_max < 1:
+                return [self._a0][: n_max + 1]
+            form = self._form if self._form is not None else common_form(self.automaton)
+            self._engine = ConvolutionEngine(self._a0, form)
+        return self._engine.up_to(n_max)
 
 
 def coefficients(a: Automaton, n_max: int) -> VectorSeriesPrefix:
-    """Coefficient vectors a_0..a_n_max via the size-indexed recurrence."""
+    """Coefficient vectors a_0..a_n_max, computed by ConvolutionEngine."""
     return VectorSeriesPrefix(tuple(CoefficientStream(a).up_to(n_max)))
 
 

@@ -242,6 +242,11 @@ def test_criterion_7_decision_honesty():
 
 @criterion("8 uniqueness via forward solving")
 def test_criterion_8_forward_solve():
-    for a in (bell_automaton(), cubic_automaton()):
-        system = emit_differential_system(a)
-        assert system.forward_solve(10).vectors == coefficients(a, 10).vectors
+    bell_series = [F(c, math.factorial(n)) for n, c in enumerate(BELL_COUNTS)]
+    cubic_series = taylor_oracle(parse_rds(CUBIC_RDS_TEXT), 10)["y1"].coefficients
+    cases = [(bell_automaton(), bell_series), (cubic_automaton(), cubic_series)]
+    for a, series in cases:
+        solved = emit_differential_system(a).forward_solve(10)
+        for n in range(8):
+            assert solved[n] == brute_force_coefficient(a, n)
+        assert solved.firsts().coefficients == tuple(series)

@@ -168,3 +168,61 @@ def test_taylor(tmp_path, capsys):
     code, out, _ = run(capsys, "taylor", "-f", str(rds), "-n", "4")
     assert code == 0
     assert out.strip() == "y: 1 1 1/2 1/6 1/24"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("series", "-a", "BELL", "-n", "-1"),
+        ("species", "count", "-f", "SPEC", "-n", "-1"),
+        ("emit-system", "-a", "BELL", "--solve", "-2"),
+        ("zero", "-a", "BELL", "--cap", "-1"),
+        ("equiv", "-a", "BELL", "-b", "BELL", "--cap", "-1"),
+        ("enum-trees", "--alphabet", "a/0,f/2", "-n", "-1"),
+    ],
+)
+def test_negative_sizes_exit_2(argv, tmp_path, bell_path, capsys):
+    spec = tmp_path / "bell.spec"
+    spec.write_text(BELL_SPECIES_TEXT + "\n")
+    argv = [{"BELL": bell_path, "SPEC": str(spec)}.get(arg, arg) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "nonnegative" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_emit_system_solve_zero_does_not_solve(bell_path, capsys):
+    code, out, _ = run(capsys, "emit-system", "-a", bell_path, "--solve", "0")
+    assert code == 0
+    assert out.endswith("scalar equations\n")
+
+
+def _exits_2_without_traceback(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    return err
+
+
+def test_weight_dividing_by_zero_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    payload = json.loads(automaton_to_json(bell_automaton()))
+    payload["weights"]["sigma1"]["entries"][0]["value"] = "1/0"
+    path.write_text(json.dumps(payload))
+    err = _exits_2_without_traceback(capsys, "series", "-a", str(path), "-n", "3")
+    assert "division by zero" in err
+
+
+def test_compile_da_initial_value_dividing_by_zero_exits_2(tmp_path, capsys):
+    eq = tmp_path / "bad.da"
+    eq.write_text("y'^3 + y^3 - 1 ; y(0)=1/0, y'(0)=1\n")
+    err = _exits_2_without_traceback(capsys, "compile", "da", "-f", str(eq))
+    assert "division by zero" in err
+
+
+def test_compile_da_unknown_derivative_exits_2(tmp_path, capsys):
+    eq = tmp_path / "bad.da"
+    eq.write_text("yx'^3 + y^3 - 1 ; y(0)=0, y'(0)=1\n")
+    err = _exits_2_without_traceback(capsys, "compile", "da", "-f", str(eq))
+    assert "yx'" in err

@@ -1,9 +1,17 @@
+import math
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from treeseries.closure import gf_add, gf_scale, ts_add, ts_scale
-from treeseries.compile import DFiniteRecurrence, compile_dfinite, compile_rda, parse_rds
+from treeseries.compile import (
+    DFiniteRecurrence,
+    compile_dfinite,
+    compile_rda,
+    parse_rds,
+    taylor_oracle,
+)
 from treeseries.core import Automaton, RankedAlphabet, Tree, enumerate_trees, evaluate
 from treeseries.decide import (
     DifferAt,
@@ -17,9 +25,9 @@ from treeseries.decide import (
     compute_bound,
     emit_differential_system,
 )
-from treeseries.exactmath import UniPolynomial
-from treeseries.series import coefficients
-from treeseries.zoo import BELL_RDS_TEXT, SIGNATURE
+from treeseries.exactmath import UniPolynomial, normalize_common_denominator
+from treeseries.series import brute_force_coefficient, coefficients
+from treeseries.zoo import BELL_RDS_TEXT, CUBIC_RDS_TEXT, SIGNATURE
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +242,45 @@ def test_emit_nullary_only(zero):
     assert all(v == (F(0),) for v in solved.vectors)
 
 
-def test_forward_solve_matches_dp(bell, labelled, cubic):
-    for a in (bell, labelled, cubic):
-        system = emit_differential_system(a)
-        assert (
-            system.forward_solve(10).vectors == coefficients(a, 10).vectors
-        )
+def _assert_solves_to(a, first_components):
+    """forward_solve against the independent oracles: every vector to size 7
+    by brute force, the generating function to size 10 by the given values."""
+    solved = emit_differential_system(a).forward_solve(10)
+    for n in range(8):
+        assert solved[n] == brute_force_coefficient(a, n), n
+    assert solved.firsts().coefficients == tuple(first_components)
+
+
+def test_forward_solve_matches_oracles(bell, labelled, cubic):
+    bell_counts = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
+    _assert_solves_to(bell, [F(c, math.factorial(n)) for n, c in enumerate(bell_counts)])
+    _assert_solves_to(
+        labelled, [F(n ** (n - 1), math.factorial(n)) if n else F(0) for n in range(11)]
+    )
+    cubic_series = taylor_oracle(parse_rds(CUBIC_RDS_TEXT), 10)["y1"].coefficients
+    _assert_solves_to(cubic, cubic_series)
 
 
 def test_forward_solve_on_rda_output():
     a = compile_rda(parse_rds(BELL_RDS_TEXT))
-    system = emit_differential_system(a)
-    assert system.forward_solve(10).vectors == coefficients(a, 10).vectors
+    _assert_solves_to(a, taylor_oracle(parse_rds(BELL_RDS_TEXT), 10)["y1"].coefficients)
+
+
+def test_check_zero_genfun_normalizes_once(bell, monkeypatch):
+    calls = []
+    original = normalize_common_denominator
+
+    def counted(weights):
+        calls.append(len(weights))
+        return original(weights)
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("treeseries")]
+    for module in modules:
+        if getattr(module, "normalize_common_denominator", None) is original:
+            monkeypatch.setattr(module, "normalize_common_denominator", counted)
+    verdict = check_zero_genfun(gf_add(bell, gf_scale(bell, -1)), 12)
+    assert isinstance(verdict, ZeroUpTo) and verdict.n == 12
+    assert len(calls) == 1
 
 
 def test_equation_count_formula(bell, cubic):

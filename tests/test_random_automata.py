@@ -1,8 +1,10 @@
 """Property tests: closure operations agree with prefix/value oracles on
 randomized small automata, not just on the curated ones."""
 
+import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +18,13 @@ from treeseries.closure import (
     ts_hadamard,
 )
 from treeseries.core import Automaton, RankedAlphabet, enumerate_trees, evaluate
-from treeseries.series import generating_prefix, series_add, series_cauchy
+from treeseries.series import (
+    brute_force_coefficient,
+    coefficients,
+    generating_prefix,
+    series_add,
+    series_cauchy,
+)
 
 ALPHABET = RankedAlphabet.of(("a", 0), ("u", 1), ("f", 2))
 
@@ -97,8 +105,59 @@ def test_random_shifts_and_derivative(a):
 @settings(max_examples=20, deadline=None)
 @given(automata())
 def test_random_dp_equals_brute_force(a):
-    from treeseries.series import brute_force_coefficient, coefficients
-
     vectors = coefficients(a, 4)
     for n in range(5):
         assert brute_force_coefficient(a, n) == vectors[n]
+
+
+# seeded automata for the coefficient engine: a ternary symbol whose weights
+# mix child denominators with powers of the child sizes, and x0 numerators
+_POOL3 = [
+    "0", "0", "0", "1", "1/(x0)", "(x3+1)/(x0)", "x1*x2", "-(x2+1)/(x0+1)*(x1+1)",
+    "(x0+x3)/(x0)*(1)*(1)*(x3+2)", "1/2",
+]
+_POOLS = {1: _POOL1, 3: _POOL3}
+
+
+def _seeded_automaton(seed: int, alphabet: RankedAlphabet, dmax: int) -> Automaton:
+    rng = random.Random(seed)
+    d = rng.randint(1, dmax)
+    weights = {}
+    for name, k in alphabet.symbols:
+        if k == 0:
+            weights[name] = [[rng.randint(-2, 2) for _ in range(d)]]
+        else:
+            weights[name] = [
+                [rng.choice(_POOLS[k]) for _ in range(d)] for _ in range(d**k)
+            ]
+    return Automaton.build(d, alphabet, weights)
+
+
+def _assert_engine_matches_brute_force(a: Automaton, n_max: int = 4):
+    vectors = coefficients(a, n_max)
+    for n in range(n_max + 1):
+        assert brute_force_coefficient(a, n) == vectors[n], n
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_engine_matches_brute_force_with_ternary_symbol(seed):
+    alphabet = RankedAlphabet.of(("a", 0), ("u", 1), ("t", 3))
+    _assert_engine_matches_brute_force(_seeded_automaton(seed, alphabet, 2))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_engine_matches_brute_force_unary_only(seed):
+    alphabet = RankedAlphabet.of(("a", 0), ("b", 0), ("u", 1), ("v", 1))
+    _assert_engine_matches_brute_force(_seeded_automaton(seed, alphabet, 3), 6)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_engine_on_nullary_only_automaton(seed):
+    rng = random.Random(seed)
+    d = rng.randint(1, 3)
+    rows = {name: [[rng.choice([-2, -1, 1, 2]) for _ in range(d)]] for name in "ab"}
+    a = Automaton.build(d, RankedAlphabet.of(("a", 0), ("b", 0)), rows)
+    _assert_engine_matches_brute_force(a)
+    vectors = coefficients(a, 4)
+    assert vectors[0] == tuple(F(x + y) for x, y in zip(rows["a"][0], rows["b"][0]))
+    assert all(v == 0 for n in range(1, 5) for v in vectors[n])
