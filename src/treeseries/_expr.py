@@ -347,7 +347,7 @@ class RatFunc:
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
+            raise ParseError("division by zero")
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def pow(self, e: int) -> "RatFunc":

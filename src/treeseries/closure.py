@@ -3,8 +3,10 @@
 Tree-series operations (ts_*) preserve the value of every individual tree;
 generating-function operations (gf_*) act on the series only and are free to
 rename or merge alphabet symbols.  Compound operations chain the primitive
-constructions literally, so every link is testable on its own; dimensions
-grow accordingly and stay small at the scale this package targets.
+constructions literally, so every link is testable on its own.  Every
+construction maps the nonzero weight cells of its inputs to cells of the
+output, so its cost follows the nonzero cells, not the d^k x d grids: a
+Hadamard square of dimension d^2 only pairs the nonzero rows of its input.
 
 Fresh symbols introduced here use the reserved "__" prefix, which user
 alphabets must avoid.
@@ -21,19 +23,15 @@ from .core import (
     Tree,
     absorb_final_vector,
     evaluate,
-    kron_all,
     make_arity_distinct,
     row_index,
+    shift_row,
     unify_alphabets,
     unrank_row,
 )
 from .errors import AlphabetMismatch, ZeroConstantTerm
-from .exactmath import MultiPolynomial, SizeRational, UniPolynomial, _frac
+from .exactmath import SizeRational, UniPolynomial, _frac
 from .series import generating_prefix
-
-
-def _zero(arity: int) -> SizeRational:
-    return SizeRational(MultiPolynomial(arity + 1))
 
 
 def _fresh_name(base: str, taken) -> str:
@@ -43,6 +41,15 @@ def _fresh_name(base: str, taken) -> str:
         n += 1
         name = f"{base}{n}"
     return name
+
+
+def _embed_shifted(matrix, arity: int, offset: int, d_old: int, d_new: int) -> dict:
+    """Re-index the cells of a weight matrix into a larger automaton, states
+    shifted by offset; rows and columns of foreign states stay empty."""
+    return {
+        (shift_row(row, arity, d_old, d_new, offset), offset + col): entry
+        for (row, col), entry in matrix.cells.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -61,25 +68,9 @@ def ts_add(a1: Automaton, a2: Automaton) -> Automaton:
     d = d1 + d2
     weights = {}
     for name, arity in a1.alphabet.symbols:
-        m1, m2 = a1.weight(name), a2.weight(name)
-        if arity == 0:
-            weights[name] = [m1[0] + m2[0]]
-            continue
-        zero = _zero(arity)
-        rows = []
-        for row in range(d**arity):
-            idx = unrank_row(row, d, arity)
-            cells = [zero] * d
-            if all(i < d1 for i in idx):
-                old = m1[row_index(idx, d1)]
-                for j in range(d1):
-                    cells[j] = old[j]
-            elif all(i >= d1 for i in idx):
-                old = m2[row_index(tuple(i - d1 for i in idx), d2)]
-                for j in range(d2):
-                    cells[d1 + j] = old[j]
-            rows.append(tuple(cells))
-        weights[name] = rows
+        cells = _embed_shifted(a1.weight(name), arity, 0, d1, d)
+        cells.update(_embed_shifted(a2.weight(name), arity, d1, d2, d))
+        weights[name] = cells
     block = Automaton.build(d, a1.alphabet, weights)
     beta = FinalVector.of(*([1] + [0] * (d1 - 1) + [1] + [0] * (d2 - 1)))
     return absorb_final_vector(block, beta)
@@ -93,42 +84,36 @@ def ts_scale(a: Automaton, c) -> Automaton:
     return absorb_final_vector(a, FinalVector.unit(a.dimension, scale=c))
 
 
+def _rows_of(matrix, d: int, arity: int) -> dict:
+    """Nonzero rows of a weight matrix: row -> (state tuple, [(col, entry)])."""
+    rows = {}
+    for (row, col), entry in matrix.cells.items():
+        if row not in rows:
+            rows[row] = (unrank_row(row, d, arity), [])
+        rows[row][1].append((col, entry))
+    return rows
+
+
 def ts_hadamard(a1: Automaton, a2: Automaton) -> Automaton:
     """Value on every tree is the product of the inputs' values (dimension
-    d1*d2, paired-index construction)."""
+    d1*d2, paired-index construction: state (i, j) is i*d2 + j)."""
     if a1.alphabet != a2.alphabet:
         raise AlphabetMismatch(
             "ts_hadamard needs two automata over one identical alphabet"
         )
     d1, d2 = a1.dimension, a2.dimension
     d = d1 * d2
-
-    def pair(i, j):
-        return i * d2 + j
-
     weights = {}
     for name, arity in a1.alphabet.symbols:
-        m1, m2 = a1.weight(name), a2.weight(name)
-        if arity == 0:
-            row = [Fraction(0)] * d
-            for i in range(d1):
-                for j in range(d2):
-                    row[pair(i, j)] = m1[0][i] * m2[0][j]
-            weights[name] = [row]
-            continue
-        rows = []
-        for row in range(d**arity):
-            idx = unrank_row(row, d, arity)
-            pairs = [(i // d2, i % d2) for i in idx]
-            r1 = row_index(tuple(p[0] for p in pairs), d1)
-            r2 = row_index(tuple(p[1] for p in pairs), d2)
-            cells = []
-            for i in range(d1):
-                for j in range(d2):
-                    e1, e2 = m1[r1][i], m2[r2][j]
-                    cells.append(_zero(arity) if e1.is_zero or e2.is_zero else e1 * e2)
-            rows.append(tuple(cells))
-        weights[name] = rows
+        rows2 = _rows_of(a2.weight(name), d2, arity).values()
+        cells = {}
+        for states1, entries1 in _rows_of(a1.weight(name), d1, arity).values():
+            for states2, entries2 in rows2:
+                row = row_index(tuple(i * d2 + j for i, j in zip(states1, states2)), d)
+                for i, e1 in entries1:
+                    for j, e2 in entries2:
+                        cells[(row, i * d2 + j)] = e1 * e2
+        weights[name] = cells
     return Automaton.build(d, a1.alphabet, weights)
 
 
@@ -145,38 +130,17 @@ def gf_scale(a: Automaton, c) -> Automaton:
     return ts_scale(a, c)
 
 
-def _embed_shifted(matrix, arity: int, offset: int, d_old: int, d_new: int):
-    """Re-index a weight matrix into a larger automaton, states shifted by
-    offset; all rows/columns touching foreign states are zero."""
-    zero = _zero(arity)
-    rows = []
-    for row in range(d_new**arity):
-        idx = unrank_row(row, d_new, arity)
-        cells = [zero] * d_new
-        if all(offset <= i < offset + d_old for i in idx):
-            old = matrix[row_index(tuple(i - offset for i in idx), d_old)]
-            for j in range(d_old):
-                cells[offset + j] = old[j]
-        rows.append(tuple(cells))
-    return rows
-
-
 def gf_shift_forward(a: Automaton) -> Automaton:
     """f(x) -> x * f(x), via a fresh unary root symbol."""
     d = a.dimension
     d_new = d + 1
     u_name = _fresh_name("__u", a.alphabet.names())
     alphabet = RankedAlphabet.of((u_name, 1), *a.alphabet.symbols)
-    weights = {}
-    for name, arity in a.alphabet.symbols:
-        m = a.weight(name)
-        if arity == 0:
-            weights[name] = [(Fraction(0),) + m[0]]
-        else:
-            weights[name] = _embed_shifted(m, arity, 1, d, d_new)
-    u = [[_zero(1)] * d_new for _ in range(d_new)]
-    u[1][0] = SizeRational.const(1, 1)  # reads the old first coordinate
-    weights[u_name] = u
+    weights = {
+        name: _embed_shifted(a.weight(name), arity, 1, d, d_new)
+        for name, arity in a.alphabet.symbols
+    }
+    weights[u_name] = {(1, 0): SizeRational.const(1, 1)}  # reads the old first coordinate
     return Automaton.build(d_new, alphabet, weights)
 
 
@@ -188,7 +152,7 @@ def _rename_apart(a2: Automaton, taken) -> Automaton:
             new = "__r_" + new
         mapping[name] = new
     alphabet = RankedAlphabet.of(*[(mapping[n], k) for n, k in a2.alphabet.symbols])
-    weights = {mapping[n]: a2.weight(n) for n in a2.alphabet.names()}
+    weights = {mapping[n]: a2.weight(n).cells for n in a2.alphabet.names()}
     return Automaton.build(a2.dimension, alphabet, weights)
 
 
@@ -204,20 +168,10 @@ def gf_mul_shifted(a1: Automaton, a2: Automaton) -> Automaton:
     )
     weights = {}
     for name, arity in a1.alphabet.symbols:
-        m = a1.weight(name)
-        if arity == 0:
-            weights[name] = [(Fraction(0),) + m[0] + (Fraction(0),) * d2]
-        else:
-            weights[name] = _embed_shifted(m, arity, 1, d1, d)
+        weights[name] = _embed_shifted(a1.weight(name), arity, 1, d1, d)
     for name, arity in a2.alphabet.symbols:
-        m = a2.weight(name)
-        if arity == 0:
-            weights[name] = [(Fraction(0),) * (1 + d1) + m[0]]
-        else:
-            weights[name] = _embed_shifted(m, arity, 1 + d1, d2, d)
-    u = [[_zero(2)] * d for _ in range(d * d)]
-    u[row_index((1, 1 + d1), d)][0] = SizeRational.const(2, 1)
-    weights[u_name] = u
+        weights[name] = _embed_shifted(a2.weight(name), arity, 1 + d1, d2, d)
+    weights[u_name] = {(row_index((1, 1 + d1), d), 0): SizeRational.const(2, 1)}
     return Automaton.build(d, alphabet, weights)
 
 
@@ -245,21 +199,18 @@ def gf_shift_backward(a: Automaton) -> Automaton:
             symbols.append((f"__h_{k}_{i}", i))
     alphabet = RankedAlphabet.of(*symbols)
 
-    weights = {}
-    for name, arity in a.alphabet.symbols:
-        m = a.weight(name)
-        if arity == 0:
-            weights[name] = [(Fraction(0),) * d + m[0]]
-        else:
-            weights[name] = _embed_shifted(m, arity, d, d, d_new)
+    weights = {
+        name: _embed_shifted(a.weight(name), arity, d, d, d_new)
+        for name, arity in a.alphabet.symbols
+    }
 
     for k in arities:
         if k == 0:
             continue
-        gk = a.weight(f"h{k}")
+        gk = _rows_of(a.weight(f"h{k}"), d, k)
         # arity-0 witness: the size-1 tree g_k(leaf,...,leaf)
         mu_tilde, _ = evaluate(a, Tree(f"h{k}", tuple(Tree(leaf) for _ in range(k))))
-        weights[f"__h_{k}_0"] = [mu_tilde + (Fraction(0),) * d]
+        weights[f"__h_{k}_0"] = {(0, j): v for j, v in enumerate(mu_tilde)}
         for i in range(1, k + 1):
             # substituted weight: parent one larger, cut child one larger,
             # trailing children pinned to leaves of size zero
@@ -267,33 +218,25 @@ def gf_shift_backward(a: Automaton) -> Automaton:
             mapping += [("var", v, 0) for v in range(1, i)]
             mapping.append(("var", i, 1))
             mapping += [("const", 0)] * (k - i)
-            sub = [
-                [entry.substitute_sizes(mapping, i) for entry in row] for row in gk
-            ]
-            # fold trailing leaf vectors: M = (I_{d^i} (x) leaf^(k-i)) . sub
-            tail = kron_all([leaf_row] * (k - i))
-            m_rows = []
-            for lead in range(d**i):
-                acc = [_zero(i)] * d
-                for t_ix, t_val in enumerate(tail):
-                    if t_val == 0:
+            # fold trailing leaf vectors, M = (I_{d^i} (x) leaf^(k-i)) . sub,
+            # and move the i-1 leading states to the shifted copy
+            cells = {}
+            for states, entries in gk.values():
+                tail = Fraction(1)
+                for s in states[i:]:
+                    tail *= leaf_row[s]
+                if tail == 0:
+                    continue
+                lead = tuple(s + d for s in states[: i - 1]) + (states[i - 1],)
+                row = row_index(lead, d_new)
+                for col, entry in entries:
+                    value = entry.substitute_sizes(mapping, i)
+                    if value.is_zero:
                         continue
-                    src = sub[lead * (d ** (k - i)) + t_ix]
-                    for j in range(d):
-                        if not src[j].is_zero:
-                            acc[j] = acc[j] + src[j].scale(t_val)
-                m_rows.append(acc)
-            zero = _zero(i)
-            rows = []
-            for row in range(d_new**i):
-                idx = unrank_row(row, d_new, i)
-                cells = [zero] * d_new
-                if all(x >= d for x in idx[:-1]) and idx[-1] < d:
-                    src = m_rows[row_index(tuple(x - d for x in idx[:-1]) + (idx[-1],), d)]
-                    for j in range(d):
-                        cells[j] = src[j]
-                rows.append(tuple(cells))
-            weights[f"__h_{k}_{i}"] = rows
+                    value = value.scale(tail)
+                    key = (row, col)
+                    cells[key] = cells[key] + value if key in cells else value
+            weights[f"__h_{k}_{i}"] = cells
     return Automaton.build(d_new, alphabet, weights)
 
 
@@ -337,14 +280,10 @@ def gf_inverse(a: Automaton) -> Automaton:
     d_new = d + 1
     u_name = _fresh_name("__u", shifted.alphabet.names())
     alphabet = RankedAlphabet.of((u_name, 2), *shifted.alphabet.symbols)
-    weights = {}
-    for name, arity in shifted.alphabet.symbols:
-        m = shifted.weight(name)
-        if arity == 0:
-            weights[name] = [(1 / a0,) + m[0]]
-        else:
-            weights[name] = _embed_shifted(m, arity, 1, d, d_new)
-    u = [[_zero(2)] * d_new for _ in range(d_new * d_new)]
-    u[row_index((1, 0), d_new)][0] = SizeRational.const(2, -1 / a0)
-    weights[u_name] = u
+    weights = {
+        name: _embed_shifted(shifted.weight(name), arity, 1, d, d_new)
+        for name, arity in shifted.alphabet.symbols
+    }
+    weights[shifted.alphabet.of_arity(0)[0]][(0, 0)] = 1 / a0
+    weights[u_name] = {(row_index((1, 0), d_new), 0): SizeRational.const(2, -1 / a0)}
     return Automaton.build(d_new, alphabet, weights)

@@ -37,7 +37,7 @@ from ._expr import (
     to_ratfunc,
     tokenize,
 )
-from .core import Automaton, RankedAlphabet
+from .core import Automaton, RankedAlphabet, row_index
 from .errors import (
     InvalidJet,
     LeadingRoot,
@@ -237,20 +237,14 @@ def compile_dfinite(r: DFiniteRecurrence) -> Automaton:
     alphabet = RankedAlphabet.of(("sigma0", 0), ("sigma1", 1))
     shifted = [q.shift_argument(k) for q in r.qs]  # arguments land at x1 + k
     q0 = shifted[0]
-    rows = []
+    cells = {}
     for j in range(k):
-        cells = []
-        for c in range(k):
-            if c < k - 1:
-                cells.append(
-                    SizeRational.const(1, 1) if j == c + 1 else SizeRational.const(1, 0)
-                )
-            else:
-                num = MultiPolynomial.from_uni(-shifted[k - j], 2, 1)
-                cells.append(SizeRational(num, [UniPolynomial.const(1), q0]))
-        rows.append(tuple(cells))
+        if j >= 1:
+            cells[(j, j - 1)] = SizeRational.const(1, 1)
+        num = MultiPolynomial.from_uni(-shifted[k - j], 2, 1)
+        cells[(j, k - 1)] = SizeRational(num, [UniPolynomial.const(1), q0])
     return Automaton.build(
-        k, alphabet, {"sigma0": [list(r.init)], "sigma1": rows}
+        k, alphabet, {"sigma0": [list(r.init)], "sigma1": cells}
     )
 
 
@@ -290,24 +284,19 @@ def compile_cda(s: RDS) -> Automaton:
     # The extra coordinate must vanish for sizes >= 1: a constant monomial
     # contributes to the coefficient of x^1 only, so the unary symbol reads
     # it from a coordinate that is 1 at size 0 and 0 afterwards.
-    sigma = [[SizeRational.const(1, 0)] * d for _ in range(d)]
+    sigma = {}
     for j, p in enumerate(polys):
         const = p.terms.get((0,) * k)
         if const:
-            sigma[k][j] = alpha_over_x0(1, const)
+            sigma[(k, j)] = alpha_over_x0(1, const)
     weights["sigma"] = sigma
     for l in range(1, r + 1):
-        zero = SizeRational(MultiPolynomial(l + 1))
-        matrix = [[zero] * d for _ in range(d**l)]
+        cells = {}
         for j, p in enumerate(polys):
             for c, tup in _monomial_tuples(p):
-                if len(tup) != l:
-                    continue
-                row = 0
-                for i in tup:
-                    row = row * d + i
-                matrix[row][j] = alpha_over_x0(l, c)
-        weights[f"g{l}"] = matrix
+                if len(tup) == l:
+                    cells[(row_index(tup, d), j)] = alpha_over_x0(l, c)
+        weights[f"g{l}"] = cells
     return Automaton.build(d, alphabet, weights)
 
 
@@ -590,25 +579,24 @@ def compile_rda(s: RDS) -> Automaton:
     if use_one:
         eps[pos["one"]] = Fraction(1)
 
-    zero1 = SizeRational(MultiPolynomial(2))
-    zero2 = SizeRational(MultiPolynomial(3))
-    sigma1 = [[zero1] * d for _ in range(d)]
-    sigma2 = [[zero2] * d for _ in range(d * d)]
-    sigma1[pos[("y", 0)]][0] = SizeRational.const(1, 1)
+    def add(cells, key, sr):
+        cells[key] = cells[key] + sr if key in cells else sr
+
+    sigma1 = {(pos[("y", 0)], 0): SizeRational.const(1, 1)}
+    sigma2 = {}
     for key in order:
         nf = forms[key]
         col = pos[key]
         if use_one and not nf.a.is_zero:
-            sigma1[pos["one"]][col] = nf.a.lift(1)
+            sigma1[(pos["one"], col)] = nf.a.lift(1)
         for h, sr in nf.b.items():
             if not sr.is_zero:
-                sigma1[pos[h]][col] = sigma1[pos[h]][col] + sr.lift(1)
+                add(sigma1, (pos[h], col), sr.lift(1))
         for (h, g), sr in nf.c.items():
             if not sr.is_zero:
-                row = pos[h] * d + pos[g]
-                sigma2[row][col] = sigma2[row][col] + sr.lift(2)
+                add(sigma2, (pos[h] * d + pos[g], col), sr.lift(2))
     if use_one:
-        sigma1[pos["one"]][pos["one"]] = SizeRational.const(1, 1)
+        sigma1[(pos["one"], pos["one"])] = SizeRational.const(1, 1)
 
     alphabet = RankedAlphabet.of(("eps", 0), ("sigma1", 1), ("sigma2", 2))
     return Automaton.build(d, alphabet, {"eps": [eps], "sigma1": sigma1, "sigma2": sigma2})

@@ -1,13 +1,17 @@
 """Ranked alphabets, trees, automata, and evaluation.
 
 An automaton is a pair (d, mu): nullary symbols get row vectors in Q^(1xd);
-a symbol of arity k >= 1 gets a d^k x d matrix of SizeRational in x0..xk.
+a symbol of arity k >= 1 gets a d^k x d matrix of SizeRational in x0..xk,
+whose row index is the row-major rank of the children's state tuple.
 Evaluating a tree t runs the leaf-to-root recursion
 
     mu~(g(t1,...,tk)) = (mu~(t1) (x) ... (x) mu~(tk)) . mu(g)(|t|, |t1|, ..., |tk|)
 
-and the value of t is the first entry of mu~(t).  Weight matrices are stored
-dense; the sizes involved here are tiny and correctness beats cleverness.
+and the value of t is the first entry of mu~(t).  Weight matrices are
+stored sparse (exactmath.WeightMatrix): automata built by closure are
+almost entirely zero, so every construction, the JSON reader and writer,
+and evaluation touch the nonzero cells only, and a matrix reads as dense
+rows only when a caller indexes it.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from .errors import (
     TooManyTrees,
 )
 from .exactmath import (
-    MultiPolynomial,
     SizeRational,
     UniPolynomial,
+    WeightMatrix,
     format_size_rational,
     parse_size_rational,
     poly_integer_roots,
@@ -202,11 +206,41 @@ def unrank_row(row: int, d: int, k: int):
     return tuple(reversed(out))
 
 
+def shift_row(row: int, k: int, d_old: int, d_new: int, offset: int) -> int:
+    """The row, in dimension d_new, of the state tuple of `row` (dimension
+    d_old, arity k) with every state moved up by offset."""
+    return row_index(tuple(s + offset for s in unrank_row(row, d_old, k)), d_new)
+
+
+def _entry(value, arity: int):
+    if arity == 0:
+        return _frac(value)
+    if isinstance(value, SizeRational):
+        return value.lift(arity)
+    if isinstance(value, str):
+        return parse_size_rational(value, arity)
+    return SizeRational.const(arity, value)
+
+
+def _dense_cells(name: str, rows, arity: int, d: int) -> dict:
+    if arity == 0 and rows and not isinstance(rows[0], (list, tuple)):
+        rows = [rows]
+    if len(rows) != d**arity:
+        raise InvariantError(f"weight of {name!r} must have {d ** arity} rows")
+    cells = {}
+    for i, row in enumerate(rows):
+        if len(row) != d:
+            raise InvariantError(f"weight of {name!r} must have {d} columns")
+        for j, value in enumerate(row):
+            cells[(i, j)] = value
+    return cells
+
+
 @dataclass(frozen=True)
 class Automaton:
     dimension: int
     alphabet: RankedAlphabet
-    weights: tuple  # of (name, matrix) in alphabet order
+    weights: tuple  # of (name, WeightMatrix) in alphabet order
 
     def __post_init__(self):
         d = self.dimension
@@ -221,85 +255,80 @@ class Automaton:
             )
         for name, matrix in self.weights:
             k = self.alphabet.arity(name)
-            if len(matrix) != d**k:
-                raise InvariantError(f"weight of {name!r} must have {d ** k} rows")
-            for row in matrix:
-                if len(row) != d:
-                    raise InvariantError(f"weight of {name!r} must have {d} columns")
-                for entry in row:
-                    if k == 0:
-                        if not isinstance(entry, Fraction):
-                            raise InvariantError("nullary weights must be rational numbers")
-                    else:
-                        if not isinstance(entry, SizeRational) or entry.arity != k:
-                            raise InvariantError(
-                                f"weight entries of {name!r} must be SizeRational of arity {k}"
-                            )
+            if not isinstance(matrix, WeightMatrix) or matrix.arity != k:
+                raise InvariantError(f"weight of {name!r} must be a WeightMatrix of arity {k}")
+            nrows = d**k
+            if matrix.shape != (nrows, d):
+                raise InvariantError(f"weight of {name!r} must have {nrows} rows and {d} columns")
+            for (i, j), entry in matrix.cells.items():
+                if not (0 <= i < nrows and 0 <= j < d):
+                    raise InvariantError(f"weight cell {(i, j)} of {name!r} is out of range")
+                if k == 0:
+                    if not isinstance(entry, Fraction):
+                        raise InvariantError("nullary weights must be rational numbers")
+                elif not isinstance(entry, SizeRational) or entry.arity != k:
+                    raise InvariantError(
+                        f"weight entries of {name!r} must be SizeRational of arity {k}"
+                    )
 
     @classmethod
     def build(cls, dimension: int, alphabet: RankedAlphabet, weights: dict) -> "Automaton":
-        """Construct from a name -> matrix mapping (rows of entries).
+        """Construct from a name -> weight mapping.
 
-        Nullary matrices may be given as a single row; entries may be numbers,
-        strings in the SizeRational grammar, or SizeRational values.
+        A weight is a {(row, col): entry} dict of cells (row is the
+        row_index of the children's states) or dense rows of entries; a
+        nullary weight may be given as a single row.  Entries may be
+        numbers, strings in the SizeRational grammar, or SizeRational values;
+        zero entries are not stored.
         """
+        d = dimension
         packed = []
         for name, arity in alphabet.symbols:
-            matrix = weights[name]
-            if arity == 0 and matrix and not isinstance(matrix[0], (list, tuple)):
-                matrix = [matrix]
-            rows = []
-            for row in matrix:
-                cells = []
-                for entry in row:
-                    if arity == 0:
-                        cells.append(_frac(entry))
-                    elif isinstance(entry, SizeRational):
-                        cells.append(entry.lift(arity))
-                    elif isinstance(entry, str):
-                        cells.append(parse_size_rational(entry, arity))
-                    else:
-                        cells.append(SizeRational.const(arity, entry))
-                rows.append(tuple(cells))
-            packed.append((name, tuple(rows)))
-        return cls(dimension, alphabet, tuple(packed))
+            cells = weights[name]
+            if not isinstance(cells, dict):
+                cells = _dense_cells(name, cells, arity, d)
+            cells = {key: _entry(value, arity) for key, value in cells.items()}
+            packed.append((name, WeightMatrix((d**arity, d), arity, cells)))
+        return cls(d, alphabet, tuple(packed))
 
-    def weight(self, name: str):
+    def weight(self, name: str) -> WeightMatrix:
         for n, matrix in self.weights:
             if n == name:
                 return matrix
         raise SymbolMismatch(f"symbol {name!r} is not in the alphabet")
 
     def nonzero_entries(self, name: str):
-        """(row, col, entry) triples of the nonzero weight cells of a symbol."""
-        k = self.alphabet.arity(name)
-        out = []
-        for i, row in enumerate(self.weight(name)):
-            for j, entry in enumerate(row):
-                if k == 0:
-                    if entry != 0:
-                        out.append((i, j, entry))
-                elif not entry.is_zero:
-                    out.append((i, j, entry))
-        return out
+        """(row, col, entry) triples of the nonzero weight cells of a symbol,
+        in row-major order."""
+        return [(i, j, entry) for (i, j), entry in self.weight(name).cells.items()]
 
 
 def evaluate(a: Automaton, t: Tree):
     """Return (mu~(t), value of t); the value is the first entry."""
     check_tree(a.alphabet, t)
-    nonzero = {name: a.nonzero_entries(name) for name in a.alphabet.names()}
+    d = a.dimension
+    leaves, cells = {}, {}
+    for name, k in a.alphabet.symbols:
+        if k == 0:
+            leaves[name] = a.weight(name)[0]
+        else:
+            cells[name] = [
+                (unrank_row(i, d, k), j, entry) for i, j, entry in a.nonzero_entries(name)
+            ]
 
     def rec(node: Tree):
-        k = a.alphabet.arity(node.root)
-        if k == 0:
-            return a.weight(node.root)[0]
+        if not node.children:
+            return leaves[node.root]
         child_vecs = [rec(c) for c in node.children]
         sizes = (node.size,) + tuple(c.size for c in node.children)
-        big = kron_all(child_vecs)
-        out = [Fraction(0)] * a.dimension
-        for row, col, entry in nonzero[node.root]:
-            coeff = big[row]
-            if coeff != 0:
+        out = [Fraction(0)] * d
+        for states, col, entry in cells[node.root]:
+            coeff = Fraction(1)
+            for vec, state in zip(child_vecs, states):
+                coeff *= vec[state]
+                if coeff == 0:
+                    break
+            else:
                 out[col] += coeff * entry(sizes)
         return tuple(out)
 
@@ -365,32 +394,21 @@ def absorb_final_vector(a: Automaton, beta: FinalVector) -> Automaton:
     beta0 = beta.value_at(0)
     weights = {}
     for name, arity in a.alphabet.symbols:
-        old = a.weight(name)
-        if arity == 0:
-            row = old[0]
-            absorbed = sum((row[j] * beta0[j] for j in range(d)), Fraction(0))
-            weights[name] = [(absorbed,) + row]
-            continue
-        # column vector M = mu(g) . beta(x0), one SizeRational per old row
-        m_col = []
-        for row in old:
-            acc = SizeRational(MultiPolynomial(arity + 1))
-            for j in range(d):
-                if row[j].is_zero:
-                    continue
-                num, den = beta.entries[j]
-                acc = acc + row[j].mul_univariate(num, den, 0)
-            m_col.append(acc)
-        zero = SizeRational(MultiPolynomial(arity + 1))
-        new_rows = []
-        for big_row in range((d + 1) ** arity):
-            idx = unrank_row(big_row, d + 1, arity)
-            if any(i == 0 for i in idx):
-                new_rows.append(tuple([zero] * (d + 1)))
-                continue
-            old_row = row_index(tuple(i - 1 for i in idx), d)
-            new_rows.append((m_col[old_row],) + old[old_row])
-        weights[name] = new_rows
+        old = a.weight(name).cells
+        cells = {}
+        # column 0 holds M = mu(g) . beta(x0), one entry per old row
+        m_col = {}
+        for (row, col), entry in old.items():
+            cells[(shift_row(row, arity, d, d + 1, 1), col + 1)] = entry
+            if arity == 0:
+                term = entry * beta0[col]
+            else:
+                num, den = beta.entries[col]
+                term = entry.mul_univariate(num, den, 0)
+            m_col[row] = m_col[row] + term if row in m_col else term
+        for row, value in m_col.items():
+            cells[(shift_row(row, arity, d, d + 1, 1), 0)] = value
+        weights[name] = cells
     return Automaton.build(d + 1, a.alphabet, weights)
 
 
@@ -405,23 +423,17 @@ def make_arity_distinct(a: Automaton) -> Automaton:
     alphabet = RankedAlphabet.of(*[(f"h{k}", k) for k in arities])
     weights = {}
     for k in arities:
-        group = a.alphabet.of_arity(k)
-        acc = None
-        for name in group:
-            matrix = a.weight(name)
-            if acc is None:
-                acc = [list(row) for row in matrix]
-            else:
-                for i, row in enumerate(matrix):
-                    for j, entry in enumerate(row):
-                        acc[i][j] = acc[i][j] + entry
+        acc = {}
+        for name in a.alphabet.of_arity(k):
+            for key, entry in a.weight(name).cells.items():
+                acc[key] = acc[key] + entry if key in acc else entry
         weights[f"h{k}"] = acc
     return Automaton.build(a.dimension, alphabet, weights)
 
 
 def unify_alphabets(a1: Automaton, a2: Automaton):
-    """Rename both automata onto one shared alphabet, padding missing arities
-    with all-zero weights.  Series prefixes are preserved."""
+    """Rename both automata onto one shared alphabet, giving missing arities
+    an empty weight.  Series prefixes are preserved."""
     if a1.alphabet == a2.alphabet:
         return a1, a2
     b1 = make_arity_distinct(a1)
@@ -432,18 +444,11 @@ def unify_alphabets(a1: Automaton, a2: Automaton):
     alphabet = RankedAlphabet.of(*[(f"h{k}", k) for k in arities])
 
     def pad(b: Automaton) -> Automaton:
-        d = b.dimension
-        weights = {}
-        for k in arities:
-            name = f"h{k}"
-            if name in b.alphabet:
-                weights[name] = b.weight(name)
-            elif k == 0:
-                weights[name] = [[Fraction(0)] * d]
-            else:
-                zero = SizeRational(MultiPolynomial(k + 1))
-                weights[name] = [[zero] * d for _ in range(d**k)]
-        return Automaton.build(d, alphabet, weights)
+        weights = {
+            f"h{k}": b.weight(f"h{k}").cells if f"h{k}" in b.alphabet else {}
+            for k in arities
+        }
+        return Automaton.build(b.dimension, alphabet, weights)
 
     return pad(b1), pad(b2)
 
@@ -551,40 +556,42 @@ def automaton_to_json(a: Automaton) -> str:
 def automaton_from_json(text: str) -> Automaton:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputFormatError(f"bad automaton JSON: {exc}") from exc
+
+    def expect(value, kind, what):
+        if not isinstance(value, kind):
+            raise InputFormatError(f"bad automaton JSON: {what} must be a JSON {kind.__name__}")
+        return value
+
     try:
+        expect(payload, dict, "the automaton")
         d = int(payload["dimension"])
         alphabet = RankedAlphabet.of(
             *[(s["name"], s["arity"]) for s in payload["alphabet"]]
         )
+        stored = expect(payload.get("weights", {}), dict, "weights")
         weights = {}
-
-        def column(cell) -> int:
-            col = int(cell["col"])
-            if not 1 <= col <= d:
-                raise InputFormatError(f"column {col} out of range 1..{d}")
-            return col - 1
-
         for name, arity in alphabet.symbols:
-            if arity == 0:
-                row = [Fraction(0)] * d
-                for cell in payload.get("weights", {}).get(name, {}).get("entries", []):
-                    row[column(cell)] = Fraction(str(cell["value"]))
-                weights[name] = [row]
-            else:
-                zero = SizeRational(MultiPolynomial(arity + 1))
-                matrix = [[zero] * d for _ in range(d**arity)]
-                for cell in payload.get("weights", {}).get(name, {}).get("entries", []):
+            spec = expect(stored.get(name, {}), dict, f"the weight of {name!r}")
+            cells = {}
+            for cell in expect(spec.get("entries", []), list, f"the entries of {name!r}"):
+                expect(cell, dict, f"an entry of {name!r}")
+                if arity == 0:
+                    row, value = 0, Fraction(str(cell["value"]))
+                else:
                     idx = tuple(int(x) - 1 for x in cell["row"])
                     if len(idx) != arity or any(not 0 <= x < d for x in idx):
                         raise InputFormatError(
                             f"bad row index {cell['row']} for symbol {name!r}"
                         )
-                    matrix[row_index(idx, d)][column(cell)] = parse_size_rational(
-                        str(cell["value"]), arity
-                    )
-                weights[name] = matrix
-    except (KeyError, TypeError, ValueError) as exc:
+                    row = row_index(idx, d)
+                    value = parse_size_rational(str(cell["value"]), arity)
+                col = int(cell["col"])
+                if not 1 <= col <= d:
+                    raise InputFormatError(f"column {col} out of range 1..{d}")
+                cells[(row, col - 1)] = value
+            weights[name] = cells
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputFormatError(f"bad automaton JSON: {exc}") from exc
     return Automaton.build(d, alphabet, weights)

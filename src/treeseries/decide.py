@@ -48,6 +48,13 @@ class ZeroBound:
     m: int  # M
     exponent: int  # M * 2^M, exact
 
+    def __repr__(self):
+        # the exact exponent has about M/3 digits; M is enough to rebuild it
+        return (
+            f"ZeroBound(dimension={self.dimension}, max_arity={self.max_arity},"
+            f" s={self.s}, m={self.m}, exponent={self.m}*2^{self.m})"
+        )
+
     def small_value(self):
         """B as an int when D <= 1, else None (B = D^exponent, astronomical)."""
         if self.max_arity == 0:

@@ -891,6 +891,82 @@ def format_size_rational(f: SizeRational) -> str:
 
 
 # ---------------------------------------------------------------------------
+# sparse weight matrices
+
+
+def _is_zero_entry(entry) -> bool:
+    return entry.is_zero if isinstance(entry, SizeRational) else entry == 0
+
+
+class WeightMatrix:
+    """A weight matrix of ``shape`` (rows, cols) stored as its nonzero cells.
+
+    ``cells`` maps (row, col) to a nonzero entry, in row-major order: a
+    Fraction for a nullary symbol, else a SizeRational of ``arity``.  Zero
+    entries are dropped on construction.  Indexing and iteration read the
+    matrix as dense row tuples, built on demand; computations use ``cells``.
+    """
+
+    __slots__ = ("shape", "arity", "cells", "_by_row", "_zero_row")
+
+    def __init__(self, shape, arity: int, cells):
+        self.shape = tuple(shape)
+        self.arity = arity
+        self.cells = {
+            key: entry for key, entry in sorted(cells.items()) if not _is_zero_entry(entry)
+        }
+        self._by_row = None
+        self._zero_row = None
+
+    @classmethod
+    def from_rows(cls, rows, arity: int) -> "WeightMatrix":
+        rows = [tuple(row) for row in rows]
+        shape = (len(rows), len(rows[0]) if rows else 0)
+        cells = {(i, j): e for i, row in enumerate(rows) for j, e in enumerate(row)}
+        return cls(shape, arity, cells)
+
+    # -- the dense row view ---------------------------------------------------
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, i):
+        nrows, ncols = self.shape
+        if not -nrows <= i < nrows:
+            raise IndexError("weight row index out of range")
+        if self._by_row is None:
+            self._by_row = {}
+            for (r, c), entry in self.cells.items():
+                self._by_row.setdefault(r, []).append((c, entry))
+            zero = Fraction(0) if self.arity == 0 else SizeRational(MultiPolynomial(self.arity + 1))
+            self._zero_row = (zero,) * ncols
+        found = self._by_row.get(i % nrows)
+        if found is None:
+            return self._zero_row
+        row = list(self._zero_row)
+        for c, entry in found:
+            row[c] = entry
+        return tuple(row)
+
+    def __iter__(self):
+        for i in range(self.shape[0]):
+            yield self[i]
+
+    def __eq__(self, other):
+        if not isinstance(other, WeightMatrix):
+            return NotImplemented
+        return (self.shape, self.arity, self.cells) == (other.shape, other.arity, other.cells)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (
+            f"WeightMatrix({self.shape[0]}x{self.shape[1]}, arity {self.arity},"
+            f" {len(self.cells)} nonzero cells)"
+        )
+
+
+# ---------------------------------------------------------------------------
 # common-denominator normal form
 
 
@@ -900,7 +976,8 @@ class SymbolDecomposition:
 
     arity: int
     child_denominators: tuple  # one UniPolynomial per child variable x1..xk
-    matrices: dict  # exponent tuple (i1..ik) -> tuple of row tuples of Fraction
+    matrices: dict  # exponent tuple (i1..ik) -> {(row, col): nonzero Fraction}
+    shape: tuple  # (rows, cols) of every matrix
 
 
 @dataclass(frozen=True)
@@ -909,93 +986,71 @@ class CommonDenominatorForm:
     symbols: dict  # symbol name -> SymbolDecomposition
     r: int  # max child-variable exponent across all numerators
 
-    def reassemble(self, name: str) -> list:
+    def reassemble(self, name: str) -> WeightMatrix:
         """Rebuild the weight matrix of one symbol as SizeRational entries."""
         dec = self.symbols[name]
-        k = dec.arity
-        nvars = k + 1
-        rows = cols = None
-        for mat in dec.matrices.values():
-            rows, cols = len(mat), len(mat[0])
-            break
+        nvars = dec.arity + 1
         dens = [self.q0] + list(dec.child_denominators)
-        out = []
-        for i in range(rows):
-            row = []
-            for j in range(cols):
-                num = MultiPolynomial(nvars)
-                for exps, mat in dec.matrices.items():
-                    c = mat[i][j]
-                    if c == 0:
-                        continue
-                    key = (0,) + exps
-                    num = num + MultiPolynomial(nvars, {key: c})
-                row.append(SizeRational(num, dens) if not num.is_zero
-                           else SizeRational(MultiPolynomial(nvars)))
-            out.append(tuple(row))
-        return out
+        terms = {}
+        for exps, cells in dec.matrices.items():
+            for key, c in cells.items():
+                terms.setdefault(key, {})[(0,) + exps] = c
+        cells = {
+            key: SizeRational(MultiPolynomial(nvars, monomials), dens)
+            for key, monomials in terms.items()
+        }
+        return WeightMatrix(dec.shape, dec.arity, cells)
 
 
 def normalize_common_denominator(weights) -> CommonDenominatorForm:
     """Put all non-nullary weight matrices over a common denominator.
 
     ``weights`` is a list of (name, arity, matrix) with arity >= 1 and matrix
-    a sequence of rows of SizeRational.  Numerator occurrences of x0 are
-    rewritten via x0 = 1 + x1 + ... + xk, which leaves the weight unchanged
-    at every realizable size tuple.
+    a WeightMatrix or a sequence of rows of SizeRational; only nonzero cells
+    are read.  Numerator occurrences of x0 are rewritten via
+    x0 = 1 + x1 + ... + xk, which leaves the weight unchanged at every
+    realizable size tuple.
     """
+    weights = [
+        (name, k, m if isinstance(m, WeightMatrix) else WeightMatrix.from_rows(m, k))
+        for name, k, m in weights
+    ]
     q0 = UniPolynomial.const(1)
     for _, _, matrix in weights:
-        for row in matrix:
-            for entry in row:
-                if not entry.is_zero and not entry.dens[0].is_one:
-                    q0 = poly_lcm(q0, entry.dens[0])
+        for entry in matrix.cells.values():
+            if not entry.dens[0].is_one:
+                q0 = poly_lcm(q0, entry.dens[0])
     symbols = {}
     r = 0
     for name, k, matrix in weights:
         nvars = k + 1
         child_dens = [UniPolynomial.const(1)] * k
-        for row in matrix:
-            for entry in row:
-                if entry.is_zero:
-                    continue  # the denominators of zero are all 1
-                for i in range(1, nvars):
-                    if not entry.dens[i].is_one:
-                        child_dens[i - 1] = poly_lcm(child_dens[i - 1], entry.dens[i])
-        nrows, ncols = len(matrix), len(matrix[0])
+        for entry in matrix.cells.values():
+            for i in range(1, nvars):
+                if not entry.dens[i].is_one:
+                    child_dens[i - 1] = poly_lcm(child_dens[i - 1], entry.dens[i])
         # images for eliminating x0 from numerators: x0 -> 1 + x1 + ... + xk
         x0_image = MultiPolynomial.const(nvars, 1)
         for i in range(1, nvars):
             x0_image = x0_image + MultiPolynomial.var(nvars, i)
         images = [x0_image] + [MultiPolynomial.var(nvars, i) for i in range(1, nvars)]
-        per_exp = {}
-        for i, row in enumerate(matrix):
-            for j, entry in enumerate(row):
-                if entry.is_zero:
-                    continue
-                num = entry.num
-                cof0 = q0.div_exact(entry.dens[0])
-                if not cof0.is_one:
-                    num = num * MultiPolynomial.from_uni(cof0, nvars, 0)
-                for v in range(1, nvars):
-                    cof = child_dens[v - 1].div_exact(entry.dens[v])
-                    if not cof.is_one:
-                        num = num * MultiPolynomial.from_uni(cof, nvars, v)
-                if num.degree_in(0) > 0:
-                    num = num.compose(images)
-                for exps, c in num.terms.items():
-                    key = exps[1:]
-                    per_exp.setdefault(key, {})[(i, j)] = c
         matrices = {}
-        for exps, cells in per_exp.items():
+        for key, entry in matrix.cells.items():
+            num = entry.num
+            cof0 = q0.div_exact(entry.dens[0])
+            if not cof0.is_one:
+                num = num * MultiPolynomial.from_uni(cof0, nvars, 0)
+            for v in range(1, nvars):
+                cof = child_dens[v - 1].div_exact(entry.dens[v])
+                if not cof.is_one:
+                    num = num * MultiPolynomial.from_uni(cof, nvars, v)
+            if num.degree_in(0) > 0:
+                num = num.compose(images)
+            for exps, c in num.terms.items():
+                matrices.setdefault(exps[1:], {})[key] = c
+        for exps in matrices:
             r = max(r, max(exps, default=0))
-            mat = [[Fraction(0)] * ncols for _ in range(nrows)]
-            for (i, j), c in cells.items():
-                mat[i][j] = c
-            matrices[exps] = tuple(tuple(row) for row in mat)
         if not matrices:
-            matrices[(0,) * k] = tuple(
-                tuple(Fraction(0) for _ in range(ncols)) for _ in range(nrows)
-            )
-        symbols[name] = SymbolDecomposition(k, tuple(child_dens), matrices)
+            matrices[(0,) * k] = {}
+        symbols[name] = SymbolDecomposition(k, tuple(child_dens), matrices, matrix.shape)
     return CommonDenominatorForm(q0, symbols, r)

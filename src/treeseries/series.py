@@ -96,7 +96,7 @@ def initial_vector(a: Automaton) -> tuple:
     """a_0: the sum of the nullary weight rows."""
     a0 = [Fraction(0)] * a.dimension
     for name in a.alphabet.of_arity(0):
-        for j, v in enumerate(a.weight(name)[0]):
+        for (_, j), v in a.weight(name).cells.items():
             a0[j] += v
     return tuple(a0)
 
@@ -125,14 +125,10 @@ class ConvolutionEngine:
         cells = {}  # full key -> [(col, coefficient)]
         for dec in form.symbols.values():
             for exps, matrix in dec.matrices.items():
-                for row, entries in enumerate(matrix):
-                    if not any(entries):
-                        continue
+                for (row, col), c in matrix.items():
                     states = unrank_row(row, d, dec.arity)
                     key = tuple(zip(dec.child_denominators, exps, states))
-                    for col, c in enumerate(entries):
-                        if c:
-                            cells.setdefault(key, []).append((col, c))
+                    cells.setdefault(key, []).append((col, c))
         sequences = {}  # (Q, e, state) -> [s_0, s_1, ...]
         partials = {}  # key prefix of length 2..k-1 -> its convolution
         for key in cells:

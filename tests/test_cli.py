@@ -226,3 +226,28 @@ def test_compile_da_unknown_derivative_exits_2(tmp_path, capsys):
     eq.write_text("yx'^3 + y^3 - 1 ; y(0)=0, y'(0)=1\n")
     err = _exits_2_without_traceback(capsys, "compile", "da", "-f", str(eq))
     assert "yx'" in err
+
+
+@pytest.mark.parametrize(
+    "mode, text",
+    [
+        ("rda", "y' = y/0 ; y(0)=1"),
+        ("rda", "y' = 1/(y-y) ; y(0)=1"),
+        ("da", "y'*0 - y/0 ; y(0)=1"),
+    ],
+)
+def test_compile_right_hand_side_dividing_by_zero_exits_2(mode, text, tmp_path, capsys):
+    source = tmp_path / f"bad.{mode}"
+    source.write_text(text + "\n")
+    err = _exits_2_without_traceback(capsys, "compile", mode, "-f", str(source))
+    assert "division by zero" in err
+
+
+@pytest.mark.parametrize("weights", [[], {"sigma1": []}, {"sigma1": {"entries": {}}}, None])
+def test_weights_of_the_wrong_json_type_exit_2(weights, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    payload = json.loads(automaton_to_json(bell_automaton()))
+    payload["weights"] = weights
+    path.write_text(json.dumps(payload))
+    err = _exits_2_without_traceback(capsys, "series", "-a", str(path), "-n", "2")
+    assert "bad automaton JSON" in err

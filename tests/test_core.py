@@ -323,3 +323,56 @@ def test_json_rejects_out_of_range_column():
     payload["weights"]["a"]["entries"][0]["col"] = 2
     with pytest.raises(InputFormatError):
         automaton_from_json(json.dumps(payload))
+
+
+def _wide_bell(d: int) -> Automaton:
+    """The Bell automaton on states 0 and 1 of a dimension-d automaton whose
+    other states carry weights that never reach states 0 and 1."""
+    top = d - 1
+    return Automaton.build(
+        d,
+        SIGNATURE,
+        {
+            "sigma0": {(0, 0): 1, (0, 1): 1, (0, top): 2},
+            "sigma1": {(1, 1): "1/(x0)", **{(i, i - 1): "1/(x0+1)" for i in range(3, d)}},
+            "sigma2": {
+                (d, 0): "1/(x0)",  # row (1, 0)
+                (top * d + 2, 3): "(x1+1)/(x0)",  # row (top, 2)
+                (d * d - 1, top): "-1",  # row (top, top)
+            },
+        },
+    )
+
+
+def test_wide_sparse_automaton_loads_and_computes(bell):
+    from treeseries.decide import ZeroUpTo, check_equiv_genfun
+
+    d = 2000  # a dense binary weight would hold 8 * 10^9 cells
+    text = automaton_to_json(_wide_bell(d))
+    a = automaton_from_json(text)
+    assert automaton_to_json(a) == text
+    assert a == _wide_bell(d)
+    assert len(a.weight("sigma2")) == d * d
+    assert a.weight("sigma2")[d * d - 1][d - 1] == a.weight("sigma2").cells[(d * d - 1, d - 1)]
+    assert generating_prefix(a, 10) == generating_prefix(bell, 10)
+    verdict = check_equiv_genfun(a, bell, 10)
+    assert isinstance(verdict, ZeroUpTo) and verdict.n == 10
+
+
+def test_weights_store_nonzero_cells_only():
+    a = Automaton.build(
+        2, SIGNATURE,
+        {"sigma0": [0, 3], "sigma1": {(0, 1): "0", (1, 0): "x1"},
+         "sigma2": [["0", "0"], ["0", "0"], ["1/(x0)", "0"], ["0", "0"]]},
+    )
+    assert list(a.weight("sigma0").cells) == [(0, 1)]
+    assert list(a.weight("sigma1").cells) == [(1, 0)]
+    assert list(a.weight("sigma2").cells) == [(2, 0)]
+    assert a.weight("sigma0")[0] == (F(0), F(3))
+    assert a.weight("sigma1")[0][1].is_zero
+    with pytest.raises(InvariantError):
+        Automaton.build(2, SIGNATURE, {"sigma0": [1, 1], "sigma1": {(2, 0): "1"},
+                                       "sigma2": {}})
+    with pytest.raises(InvariantError):
+        Automaton.build(2, SIGNATURE, {"sigma0": [1, 1], "sigma1": [["1", "0"]],
+                                       "sigma2": {}})

@@ -27,6 +27,7 @@ from treeseries.decide import (
 )
 from treeseries.exactmath import UniPolynomial, normalize_common_denominator
 from treeseries.series import brute_force_coefficient, coefficients
+from treeseries.species import parse_species, species_to_rds
 from treeseries.zoo import BELL_RDS_TEXT, CUBIC_RDS_TEXT, SIGNATURE
 
 
@@ -293,3 +294,31 @@ def test_equations_text_mentions_reduction(bell):
     text = emit_differential_system(bell).equations_text()
     assert "Q(x) = x" in text
     assert "V_i" in text and "h_1" in text
+
+
+# ---------------------------------------------------------------------------
+# wide automata
+
+
+def _hierarchies():
+    return compile_rda(species_to_rds(parse_species("H = X + set(H, card>=2)"), "H"))
+
+
+def test_hierarchies_minus_itself_is_zero_as_tree_series():
+    # the Hadamard square of H - H has dimension 196; scanned to cap 12
+    h = _hierarchies()
+    verdict = check_zero_tree_series(ts_add(h, ts_scale(h, -1)), 12)
+    assert isinstance(verdict, ZeroUpTo) and verdict.n == 12
+    assert verdict.bound.dimension == 14 * 14
+
+
+def test_bound_repr_stays_short():
+    h = _hierarchies()
+    verdict = check_zero_tree_series(ts_add(h, ts_scale(h, -1)), 12)
+    bound = verdict.bound
+    m = bound.m
+    assert bound.exponent == m * 2**m and len(str(bound.exponent)) > 900
+    assert f"exponent={m}*2^{m}" in repr(bound)
+    assert len(repr(verdict)) < 150
+    assert bound.describe() == f"2^{m * 2**m}"
+    assert bound.to_json_dict() == {"base": 2, "exponent": str(m * 2**m)}

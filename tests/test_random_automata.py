@@ -12,12 +12,23 @@ from treeseries.closure import (
     gf_add,
     gf_cauchy,
     gf_derive,
+    gf_integrate,
+    gf_inverse,
+    gf_mul_shifted,
     gf_shift_backward,
     gf_shift_forward,
     ts_add,
     ts_hadamard,
+    ts_scale,
 )
-from treeseries.core import Automaton, RankedAlphabet, enumerate_trees, evaluate
+from treeseries.core import (
+    Automaton,
+    RankedAlphabet,
+    automaton_from_json,
+    automaton_to_json,
+    enumerate_trees,
+    evaluate,
+)
 from treeseries.series import (
     brute_force_coefficient,
     coefficients,
@@ -100,6 +111,39 @@ def test_random_shifts_and_derivative(a):
     assert generating_prefix(gf_derive(a), n).coefficients == tuple(
         (m + 1) * base[m + 1] for m in range(n + 1)
     )
+
+
+def _assert_sparse_store(a: Automaton):
+    for name, matrix in a.weights:
+        arity = a.alphabet.arity(name)
+        stored = matrix.cells
+        assert all(e != 0 if arity == 0 else not e.is_zero for e in stored.values())
+        dense = {
+            (i, j): e
+            for i, row in enumerate(matrix)
+            for j, e in enumerate(row)
+            if (e != 0 if arity == 0 else not e.is_zero)
+        }
+        assert dense == stored
+        assert list(stored) == sorted(stored)
+    text = automaton_to_json(a)
+    again = automaton_from_json(text)
+    assert again == a
+    assert automaton_to_json(again) == text
+
+
+@settings(max_examples=20, deadline=None)
+@given(automata(), automata())
+def test_random_closure_results_store_nonzero_cells_only(a1, a2):
+    results = [
+        ts_add(a1, a2), ts_scale(a1, -2), ts_hadamard(a1, a2), gf_add(a1, a2),
+        gf_mul_shifted(a1, a2), gf_cauchy(a1, a2), gf_shift_forward(a1),
+        gf_shift_backward(a1), gf_derive(a1), gf_integrate(a1),
+    ]
+    if generating_prefix(a1, 0)[0] != 0:
+        results.append(gf_inverse(a1))
+    for result in results:
+        _assert_sparse_store(result)
 
 
 @settings(max_examples=20, deadline=None)
