@@ -10,9 +10,9 @@ symbolic so callers can solve for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .errors import NonlinearInDerivatives, ParseError
 from .exactmath import MultiPolynomial
 
@@ -23,7 +23,7 @@ from .exactmath import MultiPolynomial
 _SYMBOLS = ("(", ")", "+", "-", "*", "/", "^", "=", ",", ";", ">=", "<=", ">", "<")
 
 
-@dataclass(frozen=True)
+@record
 class Token:
     kind: str  # "name" | "number" | "prime" | symbol itself | "end"
     text: str
@@ -124,24 +124,24 @@ class TokenStream:
 # expression AST
 
 
-@dataclass(frozen=True)
+@record
 class Const:
     value: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class DVar:
     """First derivative of a named power-series variable."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Call:
     """Application name(args); meaning is decided by the surrounding DSL."""
 
@@ -149,31 +149,31 @@ class Call:
     args: tuple
 
 
-@dataclass(frozen=True)
+@record
 class Add:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record
 class Mul:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record
 class DivE:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record
 class Pow:
     base: object
     exponent: int
 
 
-@dataclass(frozen=True)
+@record
 class Neg:
     arg: object
 

@@ -176,13 +176,20 @@ _BINARY_OPS = {
 }
 
 
+def _parse_scalar(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InputFormatError(f"division by zero in -c {text}") from None
+
+
 def _cmd_op(args) -> int:
     a = _load_automaton(args.automaton)
     if args.name in _UNARY_OPS:
         if args.name.endswith("scale"):
             if args.scalar is None:
                 raise InputFormatError(f"{args.name} needs -c <rational>")
-            result = _UNARY_OPS[args.name](a, Fraction(args.scalar))
+            result = _UNARY_OPS[args.name](a, _parse_scalar(args.scalar))
         else:
             result = _UNARY_OPS[args.name](a, None)
     elif args.name in _BINARY_OPS:

@@ -24,7 +24,6 @@ independent check for every compiler in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._expr import (
@@ -37,6 +36,7 @@ from ._expr import (
     to_ratfunc,
     tokenize,
 )
+from ._record import record
 from .core import Automaton, RankedAlphabet, row_index
 from .errors import (
     InvalidJet,
@@ -61,7 +61,7 @@ from .series import SeriesPrefix
 # source-language values
 
 
-@dataclass(frozen=True)
+@record
 class DFiniteRecurrence:
     """Q0(n) a_n + Q1(n) a_{n-1} + ... + Qk(n) a_{n-k} = 0 for n >= k,
     with initial values a_0 .. a_{k-1} and Q0(n) != 0 for all n >= k."""
@@ -100,7 +100,7 @@ class DFiniteRecurrence:
         return SeriesPrefix(tuple(values[: n_max + 1]))
 
 
-@dataclass(frozen=True)
+@record
 class RDS:
     """First-order rational dynamical system y_i' = P_i(y)/Q_i(y) with the
     target series in the first variable."""
@@ -125,7 +125,7 @@ class RDS:
         return all(q.constant_value() is not None for _, q in self.rhs)
 
 
-@dataclass(frozen=True)
+@record
 class DAEquation:
     """A differential polynomial P(y, y', ..., y^(n)) with an initial jet."""
 
@@ -146,7 +146,7 @@ class DAEquation:
         return self.poly.nvars - 1
 
 
-@dataclass(frozen=True)
+@record
 class RecurrenceNormalForm:
     """One coordinate's shifted-coefficient recurrence: constant part A(x0),
     lag-one parts B_h(x0, x1), convolution parts C_{h,g}(x0, x1, x2)."""

@@ -17,9 +17,9 @@ rows only when a caller indexes it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .errors import (
     InputFormatError,
     InvalidBeta,
@@ -44,7 +44,7 @@ ENUMERATION_GUARD = 10**6
 # alphabets and trees
 
 
-@dataclass(frozen=True)
+@record
 class RankedAlphabet:
     symbols: tuple  # of (name, arity) pairs, order significant
 
@@ -88,7 +88,7 @@ class RankedAlphabet:
         return counts
 
 
-@dataclass(frozen=True)
+@record
 class Tree:
     root: str
     children: tuple = ()
@@ -236,7 +236,7 @@ def _dense_cells(name: str, rows, arity: int, d: int) -> dict:
     return cells
 
 
-@dataclass(frozen=True)
+@record
 class Automaton:
     dimension: int
     alphabet: RankedAlphabet
@@ -340,7 +340,7 @@ def evaluate(a: Automaton, t: Tree):
 # final vectors
 
 
-@dataclass(frozen=True)
+@record
 class FinalVector:
     """Column vector of univariate rational functions of the size, each
     defined at every nonnegative integer."""

@@ -20,9 +20,9 @@ Tree-series zeroness reduces to generating-function zeroness of the squared
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .closure import gf_add, gf_scale, ts_add, ts_hadamard, ts_scale
 from .core import Automaton, Tree, enumerate_trees, evaluate, format_tree
 from .errors import TooManyTrees
@@ -40,7 +40,7 @@ from .series import (
 # the zeroness bound
 
 
-@dataclass(frozen=True)
+@record
 class ZeroBound:
     dimension: int
     max_arity: int  # D
@@ -108,7 +108,7 @@ def compute_bound(a: Automaton, form: CommonDenominatorForm = None) -> ZeroBound
 # verdicts
 
 
-@dataclass(frozen=True)
+@record
 class ProvenZero:
     bound: ZeroBound
 
@@ -116,7 +116,7 @@ class ProvenZero:
         return {"verdict": "proven_zero", "bound": self.bound.to_json_dict()}
 
 
-@dataclass(frozen=True)
+@record
 class ZeroUpTo:
     n: int
     bound: ZeroBound
@@ -125,7 +125,7 @@ class ZeroUpTo:
         return {"verdict": "zero_up_to", "n": self.n, "bound": self.bound.to_json_dict()}
 
 
-@dataclass(frozen=True)
+@record
 class NonzeroAt:
     n: int
     witness: Fraction
@@ -134,7 +134,7 @@ class NonzeroAt:
         return {"verdict": "nonzero_at", "n": self.n, "witness": str(self.witness)}
 
 
-@dataclass(frozen=True)
+@record
 class DifferAt:
     tree: Tree
     values: tuple
@@ -220,7 +220,7 @@ def check_equiv_tree_series(a1: Automaton, a2: Automaton, cap: int, progress=Non
 # the defining differential system
 
 
-@dataclass(frozen=True)
+@record
 class DifferentialSystem:
     """The system pinning the coefficient vectors of an automaton.
 

@@ -20,9 +20,9 @@ are never expanded into a joint multivariate denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .errors import (
     DenominatorZero,
     InputFormatError,
@@ -970,7 +970,7 @@ class WeightMatrix:
 # common-denominator normal form
 
 
-@dataclass(frozen=True)
+@record
 class SymbolDecomposition:
     """One symbol's share of the common-denominator normal form."""
 
@@ -980,7 +980,7 @@ class SymbolDecomposition:
     shape: tuple  # (rows, cols) of every matrix
 
 
-@dataclass(frozen=True)
+@record
 class CommonDenominatorForm:
     q0: UniPolynomial  # shared denominator in x0 (monic lcm)
     symbols: dict  # symbol name -> SymbolDecomposition
@@ -1002,6 +1002,15 @@ class CommonDenominatorForm:
         return WeightMatrix(dec.shape, dec.arity, cells)
 
 
+def _lcm_of(dens) -> UniPolynomial:
+    """Monic lcm of the distinct polynomials in ``dens``; 1 when there are none."""
+    out = UniPolynomial.const(1)
+    for den in dict.fromkeys(dens):
+        if not den.is_one:
+            out = poly_lcm(out, den)
+    return out
+
+
 def normalize_common_denominator(weights) -> CommonDenominatorForm:
     """Put all non-nullary weight matrices over a common denominator.
 
@@ -1015,35 +1024,34 @@ def normalize_common_denominator(weights) -> CommonDenominatorForm:
         (name, k, m if isinstance(m, WeightMatrix) else WeightMatrix.from_rows(m, k))
         for name, k, m in weights
     ]
-    q0 = UniPolynomial.const(1)
-    for _, _, matrix in weights:
-        for entry in matrix.cells.values():
-            if not entry.dens[0].is_one:
-                q0 = poly_lcm(q0, entry.dens[0])
+    # cells share a few denominators: fold and divide each distinct one once
+    q0 = _lcm_of(entry.dens[0] for _, _, matrix in weights for entry in matrix.cells.values())
     symbols = {}
     r = 0
     for name, k, matrix in weights:
         nvars = k + 1
-        child_dens = [UniPolynomial.const(1)] * k
-        for entry in matrix.cells.values():
-            for i in range(1, nvars):
-                if not entry.dens[i].is_one:
-                    child_dens[i - 1] = poly_lcm(child_dens[i - 1], entry.dens[i])
+        child_dens = [
+            _lcm_of(entry.dens[i] for entry in matrix.cells.values()) for i in range(1, nvars)
+        ]
+        lcms = [q0] + child_dens
         # images for eliminating x0 from numerators: x0 -> 1 + x1 + ... + xk
         x0_image = MultiPolynomial.const(nvars, 1)
         for i in range(1, nvars):
             x0_image = x0_image + MultiPolynomial.var(nvars, i)
         images = [x0_image] + [MultiPolynomial.var(nvars, i) for i in range(1, nvars)]
+        cofactors = {}  # (variable, denominator) -> multiplier in x_v, None for 1
         matrices = {}
         for key, entry in matrix.cells.items():
             num = entry.num
-            cof0 = q0.div_exact(entry.dens[0])
-            if not cof0.is_one:
-                num = num * MultiPolynomial.from_uni(cof0, nvars, 0)
-            for v in range(1, nvars):
-                cof = child_dens[v - 1].div_exact(entry.dens[v])
-                if not cof.is_one:
-                    num = num * MultiPolynomial.from_uni(cof, nvars, v)
+            for v in range(nvars):
+                den = entry.dens[v]
+                if (v, den) not in cofactors:
+                    cof = lcms[v].div_exact(den)
+                    cofactors[v, den] = (
+                        None if cof.is_one else MultiPolynomial.from_uni(cof, nvars, v)
+                    )
+                if cofactors[v, den] is not None:
+                    num = num * cofactors[v, den]
             if num.degree_in(0) > 0:
                 num = num.compose(images)
             for exps, c in num.terms.items():

@@ -29,15 +29,15 @@ size n and is the independent oracle for the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._record import record
 from .core import Automaton, enumerate_trees, kron_all, unrank_row
 from .exactmath import CommonDenominatorForm, _frac, normalize_common_denominator
 
 
-@dataclass(frozen=True)
+@record
 class SeriesPrefix:
     coefficients: tuple  # of Fraction, index n holds the coefficient of x^n
 
@@ -55,7 +55,7 @@ class SeriesPrefix:
         return SeriesPrefix(self.coefficients[:length])
 
 
-@dataclass(frozen=True)
+@record
 class VectorSeriesPrefix:
     vectors: tuple  # of row tuples, all of one length d
 

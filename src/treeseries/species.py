@@ -19,7 +19,6 @@ empty label set, computed as a least fixpoint over the specification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._expr import (
@@ -38,6 +37,7 @@ from ._expr import (
     to_linear_in_derivatives,
     tokenize,
 )
+from ._record import record
 from .compile import RDS, compile_rda
 from .errors import (
     BadCardinality,
@@ -57,51 +57,51 @@ from .series import generating_prefix
 # species AST and parser
 
 
-@dataclass(frozen=True)
+@record
 class SpOne:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class SpX:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class SpRef:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class SpSum:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record
 class SpProd:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record
 class SpSeq:
     arg: object
     card: tuple = None  # ("eq"|"ge", k)
 
 
-@dataclass(frozen=True)
+@record
 class SpSet:
     arg: object
     card: tuple = None
 
 
-@dataclass(frozen=True)
+@record
 class SpCycle:
     arg: object
 
 
-@dataclass(frozen=True)
+@record
 class SpeciesSpec:
     equations: tuple  # of (name, species expression), order significant
 
@@ -286,7 +286,7 @@ def empty_counts(spec: SpeciesSpec) -> dict:
 # translation to a differential system over EGF variables
 
 
-@dataclass(frozen=True)
+@record
 class DiffEqSystem:
     """Equations over EGF variables: ("alg", v, rhs) meaning v = rhs, or
     ("diff", v, rhs) meaning v' = rhs; rhs may mention other variables,

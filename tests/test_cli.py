@@ -251,3 +251,9 @@ def test_weights_of_the_wrong_json_type_exit_2(weights, tmp_path, capsys):
     path.write_text(json.dumps(payload))
     err = _exits_2_without_traceback(capsys, "series", "-a", str(path), "-n", "2")
     assert "bad automaton JSON" in err
+
+
+@pytest.mark.parametrize("op", ["gf-scale", "ts-scale"])
+def test_scale_by_a_zero_denominator_exits_2(op, bell_path, capsys):
+    err = _exits_2_without_traceback(capsys, "op", op, "-a", bell_path, "-c", "1/0")
+    assert "division by zero" in err

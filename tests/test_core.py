@@ -376,3 +376,36 @@ def test_weights_store_nonzero_cells_only():
     with pytest.raises(InvariantError):
         Automaton.build(2, SIGNATURE, {"sigma0": [1, 1], "sigma1": [["1", "0"]],
                                        "sigma2": {}})
+
+
+def test_normalization_folds_each_distinct_denominator_once(bell, monkeypatch):
+    from treeseries import exactmath
+    from treeseries.closure import gf_add, gf_scale
+
+    a = gf_add(_wide_bell(2000), gf_scale(bell, -1))
+    weights = [(name, k, a.weight(name)) for name, k in a.alphabet.symbols if k >= 1]
+    # x0 denominators share one lcm; child denominators have one lcm per symbol and child
+    distinct = {
+        (name if v else None, v, den)
+        for name, _, matrix in weights
+        for entry in matrix.cells.values()
+        for v, den in enumerate(entry.dens)
+        if not den.is_one
+    }
+    cells = sum(len(matrix.cells) for _, _, matrix in weights)
+    calls = []
+    poly_lcm = exactmath.poly_lcm
+    monkeypatch.setattr(exactmath, "poly_lcm", lambda p, q: calls.append(1) or poly_lcm(p, q))
+    form = exactmath.normalize_common_denominator(weights)
+    assert cells > 2000 and 0 < len(calls) <= len(distinct) <= 3
+    assert form.q0 == UniPolynomial((0, 1)) * UniPolynomial((1, 1))
+
+
+def test_wide_sparse_automaton_matches_brute_force():
+    from treeseries.series import brute_force_coefficient, coefficients
+
+    a = _wide_bell(12)
+    vectors = coefficients(a, 5).vectors
+    for n in range(6):
+        assert vectors[n] == brute_force_coefficient(a, n), n
+    assert [v[0] for v in vectors] == [1, 1, F(2, 2), F(5, 6), F(15, 24), F(52, 120)]
