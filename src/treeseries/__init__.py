@@ -1,84 +1,131 @@
-"""Exact engine for size-weighted tree automata and their generating functions."""
+"""Exact engine for size-weighted tree automata and their generating functions.
 
-from .core import (
-    Automaton,
-    FinalVector,
-    RankedAlphabet,
-    Tree,
-    absorb_final_vector,
-    automaton_from_json,
-    automaton_to_json,
-    enumerate_trees,
-    evaluate,
-    kron,
-    make_arity_distinct,
-    parse_tree,
-    tree_size,
-    unify_alphabets,
-)
-from .exactmath import (
-    MultiPolynomial,
-    Rational,
-    SizeRational,
-    UniPolynomial,
-    normalize_common_denominator,
-    parse_size_rational,
-    poly_integer_roots,
-    size_rational_eval,
-)
-from .series import (
-    SeriesPrefix,
-    VectorSeriesPrefix,
-    brute_force_coefficient,
-    coefficients,
-    generating_prefix,
-    s_derive,
-    series_add,
-    series_cauchy,
-    series_scale,
-)
-from .closure import (
-    gf_add,
-    gf_cauchy,
-    gf_derive,
-    gf_integrate,
-    gf_inverse,
-    gf_mul_shifted,
-    gf_scale,
-    gf_shift_backward,
-    gf_shift_forward,
-    ts_add,
-    ts_hadamard,
-    ts_scale,
-)
-from .compile import (
-    DAEquation,
-    DFiniteRecurrence,
-    RDS,
-    compile_cda,
-    compile_dfinite,
-    compile_rda,
-    da_to_rds,
-    parse_da,
-    parse_dfinite,
-    parse_rds,
-    taylor_oracle,
-)
-from .decide import (
-    check_equiv_genfun,
-    check_equiv_tree_series,
-    check_zero_genfun,
-    check_zero_tree_series,
-    compute_bound,
-    emit_differential_system,
-)
-from .species import (
-    SpeciesSpec,
-    count_species,
-    diffsys_to_rds,
-    parse_species,
-    species_to_diffsys,
-    species_to_rds,
-)
+Importing the package runs none of its layers.  Each layer module is put in
+``sys.modules`` (and bound here) unexecuted, through
+``importlib.util.LazyLoader``, and runs on the first access to one of its
+attributes; a public name read from the package runs the layer that defines
+it.  So a command runs only the layers it uses, and every layer is still in
+``sys.modules`` as soon as the package is imported.
+"""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+import importlib.util
+import sys
+
+from . import errors
+
+# public names, by the layer that defines them
+_EXPORTS = {
+    "core": (
+        "Automaton",
+        "FinalVector",
+        "RankedAlphabet",
+        "Tree",
+        "absorb_final_vector",
+        "automaton_from_json",
+        "automaton_to_json",
+        "enumerate_trees",
+        "evaluate",
+        "kron",
+        "make_arity_distinct",
+        "parse_tree",
+        "tree_size",
+        "unify_alphabets",
+    ),
+    "exactmath": (
+        "MultiPolynomial",
+        "Rational",
+        "SizeRational",
+        "UniPolynomial",
+        "normalize_common_denominator",
+        "parse_size_rational",
+        "poly_integer_roots",
+        "size_rational_eval",
+    ),
+    "series": (
+        "SeriesPrefix",
+        "VectorSeriesPrefix",
+        "brute_force_coefficient",
+        "coefficients",
+        "generating_prefix",
+        "s_derive",
+        "series_add",
+        "series_cauchy",
+        "series_scale",
+    ),
+    "closure": (
+        "gf_add",
+        "gf_cauchy",
+        "gf_derive",
+        "gf_integrate",
+        "gf_inverse",
+        "gf_mul_shifted",
+        "gf_scale",
+        "gf_shift_backward",
+        "gf_shift_forward",
+        "ts_add",
+        "ts_hadamard",
+        "ts_scale",
+    ),
+    "compile": (
+        "DAEquation",
+        "DFiniteRecurrence",
+        "RDS",
+        "compile_cda",
+        "compile_dfinite",
+        "compile_rda",
+        "da_to_rds",
+        "parse_da",
+        "parse_dfinite",
+        "parse_rds",
+        "taylor_oracle",
+    ),
+    "decide": (
+        "check_equiv_genfun",
+        "check_equiv_tree_series",
+        "check_zero_genfun",
+        "check_zero_tree_series",
+        "compute_bound",
+        "emit_differential_system",
+    ),
+    "species": (
+        "SpeciesSpec",
+        "count_species",
+        "diffsys_to_rds",
+        "parse_species",
+        "species_to_diffsys",
+        "species_to_rds",
+    ),
+}
+_HOME = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+
+def _lazy(layer: str):
+    spec = importlib.util.find_spec(f"{__name__}.{layer}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+exactmath = _lazy("exactmath")
+core = _lazy("core")
+series = _lazy("series")
+closure = _lazy("closure")
+_expr = _lazy("_expr")
+compile = _lazy("compile")
+decide = _lazy("decide")
+species = _lazy("species")
+
+__all__ = sorted([*_HOME, *_EXPORTS, "errors"])
+
+
+def __getattr__(name):
+    layer = _HOME.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[layer], name)
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

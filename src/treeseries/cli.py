@@ -13,40 +13,8 @@ import math
 import sys
 from fractions import Fraction
 
-from . import closure
-from .compile import (
-    compile_cda,
-    compile_dfinite,
-    compile_rda,
-    da_to_rds,
-    parse_da,
-    parse_dfinite,
-    parse_rds,
-    taylor_oracle,
-)
-from .core import (
-    Automaton,
-    RankedAlphabet,
-    automaton_from_json,
-    automaton_to_json,
-    enumerate_trees,
-    evaluate,
-    format_tree,
-    make_arity_distinct,
-    parse_tree,
-)
-from .decide import (
-    ZeroUpTo,
-    check_equiv_genfun,
-    check_equiv_tree_series,
-    check_zero_genfun,
-    check_zero_tree_series,
-    compute_bound,
-    emit_differential_system,
-)
+from . import closure, compile, core, decide, series, species
 from .errors import InputFormatError, InvariantError, TreeSeriesError
-from .series import generating_prefix
-from .species import count_species, parse_species, species_to_rds
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
@@ -62,12 +30,12 @@ def _read(path: str) -> str:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_automaton(path: str) -> Automaton:
-    return automaton_from_json(_read(path))
+def _load_automaton(path: str) -> core.Automaton:
+    return core.automaton_from_json(_read(path))
 
 
-def _write_automaton(a: Automaton, path: str):
-    text = automaton_to_json(a)
+def _write_automaton(a: core.Automaton, path: str):
+    text = core.automaton_to_json(a)
     if path == "-" or path is None:
         sys.stdout.write(text)
     else:
@@ -91,8 +59,8 @@ def _emit_series(values, fmt: str, label: str = "coefficient"):
 
 def _cmd_eval(args) -> int:
     a = _load_automaton(args.automaton)
-    t = parse_tree(args.tree)
-    mu_tilde, value = evaluate(a, t)
+    t = core.parse_tree(args.tree)
+    mu_tilde, value = core.evaluate(a, t)
     if args.format == "json":
         out = {"value": str(value)}
         if args.vector:
@@ -107,7 +75,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_series(args) -> int:
     a = _load_automaton(args.automaton)
-    prefix = generating_prefix(a, args.n)
+    prefix = series.generating_prefix(a, args.n)
     values = list(prefix.coefficients)
     if args.counts:
         values = [v * math.factorial(n) for n, v in enumerate(values)]
@@ -116,7 +84,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    bound = compute_bound(_load_automaton(args.automaton))
+    bound = decide.compute_bound(_load_automaton(args.automaton))
     if args.format == "json":
         print(
             json.dumps(
@@ -138,21 +106,21 @@ def _cmd_bound(args) -> int:
 
 def _verdict_exit(verdict, args) -> int:
     print(json.dumps(verdict.to_json_dict()))
-    if args.require_decided and isinstance(verdict, ZeroUpTo):
+    if args.require_decided and isinstance(verdict, decide.ZeroUpTo):
         return EXIT_UNDECIDED
     return EXIT_OK
 
 
 def _cmd_zero(args) -> int:
     a = _load_automaton(args.automaton)
-    check = check_zero_tree_series if args.tree_series else check_zero_genfun
+    check = decide.check_zero_tree_series if args.tree_series else decide.check_zero_genfun
     return _verdict_exit(check(a, args.cap), args)
 
 
 def _cmd_equiv(args) -> int:
     a = _load_automaton(args.automaton)
     b = _load_automaton(args.b)
-    check = check_equiv_tree_series if args.tree_series else check_equiv_genfun
+    check = decide.check_equiv_tree_series if args.tree_series else decide.check_equiv_genfun
     return _verdict_exit(check(a, b, args.cap), args)
 
 
@@ -164,7 +132,7 @@ _UNARY_OPS = {
     "gf-derive": lambda a, c: closure.gf_derive(a),
     "gf-integrate": lambda a, c: closure.gf_integrate(a),
     "gf-inverse": lambda a, c: closure.gf_inverse(a),
-    "arity-distinct": lambda a, c: make_arity_distinct(a),
+    "arity-distinct": lambda a, c: core.make_arity_distinct(a),
 }
 
 _BINARY_OPS = {
@@ -205,13 +173,13 @@ def _cmd_op(args) -> int:
 def _cmd_compile(args) -> int:
     text = _read(args.file)
     if args.language == "dfinite":
-        automaton = compile_dfinite(parse_dfinite(text))
+        automaton = compile.compile_dfinite(compile.parse_dfinite(text))
     elif args.language == "cda":
-        automaton = compile_cda(parse_rds(text))
+        automaton = compile.compile_cda(compile.parse_rds(text))
     elif args.language == "rda":
-        automaton = compile_rda(parse_rds(text))
+        automaton = compile.compile_rda(compile.parse_rds(text))
     elif args.language == "da":
-        automaton = compile_rda(da_to_rds(parse_da(text)))
+        automaton = compile.compile_rda(compile.da_to_rds(compile.parse_da(text)))
     else:
         raise InputFormatError(f"unknown compile source {args.language!r}")
     _write_automaton(automaton, args.output)
@@ -219,18 +187,18 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_species(args) -> int:
-    spec = parse_species(_read(args.file))
+    spec = species.parse_species(_read(args.file))
     if args.action == "count":
-        counts = count_species(spec, args.target, args.n)
+        counts = species.count_species(spec, args.target, args.n)
         print(" ".join(str(c) for c in counts))
     else:
-        rds = species_to_rds(spec, args.target)
-        _write_automaton(compile_rda(rds), args.output)
+        rds = species.species_to_rds(spec, args.target)
+        _write_automaton(compile.compile_rda(rds), args.output)
     return EXIT_OK
 
 
 def _cmd_emit_system(args) -> int:
-    system = emit_differential_system(_load_automaton(args.automaton))
+    system = decide.emit_differential_system(_load_automaton(args.automaton))
     sys.stdout.write(system.equations_text())
     if args.solve:
         prefix = system.forward_solve(args.solve)
@@ -246,15 +214,15 @@ def _cmd_enum_trees(args) -> int:
         if not arity.isdigit():
             raise InputFormatError(f"bad alphabet entry {part!r}; use name/arity")
         pairs.append((name, int(arity)))
-    alphabet = RankedAlphabet.of(*pairs)
-    for t in enumerate_trees(alphabet, args.n):
-        print(format_tree(t))
+    alphabet = core.RankedAlphabet.of(*pairs)
+    for t in core.enumerate_trees(alphabet, args.n):
+        print(core.format_tree(t))
     return EXIT_OK
 
 
 def _cmd_taylor(args) -> int:
-    rds = parse_rds(_read(args.file))
-    result = taylor_oracle(rds, args.n)
+    rds = compile.parse_rds(_read(args.file))
+    result = compile.taylor_oracle(rds, args.n)
     for name in rds.variables:
         print(f"{name}: " + " ".join(str(v) for v in result[name].coefficients))
     return EXIT_OK
@@ -371,6 +339,11 @@ def main(argv=None) -> int:
         return EXIT_FORMAT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FORMAT
+    except RecursionError:
+        # the parsers and the tree and expression walkers recurse once per
+        # level of nesting in the input
+        print("error: input nested too deeply", file=sys.stderr)
         return EXIT_FORMAT
 
 

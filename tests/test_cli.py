@@ -257,3 +257,23 @@ def test_weights_of_the_wrong_json_type_exit_2(weights, tmp_path, capsys):
 def test_scale_by_a_zero_denominator_exits_2(op, bell_path, capsys):
     err = _exits_2_without_traceback(capsys, "op", op, "-a", bell_path, "-c", "1/0")
     assert "division by zero" in err
+
+
+def test_right_hand_side_nested_200_deep_exits_2(tmp_path, capsys):
+    source = tmp_path / "deep.rds"
+    source.write_text("y' = " + "(" * 200 + "y" + ")" * 200 + " ; y(0)=1\n")
+    err = _exits_2_without_traceback(capsys, "compile", "rda", "-f", str(source))
+    assert "nested too deeply" in err
+
+
+def test_species_nested_400_deep_exits_2(tmp_path, capsys):
+    spec = tmp_path / "deep.spec"
+    spec.write_text("H = " + "set(" * 400 + "X" + ")" * 400 + "\n")
+    err = _exits_2_without_traceback(capsys, "species", "count", "-f", str(spec))
+    assert "nested too deeply" in err
+
+
+def test_tree_nested_800_deep_exits_2(bell_path, capsys):
+    tree = "(sigma1 " * 800 + "(sigma0)" + ")" * 800
+    err = _exits_2_without_traceback(capsys, "eval", "-a", bell_path, "-t", tree)
+    assert "nested too deeply" in err

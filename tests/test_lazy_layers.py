@@ -1,0 +1,151 @@
+"""The package runs a layer only when something uses it, and still offers
+the same public names, bound to the same objects, as an eager import did."""
+
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import treeseries
+
+_ROOT = Path(__file__).resolve().parent.parent
+LAYERS = ("exactmath", "core", "series", "closure", "_expr", "compile", "decide", "species")
+
+# a layer has run once its module is no longer the LazyLoader placeholder
+_REPORT = """
+import sys, types
+layers = {layers!r}
+print(" ".join(n for n in layers if type(sys.modules["treeseries." + n]) is types.ModuleType))
+"""
+_RUN_CLI = """
+import contextlib, io, runpy
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("treeseries", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert not exc.code, exc.code
+"""
+
+
+def _python(code, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        cwd=_ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _layers_run(code, *argv):
+    return set(_python(code + _REPORT.format(layers=LAYERS), *argv).split())
+
+
+def test_import_runs_no_layer():
+    assert _layers_run("import treeseries") == set()
+
+
+@pytest.mark.parametrize(
+    "argv, not_run",
+    [
+        (["--help"], {"_expr", "compile", "decide", "species"}),
+        (["series", "-a", "samples/bell.json", "-n", "5"], {"_expr", "compile", "decide", "species"}),
+        (["equiv", "-a", "samples/bell.json", "-b", "samples/bell.json", "--cap", "5"],
+         {"_expr", "compile", "species"}),
+        (["zero", "-a", "samples/bell.json", "--cap", "5"], {"_expr", "compile", "species"}),
+        (["op", "gf-derive", "-a", "samples/bell.json"], {"_expr", "compile", "decide", "species"}),
+        (["species", "count", "-f", "samples/bell.spec", "-n", "5"], {"decide"}),
+    ],
+)
+def test_command_runs_only_the_layers_it_uses(argv, not_run):
+    ran = _layers_run(_RUN_CLI, *argv)
+    assert not ran & not_run
+    assert ran == set(LAYERS) - not_run
+
+
+def test_cli_import_puts_every_layer_in_sys_modules():
+    # bench/tracing.py imports treeseries.cli and then indexes sys.modules for
+    # every layer, and patches the closure functions in cli._BINARY_OPS
+    probe = """
+import sys
+import treeseries.cli
+print(all("treeseries." + n in sys.modules for n in {layers!r}))
+from treeseries import cli, closure
+print(cli._BINARY_OPS["ts-add"] is closure.ts_add)
+""".format(layers=LAYERS)
+    assert _python(probe) == "True\nTrue\n"
+
+
+# ---------------------------------------------------------------------------
+# public API
+
+ALL = [
+    "Automaton", "DAEquation", "DFiniteRecurrence", "FinalVector", "MultiPolynomial", "RDS",
+    "RankedAlphabet", "Rational", "SeriesPrefix", "SizeRational", "SpeciesSpec", "Tree",
+    "UniPolynomial", "VectorSeriesPrefix", "absorb_final_vector", "automaton_from_json",
+    "automaton_to_json", "brute_force_coefficient", "check_equiv_genfun",
+    "check_equiv_tree_series", "check_zero_genfun", "check_zero_tree_series", "closure",
+    "coefficients", "compile", "compile_cda", "compile_dfinite", "compile_rda", "compute_bound",
+    "core", "count_species", "da_to_rds", "decide", "diffsys_to_rds",
+    "emit_differential_system", "enumerate_trees", "errors", "evaluate", "exactmath",
+    "generating_prefix", "gf_add", "gf_cauchy", "gf_derive", "gf_integrate", "gf_inverse",
+    "gf_mul_shifted", "gf_scale", "gf_shift_backward", "gf_shift_forward", "kron",
+    "make_arity_distinct", "normalize_common_denominator", "parse_da", "parse_dfinite",
+    "parse_rds", "parse_size_rational", "parse_species", "parse_tree", "poly_integer_roots",
+    "s_derive", "series", "series_add", "series_cauchy", "series_scale", "size_rational_eval",
+    "species", "species_to_diffsys", "species_to_rds", "taylor_oracle", "tree_size", "ts_add",
+    "ts_hadamard", "ts_scale", "unify_alphabets",
+]
+
+HOME = {
+    "core": "Automaton FinalVector RankedAlphabet Tree absorb_final_vector automaton_from_json "
+            "automaton_to_json enumerate_trees evaluate kron make_arity_distinct parse_tree "
+            "tree_size unify_alphabets",
+    "exactmath": "MultiPolynomial Rational SizeRational UniPolynomial "
+                 "normalize_common_denominator parse_size_rational poly_integer_roots "
+                 "size_rational_eval",
+    "series": "SeriesPrefix VectorSeriesPrefix brute_force_coefficient coefficients "
+              "generating_prefix s_derive series_add series_cauchy series_scale",
+    "closure": "gf_add gf_cauchy gf_derive gf_integrate gf_inverse gf_mul_shifted gf_scale "
+               "gf_shift_backward gf_shift_forward ts_add ts_hadamard ts_scale",
+    "compile": "DAEquation DFiniteRecurrence RDS compile_cda compile_dfinite compile_rda "
+               "da_to_rds parse_da parse_dfinite parse_rds taylor_oracle",
+    "decide": "check_equiv_genfun check_equiv_tree_series check_zero_genfun "
+              "check_zero_tree_series compute_bound emit_differential_system",
+    "species": "SpeciesSpec count_species diffsys_to_rds parse_species species_to_diffsys "
+               "species_to_rds",
+}
+
+
+def test_all_is_unchanged():
+    assert treeseries.__all__ == ALL
+
+
+def test_each_name_is_the_object_of_its_module():
+    homes = {name: module for module, names in HOME.items() for name in names.split()}
+    for name in ALL:
+        value = getattr(treeseries, name)
+        if name in homes:
+            assert value is getattr(sys.modules["treeseries." + homes[name]], name), name
+        else:
+            assert isinstance(value, types.ModuleType)
+            assert value is sys.modules["treeseries." + name], name
+    assert len(homes) + 8 == len(ALL) == 74
+
+
+def test_star_import_and_dir_offer_every_name():
+    namespace = {}
+    exec("from treeseries import *", namespace)
+    assert set(ALL) <= set(namespace)
+    assert all(namespace[name] is getattr(treeseries, name) for name in ALL)
+    assert set(ALL) <= set(dir(treeseries))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        treeseries.no_such_name
+    assert not hasattr(treeseries, "WeightMatrix")
