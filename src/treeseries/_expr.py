@@ -277,17 +277,6 @@ def parse_expression(ts: TokenStream, allow_calls=False):
     return expr()
 
 
-def parse_expression_text(text: str, allow_calls=False):
-    ts = TokenStream(tokenize(text))
-    ts.skip_newlines()
-    node = parse_expression(ts, allow_calls=allow_calls)
-    ts.skip_newlines()
-    tok = ts.peek()
-    if tok.kind != "end":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
-    return node
-
-
 # ---------------------------------------------------------------------------
 # rational functions over a fixed variable order
 

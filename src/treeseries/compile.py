@@ -46,6 +46,7 @@ from .errors import (
     ParseError,
     SeparantVanishes,
     ZeroPolynomial,
+    nesting_guard,
 )
 from .exactmath import (
     MultiPolynomial,
@@ -357,11 +358,6 @@ def reduce_degree_two(polys, k: int):
     return [rewrite(p) for p in polys], chains
 
 
-def expand_chain(chains, m: int):
-    """Sorted variable-index tuple denoted by chain variable m (for checks)."""
-    return chains[m]
-
-
 def _dual(a0, a1=Fraction(0)):
     return (_frac(a0), _frac(a1))
 
@@ -667,6 +663,7 @@ def _split_statements(text: str):
     return [p for p in (part.strip() for part in parts) if p]
 
 
+@nesting_guard(ParseError)
 def parse_rds(text: str) -> RDS:
     """Parse lines `name' = expr` plus initial clauses `name(0)=p/q`.
 
@@ -750,6 +747,7 @@ def _parse_rational(ts: TokenStream) -> Fraction:
     return Fraction(sign * num)
 
 
+@nesting_guard(ParseError)
 def parse_dfinite(text: str) -> DFiniteRecurrence:
     """Parse `Q0(n)*a(n) + Q1(n)*a(n-1) + ... = 0 ; a(0)=..., a(1)=...`."""
     statements = _split_statements(text)
@@ -861,6 +859,7 @@ def _as_unipoly(expr) -> UniPolynomial:
     return UniPolynomial(coeffs)
 
 
+@nesting_guard(ParseError)
 def parse_da(text: str) -> DAEquation:
     """Parse a differential polynomial in y, y', y'', ... plus a jet clause."""
     statements = _split_statements(text)

@@ -26,6 +26,7 @@ from .errors import (
     InvariantError,
     SymbolMismatch,
     TooManyTrees,
+    nesting_guard,
 )
 from .exactmath import (
     SizeRational,
@@ -114,6 +115,7 @@ def tree_size(t: Tree) -> int:
     return t.size
 
 
+@nesting_guard(InputFormatError)
 def parse_tree(text: str) -> Tree:
     pos = 0
 
@@ -303,6 +305,7 @@ class Automaton:
         return [(i, j, entry) for (i, j), entry in self.weight(name).cells.items()]
 
 
+@nesting_guard(InputFormatError)
 def evaluate(a: Automaton, t: Tree):
     """Return (mu~(t), value of t); the value is the first entry."""
     check_tree(a.alphabet, t)

@@ -5,6 +5,8 @@ Two broad families matter to callers (and to the CLI's exit codes):
 ``InvariantError`` for mathematically invalid inputs or requests.
 """
 
+import functools
+
 
 class TreeSeriesError(Exception):
     """Base class for all errors raised by this package."""
@@ -16,6 +18,24 @@ class InputFormatError(TreeSeriesError):
 
 class InvariantError(TreeSeriesError):
     """Input violates a documented mathematical invariant."""
+
+
+def nesting_guard(error):
+    """Decorate a function that recurses once per level of nesting in its
+    input: running out of stack raises ``error("input nested too deeply")``
+    in place of a bare RecursionError."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def guarded(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except RecursionError:
+                raise error("input nested too deeply") from None
+
+        return guarded
+
+    return decorate
 
 
 class ParseError(InputFormatError):

@@ -28,6 +28,7 @@ from .errors import (
     InputFormatError,
     InvalidDenominator,
     ZeroPolynomial,
+    nesting_guard,
 )
 
 Rational = Fraction
@@ -466,10 +467,6 @@ class SizeRational:
     def const(cls, arity: int, c) -> "SizeRational":
         return cls(MultiPolynomial.const(arity + 1, c))
 
-    @classmethod
-    def from_poly(cls, num: MultiPolynomial) -> "SizeRational":
-        return cls(num)
-
     @property
     def arity(self) -> int:
         return self.num.arity
@@ -786,6 +783,7 @@ def _split_denominator_chain(text: str):
     return text, None
 
 
+@nesting_guard(InputFormatError)
 def parse_size_rational(text: str, arity: int) -> SizeRational:
     """Parse the SizeRational text grammar:
 

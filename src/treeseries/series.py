@@ -23,6 +23,18 @@ costs O(k n) products per cell, where summing over compositions costs
 O(n^(k-1)) weight evaluations.  This is the naive quadratic form of online
 series multiplication (van der Hoeven, "Relax, but don't be too lazy",
 JSC 2002).  The generating prefix is the first component of each vector.
+
+The arithmetic is fraction-free.  Each sequence and partial convolution is
+a list of integer numerators over one shared integer denominator D; a term
+is reduced before it is appended, and when its denominator r does not
+divide D, D and every stored numerator are multiplied by r / gcd(D, r)
+(lifting).  So the convolution of two sequences at index m is one integer
+dot product over the product of their denominators, and a component of a_n
+is summed as an integer fraction and becomes a Fraction only when it is
+divided by Q0(n).  D grows to the lcm of the term denominators seen so far,
+which can be far longer than any reduced term (the permutations count keeps
+9-bit terms over a D of several hundred bits); lifting then costs one
+multiplication per stored term and happens only when a new factor appears.
 brute_force_coefficient recomputes a_n by summing mu~ over every tree of
 size n and is the independent oracle for the engine.
 """
@@ -30,11 +42,17 @@ size n and is the independent oracle for the engine.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from ._record import record
 from .core import Automaton, enumerate_trees, kron_all, unrank_row
-from .exactmath import CommonDenominatorForm, _frac, normalize_common_denominator
+from .exactmath import (
+    CommonDenominatorForm,
+    UniPolynomial,
+    _frac,
+    normalize_common_denominator,
+)
 
 
 @record
@@ -50,9 +68,6 @@ class SeriesPrefix:
 
     def __getitem__(self, n):
         return self.coefficients[n]
-
-    def truncate(self, length: int) -> "SeriesPrefix":
-        return SeriesPrefix(self.coefficients[:length])
 
 
 @record
@@ -109,18 +124,46 @@ def common_form(a: Automaton) -> CommonDenominatorForm:
     return normalize_common_denominator(weights)
 
 
+class _Terms:
+    """A scaled sequence or a partial convolution: term m is nums[m] / den.
+
+    Terms are appended in lowest terms; when a term's denominator does not
+    divide den, every stored numerator is lifted by the missing factor first.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self):
+        self.nums = []
+        self.den = 1
+
+    def append(self, num: int, den: int):
+        """Append num/den, given in lowest terms with den > 0."""
+        shared = self.den
+        if shared % den:
+            lift = den // gcd(shared, den)
+            self.nums = [x * lift for x in self.nums]
+            shared = self.den = shared * lift
+        self.nums.append(num * (shared // den))
+
+
 class ConvolutionEngine:
     """Coefficient vectors a_0, a_1, ... from a_0 and a common-denominator form.
 
     Scaled sequences are keyed by (Q, e, state), partial convolutions by the
-    tuple of their sequence keys; every list grows by one term per
-    coefficient.  Convolutions of a cell's full key are needed at one index
-    only and are not stored.
+    tuple of their sequence keys; each grows by one term per coefficient and
+    is stored as _Terms, integer numerators over one shared denominator that
+    is lifted only when a new term's reduced denominator does not divide it.
+    Convolutions of a cell's full key are needed at one index only and are
+    not stored.  The polynomials Q are evaluated with integer coefficients,
+    cell coefficients are integers over their common denominator, and each
+    component of a_n is summed as an integer numerator and denominator: it
+    becomes a Fraction once, when it is divided by Q0(n).
     """
 
     def __init__(self, a0, form: CommonDenominatorForm):
         self.vectors = [tuple(a0)]
-        self._q0 = form.q0
+        self._q0 = _cleared(form.q0)
         d = len(a0)
         cells = {}  # full key -> [(col, coefficient)]
         for dec in form.symbols.values():
@@ -129,28 +172,38 @@ class ConvolutionEngine:
                     states = unrank_row(row, d, dec.arity)
                     key = tuple(zip(dec.child_denominators, exps, states))
                     cells.setdefault(key, []).append((col, c))
-        sequences = {}  # (Q, e, state) -> [s_0, s_1, ...]
+        sequences = {}  # (Q, e, state) -> its terms
         partials = {}  # key prefix of length 2..k-1 -> its convolution
         for key in cells:
             for part in key:
-                sequences.setdefault(part, [])
+                sequences.setdefault(part, _Terms())
             for j in range(2, len(key)):
-                partials.setdefault(key[:j], [])
+                partials.setdefault(key[:j], _Terms())
 
         def factor(prefix):  # the convolution of the sequences in prefix
             if len(prefix) > 1:
                 return partials[prefix]
             return sequences[prefix[0]] if prefix else None
 
+        scalings = {}  # (Q, e) -> its index in self._scalings
+        self._sequences = [
+            (state, scalings.setdefault((q, e), len(scalings)), terms)
+            for (q, e, state), terms in sequences.items()
+        ]
+        self._scalings = [_cleared(q) + (e,) for q, e in scalings]
         # a prefix is inserted before its extensions, so this order computes
         # every left factor before it is used
-        self._sequences = sequences
         self._partials = [
-            (factor(prefix[:-1]), sequences[prefix[-1]], values)
-            for prefix, values in partials.items()
+            (factor(prefix[:-1]), sequences[prefix[-1]], terms)
+            for prefix, terms in partials.items()
         ]
+        self._cell_den = lcm(*(c.denominator for t in cells.values() for _, c in t))
         self._cells = [
-            (factor(key[:-1]), sequences[key[-1]], targets)
+            (
+                factor(key[:-1]),
+                sequences[key[-1]],
+                [(col, int(c * self._cell_den)) for col, c in targets],
+            )
             for key, targets in cells.items()
         ]
 
@@ -162,40 +215,75 @@ class ConvolutionEngine:
     def _step(self):
         m = len(self.vectors) - 1
         last = self.vectors[m]
-        scales = {}
-        for (q, e, state), values in self._sequences.items():
+        # m^e / Q(m) as (numerator, positive denominator), computed on first use
+        scales = [None] * len(self._scalings)
+        for state, i, terms in self._sequences:
             v = last[state]
-            if v:
-                scale = scales.get((q, e))
-                if scale is None:
-                    scale = scales[(q, e)] = Fraction(m**e) / q(m)
-                if scale != 1:
-                    v *= scale
-            values.append(v or 0)  # zeros as int 0, the cheapest to test
-        for left, right, values in self._partials:
-            values.append(_convolve(left, right))
-        acc = [Fraction(0)] * len(last)
+            if not v:
+                terms.nums.append(0)
+                continue
+            scale = scales[i]
+            if scale is None:
+                poly, c, e = self._scalings[i]
+                q = _at(poly, m)
+                if not q:
+                    raise ZeroDivisionError(f"denominator vanishes at size {m}")
+                scale = scales[i] = (m**e * c, q) if q > 0 else (-(m**e) * c, -q)
+            num = v.numerator * scale[0]
+            den = v.denominator * scale[1]
+            g = gcd(num, den)
+            terms.append(num // g, den // g)
+        for left, right, terms in self._partials:
+            num = _dot(left, right)
+            if num:
+                den = left.den * right.den
+                g = gcd(num, den)
+                terms.append(num // g, den // g)
+            else:
+                terms.nums.append(0)
+        nums, dens = [0] * len(last), [1] * len(last)
         for left, right, targets in self._cells:
-            value = right[m] if left is None else _convolve(left, right)
-            if value:
-                for col, c in targets:
-                    acc[col] += c * value
-        qn = self._q0(m + 1)
-        self.vectors.append(tuple(v / qn for v in acc) if qn != 1 else tuple(acc))
+            if left is None:
+                num, den = right.nums[m], right.den
+            else:
+                num, den = _dot(left, right), left.den * right.den
+            if not num:
+                continue
+            for col, c in targets:
+                acc = nums[col]
+                if not acc:
+                    nums[col], dens[col] = c * num, den
+                elif dens[col] == den:
+                    nums[col] = acc + c * num
+                else:
+                    g = gcd(dens[col], den)
+                    nums[col] = acc * (den // g) + c * num * (dens[col] // g)
+                    dens[col] = dens[col] // g * den
+        q0_poly, q0_den = self._q0
+        q = _at(q0_poly, m + 1) * self._cell_den
+        self.vectors.append(
+            tuple(Fraction(num * q0_den, den * q) for num, den in zip(nums, dens))
+        )
 
 
-def _convolve(left, right):
-    """Coefficient at the last index of the Cauchy product of two equally
-    long prefixes, summed over one running denominator and reduced once."""
-    num, den = 0, 1
-    for x, y in zip(left, reversed(right)):
-        if x and y:
-            p = x.numerator * y.numerator
-            q = x.denominator * y.denominator
-            g = gcd(den, q)
-            num = num * (q // g) + p * (den // g)
-            den = den // g * q
-    return Fraction(num, den) if num else 0
+def _cleared(q: UniPolynomial) -> tuple:
+    """(P, c) with q = P / c: P holds integer coefficients, highest degree
+    first, and c > 0."""
+    c = lcm(*(x.denominator for x in q.coeffs))
+    return tuple(int(x * c) for x in reversed(q.coeffs)), c
+
+
+def _at(poly: tuple, m: int) -> int:
+    acc = 0
+    for a in poly:
+        acc = acc * m + a
+    return acc
+
+
+def _dot(left: _Terms, right: _Terms) -> int:
+    """Numerator, over left.den * right.den, of the coefficient at the last
+    index of the Cauchy product of two equally long sequences."""
+    return sum(map(mul, left.nums, reversed(right.nums)))
 
 
 class CoefficientStream:

@@ -48,6 +48,7 @@ from .errors import (
     SingularInitialValues,
     UnknownName,
     UnsupportedConstruct,
+    nesting_guard,
 )
 from .exactmath import _frac
 from .series import generating_prefix
@@ -118,6 +119,7 @@ class SpeciesSpec:
 _CONSTRUCTS = {"set", "sequence", "cycle"}
 
 
+@nesting_guard(ParseError)
 def parse_species(text: str) -> SpeciesSpec:
     """Parse `Name = expr` lines into a specification."""
     ts = TokenStream(tokenize(text))

@@ -26,7 +26,7 @@ from treeseries.decide import (
     emit_differential_system,
 )
 from treeseries.exactmath import UniPolynomial, normalize_common_denominator
-from treeseries.series import brute_force_coefficient, coefficients
+from treeseries.series import CoefficientStream, brute_force_coefficient, coefficients
 from treeseries.species import parse_species, species_to_rds
 from treeseries.zoo import BELL_RDS_TEXT, CUBIC_RDS_TEXT, SIGNATURE
 
@@ -260,6 +260,12 @@ def test_forward_solve_matches_oracles(bell, labelled, cubic):
     )
     cubic_series = taylor_oracle(parse_rds(CUBIC_RDS_TEXT), 10)["y1"].coefficients
     _assert_solves_to(cubic, cubic_series)
+
+
+def test_forward_solve_equals_coefficient_stream(bell, labelled, cubic):
+    for a in (bell, labelled, cubic):
+        solved = emit_differential_system(a).forward_solve(40)
+        assert solved.vectors == tuple(CoefficientStream(a).up_to(40))
 
 
 def test_forward_solve_on_rda_output():

@@ -17,19 +17,23 @@ from treeseries.closure import (
     gf_shift_forward,
     ts_hadamard,
 )
-from treeseries.compile import compile_rda, parse_rds, taylor_oracle
+from treeseries.compile import compile_rda, parse_da, parse_dfinite, parse_rds, taylor_oracle
 from treeseries.core import (
     Automaton,
     RankedAlphabet,
     automaton_from_json,
     automaton_to_json,
+    evaluate,
     make_arity_distinct,
+    parse_tree,
     unify_alphabets,
 )
-from treeseries.errors import AlphabetMismatch
+from treeseries.errors import AlphabetMismatch, InputFormatError, ParseError
+from treeseries.exactmath import parse_size_rational
 from treeseries.decide import check_equiv_tree_series
 from treeseries.series import generating_prefix, series_cauchy
 from treeseries.species import count_species, parse_species
+from treeseries.zoo import bell_automaton
 
 
 def test_make_arity_distinct_idempotent(bell):
@@ -161,3 +165,25 @@ def test_json_round_trip_every_op(bell, labelled, tmp_path):
         again = automaton_from_json(text)
         assert again == a
         assert automaton_to_json(again) == text
+
+
+_DEEP_TREE = "(sigma1 " * 800 + "(sigma0)" + ")" * 800
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: parse_rds("y' = " + "(" * 200 + "y" + ")" * 200 + " ; y(0)=1"), ParseError),
+        (lambda: parse_da("(0+" * 300 + "y'" + ")" * 300 + " - 1 ; y(0)=0, y'(0)=1"), ParseError),
+        (lambda: parse_dfinite("(0+" * 300 + "n" + ")" * 300 + "*a(n) = 0 ; a(0)=1"), ParseError),
+        (lambda: parse_species("H = " + "set(" * 400 + "X" + ")" * 400), ParseError),
+        (lambda: parse_size_rational("(" * 1000 + "x1" + ")" * 1000, 1), InputFormatError),
+        (lambda: parse_tree("(sigma1 " * 3000 + "(sigma0)" + ")" * 3000), InputFormatError),
+        (lambda: evaluate(bell_automaton(), parse_tree(_DEEP_TREE)), InputFormatError),
+    ],
+    ids=["parse_rds", "parse_da", "parse_dfinite", "parse_species", "parse_size_rational",
+         "parse_tree", "evaluate"],
+)
+def test_deep_nesting_raises_input_error_not_recursion_error(call, error):
+    with pytest.raises(error, match="input nested too deeply"):
+        call()

@@ -205,3 +205,50 @@ def test_engine_on_nullary_only_automaton(seed):
     vectors = coefficients(a, 4)
     assert vectors[0] == tuple(F(x + y) for x, y in zip(rows["a"][0], rows["b"][0]))
     assert all(v == 0 for n in range(1, 5) for v in vectors[n])
+
+
+_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73,
+           79, 83, 89, 97, 101, 103, 107, 109, 113]
+_WIDE = RankedAlphabet.of(("a", 0), ("u", 1), ("f", 2), ("t", 3))
+
+
+def _sparse_coprime_automaton(seed: int) -> Automaton:
+    """Constant weights, each nonzero cell over its own prime denominator, with
+    random signs; most cells and all but one entry of a_0 are zero."""
+    rng = random.Random(seed)
+    d = 2
+    primes = iter(_PRIMES)
+
+    def cell():
+        if rng.random() < 0.7:
+            return 0
+        return F(rng.choice([-3, -2, -1, 1, 2]), next(primes))
+
+    a0 = [0] * d
+    a0[rng.randrange(d)] = F(rng.choice([-1, 1]), next(primes))
+    weights = {"a": [a0]}
+    for name, k in _WIDE.symbols:
+        if k:
+            weights[name] = [[cell() for _ in range(d)] for _ in range(d**k)]
+    return Automaton.build(d, _WIDE, weights)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_engine_matches_brute_force_on_sparse_coprime_weights(seed):
+    a = _sparse_coprime_automaton(seed)
+    _assert_engine_matches_brute_force(a, 5)
+    vectors = coefficients(a, 5).vectors
+    assert all(type(v) is F for vector in vectors for v in vector)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_engine_matches_brute_force_with_negative_ternary_weights(seed):
+    rng = random.Random(seed)
+    d = 2
+    alphabet = RankedAlphabet.of(("a", 0), ("f", 2), ("t", 3))
+    pool = ["0", "-1", "-1/2", "-x1", "-(x1+1)/(x0)", "-3/(x0+1)"]
+    weights = {"a": [[rng.choice([-2, -1, 1]) for _ in range(d)]]}
+    for name, k in alphabet.symbols:
+        if k:
+            weights[name] = [[rng.choice(pool) for _ in range(d)] for _ in range(d**k)]
+    _assert_engine_matches_brute_force(Automaton.build(d, alphabet, weights), 4)

@@ -15,6 +15,7 @@ from treeseries.series import (
     series_cauchy,
     series_scale,
 )
+from treeseries.species import count_species, parse_species
 
 BELL_COUNTS = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
@@ -30,6 +31,25 @@ def test_bell_counts_to_ten(bell):
     prefix = generating_prefix(bell, 10)
     for n, count in enumerate(BELL_COUNTS):
         assert prefix[n] * math.factorial(n) == count
+
+
+def test_bell_prefix_to_200(bell):
+    # Bell numbers by the Bell triangle; the engine's shared denominators
+    # grow far past the reduced coefficients here
+    row, bell_numbers = [1], [1]
+    for _ in range(200):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+        bell_numbers.append(row[0])
+    prefix = generating_prefix(bell, 200)
+    assert [prefix[n] * math.factorial(n) for n in range(201)] == bell_numbers
+
+
+def test_permutation_counts_to_300():
+    spec = parse_species("D = set(cycle(X))")
+    assert count_species(spec, "D", 300) == [math.factorial(n) for n in range(301)]
 
 
 def test_labelled_trees_prefix(labelled):

@@ -4,7 +4,9 @@ Sample sources (``samples/*.rds``, ``*.da``, ``*.dfinite``, ``*.spec``), a
 size-rational string and a tree string are mutated by character inserts,
 deletes and splices, then parsed, compiled and run through
 ``taylor_oracle``/``count_species``: only ``TreeSeriesError`` or
-``ValueError`` may escape.  Mutated command lines run in process through
+``ValueError`` may escape.  The same holds when a piece of a sample is
+wrapped hundreds of levels deep in one of the front end's nesting forms.
+Mutated command lines run in process through
 ``cli.main``, which must return or exit with 0, 2, 3 or 4 and never raise.
 
 Numbers stay small (every digit run is at most ``_MAX_NUMBER``) so that a
@@ -94,6 +96,19 @@ FRONT_ENDS = {
 }
 
 
+_EXPRESSION_NESTING = [("(", ")"), ("(1+", ")"), ("-(", ")"), ("(2*", ")"), ("(1/(1+", "))")]
+# per front end, forms that open and close one level of nesting
+NESTING = {
+    "rds": _EXPRESSION_NESTING,
+    "cda": _EXPRESSION_NESTING,
+    "da": _EXPRESSION_NESTING,
+    "dfinite": _EXPRESSION_NESTING,
+    "spec": [("set(", ")"), ("cycle(", ")"), ("(X+", ")"), ("(X*", ")")],
+    "size_rational": [("(", ")"), ("(1+", ")"), ("(x1*", ")")],
+    "tree": [("(sigma1 ", ")"), ("(sigma2 (sigma0) ", ")")],
+}
+
+
 def _small_numbers(text):
     return all(int(run) <= _MAX_NUMBER for run in re.findall(r"\d+", text))
 
@@ -117,7 +132,21 @@ def mutated(draw, texts):
     return text
 
 
+@st.composite
+def nested(draw, texts, forms):
+    """A text with the piece between two places wrapped 50-1500 levels deep
+    in one nesting form; the first place is where a term can start, so that
+    the parser descends into the nesting."""
+    text = draw(st.sampled_from(texts))
+    at = draw(st.sampled_from([i for i in range(len(text)) if i == 0 or text[i - 1] in "=(+* "]))
+    end = draw(st.integers(at, len(text)))
+    opener, closer = draw(st.sampled_from(forms))
+    depth = draw(st.integers(50, 1500))
+    return text[:at] + opener * depth + text[at:end] + closer * depth + text[end:]
+
+
 def test_every_front_end_has_samples():
+    assert set(NESTING) == set(FRONT_ENDS)
     for name, (_, texts) in FRONT_ENDS.items():
         assert texts, name
         for text in texts:
@@ -137,6 +166,21 @@ def test_mutated_text_runs_or_raises_treeseries_or_value_error(name):
 
     @settings(max_examples=150, deadline=None)
     @given(mutated(texts))
+    def check(text):
+        try:
+            run(text)
+        except (TreeSeriesError, ValueError):
+            pass
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(FRONT_ENDS))
+def test_deeply_nested_text_runs_or_raises_treeseries_or_value_error(name):
+    run, texts = FRONT_ENDS[name]
+
+    @settings(max_examples=50, deadline=None)
+    @given(nested(texts, NESTING[name]))
     def check(text):
         try:
             run(text)
