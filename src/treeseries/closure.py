@@ -16,22 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import (
-    Automaton,
-    FinalVector,
-    RankedAlphabet,
-    Tree,
-    absorb_final_vector,
-    evaluate,
-    make_arity_distinct,
-    row_index,
-    shift_row,
-    unify_alphabets,
-    unrank_row,
-)
+from . import core, exactmath, series
 from .errors import AlphabetMismatch, ZeroConstantTerm
-from .exactmath import SizeRational, UniPolynomial, _frac
-from .series import generating_prefix
 
 
 def _fresh_name(base: str, taken) -> str:
@@ -46,6 +32,7 @@ def _fresh_name(base: str, taken) -> str:
 def _embed_shifted(matrix, arity: int, offset: int, d_old: int, d_new: int) -> dict:
     """Re-index the cells of a weight matrix into a larger automaton, states
     shifted by offset; rows and columns of foreign states stay empty."""
+    shift_row = core.shift_row
     return {
         (shift_row(row, arity, d_old, d_new, offset), offset + col): entry
         for (row, col), entry in matrix.cells.items()
@@ -56,7 +43,7 @@ def _embed_shifted(matrix, arity: int, offset: int, d_old: int, d_new: int) -> d
 # formal tree series operations
 
 
-def ts_add(a1: Automaton, a2: Automaton) -> Automaton:
+def ts_add(a1: core.Automaton, a2: core.Automaton) -> core.Automaton:
     """Value on every tree is the sum of the inputs' values.
 
     Requires genuinely identical alphabets: unify_alphabets preserves series,
@@ -71,21 +58,22 @@ def ts_add(a1: Automaton, a2: Automaton) -> Automaton:
         cells = _embed_shifted(a1.weight(name), arity, 0, d1, d)
         cells.update(_embed_shifted(a2.weight(name), arity, d1, d2, d))
         weights[name] = cells
-    block = Automaton.build(d, a1.alphabet, weights)
-    beta = FinalVector.of(*([1] + [0] * (d1 - 1) + [1] + [0] * (d2 - 1)))
-    return absorb_final_vector(block, beta)
+    block = core.Automaton.build(d, a1.alphabet, weights)
+    beta = core.FinalVector.of(*([1] + [0] * (d1 - 1) + [1] + [0] * (d2 - 1)))
+    return core.absorb_final_vector(block, beta)
 
 
-def ts_scale(a: Automaton, c) -> Automaton:
+def ts_scale(a: core.Automaton, c) -> core.Automaton:
     """Value on every tree scaled by the rational c; c = 1 returns a itself."""
-    c = _frac(c)
+    c = exactmath._frac(c)
     if c == 1:
         return a
-    return absorb_final_vector(a, FinalVector.unit(a.dimension, scale=c))
+    return core.absorb_final_vector(a, core.FinalVector.unit(a.dimension, scale=c))
 
 
 def _rows_of(matrix, d: int, arity: int) -> dict:
     """Nonzero rows of a weight matrix: row -> (state tuple, [(col, entry)])."""
+    unrank_row = core.unrank_row
     rows = {}
     for (row, col), entry in matrix.cells.items():
         if row not in rows:
@@ -94,7 +82,7 @@ def _rows_of(matrix, d: int, arity: int) -> dict:
     return rows
 
 
-def ts_hadamard(a1: Automaton, a2: Automaton) -> Automaton:
+def ts_hadamard(a1: core.Automaton, a2: core.Automaton) -> core.Automaton:
     """Value on every tree is the product of the inputs' values (dimension
     d1*d2, paired-index construction: state (i, j) is i*d2 + j)."""
     if a1.alphabet != a2.alphabet:
@@ -103,6 +91,7 @@ def ts_hadamard(a1: Automaton, a2: Automaton) -> Automaton:
         )
     d1, d2 = a1.dimension, a2.dimension
     d = d1 * d2
+    row_index = core.row_index
     weights = {}
     for name, arity in a1.alphabet.symbols:
         rows2 = _rows_of(a2.weight(name), d2, arity).values()
@@ -114,56 +103,57 @@ def ts_hadamard(a1: Automaton, a2: Automaton) -> Automaton:
                     for j, e2 in entries2:
                         cells[(row, i * d2 + j)] = e1 * e2
         weights[name] = cells
-    return Automaton.build(d, a1.alphabet, weights)
+    return core.Automaton.build(d, a1.alphabet, weights)
 
 
 # ---------------------------------------------------------------------------
 # generating-function operations
 
 
-def gf_add(a1: Automaton, a2: Automaton) -> Automaton:
-    b1, b2 = unify_alphabets(a1, a2)
+def gf_add(a1: core.Automaton, a2: core.Automaton) -> core.Automaton:
+    b1, b2 = core.unify_alphabets(a1, a2)
     return ts_add(b1, b2)
 
 
-def gf_scale(a: Automaton, c) -> Automaton:
+def gf_scale(a: core.Automaton, c) -> core.Automaton:
     return ts_scale(a, c)
 
 
-def gf_shift_forward(a: Automaton) -> Automaton:
+def gf_shift_forward(a: core.Automaton) -> core.Automaton:
     """f(x) -> x * f(x), via a fresh unary root symbol."""
     d = a.dimension
     d_new = d + 1
     u_name = _fresh_name("__u", a.alphabet.names())
-    alphabet = RankedAlphabet.of((u_name, 1), *a.alphabet.symbols)
+    alphabet = core.RankedAlphabet.of((u_name, 1), *a.alphabet.symbols)
     weights = {
         name: _embed_shifted(a.weight(name), arity, 1, d, d_new)
         for name, arity in a.alphabet.symbols
     }
-    weights[u_name] = {(1, 0): SizeRational.const(1, 1)}  # reads the old first coordinate
-    return Automaton.build(d_new, alphabet, weights)
+    # reads the old first coordinate
+    weights[u_name] = {(1, 0): exactmath.SizeRational.const(1, 1)}
+    return core.Automaton.build(d_new, alphabet, weights)
 
 
-def _rename_apart(a2: Automaton, taken) -> Automaton:
+def _rename_apart(a2: core.Automaton, taken) -> core.Automaton:
     mapping = {}
     for name, arity in a2.alphabet.symbols:
         new = name
         while new in taken or new in mapping.values():
             new = "__r_" + new
         mapping[name] = new
-    alphabet = RankedAlphabet.of(*[(mapping[n], k) for n, k in a2.alphabet.symbols])
+    alphabet = core.RankedAlphabet.of(*[(mapping[n], k) for n, k in a2.alphabet.symbols])
     weights = {mapping[n]: a2.weight(n).cells for n in a2.alphabet.names()}
-    return Automaton.build(a2.dimension, alphabet, weights)
+    return core.Automaton.build(a2.dimension, alphabet, weights)
 
 
-def gf_mul_shifted(a1: Automaton, a2: Automaton) -> Automaton:
+def gf_mul_shifted(a1: core.Automaton, a2: core.Automaton) -> core.Automaton:
     """(f, g) -> x * f(x) * g(x), via a fresh binary root symbol whose left
     subtree is read in a1 and right subtree in a2."""
     a2 = _rename_apart(a2, set(a1.alphabet.names()))
     u_name = _fresh_name("__u", set(a1.alphabet.names()) | set(a2.alphabet.names()))
     d1, d2 = a1.dimension, a2.dimension
     d = d1 + d2 + 1
-    alphabet = RankedAlphabet.of(
+    alphabet = core.RankedAlphabet.of(
         (u_name, 2), *a1.alphabet.symbols, *a2.alphabet.symbols
     )
     weights = {}
@@ -171,11 +161,12 @@ def gf_mul_shifted(a1: Automaton, a2: Automaton) -> Automaton:
         weights[name] = _embed_shifted(a1.weight(name), arity, 1, d1, d)
     for name, arity in a2.alphabet.symbols:
         weights[name] = _embed_shifted(a2.weight(name), arity, 1 + d1, d2, d)
-    weights[u_name] = {(row_index((1, 1 + d1), d), 0): SizeRational.const(2, 1)}
-    return Automaton.build(d, alphabet, weights)
+    root = core.row_index((1, 1 + d1), d)
+    weights[u_name] = {(root, 0): exactmath.SizeRational.const(2, 1)}
+    return core.Automaton.build(d, alphabet, weights)
 
 
-def gf_shift_backward(a: Automaton) -> Automaton:
+def gf_shift_backward(a: core.Automaton) -> core.Automaton:
     """f(x) -> (f(x) - f(0)) / x.
 
     The input is made arity distinct first.  For each symbol g_k and each
@@ -184,7 +175,7 @@ def gf_shift_backward(a: Automaton) -> Automaton:
     instantiated weight substitutes (x0+1, x1, ..., x_{i-1}, xi+1, 0, ..., 0)
     so the simulated tree is one node larger than the real one.
     """
-    a = make_arity_distinct(a)
+    a = core.make_arity_distinct(a)
     d = a.dimension
     d_new = 2 * d
     arities = sorted({k for _, k in a.alphabet.symbols})
@@ -197,19 +188,21 @@ def gf_shift_backward(a: Automaton) -> Automaton:
             continue
         for i in range(k + 1):
             symbols.append((f"__h_{k}_{i}", i))
-    alphabet = RankedAlphabet.of(*symbols)
+    alphabet = core.RankedAlphabet.of(*symbols)
 
     weights = {
         name: _embed_shifted(a.weight(name), arity, d, d, d_new)
         for name, arity in a.alphabet.symbols
     }
+    row_index = core.row_index
 
     for k in arities:
         if k == 0:
             continue
         gk = _rows_of(a.weight(f"h{k}"), d, k)
         # arity-0 witness: the size-1 tree g_k(leaf,...,leaf)
-        mu_tilde, _ = evaluate(a, Tree(f"h{k}", tuple(Tree(leaf) for _ in range(k))))
+        witness = core.Tree(f"h{k}", tuple(core.Tree(leaf) for _ in range(k)))
+        mu_tilde, _ = core.evaluate(a, witness)
         weights[f"__h_{k}_0"] = {(0, j): v for j, v in enumerate(mu_tilde)}
         for i in range(1, k + 1):
             # substituted weight: parent one larger, cut child one larger,
@@ -237,53 +230,52 @@ def gf_shift_backward(a: Automaton) -> Automaton:
                     key = (row, col)
                     cells[key] = cells[key] + value if key in cells else value
             weights[f"__h_{k}_{i}"] = cells
-    return Automaton.build(d_new, alphabet, weights)
+    return core.Automaton.build(d_new, alphabet, weights)
 
 
-def gf_derive(a: Automaton) -> Automaton:
+def gf_derive(a: core.Automaton) -> core.Automaton:
     """f -> f', as the x*f' construction followed by a backward shift."""
-    theta = absorb_final_vector(
-        a, FinalVector.of((UniPolynomial.x(), UniPolynomial.const(1)),
-                          *([0] * (a.dimension - 1)))
+    poly = exactmath.UniPolynomial
+    theta = core.absorb_final_vector(
+        a, core.FinalVector.of((poly.x(), poly.const(1)), *([0] * (a.dimension - 1)))
     )
     return gf_shift_backward(theta)
 
 
-def gf_integrate(a: Automaton) -> Automaton:
+def gf_integrate(a: core.Automaton) -> core.Automaton:
     """f -> integral of f from 0, as (1/x) integral followed by a forward shift."""
-    inner = absorb_final_vector(
-        a,
-        FinalVector.of(
-            (UniPolynomial.const(1), UniPolynomial((1, 1))), *([0] * (a.dimension - 1))
-        ),
+    poly = exactmath.UniPolynomial
+    inner = core.absorb_final_vector(
+        a, core.FinalVector.of((poly.const(1), poly((1, 1))), *([0] * (a.dimension - 1)))
     )
     return gf_shift_forward(inner)
 
 
-def gf_cauchy(a1: Automaton, a2: Automaton) -> Automaton:
+def gf_cauchy(a1: core.Automaton, a2: core.Automaton) -> core.Automaton:
     """(f, g) -> f * g: the shifted product followed by a backward shift."""
     return gf_shift_backward(gf_mul_shifted(a1, a2))
 
 
-def gf_inverse(a: Automaton) -> Automaton:
+def gf_inverse(a: core.Automaton) -> core.Automaton:
     """f -> 1/f, defined when the constant term a_0 is nonzero.
 
     Builds the backward shift of f, then adds one coordinate computing the
     inverse coefficients b_n = -(1/a_0) * sum a_{i+1} b_{n-1-i} via a fresh
     binary symbol.
     """
-    a0 = generating_prefix(a, 0)[0]
+    a0 = series.generating_prefix(a, 0)[0]
     if a0 == 0:
         raise ZeroConstantTerm("series has zero constant term; no inverse")
-    shifted = make_arity_distinct(gf_shift_backward(a))
+    shifted = core.make_arity_distinct(gf_shift_backward(a))
     d = shifted.dimension
     d_new = d + 1
     u_name = _fresh_name("__u", shifted.alphabet.names())
-    alphabet = RankedAlphabet.of((u_name, 2), *shifted.alphabet.symbols)
+    alphabet = core.RankedAlphabet.of((u_name, 2), *shifted.alphabet.symbols)
     weights = {
         name: _embed_shifted(shifted.weight(name), arity, 1, d, d_new)
         for name, arity in shifted.alphabet.symbols
     }
     weights[shifted.alphabet.of_arity(0)[0]][(0, 0)] = 1 / a0
-    weights[u_name] = {(row_index((1, 0), d_new), 0): SizeRational.const(2, -1 / a0)}
-    return Automaton.build(d_new, alphabet, weights)
+    root = core.row_index((1, 0), d_new)
+    weights[u_name] = {(root, 0): exactmath.SizeRational.const(2, -1 / a0)}
+    return core.Automaton.build(d_new, alphabet, weights)

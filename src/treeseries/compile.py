@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import series
 from ._expr import (
     Call,
     Const,
@@ -55,7 +56,6 @@ from .exactmath import (
     poly_integer_roots,
     _frac,
 )
-from .series import SeriesPrefix
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +89,7 @@ class DFiniteRecurrence:
     def order(self) -> int:
         return len(self.qs) - 1
 
-    def unroll(self, n_max: int) -> SeriesPrefix:
+    def unroll(self, n_max: int) -> series.SeriesPrefix:
         """Direct term-by-term solution; the oracle for compile_dfinite."""
         k = self.order
         values = list(self.init)
@@ -98,7 +98,7 @@ class DFiniteRecurrence:
             for i in range(1, k + 1):
                 acc += self.qs[i](n) * values[n - i]
             values.append(-acc / self.qs[0](n))
-        return SeriesPrefix(tuple(values[: n_max + 1]))
+        return series.SeriesPrefix(tuple(values[: n_max + 1]))
 
 
 @record
@@ -183,11 +183,11 @@ def taylor_oracle(s: RDS, n_max: int) -> dict:
                 rhs -= q_ser[ell] * (n + 1 - ell) * ys[j][n + 1 - ell]
             ys[j].append(rhs / ((n + 1) * q_ser[0]))
     return {
-        s.variables[j]: SeriesPrefix(tuple(ys[j][: n_max + 1])) for j in range(k)
+        s.variables[j]: series.SeriesPrefix(tuple(ys[j][: n_max + 1])) for j in range(k)
     }
 
 
-def _poly_on_series(p: MultiPolynomial, series, length: int):
+def _poly_on_series(p: MultiPolynomial, ys, length: int):
     """Coefficients 0..length-1 of p(y_1(x), ..., y_k(x))."""
     out = [Fraction(0)] * length
     pow_cache = {}
@@ -195,7 +195,7 @@ def _poly_on_series(p: MultiPolynomial, series, length: int):
     def var_power(j, e):
         if (j, e) not in pow_cache:
             if e == 1:
-                pow_cache[(j, e)] = [series[j][i] if i < len(series[j]) else Fraction(0)
+                pow_cache[(j, e)] = [ys[j][i] if i < len(ys[j]) else Fraction(0)
                                      for i in range(length)]
             else:
                 pow_cache[(j, e)] = _trunc_mul(var_power(j, e - 1), var_power(j, 1), length)

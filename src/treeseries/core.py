@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from . import exactmath
 from ._record import record
 from .errors import (
     InputFormatError,
@@ -27,15 +28,6 @@ from .errors import (
     SymbolMismatch,
     TooManyTrees,
     nesting_guard,
-)
-from .exactmath import (
-    SizeRational,
-    UniPolynomial,
-    WeightMatrix,
-    format_size_rational,
-    parse_size_rational,
-    poly_integer_roots,
-    _frac,
 )
 
 ENUMERATION_GUARD = 10**6
@@ -216,12 +208,12 @@ def shift_row(row: int, k: int, d_old: int, d_new: int, offset: int) -> int:
 
 def _entry(value, arity: int):
     if arity == 0:
-        return _frac(value)
-    if isinstance(value, SizeRational):
+        return exactmath._frac(value)
+    if isinstance(value, exactmath.SizeRational):
         return value.lift(arity)
     if isinstance(value, str):
-        return parse_size_rational(value, arity)
-    return SizeRational.const(arity, value)
+        return exactmath.parse_size_rational(value, arity)
+    return exactmath.SizeRational.const(arity, value)
 
 
 def _dense_cells(name: str, rows, arity: int, d: int) -> dict:
@@ -255,9 +247,10 @@ class Automaton:
                 f"weights must cover the alphabet exactly (missing {sorted(need - have)},"
                 f" extra {sorted(have - need)})"
             )
+        weight_matrix, size_rational = exactmath.WeightMatrix, exactmath.SizeRational
         for name, matrix in self.weights:
             k = self.alphabet.arity(name)
-            if not isinstance(matrix, WeightMatrix) or matrix.arity != k:
+            if not isinstance(matrix, weight_matrix) or matrix.arity != k:
                 raise InvariantError(f"weight of {name!r} must be a WeightMatrix of arity {k}")
             nrows = d**k
             if matrix.shape != (nrows, d):
@@ -268,7 +261,7 @@ class Automaton:
                 if k == 0:
                     if not isinstance(entry, Fraction):
                         raise InvariantError("nullary weights must be rational numbers")
-                elif not isinstance(entry, SizeRational) or entry.arity != k:
+                elif not isinstance(entry, size_rational) or entry.arity != k:
                     raise InvariantError(
                         f"weight entries of {name!r} must be SizeRational of arity {k}"
                     )
@@ -290,10 +283,10 @@ class Automaton:
             if not isinstance(cells, dict):
                 cells = _dense_cells(name, cells, arity, d)
             cells = {key: _entry(value, arity) for key, value in cells.items()}
-            packed.append((name, WeightMatrix((d**arity, d), arity, cells)))
+            packed.append((name, exactmath.WeightMatrix((d**arity, d), arity, cells)))
         return cls(d, alphabet, tuple(packed))
 
-    def weight(self, name: str) -> WeightMatrix:
+    def weight(self, name: str) -> exactmath.WeightMatrix:
         for n, matrix in self.weights:
             if n == name:
                 return matrix
@@ -355,7 +348,7 @@ class FinalVector:
             if den.is_zero:
                 raise InvalidBeta("final vector denominator is zero")
             if den.degree >= 1:
-                bad = {r for r in poly_integer_roots(den) if r >= 0}
+                bad = {r for r in exactmath.poly_integer_roots(den) if r >= 0}
                 if bad:
                     raise InvalidBeta(
                         f"final vector denominator has nonnegative root(s) {sorted(bad)}"
@@ -363,14 +356,15 @@ class FinalVector:
 
     @classmethod
     def of(cls, *entries) -> "FinalVector":
+        poly = exactmath.UniPolynomial
         packed = []
         for e in entries:
             if isinstance(e, tuple):
                 packed.append(e)
-            elif isinstance(e, UniPolynomial):
-                packed.append((e, UniPolynomial.const(1)))
+            elif isinstance(e, poly):
+                packed.append((e, poly.const(1)))
             else:
-                packed.append((UniPolynomial.const(_frac(e)), UniPolynomial.const(1)))
+                packed.append((poly.const(exactmath._frac(e)), poly.const(1)))
         return cls(tuple(packed))
 
     @classmethod
@@ -461,21 +455,28 @@ def unify_alphabets(a1: Automaton, a2: Automaton):
 
 
 def count_trees(alphabet: RankedAlphabet, n: int) -> int:
-    counts = [0] * (n + 1)
-    counts[0] = len(alphabet.of_arity(0))
+    """Number of trees of size n.
+
+    With C(x) = sum_m counts[m] x^m, counts[m] = sum_k |Sigma_k| [x^(m-1)] C(x)^k
+    for m >= 1.  Each power P = C^k is kept as an exact truncated series and
+    extended by one coefficient per size through J.C.P. Miller's recurrence
+    i C_0 P_i = sum_{j=1..i} ((k+1) j - i) C_j P_{i-j}, which follows from
+    C P' = k C' P; C_0 >= 1 because every alphabet has a nullary symbol.  The
+    work is O(n^2) per arity, however many compositions of m - 1 there are.
+    """
+    arities = {k: c for k, c in alphabet.arity_counts().items() if k > 0}
+    c0 = len(alphabet.of_arity(0))
+    counts = [c0]
+    powers = {k: [] for k in arities}  # coefficients 0..m-1 of C^k
     for m in range(1, n + 1):
-        total = 0
-        for k, how_many in alphabet.arity_counts().items():
-            if k == 0:
-                continue
-            for comp in compositions(m - 1, k):
-                prod = 1
-                for part in comp:
-                    prod *= counts[part]
-                    if prod == 0:
-                        break
-                total += how_many * prod
-        counts[m] = total
+        i = m - 1
+        for k, p in powers.items():
+            if i == 0:
+                p.append(c0**k)
+            else:
+                total = sum(((k + 1) * j - i) * counts[j] * p[i - j] for j in range(1, i + 1))
+                p.append(total // (i * c0))
+        counts.append(sum(c * powers[k][i] for k, c in arities.items()))
     return counts[n]
 
 
@@ -494,9 +495,23 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def _beyond_guard(alphabet: RankedAlphabet, n: int) -> bool:
+    """Whether there are more than ENUMERATION_GUARD trees of size n.
+
+    With c >= 2 nullary symbols and a symbol f of arity k, the chains of n
+    f-nodes whose other children are leaves alone give c^(n(k-1)+1) trees of
+    size n, more than the guard once the exponent reaches the guard's bit
+    length; that settles a wide alphabet before count_trees works with c^k.
+    """
+    exponent = n * (alphabet.max_arity - 1) + 1
+    if n >= 1 and len(alphabet.of_arity(0)) >= 2 and exponent >= ENUMERATION_GUARD.bit_length():
+        return True
+    return count_trees(alphabet, n) > ENUMERATION_GUARD
+
+
 def enumerate_trees(alphabet: RankedAlphabet, n: int):
     """All trees of size exactly n, each once, in deterministic order."""
-    if count_trees(alphabet, n) > ENUMERATION_GUARD:
+    if _beyond_guard(alphabet, n):
         raise TooManyTrees(
             f"more than {ENUMERATION_GUARD} trees of size {n}; refusing to enumerate"
         )
@@ -543,6 +558,7 @@ def automaton_to_json(a: Automaton) -> str:
         "alphabet": [{"name": n, "arity": k} for n, k in a.alphabet.symbols],
         "weights": {},
     }
+    format_size_rational = exactmath.format_size_rational
     for name, arity in a.alphabet.symbols:
         entries = []
         for i, j, entry in a.nonzero_entries(name):
@@ -574,6 +590,7 @@ def automaton_from_json(text: str) -> Automaton:
             *[(s["name"], s["arity"]) for s in payload["alphabet"]]
         )
         stored = expect(payload.get("weights", {}), dict, "weights")
+        parse_size_rational = exactmath.parse_size_rational
         weights = {}
         for name, arity in alphabet.symbols:
             spec = expect(stored.get(name, {}), dict, f"the weight of {name!r}")

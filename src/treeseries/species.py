@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import series
 from ._expr import (
     Add,
     Const,
@@ -51,7 +52,6 @@ from .errors import (
     nesting_guard,
 )
 from .exactmath import _frac
-from .series import generating_prefix
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +566,7 @@ def species_to_rds(spec: SpeciesSpec, target: str = None, initial=None) -> RDS:
 def count_species(spec: SpeciesSpec, target: str = None, n_max: int = 10, initial=None):
     """Numbers of labelled structures of sizes 0..n_max, via the automaton."""
     rds = species_to_rds(spec, target, initial=initial)
-    prefix = generating_prefix(compile_rda(rds), n_max)
+    prefix = series.generating_prefix(compile_rda(rds), n_max)
     counts = []
     for n, c in enumerate(prefix.coefficients):
         value = c * math.factorial(n)

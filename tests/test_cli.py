@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +149,19 @@ def test_enum_trees(capsys):
         "(f (a) (f (a) (a)))",
         "(f (f (a) (a)) (a))",
     ]
+
+
+def test_enum_trees_guard_on_a_wide_symbol_exits_3_quickly():
+    # 8,167,059,012 trees of size 6; counting them must not walk the
+    # C(64, 5) compositions of 5 into 60 parts
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "treeseries", "enum-trees", "--alphabet", "a/0,f/60", "-n", "6"],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == "error: more than 1000000 trees of size 6; refusing to enumerate\n"
 
 
 def test_emit_system(bell_path, capsys):

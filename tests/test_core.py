@@ -1,8 +1,11 @@
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from treeseries.core import (
+    ENUMERATION_GUARD,
     Automaton,
     FinalVector,
     RankedAlphabet,
@@ -11,6 +14,7 @@ from treeseries.core import (
     automaton_from_json,
     automaton_to_json,
     check_tree,
+    compositions,
     count_trees,
     enumerate_trees,
     evaluate,
@@ -21,6 +25,7 @@ from treeseries.core import (
     parse_tree,
     tree_size,
     unify_alphabets,
+    _beyond_guard,
 )
 from treeseries.errors import (
     InvalidBeta,
@@ -277,6 +282,54 @@ def test_enumerate_counts_match_convolution_recurrence():
         assert len(set(map(format_tree, trees))) == len(trees)
         assert all(tree_size(tree) == n for tree in trees)
     assert c[2] == 6
+
+
+def _count_by_compositions(alphabet, n):
+    """Tree count summed over every composition of m - 1 into k parts."""
+    counts = [len(alphabet.of_arity(0))]
+    for m in range(1, n + 1):
+        counts.append(sum(
+            how_many * math.prod(counts[part] for part in comp)
+            for k, how_many in alphabet.arity_counts().items() if k > 0
+            for comp in compositions(m - 1, k)
+        ))
+    return counts[n]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_count_trees_matches_the_composition_count(seed):
+    rng = random.Random(seed)
+    pairs = [("a", 0)] + [(f"s{i}", rng.randint(0, 4)) for i in range(rng.randint(1, 5))]
+    alphabet = RankedAlphabet.of(*pairs)
+    for n in range(9):
+        assert count_trees(alphabet, n) == _count_by_compositions(alphabet, n), (pairs, n)
+
+
+def test_count_trees_of_a_wide_symbol():
+    # 60-ary trees with n internal nodes: the Fuss-Catalan number
+    # C(60n, n) / (59n + 1); counting size 6 must not walk the C(64, 5)
+    # compositions of 5 into 60 parts
+    alphabet = RankedAlphabet.of(("a", 0), ("f", 60))
+    for n in range(8):
+        assert count_trees(alphabet, n) == math.comb(60 * n, n) // (59 * n + 1)
+
+
+@pytest.mark.parametrize("leaves", [2, 3])
+def test_wide_alphabet_shortcut_agrees_with_the_count(leaves):
+    for k in range(1, 26):
+        pairs = [(f"a{i}", 0) for i in range(leaves)] + [("f", k), ("u", 1)]
+        alphabet = RankedAlphabet.of(*pairs)
+        for n in range(4):
+            beyond = count_trees(alphabet, n) > ENUMERATION_GUARD
+            assert _beyond_guard(alphabet, n) == beyond, (k, n)
+
+
+def test_enumerate_guard_on_a_very_wide_symbol():
+    # 2^(10^11) trees of size 1: refused without building that number
+    alphabet = RankedAlphabet.of(("a", 0), ("b", 0), ("f", 10**11))
+    assert enumerate_trees(alphabet, 0) == [t("a"), t("b")]
+    with pytest.raises(TooManyTrees):
+        enumerate_trees(alphabet, 1)
 
 
 def test_enumerate_catalan():
