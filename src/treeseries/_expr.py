@@ -10,6 +10,8 @@ symbolic so callers can solve for them.
 
 from __future__ import annotations
 
+import functools
+import operator
 from fractions import Fraction
 
 from ._record import record
@@ -115,6 +117,11 @@ class TokenStream:
             return self.next()
         return None
 
+    def expect_end(self):
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+
     def skip_newlines(self):
         while self.peek().kind == "newline":
             self.next()
@@ -151,14 +158,16 @@ class Call:
 
 @record
 class Add:
-    left: object
-    right: object
+    """Sum of two or more operands; a subtracted operand is wrapped in Neg."""
+
+    args: tuple
 
 
 @record
 class Mul:
-    left: object
-    right: object
+    """Product of two or more operands."""
+
+    args: tuple
 
 
 @record
@@ -254,27 +263,31 @@ def parse_expression(ts: TokenStream, allow_calls=False):
         return power()
 
     def term():
-        node = unary()
+        factors = [unary()]
         while True:
             if ts.accept("*"):
-                node = Mul(node, unary())
+                factors.append(unary())
             elif ts.accept("/"):
-                node = DivE(node, unary())
+                factors = [DivE(nary(Mul, factors), unary())]
             else:
-                return node
+                return nary(Mul, factors)
 
     def expr():
-        node = term()
+        terms = [term()]
         while True:
             if ts.accept("+"):
-                node = Add(node, term())
-            elif ts.peek().kind == "-":
-                ts.next()
-                node = Add(node, Neg(term()))
+                terms.append(term())
+            elif ts.accept("-"):
+                terms.append(Neg(term()))
             else:
-                return node
+                return nary(Add, terms)
 
     return expr()
+
+
+def nary(kind, args):
+    """``kind(args)`` for an n-ary node class, or the one operand itself."""
+    return args[0] if len(args) == 1 else kind(tuple(args))
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +371,8 @@ class RatFunc:
 
 
 def to_ratfunc(expr, var_index: dict, nvars: int) -> RatFunc:
-    """Lower an AST to P/Q over the given variable order.  DVar and Call
-    nodes are rejected; map them away before lowering."""
+    """Lower an AST to P/Q over the given variable order.  DVar(y) is the
+    variable named y' when var_index has one; Call nodes are rejected."""
     if isinstance(expr, Const):
         return RatFunc.const(nvars, expr.value)
     if isinstance(expr, Var):
@@ -367,16 +380,16 @@ def to_ratfunc(expr, var_index: dict, nvars: int) -> RatFunc:
             raise ParseError(f"unknown variable {expr.name!r}")
         return RatFunc.var(nvars, var_index[expr.name])
     if isinstance(expr, DVar):
-        raise ParseError(f"derivative {expr.name}' not allowed here")
+        name = expr.name + "'"
+        if name not in var_index:
+            raise ParseError(f"derivative {name} not allowed here")
+        return RatFunc.var(nvars, var_index[name])
     if isinstance(expr, Call):
         raise ParseError(f"call {expr.name}(...) not allowed here")
-    if isinstance(expr, Add):
-        return to_ratfunc(expr.left, var_index, nvars) + to_ratfunc(
-            expr.right, var_index, nvars
-        )
-    if isinstance(expr, Mul):
-        return to_ratfunc(expr.left, var_index, nvars) * to_ratfunc(
-            expr.right, var_index, nvars
+    if isinstance(expr, (Add, Mul)):
+        combine = operator.add if isinstance(expr, Add) else operator.mul
+        return functools.reduce(
+            combine, (to_ratfunc(arg, var_index, nvars) for arg in expr.args)
         )
     if isinstance(expr, DivE):
         return to_ratfunc(expr.left, var_index, nvars) / to_ratfunc(
@@ -402,23 +415,26 @@ def to_linear_in_derivatives(expr, var_index: dict, nvars: int):
     if isinstance(expr, (Const, Var)):
         return to_ratfunc(expr, var_index, nvars), {}
     if isinstance(expr, Add):
-        c1, l1 = to_linear_in_derivatives(expr.left, var_index, nvars)
-        c2, l2 = to_linear_in_derivatives(expr.right, var_index, nvars)
-        out = dict(l1)
-        for k, v in l2.items():
-            out[k] = out[k] + v if k in out else v
-        return c1 + c2, out
+        const, lin = to_linear_in_derivatives(expr.args[0], var_index, nvars)
+        for arg in expr.args[1:]:
+            c, l = to_linear_in_derivatives(arg, var_index, nvars)
+            const = const + c
+            for k, v in l.items():
+                lin[k] = lin[k] + v if k in lin else v
+        return const, lin
     if isinstance(expr, Neg):
         c, lin = to_linear_in_derivatives(expr.arg, var_index, nvars)
         return -c, {k: -v for k, v in lin.items()}
     if isinstance(expr, Mul):
-        c1, l1 = to_linear_in_derivatives(expr.left, var_index, nvars)
-        c2, l2 = to_linear_in_derivatives(expr.right, var_index, nvars)
-        if l1 and l2:
-            raise NonlinearInDerivatives("product of two derivative terms")
-        if l2:
-            c1, l1, c2, l2 = c2, l2, c1, l1
-        return c1 * c2, {k: v * c2 for k, v in l1.items()}
+        const, lin = to_linear_in_derivatives(expr.args[0], var_index, nvars)
+        for arg in expr.args[1:]:
+            c, l = to_linear_in_derivatives(arg, var_index, nvars)
+            if lin and l:
+                raise NonlinearInDerivatives("product of two derivative terms")
+            if l:
+                const, lin, c = c, l, const
+            const, lin = const * c, {k: v * c for k, v in lin.items()}
+        return const, lin
     if isinstance(expr, DivE):
         c1, l1 = to_linear_in_derivatives(expr.left, var_index, nvars)
         c2, l2 = to_linear_in_derivatives(expr.right, var_index, nvars)
@@ -447,48 +463,60 @@ def differentiate(expr):
     if isinstance(expr, DVar):
         raise NonlinearInDerivatives("second derivatives are not supported")
     if isinstance(expr, Add):
-        return Add(differentiate(expr.left), differentiate(expr.right))
+        return Add(tuple(differentiate(arg) for arg in expr.args))
     if isinstance(expr, Neg):
         return Neg(differentiate(expr.arg))
     if isinstance(expr, Mul):
+        args = expr.args
         return Add(
-            Mul(differentiate(expr.left), expr.right),
-            Mul(expr.left, differentiate(expr.right)),
+            tuple(
+                Mul(args[:i] + (differentiate(arg),) + args[i + 1 :])
+                for i, arg in enumerate(args)
+            )
         )
     if isinstance(expr, DivE):
         # (a/b)' = a'/b - a b'/b^2
         return Add(
-            DivE(differentiate(expr.left), expr.right),
-            Neg(
-                DivE(
-                    Mul(expr.left, differentiate(expr.right)),
-                    Pow(expr.right, 2),
-                )
-            ),
+            (
+                DivE(differentiate(expr.left), expr.right),
+                Neg(
+                    DivE(
+                        Mul((expr.left, differentiate(expr.right))),
+                        Pow(expr.right, 2),
+                    )
+                ),
+            )
         )
     if isinstance(expr, Pow):
         if expr.exponent == 0:
             return Const(Fraction(0))
         return Mul(
-            Mul(Const(Fraction(expr.exponent)), Pow(expr.base, expr.exponent - 1)),
-            differentiate(expr.base),
+            (
+                Const(Fraction(expr.exponent)),
+                Pow(expr.base, expr.exponent - 1),
+                differentiate(expr.base),
+            )
         )
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def expr_variables(expr, out=None):
+def expr_variables(expr, out=None, primed=False):
+    """Names of the variables an AST mentions; with ``primed``, a derivative
+    DVar(y) is named y' rather than y."""
     if out is None:
         out = set()
-    if isinstance(expr, (Var, DVar)):
+    if isinstance(expr, Var):
         out.add(expr.name)
-    elif isinstance(expr, Add) or isinstance(expr, Mul) or isinstance(expr, DivE):
-        expr_variables(expr.left, out)
-        expr_variables(expr.right, out)
+    elif isinstance(expr, DVar):
+        out.add(expr.name + "'" if primed else expr.name)
+    elif isinstance(expr, (Add, Mul, Call)):
+        for arg in expr.args:
+            expr_variables(arg, out, primed)
+    elif isinstance(expr, DivE):
+        expr_variables(expr.left, out, primed)
+        expr_variables(expr.right, out, primed)
     elif isinstance(expr, Neg):
-        expr_variables(expr.arg, out)
+        expr_variables(expr.arg, out, primed)
     elif isinstance(expr, Pow):
-        expr_variables(expr.base, out)
-    elif isinstance(expr, Call):
-        for a in expr.args:
-            expr_variables(a, out)
+        expr_variables(expr.base, out, primed)
     return out

@@ -28,11 +28,17 @@ from fractions import Fraction
 
 from . import series
 from ._expr import (
+    Add,
     Call,
     Const,
-    RatFunc,
+    DivE,
+    Mul,
+    Neg,
+    Pow,
     TokenStream,
     Var,
+    expr_variables,
+    nary,
     parse_expression,
     to_ratfunc,
     tokenize,
@@ -190,16 +196,16 @@ def taylor_oracle(s: RDS, n_max: int) -> dict:
 def _poly_on_series(p: MultiPolynomial, ys, length: int):
     """Coefficients 0..length-1 of p(y_1(x), ..., y_k(x))."""
     out = [Fraction(0)] * length
-    pow_cache = {}
+    pow_cache = {}  # j -> [None, y_j, y_j^2, ...], each power from the one before
 
     def var_power(j, e):
-        if (j, e) not in pow_cache:
-            if e == 1:
-                pow_cache[(j, e)] = [ys[j][i] if i < len(ys[j]) else Fraction(0)
-                                     for i in range(length)]
-            else:
-                pow_cache[(j, e)] = _trunc_mul(var_power(j, e - 1), var_power(j, 1), length)
-        return pow_cache[(j, e)]
+        if j not in pow_cache:
+            pow_cache[j] = [None, [ys[j][i] if i < len(ys[j]) else Fraction(0)
+                                   for i in range(length)]]
+        powers = pow_cache[j]
+        while len(powers) <= e:
+            powers.append(_trunc_mul(powers[-1], powers[1], length))
+        return powers[e]
 
     for exps, coeff in p.terms.items():
         term = None
@@ -318,13 +324,12 @@ def reduce_degree_two(polys, k: int):
     chains = []
 
     def ensure_chain(tup):
-        if tup in chain_index:
-            return chain_index[tup]
-        if len(tup) > 2:
-            ensure_chain(tup[1:])
-        chain_index[tup] = len(chains)
-        chains.append(tup)
-        return chain_index[tup]
+        # every suffix of two or more indices, shortest first
+        for start in range(len(tup) - 2, -1, -1):
+            suffix = tup[start:]
+            if suffix not in chain_index:
+                chain_index[suffix] = len(chains)
+                chains.append(suffix)
 
     monomials = set()
     for p in polys:
@@ -681,17 +686,13 @@ def parse_rds(text: str) -> RDS:
         ts.expect("prime")
         ts.expect("=")
         rhs = parse_expression(ts)
-        if ts.peek().kind != "end":
-            tok = ts.peek()
-            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+        ts.expect_end()
         equations.append((first.text, rhs))
     names = [name for name, _ in equations]
     if len(set(names)) != len(names):
         raise ParseError("duplicate equation for a variable")
     referenced = set()
     for _, rhs in equations:
-        from ._expr import expr_variables
-
         expr_variables(rhs, referenced)
     if "x" in referenced and "x" not in names:
         equations.append(("x", Const(Fraction(1))))
@@ -728,9 +729,7 @@ def _parse_init_clause(stmt: str, out: dict):
         out[name] = _parse_rational(ts)
         if not ts.accept(","):
             break
-    if ts.peek().kind != "end":
-        tok = ts.peek()
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+    ts.expect_end()
 
 
 def _parse_rational(ts: TokenStream) -> Fraction:
@@ -793,25 +792,25 @@ def _parse_dfinite_init(stmt: str, out: dict):
 
 def _collect_linear_in_a(expr, scale: UniPolynomial, out: dict):
     """Flatten sums of polynomial-in-n multiples of a(n-i) terms."""
-    from ._expr import Add, DivE, Mul, Neg, Pow
-
     if isinstance(expr, Add):
-        _collect_linear_in_a(expr.left, scale, out)
-        _collect_linear_in_a(expr.right, scale, out)
+        for arg in expr.args:
+            _collect_linear_in_a(arg, scale, out)
         return
     if isinstance(expr, Neg):
         _collect_linear_in_a(expr.arg, -scale, out)
         return
     if isinstance(expr, Mul):
-        left_has = _mentions_a(expr.left)
-        right_has = _mentions_a(expr.right)
-        if left_has and right_has:
+        with_a = [i for i, arg in enumerate(expr.args) if _mentions_a(arg)]
+        if len(with_a) > 1:
             raise ParseError("recurrence must be linear in a(...)")
-        if left_has:
-            _collect_linear_in_a(expr.left, scale * _as_unipoly(expr.right), out)
-        else:
-            _collect_linear_in_a(expr.right, scale * _as_unipoly(expr.left), out)
-        return
+        if with_a:
+            i = with_a[0]
+            rest = expr.args[:i] + expr.args[i + 1 :]
+            coeff = to_ratfunc(nary(Mul, rest), {"n": 0}, 1)
+            if not coeff.is_polynomial():
+                raise ParseError("recurrence coefficients must be polynomials in n")
+            _collect_linear_in_a(expr.args[i], scale * coeff.num.to_uni(0), out)
+            return
     if isinstance(expr, Call) and expr.name == "a":
         shift = _parse_shift(expr)
         out[shift] = out.get(shift, UniPolynomial()) + scale
@@ -820,11 +819,11 @@ def _collect_linear_in_a(expr, scale: UniPolynomial, out: dict):
 
 
 def _mentions_a(expr) -> bool:
-    from ._expr import Add, DivE, Mul, Neg, Pow
-
     if isinstance(expr, Call):
         return expr.name == "a" or any(_mentions_a(arg) for arg in expr.args)
-    if isinstance(expr, (Add, Mul, DivE)):
+    if isinstance(expr, (Add, Mul)):
+        return any(_mentions_a(arg) for arg in expr.args)
+    if isinstance(expr, DivE):
         return _mentions_a(expr.left) or _mentions_a(expr.right)
     if isinstance(expr, Neg):
         return _mentions_a(expr.arg)
@@ -834,29 +833,16 @@ def _mentions_a(expr) -> bool:
 
 
 def _parse_shift(call: Call) -> int:
-    from ._expr import Add, Neg
-
     if len(call.args) != 1:
         raise ParseError("a(...) takes one argument")
     arg = call.args[0]
     if isinstance(arg, Var) and arg.name == "n":
         return 0
-    if isinstance(arg, Add):
-        left, right = arg.left, arg.right
+    if isinstance(arg, Add) and len(arg.args) == 2:
+        left, right = arg.args
         if isinstance(left, Var) and left.name == "n" and isinstance(right, Neg) and isinstance(right.arg, Const):
             return int(right.arg.value)
     raise ParseError("a(...) argument must be n or n-<int>")
-
-
-def _as_unipoly(expr) -> UniPolynomial:
-    rf = to_ratfunc(expr, {"n": 0}, 1)
-    if not rf.is_polynomial():
-        raise ParseError("recurrence coefficients must be polynomials in n")
-    num = rf.num.scale(1 / rf.den.constant_value())
-    coeffs = [Fraction(0)] * (num.degree_in(0) + 1)
-    for exps, c in num.terms.items():
-        coeffs[exps[0]] += c
-    return UniPolynomial(coeffs)
 
 
 @nesting_guard(ParseError)
@@ -871,16 +857,13 @@ def parse_da(text: str) -> DAEquation:
         _parse_init_clause(stmt, init)
     ts = TokenStream(tokenize(poly_text))
     expr = parse_expression(ts)
-    if ts.peek().kind != "end":
-        tok = ts.peek()
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
-    names = _collect_derivative_names(expr)
-    order = max(name.count("'") for name in names)
+    ts.expect_end()
+    order = max(name.count("'") for name in expr_variables(expr, primed=True))
     var_index = {"y" + "'" * i: i for i in range(order + 1)}
-    rf = _lower_da(expr, var_index, order + 1)
+    rf = to_ratfunc(expr, var_index, order + 1)
     if not rf.is_polynomial():
         raise ParseError("differential equation must be polynomial")
-    poly = rf.num.scale(1 / rf.den.constant_value())
+    poly = rf.num
     jet = []
     for i in range(order + 1):
         name = "y" + "'" * i
@@ -890,50 +873,3 @@ def parse_da(text: str) -> DAEquation:
             raise ParseError(f"missing jet value {name}(0)")
         jet.append(init[name])
     return DAEquation(poly, tuple(jet))
-
-
-def _collect_derivative_names(expr, out=None):
-    from ._expr import Add, DVar, DivE, Mul, Neg, Pow
-
-    if out is None:
-        out = set()
-    if isinstance(expr, Var):
-        out.add(expr.name)
-    elif isinstance(expr, DVar):
-        out.add(expr.name + "'")
-    elif isinstance(expr, (Add, Mul, DivE)):
-        _collect_derivative_names(expr.left, out)
-        _collect_derivative_names(expr.right, out)
-    elif isinstance(expr, Neg):
-        _collect_derivative_names(expr.arg, out)
-    elif isinstance(expr, Pow):
-        _collect_derivative_names(expr.base, out)
-    return out
-
-
-def _lower_da(expr, var_index: dict, nvars: int) -> RatFunc:
-    """Lower with DVar(y) meaning the variable y'."""
-    from ._expr import Add, DVar, DivE, Mul, Neg, Pow
-
-    if isinstance(expr, DVar):
-        name = expr.name + "'"
-        if name not in var_index:
-            raise ParseError(f"unknown variable {name!r}")
-        return RatFunc.var(nvars, var_index[name])
-    if isinstance(expr, Const):
-        return RatFunc.const(nvars, expr.value)
-    if isinstance(expr, Var):
-        if expr.name not in var_index:
-            raise ParseError(f"unknown variable {expr.name!r}")
-        return RatFunc.var(nvars, var_index[expr.name])
-    if isinstance(expr, Add):
-        return _lower_da(expr.left, var_index, nvars) + _lower_da(expr.right, var_index, nvars)
-    if isinstance(expr, Mul):
-        return _lower_da(expr.left, var_index, nvars) * _lower_da(expr.right, var_index, nvars)
-    if isinstance(expr, DivE):
-        return _lower_da(expr.left, var_index, nvars) / _lower_da(expr.right, var_index, nvars)
-    if isinstance(expr, Pow):
-        return _lower_da(expr.base, var_index, nvars).pow(expr.exponent)
-    if isinstance(expr, Neg):
-        return -_lower_da(expr.arg, var_index, nvars)
-    raise ParseError("unsupported construct in differential equation")

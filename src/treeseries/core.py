@@ -591,6 +591,7 @@ def automaton_from_json(text: str) -> Automaton:
         )
         stored = expect(payload.get("weights", {}), dict, "weights")
         parse_size_rational = exactmath.parse_size_rational
+        parsed = {}  # (text, arity) -> SizeRational: weight strings repeat, values are immutable
         weights = {}
         for name, arity in alphabet.symbols:
             spec = expect(stored.get(name, {}), dict, f"the weight of {name!r}")
@@ -606,7 +607,10 @@ def automaton_from_json(text: str) -> Automaton:
                             f"bad row index {cell['row']} for symbol {name!r}"
                         )
                     row = row_index(idx, d)
-                    value = parse_size_rational(str(cell["value"]), arity)
+                    key = (str(cell["value"]), arity)
+                    value = parsed.get(key)
+                    if value is None:
+                        value = parsed[key] = parse_size_rational(*key)
                 col = int(cell["col"])
                 if not 1 <= col <= d:
                     raise InputFormatError(f"column {col} out of range 1..{d}")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import _expr
 from ._record import record
 from .errors import (
     DenominatorZero,
@@ -290,6 +291,16 @@ class MultiPolynomial:
                 exps[index] = e
                 terms[tuple(exps)] = c
         return cls(nvars, terms)
+
+    def to_uni(self, index: int) -> UniPolynomial:
+        """Inverse of ``from_uni``: ValueError if a variable other than
+        x_index occurs."""
+        coeffs = [Fraction(0)] * (self.degree_in(index) + 1)
+        for exps, c in self.terms.items():
+            if any(e for i, e in enumerate(exps) if i != index):
+                raise ValueError(f"uses a variable other than x{index}")
+            coeffs[exps[index]] += c
+        return UniPolynomial(coeffs)
 
     @property
     def is_zero(self) -> bool:
@@ -651,125 +662,10 @@ def legal_equal(f: SizeRational, g: SizeRational) -> bool:
 # text format
 
 
-_VAR_CHARS = "x0123456789"
-
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str):
-        if self.peek() != ch:
-            raise InputFormatError(
-                f"expected {ch!r} at position {self.pos} in {self.text!r}"
-            )
-        self.pos += 1
-
-    def try_take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def number(self) -> Fraction:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise InputFormatError(f"expected a number at position {start}")
-        value = int(self.text[start : self.pos])
-        save = self.pos
-        if self.try_take("/"):
-            if self.peek().isdigit():
-                start = self.pos
-                while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                    self.pos += 1
-                den = int(self.text[start : self.pos])
-                if den == 0:
-                    raise InputFormatError(
-                        f"division by zero at position {start} in {self.text!r}"
-                    )
-                return Fraction(value, den)
-            self.pos = save
-        return Fraction(value)
-
-    def variable(self, nvars: int) -> int:
-        self.take("x")
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise InputFormatError(f"expected a variable index at position {start}")
-        idx = int(self.text[start : self.pos])
-        if idx >= nvars:
-            raise InputFormatError(f"variable x{idx} out of range (arity {nvars - 1})")
-        return idx
-
-
-def _parse_poly_sum(sc: _Scanner, nvars: int) -> MultiPolynomial:
-    acc = _parse_poly_term(sc, nvars)
-    while True:
-        ch = sc.peek()
-        if ch == "+":
-            sc.take("+")
-            acc = acc + _parse_poly_term(sc, nvars)
-        elif ch == "-":
-            sc.take("-")
-            acc = acc - _parse_poly_term(sc, nvars)
-        else:
-            return acc
-
-
-def _parse_poly_term(sc: _Scanner, nvars: int) -> MultiPolynomial:
-    acc = _parse_poly_factor(sc, nvars)
-    while sc.peek() == "*":
-        sc.take("*")
-        acc = acc * _parse_poly_factor(sc, nvars)
-    return acc
-
-
-def _parse_poly_factor(sc: _Scanner, nvars: int) -> MultiPolynomial:
-    ch = sc.peek()
-    if ch == "-":
-        sc.take("-")
-        return -_parse_poly_factor(sc, nvars)
-    if ch == "(":
-        sc.take("(")
-        inner = _parse_poly_sum(sc, nvars)
-        sc.take(")")
-        base = inner
-    elif ch == "x":
-        idx = sc.variable(nvars)
-        base = MultiPolynomial.var(nvars, idx)
-    elif ch.isdigit():
-        base = MultiPolynomial.const(nvars, sc.number())
-    else:
-        raise InputFormatError(
-            f"unexpected character {ch!r} at position {sc.pos} in {sc.text!r}"
-        )
-    if sc.peek() == "^":
-        sc.take("^")
-        exp = sc.number()
-        if exp.denominator != 1 or exp < 0:
-            raise InputFormatError("exponents must be nonnegative integers")
-        base = base.pow(int(exp))
-    return base
-
-
 def _split_denominator_chain(text: str):
     """Split at the '/' that introduces the denominator chain: the first '/'
-    immediately followed (modulo spaces) by '('. Slashes inside p/q literals
-    are always followed by digits, so the scan is unambiguous."""
+    outside parentheses immediately followed (modulo spaces) by '('.  Any
+    other '/' divides inside the numerator."""
     depth = 0
     for i, ch in enumerate(text):
         if ch == "(":
@@ -785,47 +681,46 @@ def _split_denominator_chain(text: str):
 
 @nesting_guard(InputFormatError)
 def parse_size_rational(text: str, arity: int) -> SizeRational:
-    """Parse the SizeRational text grammar:
+    """Parse a weight: a polynomial over x0..xk in the expression syntax of
+    the other text formats, then an optional denominator chain
 
-        <multipoly> [ "/" "(" <unipoly-in-x0> ")" { "*" "(" <unipoly-in-xi> ")" } ]
-    """
+        <polynomial> [ "/" "(" <poly in x0> ")" { "*" "(" <poly in xi> ")" } ]
+
+    whose factor i may only use xi."""
     nvars = arity + 1
+    var_index = {f"x{i}": i for i in range(nvars)}
+
+    def polynomial(ts, what: str) -> MultiPolynomial:
+        value = _expr.to_ratfunc(_expr.parse_expression(ts), var_index, nvars)
+        if not value.is_polynomial():
+            raise InputFormatError(f"{what} of {text!r} is not a polynomial")
+        return value.num
+
     num_text, den_text = _split_denominator_chain(text)
-    sc = _Scanner(num_text)
-    num = _parse_poly_sum(sc, nvars)
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        raise InputFormatError(f"trailing input in numerator: {num_text!r}")
+    ts = _expr.TokenStream(_expr.tokenize(num_text))
+    num = polynomial(ts, "the numerator")
+    ts.expect_end()
     dens = [UniPolynomial.const(1)] * nvars
     if den_text is not None:
-        sc = _Scanner(den_text)
+        ts = _expr.TokenStream(_expr.tokenize(den_text))
         slot = 0
         while True:
-            sc.take("(")
-            factor = _parse_poly_sum(sc, nvars)
-            sc.take(")")
+            ts.expect("(")
+            factor = polynomial(ts, f"denominator factor #{slot}")
+            ts.expect(")")
             if slot >= nvars:
                 raise InputFormatError("more denominator factors than variables")
-            uni = _to_unipoly(factor, slot)
-            dens[slot] = uni
+            try:
+                dens[slot] = factor.to_uni(slot)
+            except ValueError:
+                raise InputFormatError(
+                    f"denominator factor #{slot} must only use x{slot}"
+                ) from None
             slot += 1
-            if not sc.try_take("*"):
+            if not ts.accept("*"):
                 break
-        sc.skip_ws()
-        if sc.pos != len(sc.text):
-            raise InputFormatError(f"trailing input in denominator: {den_text!r}")
+        ts.expect_end()
     return SizeRational(num, dens)
-
-
-def _to_unipoly(p: MultiPolynomial, slot: int) -> UniPolynomial:
-    coeffs = [Fraction(0)] * (p.degree_in(slot) + 1)
-    for exps, c in p.terms.items():
-        if any(e != 0 for i, e in enumerate(exps) if i != slot):
-            raise InputFormatError(
-                f"denominator factor #{slot} must only use x{slot}"
-            )
-        coeffs[exps[slot]] += c
-    return UniPolynomial(coeffs)
 
 
 def format_unipoly(p: UniPolynomial, var: str = "x0") -> str:

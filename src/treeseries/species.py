@@ -35,6 +35,7 @@ from ._expr import (
     Var,
     differentiate,
     expr_variables,
+    nary,
     to_linear_in_derivatives,
     tokenize,
 )
@@ -75,14 +76,12 @@ class SpRef:
 
 @record
 class SpSum:
-    left: object
-    right: object
+    args: tuple  # two or more summands
 
 
 @record
 class SpProd:
-    left: object
-    right: object
+    args: tuple  # two or more factors
 
 
 @record
@@ -126,16 +125,16 @@ def parse_species(text: str) -> SpeciesSpec:
     equations = []
 
     def expr():
-        node = term()
+        terms = [term()]
         while ts.accept("+"):
-            node = SpSum(node, term())
-        return node
+            terms.append(term())
+        return nary(SpSum, terms)
 
     def term():
-        node = factor()
+        factors = [factor()]
         while ts.accept("*"):
-            node = SpProd(node, factor())
-        return node
+            factors.append(factor())
+        return nary(SpProd, factors)
 
     def factor():
         tok = ts.peek()
@@ -226,8 +225,8 @@ def _references(expr, out=None):
     if isinstance(expr, SpRef):
         out.add(expr.name)
     elif isinstance(expr, (SpSum, SpProd)):
-        _references(expr.left, out)
-        _references(expr.right, out)
+        for arg in expr.args:
+            _references(arg, out)
     elif isinstance(expr, (SpSeq, SpSet, SpCycle)):
         _references(expr.arg, out)
     return out
@@ -249,9 +248,9 @@ def empty_counts(spec: SpeciesSpec) -> dict:
         if isinstance(e, SpRef):
             return values[e.name]
         if isinstance(e, SpSum):
-            return ev(e.left) + ev(e.right)
+            return sum(map(ev, e.args))
         if isinstance(e, SpProd):
-            return ev(e.left) * ev(e.right)
+            return math.prod(map(ev, e.args))
         if isinstance(e, (SpSeq, SpSet)):
             if e.card and e.card[1] >= 1:
                 return Fraction(0)
@@ -270,8 +269,8 @@ def empty_counts(spec: SpeciesSpec) -> dict:
 
     def check(e):
         if isinstance(e, (SpSum, SpProd)):
-            check(e.left)
-            check(e.right)
+            for arg in e.args:
+                check(arg)
         elif isinstance(e, (SpSeq, SpSet, SpCycle)):
             if ev(e.arg) != 0:
                 raise UnsupportedConstruct(
@@ -324,9 +323,9 @@ def species_to_diffsys(spec: SpeciesSpec) -> DiffEqSystem:
         if isinstance(e, SpRef):
             return counts[e.name]
         if isinstance(e, SpSum):
-            return sp_count(e.left) + sp_count(e.right)
+            return sum(map(sp_count, e.args))
         if isinstance(e, SpProd):
-            return sp_count(e.left) * sp_count(e.right)
+            return math.prod(map(sp_count, e.args))
         if isinstance(e, (SpSeq, SpSet)):
             return Fraction(0) if (e.card and e.card[1] >= 1) else Fraction(1)
         return Fraction(0)
@@ -347,10 +346,10 @@ def species_to_diffsys(spec: SpeciesSpec) -> DiffEqSystem:
 
     def truncation(w: str, k: int):
         """sum_{j<k} w^j / j! as an expression."""
-        acc = Const(Fraction(1))
+        terms = [Const(Fraction(1))]
         for j in range(1, k):
-            acc = Add(acc, Mul(Const(Fraction(1, math.factorial(j))), Pow(Var(w), j)))
-        return acc
+            terms.append(Mul((Const(Fraction(1, math.factorial(j))), Pow(Var(w), j))))
+        return nary(Add, terms)
 
     def translate(e, bind: str = None):
         """Translate e; when bind is given, make that the defining variable."""
@@ -361,12 +360,12 @@ def species_to_diffsys(spec: SpeciesSpec) -> DiffEqSystem:
         if isinstance(e, SpRef):
             return Var(e.name)
         if isinstance(e, SpSum):
-            return Add(translate(e.left), translate(e.right))
+            return Add(tuple(map(translate, e.args)))
         if isinstance(e, SpProd):
-            return Mul(translate(e.left), translate(e.right))
+            return Mul(tuple(map(translate, e.args)))
         if isinstance(e, SpSeq):
             w = ensure_var(e.arg)
-            one_minus = Add(Const(Fraction(1)), Neg(Var(w)))
+            one_minus = Add((Const(Fraction(1)), Neg(Var(w))))
             if e.card is None:
                 return DivE(Const(Fraction(1)), one_minus)
             kind, k = e.card
@@ -379,20 +378,20 @@ def species_to_diffsys(spec: SpeciesSpec) -> DiffEqSystem:
                 k = e.card[1]
                 if k == 0:
                     return Const(Fraction(1))
-                return Mul(Const(Fraction(1, math.factorial(k))), Pow(Var(w), k))
+                return Mul((Const(Fraction(1, math.factorial(k))), Pow(Var(w), k)))
             full = bind if (e.card is None and bind) else fresh()
-            equations.append(("diff", full, Mul(Var(full), DVar(w))))
+            equations.append(("diff", full, Mul((Var(full), DVar(w)))))
             init[full] = Fraction(1)
             if e.card is None:
                 return Var(full)
             k = e.card[1]
             if k == 0:
                 return Var(full)
-            return Add(Var(full), Neg(truncation(w, k)))
+            return Add((Var(full), Neg(truncation(w, k))))
         if isinstance(e, SpCycle):
             w = ensure_var(e.arg)
             v = bind if bind else fresh()
-            one_minus = Add(Const(Fraction(1)), Neg(Var(w)))
+            one_minus = Add((Const(Fraction(1)), Neg(Var(w))))
             equations.append(("diff", v, DivE(DVar(w), one_minus)))
             init[v] = Fraction(0)
             return Var(v)

@@ -231,6 +231,26 @@ def test_weight_dividing_by_zero_exits_2(tmp_path, capsys):
     assert "division by zero" in err
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("x3", "unknown variable 'x3'"),
+        ("x1+*2", "expected an expression"),
+        ("1/(x1)", "must only use x0"),
+        ("1/(x0+1)*(x1+1)*(x1+2)", "more denominator factors than variables"),
+        ("x01", "unknown variable 'x01'"),
+        ("x0\n+1", "trailing input"),
+    ],
+)
+def test_malformed_weight_exits_2(value, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    payload = json.loads(automaton_to_json(bell_automaton()))
+    payload["weights"]["sigma1"]["entries"][0]["value"] = value  # a unary symbol
+    path.write_text(json.dumps(payload))
+    err = _exits_2_without_traceback(capsys, "series", "-a", str(path), "-n", "3")
+    assert message in err
+
+
 def test_compile_da_initial_value_dividing_by_zero_exits_2(tmp_path, capsys):
     eq = tmp_path / "bad.da"
     eq.write_text("y'^3 + y^3 - 1 ; y(0)=1/0, y'(0)=1\n")

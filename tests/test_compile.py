@@ -314,3 +314,43 @@ def test_parse_rds_requires_initial_values():
 def test_parse_dfinite_rejects_nonlinear():
     with pytest.raises(ParseError):
         parse_dfinite("a(n)*a(n-1) = 0 ; a(0)=1")
+
+
+# ---------------------------------------------------------------------------
+# long flat sums and products: the syntax tree is as deep as the nesting, not
+# as long as the input
+
+FLAT = 3000
+
+
+def test_flat_rds_sum_compiles_and_matches_taylor():
+    s = parse_rds("y' = " + "+".join(["y"] * FLAT) + " ; y(0)=1")
+    assert s.rhs[0][0] == MultiPolynomial(1, {(1,): FLAT})
+    expected = tuple(F(FLAT**n, math.factorial(n)) for n in range(8))  # exp(3000 x)
+    assert taylor_oracle(s, 7)["y"].coefficients == expected
+    assert generating_prefix(compile_rda(s), 7).coefficients == expected
+
+
+def test_flat_rds_product_parses_reduces_and_matches_closed_form():
+    s = parse_rds("y' = " + "*".join(["y"] * FLAT) + " ; y(0)=1")
+    assert s.rhs[0] == (MultiPolynomial(1, {(FLAT,): 1}), MultiPolynomial.const(1, 1))
+    _, chains = reduce_degree_two([s.rhs[0][0]], 1)
+    assert [len(tup) for tup in chains] == list(range(2, FLAT))
+    # y = (1 - (N-1) x)^(-1/(N-1)): y_n = prod_{i<n} (1 + i (N-1)) / n!
+    expected = tuple(
+        F(math.prod(1 + i * (FLAT - 1) for i in range(n)), math.factorial(n)) for n in range(5)
+    )
+    assert taylor_oracle(s, 4)["y"].coefficients == expected
+
+
+def test_flat_da_sum():
+    e = parse_da("y' - " + "-".join(["y"] * FLAT) + " ; y(0)=1")
+    assert e.poly == MultiPolynomial(2, {(0, 1): 1, (1, 0): -FLAT})
+    prefix = generating_prefix(compile_rda(da_to_rds(e)), 6).coefficients
+    assert prefix == tuple(F(FLAT**n, math.factorial(n)) for n in range(7))
+
+
+def test_flat_dfinite_sum():
+    r = parse_dfinite("n*a(n) - " + " - ".join(["a(n-1)"] * FLAT) + " = 0 ; a(0)=1")
+    assert r.qs == (up(0, 1), up(-FLAT))
+    assert r.unroll(5).coefficients == tuple(F(FLAT**n, math.factorial(n)) for n in range(6))

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeseries.errors import DenominatorZero, InvalidDenominator, ZeroPolynomial
+from treeseries.errors import (
+    DenominatorZero,
+    InputFormatError,
+    InvalidDenominator,
+    ZeroPolynomial,
+)
 from treeseries.exactmath import (
     MultiPolynomial,
     SizeRational,
@@ -209,6 +214,53 @@ def test_text_round_trip(text, arity):
 @given(size_rationals())
 def test_format_parse_round_trip(f):
     assert parse_size_rational(format_size_rational(f), f.arity) == f
+
+
+@pytest.mark.parametrize(
+    "text, arity, expected",
+    [
+        ("3 / 4", 1, "3/4"),
+        ("--x1", 1, "x1"),
+        ("x1-(-x1)", 1, "2*x1"),
+        ("1/(2*x0)", 1, "1/2/(x0)"),
+        ("-3*x0^2/(x0)", 1, "(-3*x0^2)/(x0)"),
+        ("1/2/(x0)", 1, "1/2/(x0)"),
+        ("1/(x1 - x1 + x0)", 1, "1/(x0)"),  # the shape is checked on the value
+        # the README examples
+        ("(x2+1)/(x0+1)", 2, "(x2+1)/(x0+1)"),
+        ("1/(x0)", 1, "1/(x0)"),
+        ("-(x1+1)/(x0)*(x1+2)", 1, "(-x1-1)/(x0)*(x1+2)"),
+        # accepted since weights share the expression syntax of the text formats
+        ("x0/2", 1, "1/2*x0"),
+        ("+x1", 1, "x1"),
+        ("(3)/4", 1, "3/4"),
+        ("x1  # a comment", 1, "x1"),
+        ("1/((x0+1)/2)", 1, "2/(x0+1)"),
+        ("+".join(["x1"] * 3000), 1, "3000*x1"),
+    ],
+)
+def test_weight_forms(text, arity, expected):
+    assert format_size_rational(parse_size_rational(text, arity)) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x01",  # zero-padded indices are not variable names
+        "x0\n+1",  # a weight is one line
+        "x3",
+        "x1+*2",
+        "1/x0",  # a numerator with a denominator outside the chain
+        "1/(1/x0)",
+        "1/(x1)",  # an x1 factor in the x0 slot
+        "1/(x0+1)*(x1+1)*(x1+2)",  # more factors than variables
+        "1/(x0)/(x1)",
+        "x0'",
+    ],
+)
+def test_weight_rejections(text):
+    with pytest.raises(InputFormatError):
+        parse_size_rational(text, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,11 @@ def test_import_runs_no_layer():
 
 
 # every command runs closure: cli._BINARY_OPS holds closure functions, which
-# bench/tracing.py patches; reading an automaton runs core and exactmath
-READ = {"closure", "core", "exactmath"}
+# bench/tracing.py patches; reading an automaton runs core and exactmath, and
+# _expr, which parses the weight strings
+READ = {"closure", "core", "exactmath", "_expr"}
 DECIDE = READ | {"series", "decide"}
-COMPILE = READ | {"_expr", "compile"}
+COMPILE = READ | {"compile"}
 
 
 @pytest.mark.parametrize(

@@ -103,10 +103,10 @@ def test_record_runs_post_init_and_takes_defaults():
 
 def test_records_of_different_classes_are_unequal():
     x, y = Var("x"), Var("y")
-    assert Add(x, y) != Mul(x, y)
-    assert Add(x, y) == Add(Var("x"), Var("y"))
-    assert hash(Add(x, y)) == hash(Add(Var("x"), Var("y")))
-    assert {Add(x, y), Mul(x, y)} == {Mul(x, y), Add(x, y)}
+    assert Add((x, y)) != Mul((x, y))
+    assert Add((x, y)) == Add((Var("x"), Var("y")))
+    assert hash(Add((x, y))) == hash(Add((Var("x"), Var("y"))))
+    assert {Add((x, y)), Mul((x, y))} == {Mul((x, y)), Add((x, y))}
 
 
 def test_verdict_and_tree_reprs_are_unchanged(bell):

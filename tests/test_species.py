@@ -38,7 +38,7 @@ from species_gold import GOLD_SPECIES
 
 def test_parse_binary_trees():
     spec = parse_species("B = X + B*B")
-    assert spec.equations == (("B", SpSum(SpX(), SpProd(SpRef("B"), SpRef("B")))),)
+    assert spec.equations == (("B", SpSum((SpX(), SpProd((SpRef("B"), SpRef("B")))))),)
 
 
 def test_parse_bell():
@@ -167,7 +167,7 @@ def test_singular_initial_values_detected():
 
     # v' = 1/(1-v) at v(0) = 1 is undefined
     dsys = DiffEqSystem(
-        (("diff", "v", DivE(Const(F(1)), Add(Const(F(1)), Neg(Var("v"))))),),
+        (("diff", "v", DivE(Const(F(1)), Add((Const(F(1)), Neg(Var("v")))))),),
         {"v": F(1)},
     )
     with pytest.raises(SingularInitialValues):
@@ -179,7 +179,7 @@ def test_nonlinear_derivatives_detected():
     from treeseries.species import DiffEqSystem
 
     dsys = DiffEqSystem(
-        (("diff", "v", Mul(DVar("v"), DVar("v"))),),
+        (("diff", "v", Mul((DVar("v"), DVar("v")))),),
         {"v": F(0)},
     )
     with pytest.raises(NonlinearInDerivatives):
@@ -238,3 +238,15 @@ def test_counts_are_nonnegative_integers(spec_text, target):
     counts = count_species(spec, target, 12)
     assert len(counts) == 13
     assert all(isinstance(c, int) and c >= 0 for c in counts)
+
+
+def test_product_of_three_species():
+    # EGF x * e^x / (1 - x): the product rule over three factors at once
+    spec = parse_species("T = X*set(X)*sequence(X)")
+    expected = [math.factorial(n) * sum(F(1, math.factorial(j)) for j in range(n)) for n in range(8)]
+    assert count_species(spec, n_max=7) == expected
+
+
+def test_flat_sum_of_3000_singletons():
+    spec = parse_species("A = " + "+".join(["X"] * 3000))
+    assert count_species(spec, n_max=5) == [0, 3000, 0, 0, 0, 0]

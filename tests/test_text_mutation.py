@@ -5,7 +5,9 @@ size-rational string and a tree string are mutated by character inserts,
 deletes and splices, then parsed, compiled and run through
 ``taylor_oracle``/``count_species``: only ``TreeSeriesError`` or
 ``ValueError`` may escape.  The same holds when a piece of a sample is
-wrapped hundreds of levels deep in one of the front end's nesting forms.
+wrapped hundreds of levels deep in one of the front end's nesting forms,
+and when a long flat sum is put into a sample, which moreover must never be
+reported as nested too deeply.
 Mutated command lines run in process through
 ``cli.main``, which must return or exit with 0, 2, 3 or 4 and never raise.
 
@@ -109,6 +111,19 @@ NESTING = {
 }
 
 
+# per front end, the piece that a long flat sum (for trees, a long list of
+# children) repeats
+FLAT = {
+    "rds": "1+",
+    "cda": "1+",
+    "da": "1+",
+    "dfinite": "a(n)+",
+    "spec": "X+",
+    "size_rational": "x1+",
+    "tree": "(sigma0) ",
+}
+
+
 def _small_numbers(text):
     return all(int(run) <= _MAX_NUMBER for run in re.findall(r"\d+", text))
 
@@ -138,15 +153,28 @@ def nested(draw, texts, forms):
     in one nesting form; the first place is where a term can start, so that
     the parser descends into the nesting."""
     text = draw(st.sampled_from(texts))
-    at = draw(st.sampled_from([i for i in range(len(text)) if i == 0 or text[i - 1] in "=(+* "]))
+    at = draw(st.sampled_from(_term_starts(text)))
     end = draw(st.integers(at, len(text)))
     opener, closer = draw(st.sampled_from(forms))
     depth = draw(st.integers(50, 1500))
     return text[:at] + opener * depth + text[at:end] + closer * depth + text[end:]
 
 
+@st.composite
+def flat(draw, texts, piece):
+    """A text with ``piece`` repeated 1000-3000 times put before a term, so
+    that the repeats lengthen a sum of the text."""
+    text = draw(st.sampled_from(texts))
+    at = draw(st.sampled_from([i for i in _term_starts(text) if text[i].isalnum() or text[i] == "("]))
+    return text[:at] + piece * draw(st.integers(1000, 3000)) + text[at:]
+
+
+def _term_starts(text):
+    return [i for i in range(len(text)) if i == 0 or text[i - 1] in "=(+* "]
+
+
 def test_every_front_end_has_samples():
-    assert set(NESTING) == set(FRONT_ENDS)
+    assert set(NESTING) == set(FLAT) == set(FRONT_ENDS)
     for name, (_, texts) in FRONT_ENDS.items():
         assert texts, name
         for text in texts:
@@ -186,6 +214,21 @@ def test_deeply_nested_text_runs_or_raises_treeseries_or_value_error(name):
             run(text)
         except (TreeSeriesError, ValueError):
             pass
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(FRONT_ENDS))
+def test_long_flat_text_runs_and_is_not_reported_as_nested(name):
+    run, texts = FRONT_ENDS[name]
+
+    @settings(max_examples=25, deadline=None)
+    @given(flat(texts, FLAT[name]))
+    def check(text):
+        try:
+            run(text)
+        except (TreeSeriesError, ValueError) as exc:
+            assert "nested too deeply" not in str(exc)
 
     check()
 
