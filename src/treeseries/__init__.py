@@ -10,6 +10,10 @@ it.  The layers that the CLI and ``closure``, ``compile``, ``species`` and
 layer does not run the layers it only names.  A command runs only the layers
 it calls, plus ``closure``, whose functions the CLI keeps in a table; every
 layer is still in ``sys.modules`` as soon as the package is imported.
+
+``core`` and ``compile`` keep code few commands run in ``_trees`` and
+``_languages``, and read those names from them on first use through a
+module-level ``__getattr__`` over a name table, just as this package does.
 """
 
 import importlib.util
@@ -114,10 +118,12 @@ def _lazy(layer: str):
 
 exactmath = _lazy("exactmath")
 core = _lazy("core")
+_trees = _lazy("_trees")
 series = _lazy("series")
 closure = _lazy("closure")
 _expr = _lazy("_expr")
 compile = _lazy("compile")
+_languages = _lazy("_languages")
 decide = _lazy("decide")
 species = _lazy("species")
 

@@ -15,7 +15,7 @@ import operator
 from fractions import Fraction
 
 from ._record import record
-from .errors import NonlinearInDerivatives, ParseError
+from .errors import ParseError
 from .exactmath import MultiPolynomial
 
 
@@ -399,104 +399,6 @@ def to_ratfunc(expr, var_index: dict, nvars: int) -> RatFunc:
         return to_ratfunc(expr.base, var_index, nvars).pow(expr.exponent)
     if isinstance(expr, Neg):
         return -to_ratfunc(expr.arg, var_index, nvars)
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def to_linear_in_derivatives(expr, var_index: dict, nvars: int):
-    """Write an AST as  constant + sum coeff_v * v'  with RatFunc parts.
-
-    Raises NonlinearInDerivatives when a derivative occurs inside a product
-    of derivatives, a denominator, or a power.
-    """
-    if isinstance(expr, DVar):
-        if expr.name not in var_index:
-            raise ParseError(f"unknown variable {expr.name!r}")
-        return RatFunc.const(nvars, 0), {expr.name: RatFunc.const(nvars, 1)}
-    if isinstance(expr, (Const, Var)):
-        return to_ratfunc(expr, var_index, nvars), {}
-    if isinstance(expr, Add):
-        const, lin = to_linear_in_derivatives(expr.args[0], var_index, nvars)
-        for arg in expr.args[1:]:
-            c, l = to_linear_in_derivatives(arg, var_index, nvars)
-            const = const + c
-            for k, v in l.items():
-                lin[k] = lin[k] + v if k in lin else v
-        return const, lin
-    if isinstance(expr, Neg):
-        c, lin = to_linear_in_derivatives(expr.arg, var_index, nvars)
-        return -c, {k: -v for k, v in lin.items()}
-    if isinstance(expr, Mul):
-        const, lin = to_linear_in_derivatives(expr.args[0], var_index, nvars)
-        for arg in expr.args[1:]:
-            c, l = to_linear_in_derivatives(arg, var_index, nvars)
-            if lin and l:
-                raise NonlinearInDerivatives("product of two derivative terms")
-            if l:
-                const, lin, c = c, l, const
-            const, lin = const * c, {k: v * c for k, v in lin.items()}
-        return const, lin
-    if isinstance(expr, DivE):
-        c1, l1 = to_linear_in_derivatives(expr.left, var_index, nvars)
-        c2, l2 = to_linear_in_derivatives(expr.right, var_index, nvars)
-        if l2:
-            raise NonlinearInDerivatives("derivative inside a denominator")
-        return c1 / c2, {k: v / c2 for k, v in l1.items()}
-    if isinstance(expr, Pow):
-        c, lin = to_linear_in_derivatives(expr.base, var_index, nvars)
-        if lin:
-            if expr.exponent == 1:
-                return c, lin
-            raise NonlinearInDerivatives("derivative inside a power")
-        return c.pow(expr.exponent), {}
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def differentiate(expr):
-    """d/dx of an AST over power-series variables: Var(v) -> DVar(v); the
-    distinguished name "x" differentiates to 1."""
-    if isinstance(expr, Const):
-        return Const(Fraction(0))
-    if isinstance(expr, Var):
-        if expr.name == "x":
-            return Const(Fraction(1))
-        return DVar(expr.name)
-    if isinstance(expr, DVar):
-        raise NonlinearInDerivatives("second derivatives are not supported")
-    if isinstance(expr, Add):
-        return Add(tuple(differentiate(arg) for arg in expr.args))
-    if isinstance(expr, Neg):
-        return Neg(differentiate(expr.arg))
-    if isinstance(expr, Mul):
-        args = expr.args
-        return Add(
-            tuple(
-                Mul(args[:i] + (differentiate(arg),) + args[i + 1 :])
-                for i, arg in enumerate(args)
-            )
-        )
-    if isinstance(expr, DivE):
-        # (a/b)' = a'/b - a b'/b^2
-        return Add(
-            (
-                DivE(differentiate(expr.left), expr.right),
-                Neg(
-                    DivE(
-                        Mul((expr.left, differentiate(expr.right))),
-                        Pow(expr.right, 2),
-                    )
-                ),
-            )
-        )
-    if isinstance(expr, Pow):
-        if expr.exponent == 0:
-            return Const(Fraction(0))
-        return Mul(
-            (
-                Const(Fraction(expr.exponent)),
-                Pow(expr.base, expr.exponent - 1),
-                differentiate(expr.base),
-            )
-        )
     raise TypeError(f"not an expression node: {expr!r}")
 
 

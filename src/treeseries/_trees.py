@@ -1,0 +1,263 @@
+"""Trees, their evaluation in an automaton, and exhaustive tree enumeration.
+
+A tree is an s-expression ``(f (a) (b))``; its size is the number of internal
+(non-nullary) nodes.  Evaluating a tree t in an automaton runs the
+leaf-to-root recursion
+
+    mu~(g(t1,...,tk)) = (mu~(t1) (x) ... (x) mu~(tk)) . mu(g)(|t|, |t1|, ..., |tk|)
+
+and the value of t is the first entry of mu~(t).  Only tree evaluation,
+tree-series witnesses, ``gf_inverse`` and the brute-force oracle use this
+module; ``core`` offers every name here as its own and runs this module on
+the first read of one of them, so a command that never touches a tree never
+compiles it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from ._record import record
+from .core import Automaton, RankedAlphabet, unrank_row
+from .errors import InputFormatError, SymbolMismatch, TooManyTrees, nesting_guard
+
+ENUMERATION_GUARD = 10**6
+
+
+# ---------------------------------------------------------------------------
+# trees
+
+
+@record
+class Tree:
+    root: str
+    children: tuple = ()
+    size: int = None
+
+    def __post_init__(self):
+        object.__setattr__(
+            self,
+            "size",
+            0 if not self.children else 1 + sum(c.size for c in self.children),
+        )
+
+    def __repr__(self):
+        return f"Tree.parse({format_tree(self)!r})"
+
+    @staticmethod
+    def parse(text: str) -> "Tree":
+        return parse_tree(text)
+
+
+def tree_size(t: Tree) -> int:
+    """Number of internal (non-nullary) nodes."""
+    return t.size
+
+
+@nesting_guard(InputFormatError)
+def parse_tree(text: str) -> Tree:
+    pos = 0
+
+    def skip_ws():
+        nonlocal pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+
+    def node() -> Tree:
+        nonlocal pos
+        skip_ws()
+        if pos < len(text) and text[pos] == "(":
+            pos += 1
+            skip_ws()
+            name = symbol()
+            children = []
+            skip_ws()
+            while pos < len(text) and text[pos] != ")":
+                children.append(node())
+                skip_ws()
+            if pos >= len(text):
+                raise InputFormatError("unbalanced parenthesis in tree")
+            pos += 1
+            return Tree(name, tuple(children))
+        return Tree(symbol())
+
+    def symbol() -> str:
+        nonlocal pos
+        start = pos
+        while pos < len(text) and (text[pos].isalnum() or text[pos] in "_-'"):
+            pos += 1
+        if start == pos:
+            raise InputFormatError(f"expected a symbol at position {pos} in {text!r}")
+        return text[start:pos]
+
+    t = node()
+    skip_ws()
+    if pos != len(text):
+        raise InputFormatError(f"trailing input after tree: {text[pos:]!r}")
+    return t
+
+
+def format_tree(t: Tree) -> str:
+    if not t.children:
+        return f"({t.root})"
+    return "(" + t.root + " " + " ".join(format_tree(c) for c in t.children) + ")"
+
+
+def check_tree(alphabet: RankedAlphabet, t: Tree):
+    k = alphabet.arity(t.root)
+    if k != len(t.children):
+        raise SymbolMismatch(
+            f"symbol {t.root!r} has arity {k}, got {len(t.children)} children"
+        )
+    for c in t.children:
+        check_tree(alphabet, c)
+
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+
+
+def kron(u, v):
+    """Kronecker product of two row vectors, row-major pairing."""
+    return tuple(a * b for a in u for b in v)
+
+
+def kron_all(vectors):
+    """Iterated Kronecker product; the empty product is the vector (1)."""
+    acc = (Fraction(1),)
+    for v in vectors:
+        acc = kron(acc, v)
+    return acc
+
+
+@nesting_guard(InputFormatError)
+def evaluate(a: Automaton, t: Tree):
+    """Return (mu~(t), value of t); the value is the first entry."""
+    check_tree(a.alphabet, t)
+    d = a.dimension
+    leaves, cells = {}, {}
+    for name, k in a.alphabet.symbols:
+        if k == 0:
+            leaves[name] = a.weight(name)[0]
+        else:
+            cells[name] = [
+                (unrank_row(i, d, k), j, entry) for i, j, entry in a.nonzero_entries(name)
+            ]
+
+    def rec(node: Tree):
+        if not node.children:
+            return leaves[node.root]
+        child_vecs = [rec(c) for c in node.children]
+        sizes = (node.size,) + tuple(c.size for c in node.children)
+        out = [Fraction(0)] * d
+        for states, col, entry in cells[node.root]:
+            coeff = Fraction(1)
+            for vec, state in zip(child_vecs, states):
+                coeff *= vec[state]
+                if coeff == 0:
+                    break
+            else:
+                out[col] += coeff * entry(sizes)
+        return tuple(out)
+
+    mu_tilde = rec(t)
+    return mu_tilde, mu_tilde[0]
+
+
+# ---------------------------------------------------------------------------
+# exhaustive tree enumeration (the brute-force oracle)
+
+
+def count_trees(alphabet: RankedAlphabet, n: int) -> int:
+    """Number of trees of size n.
+
+    With C(x) = sum_m counts[m] x^m, counts[m] = sum_k |Sigma_k| [x^(m-1)] C(x)^k
+    for m >= 1.  Each power P = C^k is kept as an exact truncated series and
+    extended by one coefficient per size through J.C.P. Miller's recurrence
+    i C_0 P_i = sum_{j=1..i} ((k+1) j - i) C_j P_{i-j}, which follows from
+    C P' = k C' P; C_0 >= 1 because every alphabet has a nullary symbol.  The
+    work is O(n^2) per arity, however many compositions of m - 1 there are.
+    """
+    arities = {k: c for k, c in alphabet.arity_counts().items() if k > 0}
+    c0 = len(alphabet.of_arity(0))
+    counts = [c0]
+    powers = {k: [] for k in arities}  # coefficients 0..m-1 of C^k
+    for m in range(1, n + 1):
+        i = m - 1
+        for k, p in powers.items():
+            if i == 0:
+                p.append(c0**k)
+            else:
+                total = sum(((k + 1) * j - i) * counts[j] * p[i - j] for j in range(1, i + 1))
+                p.append(total // (i * c0))
+        counts.append(sum(c * powers[k][i] for k, c in arities.items()))
+    return counts[n]
+
+
+def compositions(total: int, parts: int):
+    """All tuples of `parts` nonnegative integers summing to `total`,
+    lexicographically."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _beyond_guard(alphabet: RankedAlphabet, n: int) -> bool:
+    """Whether there are more than ENUMERATION_GUARD trees of size n.
+
+    With c >= 2 nullary symbols and a symbol f of arity k, the chains of n
+    f-nodes whose other children are leaves alone give c^(n(k-1)+1) trees of
+    size n, more than the guard once the exponent reaches the guard's bit
+    length; that settles a wide alphabet before count_trees works with c^k.
+    """
+    exponent = n * (alphabet.max_arity - 1) + 1
+    if n >= 1 and len(alphabet.of_arity(0)) >= 2 and exponent >= ENUMERATION_GUARD.bit_length():
+        return True
+    return count_trees(alphabet, n) > ENUMERATION_GUARD
+
+
+def enumerate_trees(alphabet: RankedAlphabet, n: int):
+    """All trees of size exactly n, each once, in deterministic order."""
+    if _beyond_guard(alphabet, n):
+        raise TooManyTrees(
+            f"more than {ENUMERATION_GUARD} trees of size {n}; refusing to enumerate"
+        )
+    memo = {}
+
+    def of_size(m: int):
+        if m in memo:
+            return memo[m]
+        if m == 0:
+            out = [Tree(name) for name in alphabet.of_arity(0)]
+        else:
+            out = []
+            for name, k in alphabet.symbols:
+                if k == 0:
+                    continue
+                for comp in compositions(m - 1, k):
+                    pools = [of_size(part) for part in comp]
+                    out.extend(
+                        Tree(name, kids)
+                        for kids in _cartesian(pools)
+                    )
+        memo[m] = out
+        return out
+
+    return of_size(n)
+
+
+def _cartesian(pools):
+    if not pools:
+        yield ()
+        return
+    for head in pools[0]:
+        for rest in _cartesian(pools[1:]):
+            yield (head,) + rest

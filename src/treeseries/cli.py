@@ -3,12 +3,12 @@
 Exit codes: 0 success; 2 parse or file-format error; 3 invariant violation
 in the inputs; 4 verdict undecided (ZeroUpTo) under --require-decided.
 Errors print one structured line on stderr; there are no tracebacks.
+``json`` is imported only where output is written as JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
@@ -45,6 +45,8 @@ def _write_automaton(a: core.Automaton, path: str):
 
 def _emit_series(values, fmt: str, label: str = "coefficient"):
     if fmt == "json":
+        import json
+
         print(json.dumps({label + "s": [str(v) for v in values]}))
     elif fmt == "csv":
         print(f"n,{label}")
@@ -62,6 +64,8 @@ def _cmd_eval(args) -> int:
     t = core.parse_tree(args.tree)
     mu_tilde, value = core.evaluate(a, t)
     if args.format == "json":
+        import json
+
         out = {"value": str(value)}
         if args.vector:
             out["mu_tilde"] = [str(v) for v in mu_tilde]
@@ -86,6 +90,8 @@ def _cmd_series(args) -> int:
 def _cmd_bound(args) -> int:
     bound = decide.compute_bound(_load_automaton(args.automaton))
     if args.format == "json":
+        import json
+
         print(
             json.dumps(
                 {
@@ -105,6 +111,8 @@ def _cmd_bound(args) -> int:
 
 
 def _verdict_exit(verdict, args) -> int:
+    import json
+
     print(json.dumps(verdict.to_json_dict()))
     if args.require_decided and isinstance(verdict, decide.ZeroUpTo):
         return EXIT_UNDECIDED

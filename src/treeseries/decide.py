@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import core
 from ._record import record
 from .closure import gf_add, gf_scale, ts_add, ts_hadamard, ts_scale
-from .core import Automaton, Tree, enumerate_trees, evaluate, format_tree
+from .core import Automaton
 from .errors import TooManyTrees
 from .exactmath import CommonDenominatorForm, format_unipoly
 from .series import (
@@ -136,13 +137,13 @@ class NonzeroAt:
 
 @record
 class DifferAt:
-    tree: Tree
+    tree: core.Tree
     values: tuple
 
     def to_json_dict(self):
         return {
             "verdict": "differ_at",
-            "tree": format_tree(self.tree),
+            "tree": core.format_tree(self.tree),
             "values": [str(v) for v in self.values],
         }
 
@@ -182,8 +183,8 @@ def check_equiv_genfun(a1: Automaton, a2: Automaton, cap: int, progress=None):
 
 def _witness_tree(a: Automaton, n: int):
     try:
-        for t in enumerate_trees(a.alphabet, n):
-            _, value = evaluate(a, t)
+        for t in core.enumerate_trees(a.alphabet, n):
+            _, value = core.evaluate(a, t)
             if value != 0:
                 return t, value
     except TooManyTrees as exc:
@@ -210,8 +211,8 @@ def check_equiv_tree_series(a1: Automaton, a2: Automaton, cap: int, progress=Non
     verdict = check_zero_tree_series(diff, cap, progress=progress)
     if isinstance(verdict, DifferAt):
         t = verdict.tree
-        _, v1 = evaluate(a1, t)
-        _, v2 = evaluate(a2, t)
+        _, v1 = core.evaluate(a1, t)
+        _, v2 = core.evaluate(a2, t)
         return DifferAt(t, (v1, v2))
     return verdict
 

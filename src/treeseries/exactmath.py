@@ -185,57 +185,52 @@ def poly_lcm(a: UniPolynomial, b: UniPolynomial) -> UniPolynomial:
     return (a * b.div_exact(g)).monic()[0]
 
 
-def _integer_divisors(n: int):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def poly_integer_roots(p: UniPolynomial) -> set:
-    """All integer roots of p, found exactly via the rational root theorem.
+    """All integer roots of p, in time polynomial in the degree and the bit
+    length of the coefficients.
 
-    Coefficient denominators are cleared, powers of x are divided out (giving
-    the root 0), and every divisor d of the constant term is tested with both
-    signs; integer roots of an integer polynomial must divide the constant
-    term, so the search is complete.
+    The Sturm sequence p, p', -rem(p, p'), ... ends in g = gcd(p, p'); divided
+    by g it is the Sturm sequence of the squarefree part of p, whose roots are
+    those of p, each simple, and V(a) - V(b) of them lie in (a, b], V(x) being
+    the sign changes of the sequence at x (zeros dropped).  Bisecting (-B, B]
+    at integers, B = 2 + max |c_i / c_n| the Cauchy bound, and dropping each
+    interval without a root ends in intervals (m - 1, m] that hold the root m
+    or none: O(log B) evaluations per real root.
     """
     if p.is_zero:
         raise ZeroPolynomial("integer roots of the zero polynomial are undefined")
     if p.degree == 0:
         return set()
-    denom_lcm = 1
-    for c in p.coeffs:
-        denom_lcm = denom_lcm * c.denominator // _gcd_int(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in p.coeffs]
+    if p.degree == 1:
+        root = -p.coeffs[0] / p.coeffs[1]
+        return {int(root)} if root.denominator == 1 else set()
+    chain = [p, UniPolynomial(tuple(i * c for i, c in enumerate(p.coeffs))[1:])]
+    rem = p.divmod(chain[1])[1]
+    while not rem.is_zero:
+        chain.append(-rem)
+        rem = chain[-2].divmod(chain[-1])[1]
+    if chain[-1].degree > 0:
+        chain = [f.div_exact(chain[-1]) for f in chain]
+
+    def changes(x):
+        signs = [v > 0 for v in (f(x) for f in chain) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    bound = 2 + int(max(abs(c) for c in p.coeffs) / abs(p.leading()))
     roots = set()
-    low = 0
-    while ints[low] == 0:
-        low += 1
-    if low > 0:
-        roots.add(0)
-        ints = ints[low:]
-    const = ints[0]
-    for d in _integer_divisors(const):
-        for r in (d, -d):
-            acc = 0
-            for c in reversed(ints):
-                acc = acc * r + c
-            if acc == 0:
-                roots.add(r)
+    todo = [(-bound, bound, changes(-bound), changes(bound))]
+    while todo:
+        lo, hi, v_lo, v_hi = todo.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            if chain[0](hi) == 0:
+                roots.add(hi)
+            continue
+        mid = (lo + hi) // 2
+        v_mid = changes(mid)
+        todo += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
     return roots
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +386,7 @@ class MultiPolynomial:
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
         nvars = images[0].nvars if images else 0
-        acc = MultiPolynomial(nvars)
+        acc = {}  # one dict for the whole sum: adding polynomials would copy it per term
         power_cache = [{0: MultiPolynomial.const(nvars, 1)} for _ in images]
         for exps, c in self.terms.items():
             term = MultiPolynomial.const(nvars, c)
@@ -405,8 +400,9 @@ class MultiPolynomial:
                         p = p * images[i]
                         cache[max(cache) + 1] = p
                 term = term * cache[e]
-            acc = acc + term
-        return acc
+            for key, value in term.terms.items():
+                acc[key] = acc.get(key, 0) + value
+        return MultiPolynomial(nvars, acc)
 
     def partial(self, index: int) -> "MultiPolynomial":
         out = {}

@@ -45,8 +45,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
+from . import core
 from ._record import record
-from .core import Automaton, enumerate_trees, kron_all, unrank_row
+from .core import Automaton, unrank_row
 from .exactmath import (
     CommonDenominatorForm,
     UniPolynomial,
@@ -327,7 +328,8 @@ def brute_force_coefficient(a: Automaton, n: int):
     instances heavily, and mu~ of a subtree does not depend on its context.
     """
     d = a.dimension
-    trees = enumerate_trees(a.alphabet, n)
+    kron_all = core.kron_all
+    trees = core.enumerate_trees(a.alphabet, n)
     nonzero = {name: a.nonzero_entries(name) for name in a.alphabet.names()}
     cache = {}
 

@@ -33,10 +33,9 @@ from ._expr import (
     RatFunc,
     TokenStream,
     Var,
-    differentiate,
     expr_variables,
     nary,
-    to_linear_in_derivatives,
+    to_ratfunc,
     tokenize,
 )
 from ._record import record
@@ -52,7 +51,7 @@ from .errors import (
     UnsupportedConstruct,
     nesting_guard,
 )
-from .exactmath import _frac
+from .exactmath import MultiPolynomial, _frac
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +115,12 @@ class SpeciesSpec:
 
 
 _CONSTRUCTS = {"set", "sequence", "cycle"}
+
+# Most terms, numerator and denominator together, that normalization lets a
+# right-hand side reach.  Solving for the derivatives multiplies
+# denominators, so each level of cycle(cycle(...)) doubles the terms; the
+# largest right-hand side of the gold species and their joins has 80.
+RHS_TERM_BUDGET = 2000
 
 
 @nesting_guard(ParseError)
@@ -410,6 +415,104 @@ def species_to_diffsys(spec: SpeciesSpec) -> DiffEqSystem:
 # normalization to a first-order rational system
 
 
+def differentiate(expr):
+    """d/dx of an AST over power-series variables: Var(v) -> DVar(v); the
+    distinguished name "x" differentiates to 1."""
+    if isinstance(expr, Const):
+        return Const(Fraction(0))
+    if isinstance(expr, Var):
+        if expr.name == "x":
+            return Const(Fraction(1))
+        return DVar(expr.name)
+    if isinstance(expr, DVar):
+        raise NonlinearInDerivatives("second derivatives are not supported")
+    if isinstance(expr, Add):
+        return Add(tuple(differentiate(arg) for arg in expr.args))
+    if isinstance(expr, Neg):
+        return Neg(differentiate(expr.arg))
+    if isinstance(expr, Mul):
+        args = expr.args
+        return Add(
+            tuple(
+                Mul(args[:i] + (differentiate(arg),) + args[i + 1 :])
+                for i, arg in enumerate(args)
+            )
+        )
+    if isinstance(expr, DivE):
+        # (a/b)' = a'/b - a b'/b^2
+        return Add(
+            (
+                DivE(differentiate(expr.left), expr.right),
+                Neg(
+                    DivE(
+                        Mul((expr.left, differentiate(expr.right))),
+                        Pow(expr.right, 2),
+                    )
+                ),
+            )
+        )
+    if isinstance(expr, Pow):
+        if expr.exponent == 0:
+            return Const(Fraction(0))
+        return Mul(
+            (
+                Const(Fraction(expr.exponent)),
+                Pow(expr.base, expr.exponent - 1),
+                differentiate(expr.base),
+            )
+        )
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def to_linear_in_derivatives(expr, var_index: dict, nvars: int):
+    """Write an AST as  constant + sum coeff_v * v'  with RatFunc parts.
+
+    Raises NonlinearInDerivatives when a derivative occurs inside a product
+    of derivatives, a denominator, or a power.
+    """
+    if isinstance(expr, DVar):
+        if expr.name not in var_index:
+            raise ParseError(f"unknown variable {expr.name!r}")
+        return RatFunc.const(nvars, 0), {expr.name: RatFunc.const(nvars, 1)}
+    if isinstance(expr, (Const, Var)):
+        return to_ratfunc(expr, var_index, nvars), {}
+    if isinstance(expr, Add):
+        const, lin = to_linear_in_derivatives(expr.args[0], var_index, nvars)
+        for arg in expr.args[1:]:
+            c, l = to_linear_in_derivatives(arg, var_index, nvars)
+            const = const + c
+            for k, v in l.items():
+                lin[k] = lin[k] + v if k in lin else v
+        return const, lin
+    if isinstance(expr, Neg):
+        c, lin = to_linear_in_derivatives(expr.arg, var_index, nvars)
+        return -c, {k: -v for k, v in lin.items()}
+    if isinstance(expr, Mul):
+        const, lin = to_linear_in_derivatives(expr.args[0], var_index, nvars)
+        for arg in expr.args[1:]:
+            c, l = to_linear_in_derivatives(arg, var_index, nvars)
+            if lin and l:
+                raise NonlinearInDerivatives("product of two derivative terms")
+            if l:
+                const, lin, c = c, l, const
+            const, lin = const * c, {k: v * c for k, v in lin.items()}
+        return const, lin
+    if isinstance(expr, DivE):
+        c1, l1 = to_linear_in_derivatives(expr.left, var_index, nvars)
+        c2, l2 = to_linear_in_derivatives(expr.right, var_index, nvars)
+        if l2:
+            raise NonlinearInDerivatives("derivative inside a denominator")
+        return c1 / c2, {k: v / c2 for k, v in l1.items()}
+    if isinstance(expr, Pow):
+        c, lin = to_linear_in_derivatives(expr.base, var_index, nvars)
+        if lin:
+            if expr.exponent == 1:
+                return c, lin
+            raise NonlinearInDerivatives("derivative inside a power")
+        return c.pow(expr.exponent), {}
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
 def diffsys_to_rds(dsys: DiffEqSystem, initial=None) -> RDS:
     """Differentiate the algebraic equations and solve the resulting system,
     linear in the derivatives, for every derivative at once.
@@ -454,7 +557,7 @@ def diffsys_to_rds(dsys: DiffEqSystem, initial=None) -> RDS:
             for u, coeff in lin.items():
                 if u == name:
                     continue
-                const = const + coeff * solved[u]
+                const = _budgeted(const + coeff * solved[u], name)
             self_coeff = lin.get(name)
             if self_coeff is not None:
                 denom = RatFunc.const(nvars, 1) - self_coeff
@@ -462,7 +565,7 @@ def diffsys_to_rds(dsys: DiffEqSystem, initial=None) -> RDS:
                     raise NonlinearInDerivatives(
                         f"cannot solve for {name}': degenerate linear system"
                     )
-                const = const / denom
+                const = _budgeted(const / denom, name)
             solved[name] = const
             del pending[name]
             progressed = True
@@ -482,6 +585,16 @@ def diffsys_to_rds(dsys: DiffEqSystem, initial=None) -> RDS:
     return RDS(tuple(names), tuple(rhs), point)
 
 
+def _budgeted(rf: RatFunc, name: str) -> RatFunc:
+    terms = len(rf.num.terms) + len(rf.den.terms)
+    if terms > RHS_TERM_BUDGET:
+        raise InvariantError(
+            f"the right-hand side for {name}' grows past {RHS_TERM_BUDGET} terms"
+            f" ({terms}); the specification nests too deeply"
+        )
+    return rf
+
+
 def _solve_coupled(pending, solved, nvars: int):
     """Gaussian elimination for the residual coupled block."""
     names = list(pending)
@@ -495,7 +608,7 @@ def _solve_coupled(pending, solved, nvars: int):
         row[pos[n]] = RatFunc.const(nvars, 1)
         for u, coeff in lin.items():
             if u in solved:
-                const = const + coeff * solved[u]
+                const = _budgeted(const + coeff * solved[u], n)
             elif u in pos:
                 row[pos[u]] = row[pos[u]] - coeff
             else:
@@ -518,10 +631,10 @@ def _solve_coupled(pending, solved, nvars: int):
                 continue
             factor = matrix[r][col] / inv
             for c in range(col, m):
-                matrix[r][c] = matrix[r][c] - factor * matrix[col][c]
-            rhs[r] = rhs[r] - factor * rhs[col]
+                matrix[r][c] = _budgeted(matrix[r][c] - factor * matrix[col][c], names[r])
+            rhs[r] = _budgeted(rhs[r] - factor * rhs[col], names[r])
     for i, n in enumerate(names):
-        solved[n] = rhs[i] / matrix[i][i]
+        solved[n] = _budgeted(rhs[i] / matrix[i][i], n)
     pending.clear()
 
 
@@ -536,8 +649,6 @@ def rds_with_target(rds: RDS, name: str) -> RDS:
     order = [rds.variables.index(name)] + [
         i for i in range(len(rds.variables)) if rds.variables[i] != name
     ]
-    from .exactmath import MultiPolynomial
-
     nvars = len(rds.variables)
     images = [None] * nvars
     for new_pos, old_pos in enumerate(order):

@@ -310,6 +310,21 @@ def test_species_nested_400_deep_exits_2(tmp_path, capsys):
     assert "nested too deeply" in err
 
 
+def test_cycles_nested_50_deep_exit_3_quickly(tmp_path):
+    # each level of cycle( doubles the terms of a right-hand side; the term
+    # budget stops the normalization long before memory runs out
+    spec = tmp_path / "cycles.spec"
+    spec.write_text("A = " + "cycle(" * 50 + "X" + ")" * 50 + "\n")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "treeseries", "species", "count", "-f", str(spec), "-n", "5"],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 3 and done.stdout == ""
+    assert "grows past 2000 terms" in done.stderr and "Traceback" not in done.stderr
+
+
 def test_tree_nested_800_deep_exits_2(bell_path, capsys):
     tree = "(sigma1 " * 800 + "(sigma0)" + ")" * 800
     err = _exits_2_without_traceback(capsys, "eval", "-a", bell_path, "-t", tree)

@@ -25,8 +25,8 @@ from treeseries.core import (
     parse_tree,
     tree_size,
     unify_alphabets,
-    _beyond_guard,
 )
+from treeseries._trees import _beyond_guard
 from treeseries.errors import (
     InvalidBeta,
     InvariantError,

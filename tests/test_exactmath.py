@@ -1,3 +1,6 @@
+import math
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -60,6 +63,53 @@ def test_integer_roots_rejects_zero_polynomial():
         poly_integer_roots(UniPolynomial())
 
 
+def _divisor_search_roots(p):
+    """The rational root theorem run exhaustively: every integer root of an
+    integer polynomial with nonzero constant term divides that term.  Costs
+    sqrt(|constant term|) divisions, so only small constants are feasible."""
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * scale) for c in p.coeffs]
+    roots = set()
+    while ints[0] == 0:
+        roots.add(0)
+        ints = ints[1:]
+    n = abs(ints[0])
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            for r in (d, -d, n // d, -(n // d)):
+                if sum(c * r**i for i, c in enumerate(ints)) == 0:
+                    roots.add(r)
+    return roots
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_integer_roots_match_the_divisor_search(seed):
+    rng = random.Random(seed)
+    for _ in range(200):
+        p = up(F(rng.choice([1, -2, 3]), rng.choice([1, 2, 7])))
+        for _ in range(rng.randint(0, 4)):  # linear factors with integer roots, repeats likely
+            p = p * up(-rng.randint(-9, 9), 1)
+        for _ in range(rng.randint(0, 2)):  # and factors with small random coefficients
+            p = p * UniPolynomial(
+                [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+                + [rng.randint(1, 5)]
+            )
+        if p.degree >= 1:
+            assert poly_integer_roots(p) == _divisor_search_roots(p), p
+
+
+def test_integer_roots_of_huge_constant_terms_come_fast():
+    start = time.perf_counter()
+    big = 10**21
+    assert poly_integer_roots(up(big, 1)) == {-big}
+    parse_size_rational(f"1/(x0+{big})", 1)
+    # (x - (2^61 - 1)) (x - (10^30 + 3)) (3x + 5) (x^2 + 1)
+    p = up(-(2**61 - 1), 1) * up(-(10**30 + 3), 1) * up(5, 3) * up(1, 0, 1)
+    assert poly_integer_roots(p) == {2**61 - 1, 10**30 + 3}
+    assert poly_integer_roots(up(-(10**40), 0, 1) * up(1, 0, 1)) == {10**20, -(10**20)}
+    assert time.perf_counter() - start < 2
+
+
 def test_gcd_lcm():
     a = up(-1, 1) * up(2, 1)
     b = up(-1, 1) * up(3, 1)
@@ -120,6 +170,16 @@ def test_multipoly_ring_laws(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+@settings(max_examples=60, deadline=None)
+@given(multipolys(nvars=3), st.lists(multipolys(nvars=2), min_size=3, max_size=3),
+       st.lists(finite_fracs, min_size=2, max_size=2))
+def test_compose_is_evaluation_of_the_images(p, images, point):
+    # p(images)(point) = p(images(point)) at a random rational point
+    composed = p.compose(images)
+    assert composed.nvars == 2
+    assert composed(point) == p([image(point) for image in images])
 
 
 @settings(max_examples=40, deadline=None)

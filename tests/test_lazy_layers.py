@@ -12,7 +12,8 @@ import pytest
 import treeseries
 
 _ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("exactmath", "core", "series", "closure", "_expr", "compile", "decide", "species")
+LAYERS = ("exactmath", "core", "_trees", "series", "closure", "_expr", "compile", "_languages",
+          "decide", "species")
 
 # a layer has run once its module is no longer the LazyLoader placeholder
 _REPORT = """
@@ -52,7 +53,9 @@ def test_import_runs_no_layer():
 
 # every command runs closure: cli._BINARY_OPS holds closure functions, which
 # bench/tracing.py patches; reading an automaton runs core and exactmath, and
-# _expr, which parses the weight strings
+# _expr, which parses the weight strings; only commands that build, evaluate
+# or enumerate trees run _trees, and only the source languages other than
+# rational systems run _languages
 READ = {"closure", "core", "exactmath", "_expr"}
 DECIDE = READ | {"series", "decide"}
 COMPILE = READ | {"compile"}
@@ -63,21 +66,26 @@ COMPILE = READ | {"compile"}
     [
         (["--help"], 0, {"closure"}),
         (["series", "-n", "5"], 2, {"closure"}),
-        (["eval", "-a", "samples/bell.json", "-t", "(sigma1 (sigma0))"], 0, READ),
-        (["enum-trees", "--alphabet", "a/0,f/2", "-n", "3"], 0, {"core", "closure"}),
+        (["eval", "-a", "samples/bell.json", "-t", "(sigma1 (sigma0))"], 0, READ | {"_trees"}),
+        (["enum-trees", "--alphabet", "a/0,f/2", "-n", "3"], 0, {"core", "_trees", "closure"}),
         (["series", "-a", "samples/bell.json", "-n", "5"], 0, READ | {"series"}),
         (["bound", "-a", "samples/bell.json"], 0, DECIDE),
         (["zero", "-a", "samples/bell.json", "--cap", "5"], 0, DECIDE),
+        (["zero", "--tree-series", "-a", "samples/bell.json", "--cap", "5"], 0,
+         DECIDE | {"_trees"}),
         (["equiv", "-a", "samples/bell.json", "-b", "samples/bell.json", "--cap", "5"], 0,
          DECIDE),
         (["emit-system", "-a", "samples/bell.json", "--solve", "3"], 0, DECIDE),
-        (["op", "gf-derive", "-a", "samples/bell.json"], 0, READ),
+        # the backward shift evaluates a witness tree of size 1
+        (["op", "gf-derive", "-a", "samples/bell.json"], 0, READ | {"_trees"}),
+        (["op", "gf-inverse", "-a", "samples/bell.json"], 0, READ | {"series", "_trees"}),
         (["op", "ts-add", "-a", "samples/bell.json", "-b", "samples/bell.json"], 0, READ),
         (["compile", "rda", "-f", "samples/bell.rds"], 0, COMPILE),
-        (["compile", "cda", "-f", "samples/bell.rds"], 0, COMPILE),
-        (["compile", "da", "-f", "samples/cubic.da"], 0, COMPILE),
-        (["compile", "dfinite", "-f", "samples/factorial.dfinite"], 0, COMPILE),
-        (["taylor", "-f", "samples/bell.rds", "-n", "5"], 0, COMPILE | {"series"}),
+        (["compile", "cda", "-f", "samples/bell.rds"], 0, COMPILE | {"_languages"}),
+        (["compile", "da", "-f", "samples/cubic.da"], 0, COMPILE | {"_languages"}),
+        (["compile", "dfinite", "-f", "samples/factorial.dfinite"], 0,
+         COMPILE | {"_languages"}),
+        (["taylor", "-f", "samples/bell.rds", "-n", "5"], 0, COMPILE | {"_languages", "series"}),
         (["species", "count", "-f", "samples/bell.spec", "-n", "5"], 0,
          COMPILE | {"series", "species"}),
         (["species", "compile", "-f", "samples/bell.spec"], 0, COMPILE | {"species"}),
@@ -87,6 +95,15 @@ def test_command_runs_only_the_layers_it_uses(argv, code, ran):
     exit_code, *layers = _python(_RUN_CLI + _REPORT.format(layers=LAYERS), *argv).split()
     assert int(exit_code) == code
     assert set(layers) == ran
+
+
+def test_species_count_does_not_import_json():
+    probe = _RUN_CLI + "import sys\nprint('json' in sys.modules)\n"
+    argv = ["species", "count", "-f", "samples/surjections.spec", "-n", "8"]
+    assert _python(probe, *argv).split() == ["0", "False"]
+    # the command that writes JSON does import it
+    argv = ["series", "-a", "samples/bell.json", "-n", "3", "--format", "json"]
+    assert _python(probe, *argv).split() == ["0", "True"]
 
 
 def test_cli_import_puts_every_layer_in_sys_modules():
