@@ -4,12 +4,12 @@ Importing the package runs none of its layers.  Each layer module is put in
 ``sys.modules`` (and bound here) unexecuted, through
 ``importlib.util.LazyLoader``, and runs on the first access to one of its
 attributes; a public name read from the package runs the layer that defines
-it.  The layers that the CLI and ``closure``, ``compile``, ``species`` and
-``core`` need from other layers are reached through their modules
-(``from . import core`` and ``core.evaluate(...)`` at call time), so running a
-layer does not run the layers it only names.  A command runs only the layers
-it calls, plus ``closure``, whose functions the CLI keeps in a table; every
-layer is still in ``sys.modules`` as soon as the package is imported.
+it.  The layers that the CLI and ``closure``, ``compile``, ``decide``,
+``species`` and ``core`` need from other layers are reached through their
+modules (``from . import core`` and ``core.evaluate(...)`` at call time), so
+running a layer does not run the layers it only names.  A command runs only
+the layers it calls; every layer is still in ``sys.modules`` as soon as the
+package is imported.
 
 ``core`` and ``compile`` keep code few commands run in ``_trees`` and
 ``_languages``, and read those names from them on first use through a

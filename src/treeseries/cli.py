@@ -3,7 +3,10 @@
 Exit codes: 0 success; 2 parse or file-format error; 3 invariant violation
 in the inputs; 4 verdict undecided (ZeroUpTo) under --require-decided.
 Errors print one structured line on stderr; there are no tracebacks.
-``json`` is imported only where output is written as JSON.
+``json`` is imported only where output is written as JSON, and ``Fraction``
+only where ``op -c`` is read.  The closure operations are looked up in
+``closure`` when one runs, and the parser gives arguments only to the
+subcommand named on the command line, so ``--help`` runs no layer.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from fractions import Fraction
 
 from . import closure, compile, core, decide, series, species
 from .errors import InputFormatError, InvariantError, TreeSeriesError
@@ -143,16 +145,28 @@ _UNARY_OPS = {
     "arity-distinct": lambda a, c: core.make_arity_distinct(a),
 }
 
-_BINARY_OPS = {
-    "ts-add": closure.ts_add,
-    "ts-hadamard": closure.ts_hadamard,
-    "gf-add": closure.gf_add,
-    "gf-mul-shifted": closure.gf_mul_shifted,
-    "gf-cauchy": closure.gf_cauchy,
-}
+class _ClosureOps(dict):
+    """Operation name -> ``closure`` function, looked up on each access: the
+    table names the functions, so building it runs no layer, and an access
+    sees whatever ``closure`` holds then (the benchmark's tracer patches
+    ``closure.ts_add`` there)."""
+
+    def __getitem__(self, name):
+        return getattr(closure, dict.__getitem__(self, name))
 
 
-def _parse_scalar(text: str) -> Fraction:
+_BINARY_OPS = _ClosureOps({
+    "ts-add": "ts_add",
+    "ts-hadamard": "ts_hadamard",
+    "gf-add": "gf_add",
+    "gf-mul-shifted": "gf_mul_shifted",
+    "gf-cauchy": "gf_cauchy",
+})
+
+
+def _parse_scalar(text: str):
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -236,7 +250,16 @@ def _cmd_taylor(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given ``argv``, one on which every
+    subcommand has its name and help but only the one ``argv`` names (its
+    first argument not starting with ``-``) has its arguments: the only
+    subparser that parsing ``argv`` can reach."""
+    named = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
+
+    def wanted(command):
+        return named is None or named == command
+
     parser = argparse.ArgumentParser(
         prog="treeseries",
         description="size-weighted tree automata, their series, and compilers",
@@ -244,75 +267,86 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate an automaton on one tree")
-    p.add_argument("-a", dest="automaton", required=True)
-    p.add_argument("-t", dest="tree", required=True, help="s-expression tree")
-    p.add_argument("--vector", action="store_true", help="also print mu~(t)")
-    p.add_argument("--format", choices=["table", "json"], default="table")
-    p.set_defaults(func=_cmd_eval)
+    if wanted("eval"):
+        p.add_argument("-a", dest="automaton", required=True)
+        p.add_argument("-t", dest="tree", required=True, help="s-expression tree")
+        p.add_argument("--vector", action="store_true", help="also print mu~(t)")
+        p.add_argument("--format", choices=["table", "json"], default="table")
+        p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("series", help="generating-function prefix")
-    p.add_argument("-a", dest="automaton", required=True)
-    p.add_argument("-n", type=int, default=10)
-    p.add_argument("--counts", action="store_true", help="multiply by n!")
-    p.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    p.set_defaults(func=_cmd_series)
+    if wanted("series"):
+        p.add_argument("-a", dest="automaton", required=True)
+        p.add_argument("-n", type=int, default=10)
+        p.add_argument("--counts", action="store_true", help="multiply by n!")
+        p.add_argument("--format", choices=["table", "csv", "json"], default="table")
+        p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("bound", help="zeroness bound of an automaton")
-    p.add_argument("-a", dest="automaton", required=True)
-    p.add_argument("--format", choices=["table", "json"], default="table")
-    p.set_defaults(func=_cmd_bound)
+    if wanted("bound"):
+        p.add_argument("-a", dest="automaton", required=True)
+        p.add_argument("--format", choices=["table", "json"], default="table")
+        p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("zero", help="decide zeroness (series or tree series)")
-    p.add_argument("-a", dest="automaton", required=True)
-    p.add_argument("--cap", type=int, default=50)
-    p.add_argument("--tree-series", action="store_true")
-    p.add_argument("--require-decided", action="store_true")
-    p.set_defaults(func=_cmd_zero)
+    if wanted("zero"):
+        p.add_argument("-a", dest="automaton", required=True)
+        p.add_argument("--cap", type=int, default=50)
+        p.add_argument("--tree-series", action="store_true")
+        p.add_argument("--require-decided", action="store_true")
+        p.set_defaults(func=_cmd_zero)
 
     p = sub.add_parser("equiv", help="decide equivalence of two automata")
-    p.add_argument("-a", dest="automaton", required=True)
-    p.add_argument("-b", dest="b", required=True)
-    p.add_argument("--cap", type=int, default=50)
-    p.add_argument("--tree-series", action="store_true")
-    p.add_argument("--require-decided", action="store_true")
-    p.set_defaults(func=_cmd_equiv)
+    if wanted("equiv"):
+        p.add_argument("-a", dest="automaton", required=True)
+        p.add_argument("-b", dest="b", required=True)
+        p.add_argument("--cap", type=int, default=50)
+        p.add_argument("--tree-series", action="store_true")
+        p.add_argument("--require-decided", action="store_true")
+        p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("op", help="apply a closure operation")
-    p.add_argument("name", choices=sorted(_UNARY_OPS) + sorted(_BINARY_OPS))
-    p.add_argument("-a", dest="automaton", required=True)
-    p.add_argument("-b", dest="b")
-    p.add_argument("-c", dest="scalar", help="rational scalar for the scale ops")
-    p.add_argument("-o", dest="output", default="-")
-    p.set_defaults(func=_cmd_op)
+    if wanted("op"):
+        p.add_argument("name", choices=sorted(_UNARY_OPS) + sorted(_BINARY_OPS))
+        p.add_argument("-a", dest="automaton", required=True)
+        p.add_argument("-b", dest="b")
+        p.add_argument("-c", dest="scalar", help="rational scalar for the scale ops")
+        p.add_argument("-o", dest="output", default="-")
+        p.set_defaults(func=_cmd_op)
 
     p = sub.add_parser("compile", help="compile a source file to an automaton")
-    p.add_argument("language", choices=["dfinite", "cda", "rda", "da"])
-    p.add_argument("-f", dest="file", required=True)
-    p.add_argument("-o", dest="output", default="-")
-    p.set_defaults(func=_cmd_compile)
+    if wanted("compile"):
+        p.add_argument("language", choices=["dfinite", "cda", "rda", "da"])
+        p.add_argument("-f", dest="file", required=True)
+        p.add_argument("-o", dest="output", default="-")
+        p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("species", help="count or compile a species specification")
-    p.add_argument("action", choices=["count", "compile"])
-    p.add_argument("-f", dest="file", required=True)
-    p.add_argument("--target", default=None, help="species name (default: first)")
-    p.add_argument("-n", type=int, default=10)
-    p.add_argument("-o", dest="output", default="-")
-    p.set_defaults(func=_cmd_species)
+    if wanted("species"):
+        p.add_argument("action", choices=["count", "compile"])
+        p.add_argument("-f", dest="file", required=True)
+        p.add_argument("--target", default=None, help="species name (default: first)")
+        p.add_argument("-n", type=int, default=10)
+        p.add_argument("-o", dest="output", default="-")
+        p.set_defaults(func=_cmd_species)
 
     p = sub.add_parser("emit-system", help="print the defining differential system")
-    p.add_argument("-a", dest="automaton", required=True)
-    p.add_argument("--solve", type=int, default=0, help="also forward-solve to n")
-    p.set_defaults(func=_cmd_emit_system)
+    if wanted("emit-system"):
+        p.add_argument("-a", dest="automaton", required=True)
+        p.add_argument("--solve", type=int, default=0, help="also forward-solve to n")
+        p.set_defaults(func=_cmd_emit_system)
 
     p = sub.add_parser("enum-trees", help="list all trees of one size")
-    p.add_argument("--alphabet", required=True, help='e.g. "a/0,f/2"')
-    p.add_argument("-n", type=int, required=True)
-    p.set_defaults(func=_cmd_enum_trees)
+    if wanted("enum-trees"):
+        p.add_argument("--alphabet", required=True, help='e.g. "a/0,f/2"')
+        p.add_argument("-n", type=int, required=True)
+        p.set_defaults(func=_cmd_enum_trees)
 
     p = sub.add_parser("taylor", help="solve a rational system term by term")
-    p.add_argument("-f", dest="file", required=True)
-    p.add_argument("-n", type=int, default=10)
-    p.set_defaults(func=_cmd_taylor)
+    if wanted("taylor"):
+        p.add_argument("-f", dest="file", required=True)
+        p.add_argument("-n", type=int, default=10)
+        p.set_defaults(func=_cmd_taylor)
 
     return parser
 
@@ -328,8 +362,9 @@ def _check_sizes(args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         _check_sizes(args)
         return args.func(args)

@@ -179,8 +179,7 @@ def gf_shift_backward(a: core.Automaton) -> core.Automaton:
     d = a.dimension
     d_new = 2 * d
     arities = sorted({k for _, k in a.alphabet.symbols})
-    leaf = a.alphabet.of_arity(0)[0]
-    leaf_row = a.weight(leaf)[0]
+    leaf_row = a.weight(a.alphabet.of_arity(0)[0])[0]
 
     symbols = list(a.alphabet.symbols)
     for k in arities:
@@ -196,14 +195,26 @@ def gf_shift_backward(a: core.Automaton) -> core.Automaton:
     }
     row_index = core.row_index
 
+    def leaf_product(states):
+        product = Fraction(1)
+        for s in states:
+            product *= leaf_row[s]
+        return product
+
     for k in arities:
         if k == 0:
             continue
         gk = _rows_of(a.weight(f"h{k}"), d, k)
-        # arity-0 witness: the size-1 tree g_k(leaf,...,leaf)
-        witness = core.Tree(f"h{k}", tuple(core.Tree(leaf) for _ in range(k)))
-        mu_tilde, _ = core.evaluate(a, witness)
-        weights[f"__h_{k}_0"] = {(0, j): v for j, v in enumerate(mu_tilde)}
+        # arity 0: the vector of the size-1 tree g_k(leaf,...,leaf), the
+        # Kronecker product of k leaf rows times the weight at sizes (1, 0, ..., 0)
+        sizes = (1,) + (0,) * k
+        vector = [Fraction(0)] * d
+        for states, entries in gk.values():
+            tail = leaf_product(states)
+            if tail:
+                for col, entry in entries:
+                    vector[col] += tail * entry(sizes)
+        weights[f"__h_{k}_0"] = {(0, j): v for j, v in enumerate(vector)}
         for i in range(1, k + 1):
             # substituted weight: parent one larger, cut child one larger,
             # trailing children pinned to leaves of size zero
@@ -215,9 +226,7 @@ def gf_shift_backward(a: core.Automaton) -> core.Automaton:
             # and move the i-1 leading states to the shifted copy
             cells = {}
             for states, entries in gk.values():
-                tail = Fraction(1)
-                for s in states[i:]:
-                    tail *= leaf_row[s]
+                tail = leaf_product(states[i:])
                 if tail == 0:
                     continue
                 lead = tuple(s + d for s in states[: i - 1]) + (states[i - 1],)

@@ -23,7 +23,7 @@ from . import _languages
 from ._expr import Const, TokenStream, expr_variables, parse_expression, to_ratfunc, tokenize
 from ._record import record
 from .core import Automaton, RankedAlphabet
-from .errors import NotRDA, ParseError, ZeroPolynomial, nesting_guard
+from .errors import InvariantError, NotRDA, ParseError, ZeroPolynomial, nesting_guard
 from .exactmath import MultiPolynomial, SizeRational, UniPolynomial, _frac
 
 # names of this module that _languages defines
@@ -80,6 +80,15 @@ class RecurrenceNormalForm:
 
 # ---------------------------------------------------------------------------
 # the rational-system compiler
+
+
+# Most chain variables the degree reduction may introduce.  A monomial of
+# degree m needs up to m - 2 of them, each a coordinate of the compiled
+# automaton, and the compile time and output grow with the square of their
+# number: y' = y^150 (148 chains) takes about 1 s and writes 1.5 MB, y' =
+# y^322 (320, the budget) 4 s and 6.7 MB.  The bench, gold and sample systems
+# need at most 62.
+RDA_CHAIN_BUDGET = 320
 
 
 def reduce_degree_two(polys, k: int):
@@ -194,12 +203,19 @@ def rda_normal_forms(s: RDS):
     Returns (order, forms, pairs, chains) where order lists the kept
     coordinate keys, forms maps every Gamma variable to its
     RecurrenceNormalForm, and pairs maps variables to order-1 series values.
+    A reduction that needs more than RDA_CHAIN_BUDGET chain variables raises
+    InvariantError.
     """
     if not s.is_rda:
         raise NotRDA("a right-hand side denominator vanishes at the initial point")
     k = len(s.variables)
     raw = [p for pair in s.rhs for p in pair]  # P1, Q1, P2, Q2, ...
     reduced, chains = reduce_degree_two(raw, k)
+    if len(chains) > RDA_CHAIN_BUDGET:
+        raise InvariantError(
+            f"reducing the system to degree two needs {len(chains)} chain variables,"
+            f" more than {RDA_CHAIN_BUDGET}; its monomials are too long"
+        )
     w_defs = reduced[0::2]
     z_defs = reduced[1::2]
     n_chain = len(chains)

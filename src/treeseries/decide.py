@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import core
+from . import closure, core
 from ._record import record
-from .closure import gf_add, gf_scale, ts_add, ts_hadamard, ts_scale
 from .core import Automaton
 from .errors import TooManyTrees
 from .exactmath import CommonDenominatorForm, format_unipoly
@@ -174,7 +173,8 @@ def check_zero_genfun(a: Automaton, cap: int, progress=None):
 
 
 def check_equiv_genfun(a1: Automaton, a2: Automaton, cap: int, progress=None):
-    return check_zero_genfun(gf_add(a1, gf_scale(a2, -1)), cap, progress=progress)
+    diff = closure.gf_add(a1, closure.gf_scale(a2, -1))
+    return check_zero_genfun(diff, cap, progress=progress)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +198,7 @@ def _witness_tree(a: Automaton, n: int):
 def check_zero_tree_series(a: Automaton, cap: int, progress=None):
     """Square the automaton pointwise; the squared generating function has
     nonnegative coefficients, so its zeroness mirrors tree-series zeroness."""
-    squared = ts_hadamard(a, a)
+    squared = closure.ts_hadamard(a, a)
     verdict = check_zero_genfun(squared, cap, progress=progress)
     if isinstance(verdict, NonzeroAt):
         tree, value = _witness_tree(a, verdict.n)
@@ -207,7 +207,7 @@ def check_zero_tree_series(a: Automaton, cap: int, progress=None):
 
 
 def check_equiv_tree_series(a1: Automaton, a2: Automaton, cap: int, progress=None):
-    diff = ts_add(a1, ts_scale(a2, -1))
+    diff = closure.ts_add(a1, closure.ts_scale(a2, -1))
     verdict = check_zero_tree_series(diff, cap, progress=progress)
     if isinstance(verdict, DifferAt):
         t = verdict.tree

@@ -187,16 +187,7 @@ def poly_lcm(a: UniPolynomial, b: UniPolynomial) -> UniPolynomial:
 
 def poly_integer_roots(p: UniPolynomial) -> set:
     """All integer roots of p, in time polynomial in the degree and the bit
-    length of the coefficients.
-
-    The Sturm sequence p, p', -rem(p, p'), ... ends in g = gcd(p, p'); divided
-    by g it is the Sturm sequence of the squarefree part of p, whose roots are
-    those of p, each simple, and V(a) - V(b) of them lie in (a, b], V(x) being
-    the sign changes of the sequence at x (zeros dropped).  Bisecting (-B, B]
-    at integers, B = 2 + max |c_i / c_n| the Cauchy bound, and dropping each
-    interval without a root ends in intervals (m - 1, m] that hold the root m
-    or none: O(log B) evaluations per real root.
-    """
+    length of the coefficients (degree two and more in ``_roots``)."""
     if p.is_zero:
         raise ZeroPolynomial("integer roots of the zero polynomial are undefined")
     if p.degree == 0:
@@ -204,33 +195,9 @@ def poly_integer_roots(p: UniPolynomial) -> set:
     if p.degree == 1:
         root = -p.coeffs[0] / p.coeffs[1]
         return {int(root)} if root.denominator == 1 else set()
-    chain = [p, UniPolynomial(tuple(i * c for i, c in enumerate(p.coeffs))[1:])]
-    rem = p.divmod(chain[1])[1]
-    while not rem.is_zero:
-        chain.append(-rem)
-        rem = chain[-2].divmod(chain[-1])[1]
-    if chain[-1].degree > 0:
-        chain = [f.div_exact(chain[-1]) for f in chain]
+    from ._roots import integer_roots
 
-    def changes(x):
-        signs = [v > 0 for v in (f(x) for f in chain) if v]
-        return sum(s != t for s, t in zip(signs, signs[1:]))
-
-    bound = 2 + int(max(abs(c) for c in p.coeffs) / abs(p.leading()))
-    roots = set()
-    todo = [(-bound, bound, changes(-bound), changes(bound))]
-    while todo:
-        lo, hi, v_lo, v_hi = todo.pop()
-        if v_lo == v_hi:
-            continue
-        if hi - lo == 1:
-            if chain[0](hi) == 0:
-                roots.add(hi)
-            continue
-        mid = (lo + hi) // 2
-        v_mid = changes(mid)
-        todo += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
-    return roots
+    return integer_roots(p)
 
 
 # ---------------------------------------------------------------------------

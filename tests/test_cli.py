@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -329,3 +331,28 @@ def test_tree_nested_800_deep_exits_2(bell_path, capsys):
     tree = "(sigma1 " * 800 + "(sigma0)" + ")" * 800
     err = _exits_2_without_traceback(capsys, "eval", "-a", bell_path, "-t", tree)
     assert "nested too deeply" in err
+
+
+def test_compile_rda_past_the_chain_budget_exits_3_quickly(tmp_path, capsys):
+    # y^m needs m - 2 chain variables; unbounded, the cost grows with m^2
+    # (y^3000 would take minutes and write hundreds of megabytes)
+    system = tmp_path / "long.rds"
+    system.write_text("y' = y^3000 ; y(0)=1\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compile", "rda", "-f", str(system))
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err == (
+        "error: reducing the system to degree two needs 2998 chain variables, more than 320;"
+        " its monomials are too long\n"
+    )
+
+
+def test_compile_rda_within_the_chain_budget_is_unchanged(tmp_path, capsys):
+    system = tmp_path / "y150.rds"
+    system.write_text("y' = y^150 ; y(0)=1\n")
+    code, out, err = run(capsys, "compile", "rda", "-f", str(system))
+    assert code == 0 and err == ""
+    # the digest of the output before the budget was introduced
+    digest = "b20f0666606315c17906efdabcad5b92b4ff01dcd5d643086711fc404e20c737"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -98,6 +98,30 @@ def test_integer_roots_match_the_divisor_search(seed):
             assert poly_integer_roots(p) == _divisor_search_roots(p), p
 
 
+def test_integer_roots_of_repeated_factors_of_degree_three_and_more():
+    # (x - 2)^3 (x + 5)^4 x^2 (x^2 + 1)^2 (2x - 1)^3
+    p = up(1)
+    for factor, times in ((up(-2, 1), 3), (up(5, 1), 4), (up(0, 1), 2), (up(1, 0, 1), 2),
+                          (up(-1, 2), 3)):
+        for _ in range(times):
+            p = p * factor
+    assert poly_integer_roots(p) == {2, -5, 0}
+    q = p * up(-7, 1)
+    assert poly_integer_roots(q) == {2, -5, 0, 7} == _divisor_search_roots(q)
+
+
+def test_integer_roots_of_coefficients_past_a_hundred_bits():
+    big, other = 2**127 - 1, 3**70 + 2  # 127 and 111 bits
+    # (x - big)^3 (x + other)^2 (3x + 5) (x^2 + big)
+    p = up(-big, 1) * up(-big, 1) * up(-big, 1) * up(other, 1) * up(other, 1)
+    p = p * up(5, 3) * up(big, 0, 1)
+    assert max(abs(c).numerator.bit_length() for c in p.coeffs) > 500
+    assert poly_integer_roots(p) == {big, -other}
+    # rational coefficients with 100-bit denominators: (x - 2^100)(x + 1/(2^100 + 1))
+    q = up(-(2**100), 1) * up(F(1, 2**100 + 1), 1)
+    assert poly_integer_roots(q) == {2**100}
+
+
 def test_integer_roots_of_huge_constant_terms_come_fast():
     start = time.perf_counter()
     big = 10**21

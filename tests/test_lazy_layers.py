@@ -51,12 +51,12 @@ def test_import_runs_no_layer():
     assert _layers_run("import treeseries") == set()
 
 
-# every command runs closure: cli._BINARY_OPS holds closure functions, which
-# bench/tracing.py patches; reading an automaton runs core and exactmath, and
-# _expr, which parses the weight strings; only commands that build, evaluate
-# or enumerate trees run _trees, and only the source languages other than
-# rational systems run _languages
-READ = {"closure", "core", "exactmath", "_expr"}
+# --help and usage errors run no layer; reading an automaton runs core and
+# exactmath, and _expr, which parses the weight strings; only commands that
+# build, evaluate or enumerate trees run _trees, only the source languages
+# other than rational systems run _languages, and only closure operations and
+# the decisions built on them (equiv, tree-series zero) run closure
+READ = {"core", "exactmath", "_expr"}
 DECIDE = READ | {"series", "decide"}
 COMPILE = READ | {"compile"}
 
@@ -64,22 +64,22 @@ COMPILE = READ | {"compile"}
 @pytest.mark.parametrize(
     "argv, code, ran",
     [
-        (["--help"], 0, {"closure"}),
-        (["series", "-n", "5"], 2, {"closure"}),
+        (["--help"], 0, set()),
+        (["series", "-n", "5"], 2, set()),
         (["eval", "-a", "samples/bell.json", "-t", "(sigma1 (sigma0))"], 0, READ | {"_trees"}),
-        (["enum-trees", "--alphabet", "a/0,f/2", "-n", "3"], 0, {"core", "_trees", "closure"}),
+        (["enum-trees", "--alphabet", "a/0,f/2", "-n", "3"], 0, {"core", "_trees"}),
         (["series", "-a", "samples/bell.json", "-n", "5"], 0, READ | {"series"}),
         (["bound", "-a", "samples/bell.json"], 0, DECIDE),
         (["zero", "-a", "samples/bell.json", "--cap", "5"], 0, DECIDE),
         (["zero", "--tree-series", "-a", "samples/bell.json", "--cap", "5"], 0,
-         DECIDE | {"_trees"}),
+         DECIDE | {"closure", "_trees"}),
         (["equiv", "-a", "samples/bell.json", "-b", "samples/bell.json", "--cap", "5"], 0,
-         DECIDE),
+         DECIDE | {"closure"}),
         (["emit-system", "-a", "samples/bell.json", "--solve", "3"], 0, DECIDE),
-        # the backward shift evaluates a witness tree of size 1
-        (["op", "gf-derive", "-a", "samples/bell.json"], 0, READ | {"_trees"}),
-        (["op", "gf-inverse", "-a", "samples/bell.json"], 0, READ | {"series", "_trees"}),
-        (["op", "ts-add", "-a", "samples/bell.json", "-b", "samples/bell.json"], 0, READ),
+        (["op", "gf-derive", "-a", "samples/bell.json"], 0, READ | {"closure"}),
+        (["op", "gf-inverse", "-a", "samples/bell.json"], 0, READ | {"closure", "series"}),
+        (["op", "ts-add", "-a", "samples/bell.json", "-b", "samples/bell.json"], 0,
+         READ | {"closure"}),
         (["compile", "rda", "-f", "samples/bell.rds"], 0, COMPILE),
         (["compile", "cda", "-f", "samples/bell.rds"], 0, COMPILE | {"_languages"}),
         (["compile", "da", "-f", "samples/cubic.da"], 0, COMPILE | {"_languages"}),
@@ -106,17 +106,39 @@ def test_species_count_does_not_import_json():
     assert _python(probe, *argv).split() == ["0", "True"]
 
 
+def test_help_imports_no_fractions():
+    # only `op -c` reads a Fraction in the CLI; no layer runs for --help
+    probe = _RUN_CLI + "import sys\nprint('fractions' in sys.modules)\n"
+    assert _python(probe, "--help").split() == ["0", "False"]
+    argv = ["op", "gf-scale", "-a", "samples/bell.json", "-c", "2/3"]
+    assert _python(probe, *argv).split() == ["0", "True"]
+
+
 def test_cli_import_puts_every_layer_in_sys_modules():
     # bench/tracing.py imports treeseries.cli and then indexes sys.modules for
-    # every layer, and patches the closure functions in cli._BINARY_OPS
+    # every layer
     probe = """
 import sys
 import treeseries.cli
 print(all("treeseries." + n in sys.modules for n in {layers!r}))
-from treeseries import cli, closure
-print(cli._BINARY_OPS["ts-add"] is closure.ts_add)
 """.format(layers=LAYERS)
-    assert _python(probe) == "True\nTrue\n"
+    assert _python(probe) == "True\n"
+
+
+def test_binary_op_calls_the_function_closure_holds_when_it_runs(monkeypatch, capsys):
+    # bench/tracing.py traces an op by patching the function in closure's namespace
+    from treeseries import cli, closure
+
+    original, calls = closure.ts_add, []
+
+    def patched(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(closure, "ts_add", patched)
+    bell = str(_ROOT / "samples" / "bell.json")
+    assert cli.main(["op", "ts-add", "-a", bell, "-b", bell]) == 0
+    assert len(calls) == 1 and capsys.readouterr().out.startswith("{")
 
 
 # ---------------------------------------------------------------------------
