@@ -40,7 +40,7 @@ from ._expr import (
     tokenize,
 )
 from ._record import record
-from .compile import RDS, _parse_init_clause, _parse_rational, _split_statements
+from .compile import RDS, _index_tuple, _parse_init_clause, _parse_rational, _split_statements
 from .core import Automaton, RankedAlphabet, row_index
 from .errors import (
     InvalidJet,
@@ -91,17 +91,6 @@ class DFiniteRecurrence:
     @property
     def order(self) -> int:
         return len(self.qs) - 1
-
-    def unroll(self, n_max: int) -> series.SeriesPrefix:
-        """Direct term-by-term solution; the oracle for compile_dfinite."""
-        k = self.order
-        values = list(self.init)
-        for n in range(k, n_max + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                acc += self.qs[i](n) * values[n - i]
-            values.append(-acc / self.qs[0](n))
-        return series.SeriesPrefix(tuple(values[: n_max + 1]))
 
 
 @record
@@ -219,13 +208,10 @@ def compile_dfinite(r: DFiniteRecurrence) -> Automaton:
 
 def _monomial_tuples(p: MultiPolynomial):
     """(coefficient, sorted variable-index tuple) per monomial of p."""
-    out = []
-    for exps, c in sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-        tup = []
-        for i, e in enumerate(exps):
-            tup.extend([i] * e)
-        out.append((c, tuple(tup)))
-    return out
+    return [
+        (c, _index_tuple(exps))
+        for exps, c in sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    ]
 
 
 def compile_cda(s: RDS) -> Automaton:

@@ -1,9 +1,9 @@
 """The rational-system compiler: first-order ODE systems into automata.
 
 Rational systems (compile_rda): the system Q_j(y) y_j' = x P_j(y) is first
-reduced so every polynomial has degree at most two (chaining long monomials
-through fresh variables), then each shifted coefficient v_{n+1} is written in
-the normal form
+reduced so every polynomial has degree at most two (a long monomial is split
+in halves, each half of two or more variables a fresh variable split the same
+way), then each shifted coefficient v_{n+1} is written in the normal form
 
     A(n) + sum_h B_h(n, n-1) h_n + sum_{h,g} sum_l C_{h,g}(n, l, n-1-l) h_l g_{n-1-l}
 
@@ -23,7 +23,7 @@ from . import _languages
 from ._expr import Const, TokenStream, expr_variables, parse_expression, to_ratfunc, tokenize
 from ._record import record
 from .core import Automaton, RankedAlphabet
-from .errors import InvariantError, NotRDA, ParseError, ZeroPolynomial, nesting_guard
+from .errors import NotRDA, ParseError, ZeroPolynomial, nesting_guard
 from .exactmath import MultiPolynomial, SizeRational, UniPolynomial, _frac
 
 # names of this module that _languages defines
@@ -82,63 +82,56 @@ class RecurrenceNormalForm:
 # the rational-system compiler
 
 
-# Most chain variables the degree reduction may introduce.  A monomial of
-# degree m needs up to m - 2 of them, each a coordinate of the compiled
-# automaton, and the compile time and output grow with the square of their
-# number: y' = y^150 (148 chains) takes about 1 s and writes 1.5 MB, y' =
-# y^322 (320, the budget) 4 s and 6.7 MB.  The bench, gold and sample systems
-# need at most 62.
-RDA_CHAIN_BUDGET = 320
+def _index_tuple(exps) -> tuple:
+    """The sorted variable-index tuple of a monomial: index i repeated exps[i]
+    times."""
+    return tuple(i for i, e in enumerate(exps) for _ in range(e))
 
 
 def reduce_degree_two(polys, k: int):
     """Rewrite polynomials over y_0..y_{k-1} so every monomial has degree at
     most two, chaining longer monomials through fresh variables.
 
-    Returns (rewritten polys over k+s variables, chains) where chains[m] is
-    the sorted index tuple whose product the m-th fresh variable denotes;
-    its defining equation is t_m = y_{first} * t_{rest} (or y_a * y_b for a
-    pair).  Monomials are processed in graded lexicographic order.
+    A monomial of degree three or more, as its sorted index tuple, becomes
+    the product of its two halves, the first len // 2 indices and the rest.
+    A half of one index is that variable; a longer half is a fresh variable
+    split the same way, and equal halves share one.  So y^m needs at most
+    2 log2(m) fresh variables (a product of m distinct variables, m - 2).
+
+    Returns (rewritten polys over k+s variables, chains) where chains[m] =
+    (tup, (u, v)): the fresh variable k+m denotes the product over the index
+    tuple tup and is defined as the product of variables u and v, both
+    below k+m.  Monomials are processed in graded lexicographic order.
     """
-    chain_index = {}
+    chain_var = {}
     chains = []
 
-    def ensure_chain(tup):
-        # every suffix of two or more indices, shortest first
-        for start in range(len(tup) - 2, -1, -1):
-            suffix = tup[start:]
-            if suffix not in chain_index:
-                chain_index[suffix] = len(chains)
-                chains.append(suffix)
+    def var(tup):
+        if len(tup) == 1:
+            return tup[0]
+        if tup not in chain_var:
+            factors = halves(tup)
+            chain_var[tup] = k + len(chains)
+            chains.append((tup, factors))
+        return chain_var[tup]
 
-    monomials = set()
-    for p in polys:
-        for exps in p.terms:
-            if sum(exps) > 2:
-                monomials.add(exps)
-    for exps in sorted(monomials, key=lambda e: (sum(e), e)):
-        tup = []
-        for i, e in enumerate(exps):
-            tup.extend([i] * e)
-        ensure_chain(tuple(tup[1:]))
-    s = len(chains)
-    nvars = k + s
+    def halves(tup):
+        h = len(tup) // 2
+        return var(tup[:h]), var(tup[h:])
+
+    long_monomials = {exps for p in polys for exps in p.terms if sum(exps) > 2}
+    split = {
+        exps: halves(_index_tuple(exps))
+        for exps in sorted(long_monomials, key=lambda e: (sum(e), e))
+    }
+    nvars = k + len(chains)
 
     def rewrite(p: MultiPolynomial) -> MultiPolynomial:
-        terms = {}
-        for exps, c in p.terms.items():
-            if sum(exps) <= 2:
-                key = exps + (0,) * s
-            else:
-                tup = []
-                for i, e in enumerate(exps):
-                    tup.extend([i] * e)
-                key = [0] * nvars
-                key[tup[0]] += 1
-                key[k + chain_index[tuple(tup[1:])]] += 1
-                key = tuple(key)
-            terms[key] = terms.get(key, Fraction(0)) + c
-        return MultiPolynomial(nvars, terms)
+        pad = (0,) * len(chains)
+        return MultiPolynomial(nvars, {
+            _exps_for(nvars, split[exps]) if exps in split else exps + pad: c
+            for exps, c in p.terms.items()
+        })
 
     return [rewrite(p) for p in polys], chains
 
@@ -200,22 +193,15 @@ def rda_normal_forms(s: RDS):
     """Shifted-coefficient normal forms for every coordinate of the reduced
     system, plus supporting data.
 
-    Returns (order, forms, pairs, chains) where order lists the kept
+    Returns (order, forms, pairs) where order lists the kept
     coordinate keys, forms maps every Gamma variable to its
     RecurrenceNormalForm, and pairs maps variables to order-1 series values.
-    A reduction that needs more than RDA_CHAIN_BUDGET chain variables raises
-    InvariantError.
     """
     if not s.is_rda:
         raise NotRDA("a right-hand side denominator vanishes at the initial point")
     k = len(s.variables)
     raw = [p for pair in s.rhs for p in pair]  # P1, Q1, P2, Q2, ...
     reduced, chains = reduce_degree_two(raw, k)
-    if len(chains) > RDA_CHAIN_BUDGET:
-        raise InvariantError(
-            f"reducing the system to degree two needs {len(chains)} chain variables,"
-            f" more than {RDA_CHAIN_BUDGET}; its monomials are too long"
-        )
     w_defs = reduced[0::2]
     z_defs = reduced[1::2]
     n_chain = len(chains)
@@ -225,11 +211,8 @@ def rda_normal_forms(s: RDS):
     z0 = [q(s.init) for _, q in s.rhs]
     w0 = [p(s.init) for p, _ in s.rhs]
     duals = [_dual(s.init[j], w0[j] / z0[j]) for j in range(k)]
-    for tup in chains:
-        acc = _dual(1)
-        for i in tup:
-            acc = _dual_mul(acc, duals[i])
-        duals.append(acc)
+    for _, (u, v) in chains:
+        duals.append(_dual_mul(duals[u], duals[v]))
     pairs = {("y", j): duals[j] for j in range(k)}
     for m in range(n_chain):
         pairs[("t", m)] = duals[k + m]
@@ -294,9 +277,7 @@ def rda_normal_forms(s: RDS):
             deg = sum(exps)
             if deg == 0:
                 continue  # constants have no coefficient beyond order 0
-            vars_used = []
-            for i, e in enumerate(exps):
-                vars_used.extend([i] * e)
+            vars_used = _index_tuple(exps)
             if deg == 1:
                 u = _gamma_key(vars_used[0], k)
                 nf.add_scaled(coeff, forms[u])
@@ -313,19 +294,9 @@ def rda_normal_forms(s: RDS):
                 raise AssertionError("degree > 2 survived reduction")
         return nf
 
-    for m, tup in enumerate(chains):
-        # t_m = y_{tup[0]} * (t of tup[1:])  or  y_a * y_b for a pair
-        if len(tup) == 2:
-            poly = MultiPolynomial(
-                nvars,
-                {_exps_for(nvars, (tup[0], tup[1])): Fraction(1)},
-            )
-        else:
-            rest = k + chains.index(tup[1:])
-            poly = MultiPolynomial(
-                nvars, {_exps_for(nvars, (tup[0], rest)): Fraction(1)}
-            )
-        forms[("t", m)] = nf_of_poly(poly)
+    for m, (_, factors) in enumerate(chains):
+        product = MultiPolynomial(nvars, {_exps_for(nvars, factors): Fraction(1)})
+        forms[("t", m)] = nf_of_poly(product)
     for j in range(k):
         if resolve(("z", j)) == (Fraction(1), ("z", j)):
             forms[("z", j)] = nf_of_poly(z_defs[j])
@@ -337,7 +308,7 @@ def rda_normal_forms(s: RDS):
     order += [("w", j) for j in range(k) if ("w", j) in forms]
     order += [("t", m) for m in range(n_chain)]
     frozen = {key: nf.freeze() for key, nf in forms.items()}
-    return order, frozen, pairs, chains
+    return order, frozen, pairs
 
 
 def _gamma_key(index: int, k: int):
@@ -354,7 +325,7 @@ def _exps_for(nvars: int, indices):
 def compile_rda(s: RDS) -> Automaton:
     """Automaton over {eps/0, sigma1/1, sigma2/2} whose generating function
     is the first variable's series."""
-    order, forms, pairs, _ = rda_normal_forms(s)
+    order, forms, pairs = rda_normal_forms(s)
     use_one = any(not forms[key].a.is_zero for key in order)
     coords = ["target"] + order + (["one"] if use_one else [])
     pos = {key: i for i, key in enumerate(coords)}

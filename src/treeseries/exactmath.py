@@ -601,26 +601,6 @@ def size_rational_eval(f: SizeRational, point) -> Fraction:
     return f(point)
 
 
-def legal_equal(f: SizeRational, g: SizeRational) -> bool:
-    """Equality as functions on realizable size tuples (x0 = 1 + x1 + ... + xk).
-
-    Decided exactly: f - g vanishes on that hyperplane iff its numerator does
-    after substituting x0, since the denominators are nonzero off finitely
-    many hyperplane slices.
-    """
-    if f.nvars != g.nvars:
-        return False
-    diff = f - g
-    if diff.is_zero:
-        return True
-    nvars = diff.nvars
-    x0_image = MultiPolynomial.const(nvars, 1)
-    for i in range(1, nvars):
-        x0_image = x0_image + MultiPolynomial.var(nvars, i)
-    images = [x0_image] + [MultiPolynomial.var(nvars, i) for i in range(1, nvars)]
-    return diff.num.compose(images).is_zero
-
-
 # ---------------------------------------------------------------------------
 # text format
 
@@ -841,21 +821,6 @@ class CommonDenominatorForm:
     q0: UniPolynomial  # shared denominator in x0 (monic lcm)
     symbols: dict  # symbol name -> SymbolDecomposition
     r: int  # max child-variable exponent across all numerators
-
-    def reassemble(self, name: str) -> WeightMatrix:
-        """Rebuild the weight matrix of one symbol as SizeRational entries."""
-        dec = self.symbols[name]
-        nvars = dec.arity + 1
-        dens = [self.q0] + list(dec.child_denominators)
-        terms = {}
-        for exps, cells in dec.matrices.items():
-            for key, c in cells.items():
-                terms.setdefault(key, {})[(0,) + exps] = c
-        cells = {
-            key: SizeRational(MultiPolynomial(nvars, monomials), dens)
-            for key, monomials in terms.items()
-        }
-        return WeightMatrix(dec.shape, dec.arity, cells)
 
 
 def _lcm_of(dens) -> UniPolynomial:

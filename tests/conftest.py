@@ -1,6 +1,6 @@
 import pytest
 
-from treeseries.zoo import (
+from zoo import (
     bell_automaton,
     cubic_automaton,
     labelled_trees_automaton,

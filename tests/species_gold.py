@@ -2,7 +2,7 @@
 example species paired with hand-normalized first-order systems and the
 combinatorially correct initial values."""
 
-from treeseries.zoo import BELL_SPECIES_TEXT
+from zoo import BELL_SPECIES_TEXT
 
 GOLD_SPECIES = [
     (

@@ -41,7 +41,7 @@ from treeseries.series import (
     series_scale,
 )
 from treeseries.species import count_species, parse_species
-from treeseries.zoo import (
+from zoo import (
     BELL_RDS_TEXT,
     BELL_SPECIES_TEXT,
     CUBIC_DA_TEXT,

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import subprocess
@@ -9,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from treeseries.cli import main
+from treeseries.compile import parse_rds, taylor_oracle
 from treeseries.core import automaton_from_json, automaton_to_json
-from treeseries.zoo import (
+from treeseries.series import generating_prefix
+from zoo import (
     BELL_RDS_TEXT,
     BELL_SPECIES_TEXT,
     CUBIC_DA_TEXT,
@@ -135,7 +136,7 @@ def test_bad_json_exits_2(tmp_path, capsys):
 def test_invariant_violation_exits_3(tmp_path, capsys):
     # inverse of a series with zero constant term
     from treeseries.core import automaton_to_json as dump
-    from treeseries.zoo import labelled_trees_automaton
+    from zoo import labelled_trees_automaton
 
     path = tmp_path / "lt.json"
     path.write_text(dump(labelled_trees_automaton()))
@@ -333,26 +334,28 @@ def test_tree_nested_800_deep_exits_2(bell_path, capsys):
     assert "nested too deeply" in err
 
 
-def test_compile_rda_past_the_chain_budget_exits_3_quickly(tmp_path, capsys):
-    # y^m needs m - 2 chain variables; unbounded, the cost grows with m^2
-    # (y^3000 would take minutes and write hundreds of megabytes)
+def test_compile_rda_y3000_compiles_quickly_and_matches_taylor(tmp_path, capsys):
+    # split in halves, y^3000 needs 17 chain variables; the time bound
+    # catches a reduction whose cost grows with the degree
+    text = "y' = y^3000 ; y(0)=1\n"
     system = tmp_path / "long.rds"
-    system.write_text("y' = y^3000 ; y(0)=1\n")
+    system.write_text(text)
     start = time.perf_counter()
     code, out, err = run(capsys, "compile", "rda", "-f", str(system))
     assert time.perf_counter() - start < 1
-    assert code == 3 and out == ""
-    assert err == (
-        "error: reducing the system to degree two needs 2998 chain variables, more than 320;"
-        " its monomials are too long\n"
-    )
+    assert code == 0 and err == ""
+    prefix = generating_prefix(automaton_from_json(out), 5).coefficients
+    assert prefix == taylor_oracle(parse_rds(text), 5)["y"].coefficients
 
 
-def test_compile_rda_within_the_chain_budget_is_unchanged(tmp_path, capsys):
+def test_compile_rda_y150_is_narrow_and_matches_taylor(tmp_path, capsys):
+    # one-factor-at-a-time chains gave y^150 dimension 151; halves give 14
+    text = "y' = y^150 ; y(0)=1\n"
     system = tmp_path / "y150.rds"
-    system.write_text("y' = y^150 ; y(0)=1\n")
+    system.write_text(text)
     code, out, err = run(capsys, "compile", "rda", "-f", str(system))
     assert code == 0 and err == ""
-    # the digest of the output before the budget was introduced
-    digest = "b20f0666606315c17906efdabcad5b92b4ff01dcd5d643086711fc404e20c737"
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    automaton = automaton_from_json(out)
+    assert automaton.dimension == 14
+    prefix = generating_prefix(automaton, 8).coefficients
+    assert prefix == taylor_oracle(parse_rds(text), 8)["y"].coefficients

@@ -24,7 +24,7 @@ from treeseries.series import (
     series_cauchy,
     series_scale,
 )
-from treeseries.zoo import SIGNATURE
+from zoo import SIGNATURE
 
 N = 8
 

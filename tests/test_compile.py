@@ -2,9 +2,14 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from species_gold import GOLD_SPECIES
 from treeseries.compile import (
+    RDS,
     DFiniteRecurrence,
+    _index_tuple,
     compile_cda,
     compile_dfinite,
     compile_rda,
@@ -26,11 +31,24 @@ from treeseries.errors import (
 )
 from treeseries.exactmath import MultiPolynomial, UniPolynomial
 from treeseries.series import generating_prefix
-from treeseries.zoo import BELL_RDS_TEXT, CUBIC_DA_TEXT, CUBIC_RDS_TEXT
+from treeseries.species import parse_species, species_to_rds
+from zoo import BELL_RDS_TEXT, CUBIC_DA_TEXT, CUBIC_RDS_TEXT
 
 
 def up(*coeffs):
     return UniPolynomial(coeffs)
+
+
+def unroll(r: DFiniteRecurrence, n_max: int) -> tuple:
+    """a_0 .. a_{n_max} solved term by term; the oracle for compile_dfinite."""
+    k = r.order
+    values = list(r.init)
+    for n in range(k, n_max + 1):
+        acc = F(0)
+        for i in range(1, k + 1):
+            acc += r.qs[i](n) * values[n - i]
+        values.append(-acc / r.qs[0](n))
+    return tuple(values[: n_max + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +81,7 @@ def test_dfinite_matches_unrolling_to_thirty():
     ]
     for r in cases:
         a = compile_dfinite(r)
-        assert generating_prefix(a, 30).coefficients == r.unroll(30).coefficients
+        assert generating_prefix(a, 30).coefficients == unroll(r, 30)
 
 
 def test_dfinite_rejects_leading_root():
@@ -205,42 +223,107 @@ def test_rda_prunes_constant_coordinate():
 
 
 def test_reduce_degree_two_structure():
-    # y0^3 y1 occurs in a polynomial: the chain re-expands to the monomial
+    # y0^3 y1 occurs in a polynomial: it becomes t(0,0) * t(0,1), and every
+    # chain and rewritten monomial re-expands to the product it stands for
     p = MultiPolynomial(2, {(3, 1): F(1), (1, 1): F(2)})
     reduced, chains = reduce_degree_two([p], 2)
-    assert chains  # at least one auxiliary
-    for tup in chains:
-        assert 2 <= len(tup) <= 4
-    # re-expand every monomial of the rewritten polynomial
-    def expand(exps):
-        out = []
-        for i, e in enumerate(exps):
-            for _ in range(e):
-                if i < 2:
-                    out.append((i,))
-                else:
-                    out.append(chains[i - 2])
-        flat = []
-        for group in out:
-            flat.extend(group)
-        return tuple(sorted(flat))
+    assert [tup for tup, _ in chains] == [(0, 0), (0, 1)]
 
-    got = {expand(exps): c for exps, c in reduced[0].terms.items()}
+    def expand(indices):
+        return tuple(sorted(i for v in indices for i in ((v,) if v < 2 else chains[v - 2][0])))
+
+    for m, (tup, (u, v)) in enumerate(chains):
+        assert u < 2 + m and v < 2 + m
+        assert expand((u, v)) == tup
+    got = {expand(_index_tuple(exps)): c for exps, c in reduced[0].terms.items()}
     assert got == {(0, 0, 0, 1): F(1), (0, 1): F(2)}
     for exps in reduced[0].terms:
         assert sum(exps) <= 2
 
 
-def test_reduce_degree_two_shares_suffixes():
-    # y0^4 and y0^3 share the suffix chains
+def test_reduce_degree_two_shares_halves():
+    # y0^4 = t(0,0)^2 and y0^3 = y0 * t(0,0) share their one chain
     p = MultiPolynomial(1, {(4,): F(1), (3,): F(1)})
-    _, chains = reduce_degree_two([p], 1)
-    assert chains == [(0, 0), (0, 0, 0)]
+    reduced, chains = reduce_degree_two([p], 1)
+    assert chains == [((0, 0), (0, 0))]
+    assert set(reduced[0].terms) == {(0, 2), (1, 1)}
+
+
+@pytest.mark.parametrize("m", [500, 1000, 2000, 4000])
+def test_reduce_degree_two_grows_with_the_log_of_the_degree(m):
+    s = parse_rds(f"y' = y^{m} ; y(0)=1")
+    _, chains = reduce_degree_two([s.rhs[0][0]], 1)
+    assert len(chains) <= 2 * math.log2(m)
+    # a chain's normal form also holds the cells of the chains it is built
+    # from, so cells per chain creep up with the depth of the split (9.6 at
+    # m = 500, 11.2 at m = 4000); one factor at a time, y^m had m^2 cells
+    a = compile_rda(s)
+    cells = sum(len(a.weight(name).cells) for name, _ in a.alphabet.symbols)
+    assert cells <= 12 * len(chains)
+
+
+@st.composite
+def long_monomial_systems(draw):
+    # polynomial systems over 2-3 variables whose monomials reach degree 8
+    k = draw(st.integers(2, 3))
+    monomial = st.lists(st.integers(0, k - 1), max_size=8).map(
+        lambda idx: tuple(idx.count(i) for i in range(k))
+    )
+    coeff = st.integers(-3, 3).filter(bool).map(F)
+    rhs = tuple(
+        (MultiPolynomial(k, draw(st.dictionaries(monomial, coeff, min_size=1, max_size=3))),
+         MultiPolynomial.const(k, 1))
+        for _ in range(k)
+    )
+    init = tuple(F(draw(st.integers(-2, 2))) for _ in range(k))
+    return RDS(("y", "u", "v")[:k], rhs, init)
+
+
+@settings(max_examples=30, deadline=None)
+@given(long_monomial_systems())
+def test_compile_rda_matches_taylor_on_long_monomials(s):
+    expected = taylor_oracle(s, 6)["y"].coefficients
+    assert generating_prefix(compile_rda(s), 6).coefficients == expected
+
+
+# compile_rda dimension per gold species and hand system; a reduction that
+# widens the automaton fails here
+GOLD_DIMENSIONS = {
+    "non-plane trees": (7, 7),
+    "plane binary trees": (4, 3),
+    "plane general trees": (6, 5),
+    "permutations": (6, 4),
+    "functional graphs": (13, 13),
+    "set partitions": (6, 4),
+    "non-plane ternary trees": (7, 11),
+    "hierarchies": (6, 9),
+    "3-constrained functional graphs": (19, 40),
+    "3-balanced hierarchies": (11, 7),
+    "surjections": (6, 5),
+}
+
+
+@pytest.mark.parametrize(
+    "label, source",
+    [(label, source) for label, *_ in GOLD_SPECIES for source in ("species", "system")],
+)
+def test_gold_compiled_dimension_and_prefix(label, source):
+    _, spec, target, system, _ = next(g for g in GOLD_SPECIES if g[0] == label)
+    if source == "species":
+        s = species_to_rds(parse_species(spec), target)
+        dimension = GOLD_DIMENSIONS[label][0]
+    else:
+        s = parse_rds(system)
+        dimension = GOLD_DIMENSIONS[label][1]
+    a = compile_rda(s)
+    assert a.dimension == dimension
+    expected = taylor_oracle(s, 8)[s.variables[0]].coefficients
+    assert generating_prefix(a, 8).coefficients == expected
 
 
 def test_normal_forms_stay_in_ring():
     s = parse_rds(CUBIC_RDS_TEXT)
-    order, forms, pairs, _ = rda_normal_forms(s)
+    order, forms, pairs = rda_normal_forms(s)
     for key in order:
         nf = forms[key]
         assert nf.a.is_zero
@@ -335,7 +418,7 @@ def test_flat_rds_product_parses_reduces_and_matches_closed_form():
     s = parse_rds("y' = " + "*".join(["y"] * FLAT) + " ; y(0)=1")
     assert s.rhs[0] == (MultiPolynomial(1, {(FLAT,): 1}), MultiPolynomial.const(1, 1))
     _, chains = reduce_degree_two([s.rhs[0][0]], 1)
-    assert [len(tup) for tup in chains] == list(range(2, FLAT))
+    assert len(chains) <= 2 * math.log2(FLAT)
     # y = (1 - (N-1) x)^(-1/(N-1)): y_n = prod_{i<n} (1 + i (N-1)) / n!
     expected = tuple(
         F(math.prod(1 + i * (FLAT - 1) for i in range(n)), math.factorial(n)) for n in range(5)
@@ -353,4 +436,4 @@ def test_flat_da_sum():
 def test_flat_dfinite_sum():
     r = parse_dfinite("n*a(n) - " + " - ".join(["a(n-1)"] * FLAT) + " = 0 ; a(0)=1")
     assert r.qs == (up(0, 1), up(-FLAT))
-    assert r.unroll(5).coefficients == tuple(F(FLAT**n, math.factorial(n)) for n in range(6))
+    assert unroll(r, 5) == tuple(F(FLAT**n, math.factorial(n)) for n in range(6))

@@ -35,7 +35,7 @@ from treeseries.errors import (
 )
 from treeseries.exactmath import UniPolynomial
 from treeseries.series import generating_prefix
-from treeseries.zoo import SIGNATURE
+from zoo import SIGNATURE
 
 
 def t(name, *children):

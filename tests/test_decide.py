@@ -28,7 +28,7 @@ from treeseries.decide import (
 from treeseries.exactmath import UniPolynomial, normalize_common_denominator
 from treeseries.series import CoefficientStream, brute_force_coefficient, coefficients
 from treeseries.species import parse_species, species_to_rds
-from treeseries.zoo import BELL_RDS_TEXT, CUBIC_RDS_TEXT, SIGNATURE
+from zoo import BELL_RDS_TEXT, CUBIC_RDS_TEXT, SIGNATURE
 
 
 # ---------------------------------------------------------------------------

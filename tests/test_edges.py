@@ -33,7 +33,7 @@ from treeseries.exactmath import parse_size_rational
 from treeseries.decide import check_equiv_tree_series
 from treeseries.series import generating_prefix, series_cauchy
 from treeseries.species import count_species, parse_species
-from treeseries.zoo import bell_automaton
+from zoo import bell_automaton
 
 
 def test_make_arity_distinct_idempotent(bell):

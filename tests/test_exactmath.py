@@ -17,8 +17,8 @@ from treeseries.exactmath import (
     MultiPolynomial,
     SizeRational,
     UniPolynomial,
+    WeightMatrix,
     format_size_rational,
-    legal_equal,
     normalize_common_denominator,
     parse_size_rational,
     poly_gcd,
@@ -26,7 +26,7 @@ from treeseries.exactmath import (
     poly_lcm,
     size_rational_eval,
 )
-from treeseries.zoo import bell_automaton, cubic_automaton, labelled_trees_automaton
+from zoo import bell_automaton, cubic_automaton, labelled_trees_automaton
 
 
 def up(*coeffs):
@@ -357,6 +357,43 @@ def _weights_of(a):
     ]
 
 
+def reassemble(form, name: str) -> WeightMatrix:
+    """Rebuild the weight matrix of one symbol of a common-denominator form as
+    SizeRational entries."""
+    dec = form.symbols[name]
+    nvars = dec.arity + 1
+    dens = [form.q0] + list(dec.child_denominators)
+    terms = {}
+    for exps, cells in dec.matrices.items():
+        for key, c in cells.items():
+            terms.setdefault(key, {})[(0,) + exps] = c
+    cells = {
+        key: SizeRational(MultiPolynomial(nvars, monomials), dens)
+        for key, monomials in terms.items()
+    }
+    return WeightMatrix(dec.shape, dec.arity, cells)
+
+
+def legal_equal(f: SizeRational, g: SizeRational) -> bool:
+    """Equality as functions on realizable size tuples (x0 = 1 + x1 + ... + xk).
+
+    Decided exactly: f - g vanishes on that hyperplane iff its numerator does
+    after substituting x0, since the denominators are nonzero off finitely
+    many hyperplane slices.
+    """
+    if f.nvars != g.nvars:
+        return False
+    diff = f - g
+    if diff.is_zero:
+        return True
+    nvars = diff.nvars
+    x0_image = MultiPolynomial.const(nvars, 1)
+    for i in range(1, nvars):
+        x0_image = x0_image + MultiPolynomial.var(nvars, i)
+    images = [x0_image] + [MultiPolynomial.var(nvars, i) for i in range(1, nvars)]
+    return diff.num.compose(images).is_zero
+
+
 def test_normalize_bell():
     form = normalize_common_denominator(_weights_of(bell_automaton()))
     assert form.q0 == up(0, 1)  # x0
@@ -392,7 +429,7 @@ def test_normalize_round_trips_exactly_for_shared_denominator():
     a = bell_automaton()
     form = normalize_common_denominator(_weights_of(a))
     for name, k, matrix in _weights_of(a):
-        rebuilt = form.reassemble(name)
+        rebuilt = reassemble(form, name)
         for i, row in enumerate(matrix):
             for j, entry in enumerate(row):
                 assert rebuilt[i][j] == entry
@@ -408,7 +445,7 @@ def test_normalize_round_trips_on_legal_tuples(factory):
     a = factory()
     form = normalize_common_denominator(_weights_of(a))
     for name, k, matrix in _weights_of(a):
-        rebuilt = form.reassemble(name)
+        rebuilt = reassemble(form, name)
         for i, row in enumerate(matrix):
             for j, entry in enumerate(row):
                 assert legal_equal(rebuilt[i][j], entry)
@@ -419,7 +456,7 @@ def test_normalize_x0_numerator_agrees_on_legal_points():
     zero = SizeRational(MultiPolynomial(2))
     matrix = ((entry, zero), (zero, zero))
     form = normalize_common_denominator([("u", 1, matrix)])
-    rebuilt = form.reassemble("u")[0][0]
+    rebuilt = reassemble(form, "u")[0][0]
     for n1 in range(6):
         point = (n1 + 1, n1)  # legal: parent size = 1 + child size
         assert rebuilt(point) == entry(point)

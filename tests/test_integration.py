@@ -93,7 +93,7 @@ def test_cli_species_compile(tmp_path, capsys):
 )
 def test_cli_every_op_round_trips(name, needs_b, tmp_path, capsys):
     from treeseries.core import automaton_from_json, automaton_to_json
-    from treeseries.zoo import bell_automaton
+    from zoo import bell_automaton
 
     src = tmp_path / "bell.json"
     src.write_text(automaton_to_json(bell_automaton()))

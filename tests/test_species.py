@@ -27,7 +27,7 @@ from treeseries.species import (
     species_to_diffsys,
     species_to_rds,
 )
-from treeseries.zoo import BELL_SPECIES_TEXT, LABELLED_TREES_SPECIES_TEXT
+from zoo import BELL_SPECIES_TEXT, LABELLED_TREES_SPECIES_TEXT
 
 from species_gold import GOLD_SPECIES
 

@@ -39,7 +39,7 @@ from treeseries.core import check_tree, evaluate, parse_tree
 from treeseries.errors import TreeSeriesError
 from treeseries.exactmath import parse_size_rational
 from treeseries.species import count_species, parse_species, species_to_rds
-from treeseries.zoo import bell_automaton
+from zoo import bell_automaton
 
 SAMPLES = Path(__file__).parent.parent / "samples"
 _MAX_NUMBER = 4

@@ -1,12 +1,11 @@
-"""Small gallery of concrete automata and systems used across the tests
-and handy for CLI experiments.
+"""Small gallery of concrete automata and systems used across the tests.
 
 All three automata share the signature {sigma0/0, sigma1/1, sigma2/2}.
 """
 
 from __future__ import annotations
 
-from .core import Automaton, RankedAlphabet
+from treeseries.core import Automaton, RankedAlphabet
 
 SIGNATURE = RankedAlphabet.of(("sigma0", 0), ("sigma1", 1), ("sigma2", 2))
 
