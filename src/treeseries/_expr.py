@@ -14,6 +14,7 @@ import functools
 import operator
 from fractions import Fraction
 
+from ._poly import power
 from ._record import record
 from .errors import ParseError
 from .exactmath import MultiPolynomial
@@ -353,10 +354,7 @@ class RatFunc:
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def pow(self, e: int) -> "RatFunc":
-        acc = RatFunc.const(self.num.nvars, 1)
-        for _ in range(e):
-            acc = acc * self
-        return acc
+        return power(self, e, RatFunc.const(self.num.nvars, 1))
 
     def __eq__(self, other):
         return isinstance(other, RatFunc) and (

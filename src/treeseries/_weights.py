@@ -1,0 +1,179 @@
+"""Sparse weight matrices and the common-denominator normal form.
+
+A ``WeightMatrix`` holds an automaton's weights for one symbol as its
+nonzero cells.  ``normalize_common_denominator`` puts the weights of every
+non-nullary symbol over one denominator in x0, the form the coefficient
+engine (``series``) and the zeroness bound (``decide``) read.  Entries are
+``exactmath.SizeRational``s, reached through that module at call time;
+``exactmath`` re-exports every name defined here.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from . import exactmath
+from ._poly import MultiPolynomial, UniPolynomial, poly_lcm
+from ._record import record
+
+
+# ---------------------------------------------------------------------------
+# sparse weight matrices
+
+
+def _is_zero_entry(entry) -> bool:
+    return entry.is_zero if isinstance(entry, exactmath.SizeRational) else entry == 0
+
+
+class WeightMatrix:
+    """A weight matrix of ``shape`` (rows, cols) stored as its nonzero cells.
+
+    ``cells`` maps (row, col) to a nonzero entry, in row-major order: a
+    Fraction for a nullary symbol, else a SizeRational of ``arity``.  Zero
+    entries are dropped on construction.  Indexing and iteration read the
+    matrix as dense row tuples, built on demand; computations use ``cells``.
+    """
+
+    __slots__ = ("shape", "arity", "cells", "_by_row", "_zero_row")
+
+    def __init__(self, shape, arity: int, cells):
+        self.shape = tuple(shape)
+        self.arity = arity
+        self.cells = {
+            key: entry for key, entry in sorted(cells.items()) if not _is_zero_entry(entry)
+        }
+        self._by_row = None
+        self._zero_row = None
+
+    @classmethod
+    def from_rows(cls, rows, arity: int) -> "WeightMatrix":
+        rows = [tuple(row) for row in rows]
+        shape = (len(rows), len(rows[0]) if rows else 0)
+        cells = {(i, j): e for i, row in enumerate(rows) for j, e in enumerate(row)}
+        return cls(shape, arity, cells)
+
+    # -- the dense row view ---------------------------------------------------
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, i):
+        nrows, ncols = self.shape
+        if not -nrows <= i < nrows:
+            raise IndexError("weight row index out of range")
+        if self._by_row is None:
+            self._by_row = {}
+            for (r, c), entry in self.cells.items():
+                self._by_row.setdefault(r, []).append((c, entry))
+            if self.arity == 0:
+                zero = Fraction(0)
+            else:
+                zero = exactmath.SizeRational(MultiPolynomial(self.arity + 1))
+            self._zero_row = (zero,) * ncols
+        found = self._by_row.get(i % nrows)
+        if found is None:
+            return self._zero_row
+        row = list(self._zero_row)
+        for c, entry in found:
+            row[c] = entry
+        return tuple(row)
+
+    def __iter__(self):
+        for i in range(self.shape[0]):
+            yield self[i]
+
+    def __eq__(self, other):
+        if not isinstance(other, WeightMatrix):
+            return NotImplemented
+        return (self.shape, self.arity, self.cells) == (other.shape, other.arity, other.cells)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (
+            f"WeightMatrix({self.shape[0]}x{self.shape[1]}, arity {self.arity},"
+            f" {len(self.cells)} nonzero cells)"
+        )
+
+
+# ---------------------------------------------------------------------------
+# common-denominator normal form
+
+
+@record
+class SymbolDecomposition:
+    """One symbol's share of the common-denominator normal form."""
+
+    arity: int
+    child_denominators: tuple  # one UniPolynomial per child variable x1..xk
+    matrices: dict  # exponent tuple (i1..ik) -> {(row, col): nonzero Fraction}
+    shape: tuple  # (rows, cols) of every matrix
+
+
+@record
+class CommonDenominatorForm:
+    q0: UniPolynomial  # shared denominator in x0 (monic lcm)
+    symbols: dict  # symbol name -> SymbolDecomposition
+    r: int  # max child-variable exponent across all numerators
+
+
+def _lcm_of(dens) -> UniPolynomial:
+    """Monic lcm of the distinct polynomials in ``dens``; 1 when there are none."""
+    out = UniPolynomial.const(1)
+    for den in dict.fromkeys(dens):
+        if not den.is_one:
+            out = poly_lcm(out, den)
+    return out
+
+
+def normalize_common_denominator(weights) -> CommonDenominatorForm:
+    """Put all non-nullary weight matrices over a common denominator.
+
+    ``weights`` is a list of (name, arity, matrix) with arity >= 1 and matrix
+    a WeightMatrix or a sequence of rows of SizeRational; only nonzero cells
+    are read.  Numerator occurrences of x0 are rewritten via
+    x0 = 1 + x1 + ... + xk, which leaves the weight unchanged at every
+    realizable size tuple.
+    """
+    weights = [
+        (name, k, m if isinstance(m, WeightMatrix) else WeightMatrix.from_rows(m, k))
+        for name, k, m in weights
+    ]
+    # cells share a few denominators: fold and divide each distinct one once
+    q0 = _lcm_of(entry.dens[0] for _, _, matrix in weights for entry in matrix.cells.values())
+    symbols = {}
+    r = 0
+    for name, k, matrix in weights:
+        nvars = k + 1
+        child_dens = [
+            _lcm_of(entry.dens[i] for entry in matrix.cells.values()) for i in range(1, nvars)
+        ]
+        lcms = [q0] + child_dens
+        # images for eliminating x0 from numerators: x0 -> 1 + x1 + ... + xk
+        x0_image = MultiPolynomial.const(nvars, 1)
+        for i in range(1, nvars):
+            x0_image = x0_image + MultiPolynomial.var(nvars, i)
+        images = [x0_image] + [MultiPolynomial.var(nvars, i) for i in range(1, nvars)]
+        cofactors = {}  # (variable, denominator) -> multiplier in x_v, None for 1
+        matrices = {}
+        for key, entry in matrix.cells.items():
+            num = entry.num
+            for v in range(nvars):
+                den = entry.dens[v]
+                if (v, den) not in cofactors:
+                    cof = lcms[v].div_exact(den)
+                    cofactors[v, den] = (
+                        None if cof.is_one else MultiPolynomial.from_uni(cof, nvars, v)
+                    )
+                if cofactors[v, den] is not None:
+                    num = num * cofactors[v, den]
+            if num.degree_in(0) > 0:
+                num = num.compose(images)
+            for exps, c in num.terms.items():
+                matrices.setdefault(exps[1:], {})[key] = c
+        for exps in matrices:
+            r = max(r, max(exps, default=0))
+        if not matrices:
+            matrices[(0,) * k] = {}
+        symbols[name] = SymbolDecomposition(k, tuple(child_dens), matrices, matrix.shape)
+    return CommonDenominatorForm(q0, symbols, r)

@@ -1,6 +1,5 @@
 """Combinatorial species: parsing, translation to differential systems over
-exponential generating functions, and normalization to first-order rational
-systems.
+exponential generating functions, and counting.
 
 The supported constructions are 1, X, named references, +, *, sequence, set,
 and cycle, with cardinality constraints card=k and card>=k on sequence and
@@ -14,6 +13,12 @@ set.  Each construct contributes equations over EGF variables:
 
 all requiring A(0) = 0.  Initial values come from counting structures on the
 empty label set, computed as a least fixpoint over the specification.
+
+This module keeps the species syntax, the translation and the counting.  The
+normalization of the translated system to a first-order rational system
+(``diffsys_to_rds``, ``rds_with_target`` and their helpers, and
+``RHS_TERM_BUDGET``) lives in ``_species_rds``; every one of those names is
+re-exported here, bound to the defining object.
 """
 
 from __future__ import annotations
@@ -39,6 +44,17 @@ from ._expr import (
     tokenize,
 )
 from ._record import record
+# re-exported, like the names above that only _species_rds uses, so that
+# this module still holds every name it held before the split
+from ._species_rds import (
+    RHS_TERM_BUDGET,
+    _budgeted,
+    _solve_coupled,
+    differentiate,
+    diffsys_to_rds,
+    rds_with_target,
+    to_linear_in_derivatives,
+)
 from .compile import RDS, compile_rda
 from .errors import (
     BadCardinality,
@@ -115,12 +131,6 @@ class SpeciesSpec:
 
 
 _CONSTRUCTS = {"set", "sequence", "cycle"}
-
-# Most terms, numerator and denominator together, that normalization lets a
-# right-hand side reach.  Solving for the derivatives multiplies
-# denominators, so each level of cycle(cycle(...)) doubles the terms; the
-# largest right-hand side of the gold species and their joins has 80.
-RHS_TERM_BUDGET = 2000
 
 
 @nesting_guard(ParseError)
@@ -351,6 +361,11 @@ def species_to_diffsys(spec: SpeciesSpec) -> DiffEqSystem:
 
     def truncation(w: str, k: int):
         """sum_{j<k} w^j / j! as an expression."""
+        if k + 1 > RHS_TERM_BUDGET:
+            raise InvariantError(
+                f"set(..., card>={k}) needs a right-hand side of {k + 1} terms, past the"
+                f" budget of {RHS_TERM_BUDGET}"
+            )
         terms = [Const(Fraction(1))]
         for j in range(1, k):
             terms.append(Mul((Const(Fraction(1, math.factorial(j))), Pow(Var(w), j))))
@@ -383,7 +398,11 @@ def species_to_diffsys(spec: SpeciesSpec) -> DiffEqSystem:
                 k = e.card[1]
                 if k == 0:
                     return Const(Fraction(1))
-                return Mul((Const(Fraction(1, math.factorial(k))), Pow(Var(w), k)))
+                try:
+                    scale = Fraction(1, math.factorial(k))
+                except OverflowError:
+                    raise UnsupportedConstruct(f"set(..., card={k}): {k}! is too large") from None
+                return Mul((Const(scale), Pow(Var(w), k)))
             full = bind if (e.card is None and bind) else fresh()
             equations.append(("diff", full, Mul((Var(full), DVar(w)))))
             init[full] = Fraction(1)
@@ -412,256 +431,7 @@ def species_to_diffsys(spec: SpeciesSpec) -> DiffEqSystem:
 
 
 # ---------------------------------------------------------------------------
-# normalization to a first-order rational system
-
-
-def differentiate(expr):
-    """d/dx of an AST over power-series variables: Var(v) -> DVar(v); the
-    distinguished name "x" differentiates to 1."""
-    if isinstance(expr, Const):
-        return Const(Fraction(0))
-    if isinstance(expr, Var):
-        if expr.name == "x":
-            return Const(Fraction(1))
-        return DVar(expr.name)
-    if isinstance(expr, DVar):
-        raise NonlinearInDerivatives("second derivatives are not supported")
-    if isinstance(expr, Add):
-        return Add(tuple(differentiate(arg) for arg in expr.args))
-    if isinstance(expr, Neg):
-        return Neg(differentiate(expr.arg))
-    if isinstance(expr, Mul):
-        args = expr.args
-        return Add(
-            tuple(
-                Mul(args[:i] + (differentiate(arg),) + args[i + 1 :])
-                for i, arg in enumerate(args)
-            )
-        )
-    if isinstance(expr, DivE):
-        # (a/b)' = a'/b - a b'/b^2
-        return Add(
-            (
-                DivE(differentiate(expr.left), expr.right),
-                Neg(
-                    DivE(
-                        Mul((expr.left, differentiate(expr.right))),
-                        Pow(expr.right, 2),
-                    )
-                ),
-            )
-        )
-    if isinstance(expr, Pow):
-        if expr.exponent == 0:
-            return Const(Fraction(0))
-        return Mul(
-            (
-                Const(Fraction(expr.exponent)),
-                Pow(expr.base, expr.exponent - 1),
-                differentiate(expr.base),
-            )
-        )
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def to_linear_in_derivatives(expr, var_index: dict, nvars: int):
-    """Write an AST as  constant + sum coeff_v * v'  with RatFunc parts.
-
-    Raises NonlinearInDerivatives when a derivative occurs inside a product
-    of derivatives, a denominator, or a power.
-    """
-    if isinstance(expr, DVar):
-        if expr.name not in var_index:
-            raise ParseError(f"unknown variable {expr.name!r}")
-        return RatFunc.const(nvars, 0), {expr.name: RatFunc.const(nvars, 1)}
-    if isinstance(expr, (Const, Var)):
-        return to_ratfunc(expr, var_index, nvars), {}
-    if isinstance(expr, Add):
-        const, lin = to_linear_in_derivatives(expr.args[0], var_index, nvars)
-        for arg in expr.args[1:]:
-            c, l = to_linear_in_derivatives(arg, var_index, nvars)
-            const = const + c
-            for k, v in l.items():
-                lin[k] = lin[k] + v if k in lin else v
-        return const, lin
-    if isinstance(expr, Neg):
-        c, lin = to_linear_in_derivatives(expr.arg, var_index, nvars)
-        return -c, {k: -v for k, v in lin.items()}
-    if isinstance(expr, Mul):
-        const, lin = to_linear_in_derivatives(expr.args[0], var_index, nvars)
-        for arg in expr.args[1:]:
-            c, l = to_linear_in_derivatives(arg, var_index, nvars)
-            if lin and l:
-                raise NonlinearInDerivatives("product of two derivative terms")
-            if l:
-                const, lin, c = c, l, const
-            const, lin = const * c, {k: v * c for k, v in lin.items()}
-        return const, lin
-    if isinstance(expr, DivE):
-        c1, l1 = to_linear_in_derivatives(expr.left, var_index, nvars)
-        c2, l2 = to_linear_in_derivatives(expr.right, var_index, nvars)
-        if l2:
-            raise NonlinearInDerivatives("derivative inside a denominator")
-        return c1 / c2, {k: v / c2 for k, v in l1.items()}
-    if isinstance(expr, Pow):
-        c, lin = to_linear_in_derivatives(expr.base, var_index, nvars)
-        if lin:
-            if expr.exponent == 1:
-                return c, lin
-            raise NonlinearInDerivatives("derivative inside a power")
-        return c.pow(expr.exponent), {}
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def diffsys_to_rds(dsys: DiffEqSystem, initial=None) -> RDS:
-    """Differentiate the algebraic equations and solve the resulting system,
-    linear in the derivatives, for every derivative at once.
-
-    ``initial`` may override or supply initial values by name.
-    """
-    init = dict(dsys.init)
-    if initial:
-        init.update({k: _frac(v) for k, v in initial.items()})
-    names = list(dsys.names())
-    referenced = set()
-    for _, _, rhs in dsys.equations:
-        expr_variables(rhs, referenced)
-    use_x = "x" in referenced
-    if use_x and "x" not in names:
-        names.append("x")
-        init["x"] = Fraction(0)
-    missing = [n for n in names if n not in init]
-    if missing:
-        raise InvariantError(f"missing initial value(s) for {missing}")
-    index = {n: i for i, n in enumerate(names)}
-    nvars = len(names)
-
-    # rows: D_v - sum coeff_u D_u = const
-    rows = {}
-    for kind, name, rhs in dsys.equations:
-        expr = rhs if kind == "diff" else differentiate(rhs)
-        const, lin = to_linear_in_derivatives(expr, index, nvars)
-        rows[name] = (const, lin)
-    if use_x and "x" not in rows:
-        rows["x"] = (RatFunc.const(nvars, 1), {})
-
-    solved = {}
-    pending = dict(rows)
-    while pending:
-        progressed = False
-        for name in list(pending):
-            const, lin = pending[name]
-            unresolved = [u for u in lin if u not in solved and u != name]
-            if unresolved:
-                continue
-            for u, coeff in lin.items():
-                if u == name:
-                    continue
-                const = _budgeted(const + coeff * solved[u], name)
-            self_coeff = lin.get(name)
-            if self_coeff is not None:
-                denom = RatFunc.const(nvars, 1) - self_coeff
-                if denom.is_zero:
-                    raise NonlinearInDerivatives(
-                        f"cannot solve for {name}': degenerate linear system"
-                    )
-                const = _budgeted(const / denom, name)
-            solved[name] = const
-            del pending[name]
-            progressed = True
-        if not progressed:
-            _solve_coupled(pending, solved, nvars)
-            break
-
-    point = tuple(init[n] for n in names)
-    rhs = []
-    for n in names:
-        rf = solved[n]
-        if rf.den(point) == 0:
-            raise SingularInitialValues(
-                f"right-hand side for {n}' is undefined at the initial values"
-            )
-        rhs.append((rf.num, rf.den))
-    return RDS(tuple(names), tuple(rhs), point)
-
-
-def _budgeted(rf: RatFunc, name: str) -> RatFunc:
-    terms = len(rf.num.terms) + len(rf.den.terms)
-    if terms > RHS_TERM_BUDGET:
-        raise InvariantError(
-            f"the right-hand side for {name}' grows past {RHS_TERM_BUDGET} terms"
-            f" ({terms}); the specification nests too deeply"
-        )
-    return rf
-
-
-def _solve_coupled(pending, solved, nvars: int):
-    """Gaussian elimination for the residual coupled block."""
-    names = list(pending)
-    m = len(names)
-    pos = {n: i for i, n in enumerate(names)}
-    matrix = []
-    rhs = []
-    for n in names:
-        const, lin = pending[n]
-        row = [RatFunc.const(nvars, 0)] * m
-        row[pos[n]] = RatFunc.const(nvars, 1)
-        for u, coeff in lin.items():
-            if u in solved:
-                const = _budgeted(const + coeff * solved[u], n)
-            elif u in pos:
-                row[pos[u]] = row[pos[u]] - coeff
-            else:
-                raise NonlinearInDerivatives(f"unknown derivative {u}'")
-        matrix.append(row)
-        rhs.append(const)
-    for col in range(m):
-        pivot = None
-        for r in range(col, m):
-            if not matrix[r][col].is_zero:
-                pivot = r
-                break
-        if pivot is None:
-            raise NonlinearInDerivatives("derivatives are not uniquely determined")
-        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = matrix[col][col]
-        for r in range(m):
-            if r == col or matrix[r][col].is_zero:
-                continue
-            factor = matrix[r][col] / inv
-            for c in range(col, m):
-                matrix[r][c] = _budgeted(matrix[r][c] - factor * matrix[col][c], names[r])
-            rhs[r] = _budgeted(rhs[r] - factor * rhs[col], names[r])
-    for i, n in enumerate(names):
-        solved[n] = _budgeted(rhs[i] / matrix[i][i], n)
-    pending.clear()
-
-
-# ---------------------------------------------------------------------------
 # counting
-
-
-def rds_with_target(rds: RDS, name: str) -> RDS:
-    """Permute an RDS so the named variable sits first (the series target)."""
-    if name not in rds.variables:
-        raise UnknownName(f"{name!r} is not a variable of the system")
-    order = [rds.variables.index(name)] + [
-        i for i in range(len(rds.variables)) if rds.variables[i] != name
-    ]
-    nvars = len(rds.variables)
-    images = [None] * nvars
-    for new_pos, old_pos in enumerate(order):
-        images[old_pos] = MultiPolynomial.var(nvars, new_pos)
-    permuted = []
-    for i in order:
-        p, q = rds.rhs[i]
-        permuted.append((p.compose(images), q.compose(images)))
-    return RDS(
-        tuple(rds.variables[i] for i in order),
-        tuple(permuted),
-        tuple(rds.init[i] for i in order),
-    )
 
 
 def species_to_rds(spec: SpeciesSpec, target: str = None, initial=None) -> RDS:

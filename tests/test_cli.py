@@ -313,19 +313,42 @@ def test_species_nested_400_deep_exits_2(tmp_path, capsys):
     assert "nested too deeply" in err
 
 
-def test_cycles_nested_50_deep_exit_3_quickly(tmp_path):
-    # each level of cycle( doubles the terms of a right-hand side; the term
-    # budget stops the normalization long before memory runs out
-    spec = tmp_path / "cycles.spec"
-    spec.write_text("A = " + "cycle(" * 50 + "X" + ")" * 50 + "\n")
+def _species_count_in_child(tmp_path, species):
+    spec = tmp_path / "a.spec"
+    spec.write_text(f"A = {species}\n")
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "treeseries", "species", "count", "-f", str(spec), "-n", "5"],
         env=env, capture_output=True, text=True, timeout=10,
     )
+
+
+def test_cycles_nested_50_deep_exit_3_quickly(tmp_path):
+    # each level of cycle( doubles the terms of a right-hand side; the term
+    # budget stops the normalization long before memory runs out
+    done = _species_count_in_child(tmp_path, "cycle(" * 50 + "X" + ")" * 50)
     assert done.returncode == 3 and done.stdout == ""
     assert "grows past 2000 terms" in done.stderr and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("card", [
+    "card>=5000", f"card>={2**63}", f"card>={10**20}", f"card={2**63}", f"card={10**20}",
+])
+def test_set_with_a_cardinality_out_of_reach_exits_3_quickly(tmp_path, card):
+    # card>=k writes out k terms, so k is checked against the term budget
+    # first; card=k divides by k!, which math.factorial refuses past 2^63 - 1
+    done = _species_count_in_child(tmp_path, f"set(X, {card})")
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("species", [
+    "set(X, card=5000)", "sequence(X, card=5000)", "sequence(X, card>=5000)",
+])
+def test_large_cardinality_within_reach_counts_quickly(tmp_path, species):
+    done = _species_count_in_child(tmp_path, species)
+    assert done.returncode == 0 and done.stdout.split() == ["0"] * 6
 
 
 def test_tree_nested_800_deep_exits_2(bell_path, capsys):

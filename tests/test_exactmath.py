@@ -26,6 +26,7 @@ from treeseries.exactmath import (
     poly_lcm,
     size_rational_eval,
 )
+from treeseries._expr import RatFunc
 from zoo import bell_automaton, cubic_automaton, labelled_trees_automaton
 
 
@@ -204,6 +205,59 @@ def test_compose_is_evaluation_of_the_images(p, images, point):
     composed = p.compose(images)
     assert composed.nvars == 2
     assert composed(point) == p([image(point) for image in images])
+
+
+def _repeated(base, e, one):
+    acc = one
+    for _ in range(e):
+        acc = acc * base
+    return acc
+
+
+# univariate, so that a 40th power stays small; pow never looks at nvars
+@settings(max_examples=40, deadline=None)
+@given(multipolys(nvars=1), st.integers(0, 40))
+def test_pow_equals_repeated_multiplication(p, e):
+    assert p.pow(e).terms == _repeated(p, e, MultiPolynomial.const(1, 1)).terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(multipolys(nvars=1), multipolys(nvars=1), st.integers(0, 40))
+def test_ratfunc_pow_equals_repeated_multiplication(num, den, e):
+    if den.is_zero:
+        den = MultiPolynomial.const(1, 1)
+    f = RatFunc(num, den)
+    power, reference = f.pow(e), _repeated(f, e, RatFunc.const(1, 1))
+    assert (power.num.terms, power.den.terms) == (reference.num.terms, reference.den.terms)
+
+
+def _count_products(monkeypatch, cls):
+    calls = []
+    product = cls.__mul__
+    monkeypatch.setattr(cls, "__mul__", lambda a, b: calls.append(1) or product(a, b))
+    return calls
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 7, 8, 40, 255, 256, 30000, 10**6])
+def test_pow_takes_at_most_2_log2_e_products(monkeypatch, e):
+    bound = 2 * math.log2(e) + 2
+    x0, x1 = MultiPolynomial.var(2, 0), MultiPolynomial.var(2, 1)
+    calls = _count_products(monkeypatch, MultiPolynomial)
+    assert x0.pow(e).terms == {(e, 0): 1}
+    assert len(calls) <= bound
+    calls = _count_products(monkeypatch, RatFunc)
+    power = RatFunc(x0, x1).pow(e)
+    assert (power.num.terms, power.den.terms) == ({(e, 0): 1}, {(0, e): 1})
+    assert len(calls) <= bound
+
+
+def test_compose_raises_each_image_to_a_power_by_squaring(monkeypatch):
+    # a permutation of the variables, as rds_with_target does, of y0^30000 * y1
+    p = MultiPolynomial(2, {(30000, 1): 3})
+    images = [MultiPolynomial.var(2, 1), MultiPolynomial.var(2, 0)]
+    calls = _count_products(monkeypatch, MultiPolynomial)
+    assert p.compose(images).terms == {(1, 30000): 3}
+    assert len(calls) <= 2 * math.log2(30000) + 2 + 2  # the term times its two powers
 
 
 @settings(max_examples=40, deadline=None)

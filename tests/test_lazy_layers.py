@@ -210,3 +210,25 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         treeseries.no_such_name
     assert not hasattr(treeseries, "WeightMatrix")
+
+
+# ---------------------------------------------------------------------------
+# source size
+
+MODULE_BYTES = 16384
+
+
+def test_no_module_is_over_16_kib():
+    """Without a bytecode cache (PYTHONDONTWRITEBYTECODE=1, as the benchmark
+    runs), a command compiles every module it runs from source, and the
+    compiler's peak memory grows with the size of the file it compiles.  So
+    the largest module compiled, not the command's own data, sets a
+    command's peak RSS.  Measured with CPython 3.11 on x86-64 Linux:
+    `python -c pass` peaks at 13.8 MB; compiling exactmath.py alone raised
+    VmHWM by 2.3-2.4 MB when it was 30,648 bytes, and species.py by 2.0 MB at
+    22,608 bytes; the five modules they were split into, 6.7-14 KB each,
+    raise it by 0.5-1.2 MB.  A module that outgrows the cap is split along
+    its sections."""
+    package = _ROOT / "src" / "treeseries"
+    sizes = {path.name: path.stat().st_size for path in package.glob("*.py")}
+    assert {name: size for name, size in sizes.items() if size > MODULE_BYTES} == {}
