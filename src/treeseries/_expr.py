@@ -384,10 +384,23 @@ def to_ratfunc(expr, var_index: dict, nvars: int) -> RatFunc:
         return RatFunc.var(nvars, var_index[name])
     if isinstance(expr, Call):
         raise ParseError(f"call {expr.name}(...) not allowed here")
-    if isinstance(expr, (Add, Mul)):
-        combine = operator.add if isinstance(expr, Add) else operator.mul
+    if isinstance(expr, Add):
+        # the polynomial operands are summed in one dict: adding them one at
+        # a time would copy the growing sum once per operand
+        poly, parts = {}, []
+        for arg in expr.args:
+            rf = to_ratfunc(arg, var_index, nvars)
+            if rf.is_polynomial():  # so its denominator is 1
+                for exps, c in rf.num.terms.items():
+                    poly[exps] = poly.get(exps, 0) + c
+            else:
+                parts.append(rf)
+        if poly or not parts:
+            parts.insert(0, RatFunc(MultiPolynomial(nvars, poly)))
+        return functools.reduce(operator.add, parts)
+    if isinstance(expr, Mul):
         return functools.reduce(
-            combine, (to_ratfunc(arg, var_index, nvars) for arg in expr.args)
+            operator.mul, (to_ratfunc(arg, var_index, nvars) for arg in expr.args)
         )
     if isinstance(expr, DivE):
         return to_ratfunc(expr.left, var_index, nvars) / to_ratfunc(

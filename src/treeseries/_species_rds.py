@@ -1,30 +1,21 @@
 """Normalization of a species' differential system to a first-order
 rational dynamical system.
 
-``diffsys_to_rds`` differentiates the algebraic equations of a
-``species.DiffEqSystem``, writes every equation as linear in the
-derivatives, and solves for all derivatives at once; ``rds_with_target``
-puts the series target first.  ``species`` re-exports every name defined
-here.
+``diffsys_to_rds`` lowers every equation of a ``species.DiffEqSystem``
+once to a rational function over the variables and their derivatives.  A
+differential equation v' = F is read off its part linear in the
+derivatives; an algebraic one v = F is differentiated by the chain rule on
+F = P/Q, as ``_languages.da_to_rds`` differentiates a polynomial.  All
+derivatives are then solved for at once; ``rds_with_target`` puts the
+series target first.  ``species`` re-exports every name it held before
+this module was split from it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ._expr import (
-    Add,
-    Const,
-    DVar,
-    DivE,
-    Mul,
-    Neg,
-    Pow,
-    RatFunc,
-    Var,
-    expr_variables,
-    to_ratfunc,
-)
+from ._expr import RatFunc, expr_variables, to_ratfunc
 from ._poly import MultiPolynomial, _frac
 from .compile import RDS
 from .errors import (
@@ -47,107 +38,9 @@ RHS_TERM_BUDGET = 2000
 # normalization to a first-order rational system
 
 
-def differentiate(expr):
-    """d/dx of an AST over power-series variables: Var(v) -> DVar(v); the
-    distinguished name "x" differentiates to 1."""
-    if isinstance(expr, Const):
-        return Const(Fraction(0))
-    if isinstance(expr, Var):
-        if expr.name == "x":
-            return Const(Fraction(1))
-        return DVar(expr.name)
-    if isinstance(expr, DVar):
-        raise NonlinearInDerivatives("second derivatives are not supported")
-    if isinstance(expr, Add):
-        return Add(tuple(differentiate(arg) for arg in expr.args))
-    if isinstance(expr, Neg):
-        return Neg(differentiate(expr.arg))
-    if isinstance(expr, Mul):
-        args = expr.args
-        return Add(
-            tuple(
-                Mul(args[:i] + (differentiate(arg),) + args[i + 1 :])
-                for i, arg in enumerate(args)
-            )
-        )
-    if isinstance(expr, DivE):
-        # (a/b)' = a'/b - a b'/b^2
-        return Add(
-            (
-                DivE(differentiate(expr.left), expr.right),
-                Neg(
-                    DivE(
-                        Mul((expr.left, differentiate(expr.right))),
-                        Pow(expr.right, 2),
-                    )
-                ),
-            )
-        )
-    if isinstance(expr, Pow):
-        if expr.exponent == 0:
-            return Const(Fraction(0))
-        return Mul(
-            (
-                Const(Fraction(expr.exponent)),
-                Pow(expr.base, expr.exponent - 1),
-                differentiate(expr.base),
-            )
-        )
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def to_linear_in_derivatives(expr, var_index: dict, nvars: int):
-    """Write an AST as  constant + sum coeff_v * v'  with RatFunc parts.
-
-    Raises NonlinearInDerivatives when a derivative occurs inside a product
-    of derivatives, a denominator, or a power.
-    """
-    if isinstance(expr, DVar):
-        if expr.name not in var_index:
-            raise ParseError(f"unknown variable {expr.name!r}")
-        return RatFunc.const(nvars, 0), {expr.name: RatFunc.const(nvars, 1)}
-    if isinstance(expr, (Const, Var)):
-        return to_ratfunc(expr, var_index, nvars), {}
-    if isinstance(expr, Add):
-        const, lin = to_linear_in_derivatives(expr.args[0], var_index, nvars)
-        for arg in expr.args[1:]:
-            c, l = to_linear_in_derivatives(arg, var_index, nvars)
-            const = const + c
-            for k, v in l.items():
-                lin[k] = lin[k] + v if k in lin else v
-        return const, lin
-    if isinstance(expr, Neg):
-        c, lin = to_linear_in_derivatives(expr.arg, var_index, nvars)
-        return -c, {k: -v for k, v in lin.items()}
-    if isinstance(expr, Mul):
-        const, lin = to_linear_in_derivatives(expr.args[0], var_index, nvars)
-        for arg in expr.args[1:]:
-            c, l = to_linear_in_derivatives(arg, var_index, nvars)
-            if lin and l:
-                raise NonlinearInDerivatives("product of two derivative terms")
-            if l:
-                const, lin, c = c, l, const
-            const, lin = const * c, {k: v * c for k, v in lin.items()}
-        return const, lin
-    if isinstance(expr, DivE):
-        c1, l1 = to_linear_in_derivatives(expr.left, var_index, nvars)
-        c2, l2 = to_linear_in_derivatives(expr.right, var_index, nvars)
-        if l2:
-            raise NonlinearInDerivatives("derivative inside a denominator")
-        return c1 / c2, {k: v / c2 for k, v in l1.items()}
-    if isinstance(expr, Pow):
-        c, lin = to_linear_in_derivatives(expr.base, var_index, nvars)
-        if lin:
-            if expr.exponent == 1:
-                return c, lin
-            raise NonlinearInDerivatives("derivative inside a power")
-        return c.pow(expr.exponent), {}
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
 def diffsys_to_rds(dsys: DiffEqSystem, initial=None) -> RDS:
-    """Differentiate the algebraic equations and solve the resulting system,
-    linear in the derivatives, for every derivative at once.
+    """Lower every equation once to a rational function, read it as linear
+    in the derivatives, and solve for every derivative at once.
 
     ``initial`` may override or supply initial values by name.
     """
@@ -165,15 +58,21 @@ def diffsys_to_rds(dsys: DiffEqSystem, initial=None) -> RDS:
     missing = [n for n in names if n not in init]
     if missing:
         raise InvariantError(f"missing initial value(s) for {missing}")
-    index = {n: i for i, n in enumerate(names)}
     nvars = len(names)
+    # y is variable i and y' the slot nvars + i.  The derivative of a name no
+    # equation defines gets a slot past 2 * nvars, so that it is refused as
+    # an unknown variable in v' = F and as a second derivative in v = F,
+    # not by to_ratfunc, whose message would name the derivative instead
+    slot_names = names + sorted(referenced.difference(names))
+    index = {n: i for i, n in enumerate(names)}
+    index.update({n + "'": nvars + i for i, n in enumerate(slot_names)})
 
     # rows: D_v - sum coeff_u D_u = const
     rows = {}
     for kind, name, rhs in dsys.equations:
-        expr = rhs if kind == "diff" else differentiate(rhs)
-        const, lin = to_linear_in_derivatives(expr, index, nvars)
-        rows[name] = (const, lin)
+        rf = to_ratfunc(rhs, index, nvars + len(slot_names))
+        read = _linear_part if kind == "diff" else _chain_rule
+        rows[name] = read(rf, slot_names, nvars)
     if use_x and "x" not in rows:
         rows["x"] = (RatFunc.const(nvars, 1), {})
 
@@ -215,6 +114,61 @@ def diffsys_to_rds(dsys: DiffEqSystem, initial=None) -> RDS:
             )
         rhs.append((rf.num, rf.den))
     return RDS(tuple(names), tuple(rhs), point)
+
+
+def _drop_slots(p: MultiPolynomial, nvars: int) -> MultiPolynomial:
+    return MultiPolynomial(nvars, {e[:nvars]: c for e, c in p.terms.items()})
+
+
+def _linear_part(rf: RatFunc, slot_names: list, nvars: int):
+    """(constant, {u: coefficient of u'}) of an equation v' = rf, which must
+    be linear in the derivatives."""
+
+    def slots(exps):
+        used = [i for i in range(nvars, len(exps)) if exps[i]]
+        if used and used[-1] >= 2 * nvars:
+            raise ParseError(f"unknown variable {slot_names[used[-1] - nvars]!r}")
+        return used
+
+    if any(slots(e) for e in rf.den.terms):
+        raise NonlinearInDerivatives("derivative inside a denominator")
+    const, terms = {}, {}
+    for e, c in rf.num.terms.items():
+        used = slots(e)
+        if not used:
+            const[e[:nvars]] = c
+        elif len(used) > 1:
+            raise NonlinearInDerivatives("product of two derivative terms")
+        elif e[used[0]] > 1:
+            raise NonlinearInDerivatives("derivative inside a power")
+        else:
+            terms.setdefault(used[0], {})[e[:nvars]] = c
+    den = _drop_slots(rf.den, nvars)
+    lin = {
+        slot_names[i - nvars]: RatFunc(MultiPolynomial(nvars, terms[i]), den)
+        for i in sorted(terms)
+    }
+    return RatFunc(MultiPolynomial(nvars, const), den), lin
+
+
+def _chain_rule(rf: RatFunc, slot_names: list, nvars: int):
+    """(constant, {u: coefficient of u'}) of the derivative of an equation
+    v = F: v' = dF/dx + sum_u dF/du u', with u in the order of the names."""
+    if any(any(e[nvars:]) for part in (rf.num, rf.den) for e in part.terms):
+        raise NonlinearInDerivatives("second derivatives are not supported")
+    p, q = _drop_slots(rf.num, nvars), _drop_slots(rf.den, nvars)
+    used = sorted({i for part in (p, q) for e in part.terms for i, k in enumerate(e) if k})
+    const, lin = RatFunc.const(nvars, 0), {}
+    for i in used:
+        dp, dq = p.partial(i), q.partial(i)
+        # RatFunc cancels no common factor, so the quotient rule would leave
+        # a spare factor Q on both sides when Q does not use the variable
+        d = RatFunc(dp, q) if dq.is_zero else RatFunc(dp * q - p * dq, q * q)
+        if slot_names[i] == "x":
+            const = d
+        elif not d.is_zero:
+            lin[slot_names[i]] = d
+    return const, lin
 
 
 def _budgeted(rf: RatFunc, name: str) -> RatFunc:

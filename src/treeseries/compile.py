@@ -92,36 +92,44 @@ def reduce_degree_two(polys, k: int):
     """Rewrite polynomials over y_0..y_{k-1} so every monomial has degree at
     most two, chaining longer monomials through fresh variables.
 
-    A monomial of degree three or more, as its sorted index tuple, becomes
-    the product of its two halves, the first len // 2 indices and the rest.
-    A half of one index is that variable; a longer half is a fresh variable
-    split the same way, and equal halves share one.  So y^m needs at most
-    2 log2(m) fresh variables (a product of m distinct variables, m - 2).
+    A monomial of degree m >= 3, as its exponent vector, becomes the product
+    of its two halves: the first m // 2 units of the vector in index order,
+    and the rest.  A half of degree one is that variable; a longer half is a
+    fresh variable split the same way, and equal halves share one.  So y^m
+    needs at most 2 log2(m) fresh variables (a product of m distinct
+    variables, m - 2), and the work is linear in k per fresh variable,
+    whatever the exponents.
 
     Returns (rewritten polys over k+s variables, chains) where chains[m] =
-    (tup, (u, v)): the fresh variable k+m denotes the product over the index
-    tuple tup and is defined as the product of variables u and v, both
-    below k+m.  Monomials are processed in graded lexicographic order.
+    (exps, (u, v)): the fresh variable k+m denotes the monomial with
+    exponent vector exps and is defined as the product of variables u and
+    v, both below k+m.  Monomials are processed in graded lexicographic
+    order.
     """
     chain_var = {}
     chains = []
 
-    def var(tup):
-        if len(tup) == 1:
-            return tup[0]
-        if tup not in chain_var:
-            factors = halves(tup)
-            chain_var[tup] = k + len(chains)
-            chains.append((tup, factors))
-        return chain_var[tup]
+    def var(exps, degree):
+        if degree == 1:
+            return exps.index(1)
+        if exps not in chain_var:
+            factors = halves(exps, degree)
+            chain_var[exps] = k + len(chains)
+            chains.append((exps, factors))
+        return chain_var[exps]
 
-    def halves(tup):
-        h = len(tup) // 2
-        return var(tup[:h]), var(tup[h:])
+    def halves(exps, degree):
+        left, rest = [], degree // 2
+        for e in exps:
+            take = min(e, rest)
+            left.append(take)
+            rest -= take
+        right = tuple(e - l for e, l in zip(exps, left))
+        return var(tuple(left), degree // 2), var(right, degree - degree // 2)
 
     long_monomials = {exps for p in polys for exps in p.terms if sum(exps) > 2}
     split = {
-        exps: halves(_index_tuple(exps))
+        exps: halves(exps, sum(exps))
         for exps in sorted(long_monomials, key=lambda e: (sum(e), e))
     }
     nvars = k + len(chains)

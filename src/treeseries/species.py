@@ -17,8 +17,9 @@ empty label set, computed as a least fixpoint over the specification.
 This module keeps the species syntax, the translation and the counting.  The
 normalization of the translated system to a first-order rational system
 (``diffsys_to_rds``, ``rds_with_target`` and their helpers, and
-``RHS_TERM_BUDGET``) lives in ``_species_rds``; every one of those names is
-re-exported here, bound to the defining object.
+``RHS_TERM_BUDGET``) lives in ``_species_rds``; every one of those names
+that this module held before the split is re-exported here, bound to the
+defining object.
 """
 
 from __future__ import annotations
@@ -50,10 +51,8 @@ from ._species_rds import (
     RHS_TERM_BUDGET,
     _budgeted,
     _solve_coupled,
-    differentiate,
     diffsys_to_rds,
     rds_with_target,
-    to_linear_in_derivatives,
 )
 from .compile import RDS, compile_rda
 from .errors import (

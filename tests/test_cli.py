@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -349,6 +350,33 @@ def test_set_with_a_cardinality_out_of_reach_exits_3_quickly(tmp_path, card):
 def test_large_cardinality_within_reach_counts_quickly(tmp_path, species):
     done = _species_count_in_child(tmp_path, species)
     assert done.returncode == 0 and done.stdout.split() == ["0"] * 6
+
+
+@pytest.mark.parametrize("species", [f"sequence(X, card={2**63})", f"sequence(X, card>={10**20})"])
+def test_sequence_with_a_huge_cardinality_counts_quickly(tmp_path, species):
+    # degree reduction splits exponent vectors, so X^k costs log k chains
+    # and no step writes out k factors
+    done = _species_count_in_child(tmp_path, species)
+    assert done.returncode == 0 and done.stdout.split() == ["0"] * 6
+
+
+def test_compile_rda_y_to_the_10_20_compiles_quickly_and_matches_closed_form(tmp_path):
+    # y' = y^N, y(0) = 1 has a_n = prod_{i<n} (1 + i (N - 1)) / n!
+    big = 10**20
+    system = tmp_path / "huge.rds"
+    system.write_text(f"y' = y^{big} ; y(0)=1\n")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "treeseries", "compile", "rda", "-f", str(system)],
+        env=env, capture_output=True, text=True, timeout=15,
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    expected, a = [], Fraction(1)
+    for n in range(5):
+        expected.append(a)
+        a = a * (1 + n * (big - 1)) / (n + 1)
+    assert list(generating_prefix(automaton_from_json(done.stdout), 4).coefficients) == expected
 
 
 def test_tree_nested_800_deep_exits_2(bell_path, capsys):

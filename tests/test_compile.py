@@ -227,16 +227,17 @@ def test_reduce_degree_two_structure():
     # chain and rewritten monomial re-expands to the product it stands for
     p = MultiPolynomial(2, {(3, 1): F(1), (1, 1): F(2)})
     reduced, chains = reduce_degree_two([p], 2)
-    assert [tup for tup, _ in chains] == [(0, 0), (0, 1)]
+    assert [exps for exps, _ in chains] == [(2, 0), (1, 1)]
 
     def expand(indices):
-        return tuple(sorted(i for v in indices for i in ((v,) if v < 2 else chains[v - 2][0])))
+        vectors = [(1, 0) if v == 0 else (0, 1) if v == 1 else chains[v - 2][0] for v in indices]
+        return tuple(map(sum, zip(*vectors)))
 
-    for m, (tup, (u, v)) in enumerate(chains):
+    for m, (exps, (u, v)) in enumerate(chains):
         assert u < 2 + m and v < 2 + m
-        assert expand((u, v)) == tup
+        assert expand((u, v)) == exps
     got = {expand(_index_tuple(exps)): c for exps, c in reduced[0].terms.items()}
-    assert got == {(0, 0, 0, 1): F(1), (0, 1): F(2)}
+    assert got == {(3, 1): F(1), (1, 1): F(2)}
     for exps in reduced[0].terms:
         assert sum(exps) <= 2
 
@@ -245,7 +246,7 @@ def test_reduce_degree_two_shares_halves():
     # y0^4 = t(0,0)^2 and y0^3 = y0 * t(0,0) share their one chain
     p = MultiPolynomial(1, {(4,): F(1), (3,): F(1)})
     reduced, chains = reduce_degree_two([p], 1)
-    assert chains == [((0, 0), (0, 0))]
+    assert chains == [((2,), (0, 0))]
     assert set(reduced[0].terms) == {(0, 2), (1, 1)}
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from treeseries._expr import RatFunc
+from treeseries._expr import Add, Const, DVar, DivE, Mul, Pow, RatFunc, Var
 from treeseries.compile import compile_rda, parse_rds, taylor_oracle
 from treeseries.errors import (
     BadCardinality,
@@ -174,16 +174,47 @@ def test_singular_initial_values_detected():
         diffsys_to_rds(dsys)
 
 
-def test_nonlinear_derivatives_detected():
-    from treeseries._expr import Mul, DVar
+@pytest.mark.parametrize("equation, error", [
+    (("diff", "v", Mul((DVar("v"), DVar("v")))), NonlinearInDerivatives),
+    (("diff", "v", DivE(Const(F(1)), DVar("v"))), NonlinearInDerivatives),
+    (("diff", "v", Pow(DVar("v"), 2)), NonlinearInDerivatives),
+    (("alg", "v", Add((Var("x"), DVar("v")))), NonlinearInDerivatives),
+    (("diff", "v", DVar("w")), ParseError),
+], ids=["product", "denominator", "power", "alg-derivative", "unknown-derivative"])
+def test_nonlinear_derivatives_detected(equation, error):
     from treeseries.species import DiffEqSystem
 
-    dsys = DiffEqSystem(
-        (("diff", "v", Mul((DVar("v"), DVar("v")))),),
-        {"v": F(0)},
-    )
-    with pytest.raises(NonlinearInDerivatives):
-        diffsys_to_rds(dsys)
+    with pytest.raises(error):
+        diffsys_to_rds(DiffEqSystem((equation,), {"v": F(0)}))
+
+
+@pytest.mark.parametrize("spelling", ["nested", "flat"])
+def test_normalizing_a_product_is_linear_in_its_depth(spelling, monkeypatch):
+    # multiplying out the product rule for a product d deep takes about d^2
+    # polynomial products (x3.9 per doubling of d); differentiating the
+    # lowered rational function takes about x1.85
+    from treeseries._poly import MultiPolynomial
+
+    calls = [0]
+    multiply = MultiPolynomial.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(MultiPolynomial, "__mul__", counted)
+    counts = []
+    for depth in (50, 100, 200):
+        if spelling == "nested":
+            product = "(X*" * depth + "set(X, card>=1)" + ")" * depth
+        else:
+            product = "X*" * depth + "set(X, card>=1)"
+        spec = parse_species(f"B = {product}")
+        calls[0] = 0
+        species_to_rds(spec)
+        counts.append(calls[0])
+    for shallow, deep in zip(counts, counts[1:]):
+        assert deep <= 2.5 * shallow, counts
 
 
 # ---------------------------------------------------------------------------
