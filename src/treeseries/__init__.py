@@ -11,8 +11,9 @@ running a layer does not run the layers it only names.  A command runs only
 the layers it calls; every layer is still in ``sys.modules`` as soon as the
 package is imported.
 
-``core`` and ``compile`` keep code few commands run in ``_trees`` and
-``_languages``, and read those names from them on first use through a
+``core``, ``exactmath``, ``closure``, ``compile`` and ``decide`` keep code
+few commands run in ``_trees``, ``_format``, ``_shift``, ``_languages`` and
+``_system``, and read those names from them on first use through a
 module-level ``__getattr__`` over a name table, just as this package does.
 """
 
@@ -126,15 +127,23 @@ compile = _lazy("compile")
 _languages = _lazy("_languages")
 decide = _lazy("decide")
 species = _lazy("species")
+# modules split off layers are registered but not bound, so the package's
+# names stay the ones it has always offered; __getattr__ finds them
+for _split in ("_format", "_shift", "_system"):
+    _lazy(_split)
+del _split
 
 __all__ = sorted([*_HOME, *_EXPORTS, "errors"])
 
 
 def __getattr__(name):
     layer = _HOME.get(name)
-    if layer is None:
+    if layer is not None:
+        return getattr(globals()[layer], name)
+    module = sys.modules.get(f"{__name__}.{name}")  # `from . import _shift` in a layer
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(globals()[layer], name)
+    return module
 
 
 def __dir__():

@@ -12,15 +12,16 @@ into an immutable value class with the behaviour of
 - ``__repr__`` reads ``Name(field=value, ...)``;
 - assigning or deleting an attribute raises ``FrozenInstanceError``.
 
-A method the class defines itself wins over the generated one.
-``__init__``, ``__eq__`` and ``__hash__`` are on hot paths (tree enumeration
-builds hundreds of thousands of trees), so they are generated per class from
-one source string with one ``exec``, every field access spelled out.  Every
-command-line run imports this package; ``dataclasses`` (which loads
-``inspect``) and its per-class code generation cost several times as much.
+A method the class defines itself wins over the shared one.  The methods
+are closures over the field tuple, so decorating a class compiles no code;
+``dataclasses`` (which loads ``inspect``) and per-class code generation cost
+every command-line run more.  ``Tree``, built in bulk, has its own
+``__init__``.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 
 class FrozenInstanceError(AttributeError):
@@ -41,36 +42,56 @@ def _repr(self):
     return f"{cls.__qualname__}({body})"
 
 
+def _bind(fields, defaults, args, kwargs):
+    """The field values of a call with keywords or a wrong number of
+    positional arguments; TypeError where a dataclass raises it."""
+    if len(args) > len(fields) or not set(kwargs) <= set(fields[len(args):]):
+        raise TypeError(f"__init__() got bad arguments {args} {kwargs}")
+    values = {**dict(zip(fields[len(fields) - len(defaults):], defaults)),
+              **dict(zip(fields, args)), **kwargs}
+    missing = [name for name in fields if name not in values]
+    if missing:
+        raise TypeError(f"__init__() missing required arguments {missing}")
+    return [values[name] for name in fields]
+
+
 def record(cls):
     """Make ``cls`` a frozen value class (see the module docstring)."""
     fields = tuple(cls.__dict__.get("__annotations__", {}))
-    defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
     # a field without a default after one with a default is a SyntaxError
-    params = [f"{name}=_default_{name}" if name in defaults else name for name in fields]
-    values = "".join(f"self.{name}, " for name in fields)
-    others = "".join(f"other.{name}, " for name in fields)
-    lines = [f"def __init__(self, {', '.join(params)}):"]
-    lines += [f"    _set(self, {name!r}, {name})" for name in fields]
-    if hasattr(cls, "__post_init__"):
-        lines.append("    self.__post_init__()")
-    if len(lines) == 1:
-        lines.append("    pass")
-    lines += [
-        "def __eq__(self, other):",
-        "    if other.__class__ is self.__class__:",
-        f"        return ({values}) == ({others})",
-        "    return NotImplemented",
-        "def __hash__(self):",
-        f"    return hash(({values}))",
-    ]
-    namespace = {"_set": object.__setattr__}
-    namespace.update((f"_default_{name}", value) for name, value in defaults.items())
-    exec("\n".join(lines), namespace)
+    defaults = tuple(cls.__dict__[name] for name in fields if name in cls.__dict__)
+    count, required = len(fields), len(fields) - len(defaults)
+    post_init = hasattr(cls, "__post_init__")
+    setter = object.__setattr__
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or not required <= len(args) <= count:
+            args = _bind(fields, defaults, args, kwargs)
+        elif len(args) < count:
+            args += defaults[len(args) - required:]
+        for name, value in zip(fields, args):
+            setter(self, name, value)
+        if post_init:
+            self.__post_init__()
+
+    if count > 1:
+        key = attrgetter(*fields)
+    else:  # attrgetter of one name gives the value, of none is an error
+        key = lambda self: tuple(getattr(self, name) for name in fields)  # noqa: E731
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
     methods = {"__repr__": _repr, "__setattr__": _setattr, "__delattr__": _delattr}
-    for name in ("__init__", "__eq__", "__hash__"):
-        method = methods[name] = namespace[name]
+    for method in (__init__, __eq__, __hash__):
+        methods[method.__name__] = method
         method.__module__ = cls.__module__
-        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
     for name, method in methods.items():
         if name not in cls.__dict__:
             setattr(cls, name, method)

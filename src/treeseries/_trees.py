@@ -22,6 +22,7 @@ from .core import Automaton, RankedAlphabet, unrank_row
 from .errors import InputFormatError, SymbolMismatch, TooManyTrees, nesting_guard
 
 ENUMERATION_GUARD = 10**6
+_set = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
@@ -32,14 +33,13 @@ ENUMERATION_GUARD = 10**6
 class Tree:
     root: str
     children: tuple = ()
-    size: int = None
+    size: int = None  # computed: a given value is ignored
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "size",
-            0 if not self.children else 1 + sum(c.size for c in self.children),
-        )
+    def __init__(self, root, children=(), size=None):
+        # enumeration builds hundreds of thousands of trees: no generic binder
+        _set(self, "root", root)
+        _set(self, "children", children)
+        _set(self, "size", 1 + sum(c.size for c in children) if children else 0)
 
     def __repr__(self):
         return f"Tree.parse({format_tree(self)!r})"

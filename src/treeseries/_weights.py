@@ -126,6 +126,29 @@ def _lcm_of(dens) -> UniPolynomial:
     return out
 
 
+def _eliminate_x0(num: MultiPolynomial, powers: list) -> dict:
+    """The terms of ``num`` over x1..xk after x0 -> 1 + x1 + ... + xk;
+    ``powers[e]`` holds those of (1 + x1 + ... + xk)^e, extended as needed."""
+    out = {}
+    for exps, c in num.terms.items():
+        e0, rest = exps[0], exps[1:]
+        if e0 == 0:
+            out[rest] = out.get(rest, 0) + c
+            continue
+        while len(powers) <= e0:
+            last, step = powers[-1], {}
+            for key, value in last.items():
+                step[key] = step.get(key, 0) + value
+                for i in range(len(key)):
+                    up = key[:i] + (key[i] + 1,) + key[i + 1:]
+                    step[up] = step.get(up, 0) + value
+            powers.append(step)
+        for key, value in powers[e0].items():
+            key = tuple(a + b for a, b in zip(rest, key))
+            out[key] = out.get(key, 0) + c * value
+    return {key: c for key, c in out.items() if c}
+
+
 def normalize_common_denominator(weights) -> CommonDenominatorForm:
     """Put all non-nullary weight matrices over a common denominator.
 
@@ -143,17 +166,14 @@ def normalize_common_denominator(weights) -> CommonDenominatorForm:
     q0 = _lcm_of(entry.dens[0] for _, _, matrix in weights for entry in matrix.cells.values())
     symbols = {}
     r = 0
+    x0_powers = {}  # arity k -> the terms of (1 + x1 + ... + xk)^e, by e
     for name, k, matrix in weights:
         nvars = k + 1
         child_dens = [
             _lcm_of(entry.dens[i] for entry in matrix.cells.values()) for i in range(1, nvars)
         ]
         lcms = [q0] + child_dens
-        # images for eliminating x0 from numerators: x0 -> 1 + x1 + ... + xk
-        x0_image = MultiPolynomial.const(nvars, 1)
-        for i in range(1, nvars):
-            x0_image = x0_image + MultiPolynomial.var(nvars, i)
-        images = [x0_image] + [MultiPolynomial.var(nvars, i) for i in range(1, nvars)]
+        powers = x0_powers.setdefault(k, [{(0,) * k: 1}])
         cofactors = {}  # (variable, denominator) -> multiplier in x_v, None for 1
         matrices = {}
         for key, entry in matrix.cells.items():
@@ -167,10 +187,8 @@ def normalize_common_denominator(weights) -> CommonDenominatorForm:
                     )
                 if cofactors[v, den] is not None:
                     num = num * cofactors[v, den]
-            if num.degree_in(0) > 0:
-                num = num.compose(images)
-            for exps, c in num.terms.items():
-                matrices.setdefault(exps[1:], {})[key] = c
+            for exps, c in _eliminate_x0(num, powers).items():
+                matrices.setdefault(exps, {})[key] = c
         for exps in matrices:
             r = max(r, max(exps, default=0))
         if not matrices:

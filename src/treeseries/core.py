@@ -10,29 +10,34 @@ as dense rows only when a caller indexes it.
 
 Trees, their evaluation and exhaustive tree enumeration are names of this
 module too, but live in ``_trees``, which runs on the first read of one of
-them (``__getattr__`` below): most commands never touch a tree.
+them (``__getattr__`` below): most commands never touch a tree.  So does
+the JSON writer, in ``_format``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import _trees, exactmath
+from . import _format, _trees, exactmath
 from ._record import record
 from .errors import InputFormatError, InvalidBeta, InvariantError, SymbolMismatch
 
-# names of this module that _trees defines
-_TREE_NAMES = frozenset((
-    "ENUMERATION_GUARD", "Tree", "check_tree", "compositions", "count_trees",
-    "enumerate_trees", "evaluate", "format_tree", "kron", "kron_all", "parse_tree",
-    "tree_size",
-))
+# names of this module that other modules define
+_ELSEWHERE = {
+    **dict.fromkeys((
+        "ENUMERATION_GUARD", "Tree", "check_tree", "compositions", "count_trees",
+        "enumerate_trees", "evaluate", "format_tree", "kron", "kron_all", "parse_tree",
+        "tree_size",
+    ), _trees),
+    "automaton_to_json": _format,
+}
 
 
 def __getattr__(name):
-    if name in _TREE_NAMES:
-        return getattr(_trees, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _ELSEWHERE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +264,12 @@ def absorb_final_vector(a: Automaton, beta: FinalVector) -> Automaton:
         raise InvalidBeta(f"final vector must have {a.dimension} entries")
     d = a.dimension
     beta0 = beta.value_at(0)
+    # a constant entry c/1 scales a weight, a zero one drops its terms
+    # (ts_add and ts_scale absorb unit vectors); only the others multiply
+    constant = [
+        value if num.degree <= 0 and den.degree == 0 else None
+        for (num, den), value in zip(beta.entries, beta0)
+    ]
     weights = {}
     for name, arity in a.alphabet.symbols:
         old = a.weight(name).cells
@@ -267,8 +278,11 @@ def absorb_final_vector(a: Automaton, beta: FinalVector) -> Automaton:
         m_col = {}
         for (row, col), entry in old.items():
             cells[(shift_row(row, arity, d, d + 1, 1), col + 1)] = entry
-            if arity == 0:
-                term = entry * beta0[col]
+            c = beta0[col] if arity == 0 else constant[col]
+            if c == 0:
+                continue
+            if c is not None:
+                term = entry * c if arity == 0 else entry.scale(c)
             else:
                 num, den = beta.entries[col]
                 term = entry.mul_univariate(num, den, 0)
@@ -322,28 +336,6 @@ def unify_alphabets(a1: Automaton, a2: Automaton):
 
 # ---------------------------------------------------------------------------
 # JSON serialization
-
-
-def automaton_to_json(a: Automaton) -> str:
-    import json
-
-    payload = {
-        "dimension": a.dimension,
-        "alphabet": [{"name": n, "arity": k} for n, k in a.alphabet.symbols],
-        "weights": {},
-    }
-    format_size_rational = exactmath.format_size_rational
-    for name, arity in a.alphabet.symbols:
-        entries = []
-        for i, j, entry in a.nonzero_entries(name):
-            if arity == 0:
-                row_ix, value = [], str(entry)
-            else:
-                row_ix = [x + 1 for x in unrank_row(i, a.dimension, arity)]
-                value = format_size_rational(entry)
-            entries.append({"row": row_ix, "col": j + 1, "value": value})
-        payload["weights"][name] = {"entries": entries}
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
 def automaton_from_json(text: str) -> Automaton:

@@ -14,20 +14,21 @@ and the per-variable denominator shape is preserved by sums and products,
 so the set forms a ring.  Denominators are kept factored per variable and
 are never expanded into a joint multivariate denominator.
 
-This module defines ``SizeRational``, its parser and its canonical text
-form.  The polynomials it is built on live in ``_poly`` (``UniPolynomial``,
-``MultiPolynomial``, ``poly_gcd``, ``poly_lcm``, ``poly_integer_roots``), and
-the sparse weight matrices and the common-denominator normal form in
-``_weights`` (``WeightMatrix``, ``SymbolDecomposition``,
-``CommonDenominatorForm``, ``normalize_common_denominator``).  Every one of
-those names is re-exported here, bound to the defining object.
+This module defines ``SizeRational`` and its parser.  The polynomials it is
+built on live in ``_poly`` (``UniPolynomial``, ``MultiPolynomial``,
+``poly_gcd``, ``poly_lcm``, ``poly_integer_roots``), and the sparse weight
+matrices and the common-denominator normal form in ``_weights``
+(``WeightMatrix``, ``SymbolDecomposition``, ``CommonDenominatorForm``,
+``normalize_common_denominator``).  Every one of those names is re-exported
+here, bound to the defining object.  The text forms (``format_*``) live in
+``_format`` and are read from it on first use (``__getattr__`` below).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import _expr
+from . import _expr, _format
 # re-exported: the names split off into _poly and _weights, and record and
 # ZeroPolynomial, which only they use, so this module holds every name it held
 from ._poly import (
@@ -57,6 +58,14 @@ from .errors import (
 )
 
 Rational = Fraction
+
+_FORMAT_NAMES = frozenset(("format_multipoly", "format_size_rational", "format_unipoly"))
+
+
+def __getattr__(name):
+    if name in _FORMAT_NAMES:
+        return getattr(_format, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -144,18 +153,19 @@ class SizeRational:
             return other
         if other.is_zero:
             return self
-        dens, lift_a, lift_b = [], [], []
+        nvars = self.nvars
+        num_a, num_b, dens = self.num, other.num, []
         for i, (qa, qb) in enumerate(zip(self.dens, other.dens)):
+            if qa == qb:  # the usual case: no lcm, nothing to lift
+                dens.append(qa)
+                continue
             common = poly_lcm(qa, qb)
             dens.append(common)
-            lift_a.append(common.div_exact(qa))
-            lift_b.append(common.div_exact(qb))
-        num_a, num_b = self.num, other.num
-        for i in range(self.nvars):
-            if not lift_a[i].is_one:
-                num_a = num_a * MultiPolynomial.from_uni(lift_a[i], self.nvars, i)
-            if not lift_b[i].is_one:
-                num_b = num_b * MultiPolynomial.from_uni(lift_b[i], self.nvars, i)
+            lift_a, lift_b = common.div_exact(qa), common.div_exact(qb)
+            if not lift_a.is_one:
+                num_a = num_a * MultiPolynomial.from_uni(lift_a, nvars, i)
+            if not lift_b.is_one:
+                num_b = num_b * MultiPolynomial.from_uni(lift_b, nvars, i)
         return SizeRational(num_a + num_b, dens)
 
     def __neg__(self) -> "SizeRational":
@@ -173,7 +183,13 @@ class SizeRational:
         return SizeRational(self.num * other.num, dens)
 
     def scale(self, c) -> "SizeRational":
-        return SizeRational(self.num.scale(c), self.dens)
+        # self's denominators are monic and checked already
+        num = self.num.scale(c)
+        if num.is_zero:
+            return SizeRational(num)
+        out = object.__new__(SizeRational)
+        out.num, out.dens = num, self.dens
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, SizeRational) or self.nvars != other.nvars:
@@ -187,7 +203,7 @@ class SizeRational:
         return lhs == rhs
 
     def __repr__(self):
-        return f"SizeRational({format_size_rational(self)!r})"
+        return f"SizeRational({_format.format_size_rational(self)!r})"
 
     # -- evaluation and substitution ----------------------------------------
 
@@ -341,63 +357,3 @@ def parse_size_rational(text: str, arity: int) -> SizeRational:
                 break
         ts.expect_end()
     return SizeRational(num, dens)
-
-
-def format_unipoly(p: UniPolynomial, var: str = "x0") -> str:
-    if p.is_zero:
-        return "0"
-    parts = []
-    for e in range(p.degree, -1, -1):
-        c = p.coeffs[e]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            v = var if e == 1 else f"{var}^{e}"
-            body = v if mag == 1 else f"{mag}*{v}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+{body}" if c > 0 else f"-{body}")
-    return "".join(parts)
-
-
-def format_multipoly(p: MultiPolynomial) -> str:
-    if p.is_zero:
-        return "0"
-    parts = []
-    for exps, c in p.sorted_terms():
-        mag = abs(c)
-        factors = []
-        for i, e in enumerate(exps):
-            if e == 1:
-                factors.append(f"x{i}")
-            elif e > 1:
-                factors.append(f"x{i}^{e}")
-        if not factors:
-            body = str(mag)
-        else:
-            body = "*".join(factors)
-            if mag != 1:
-                body = f"{mag}*{body}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+{body}" if c > 0 else f"-{body}")
-    return "".join(parts)
-
-
-def format_size_rational(f: SizeRational) -> str:
-    """Canonical text form; parses back to an equal SizeRational."""
-    num = format_multipoly(f.num)
-    if all(q.is_one for q in f.dens):
-        return num
-    if len(f.num.terms) > 1 or num.startswith("-"):
-        num = f"({num})"
-    last = max(i for i, q in enumerate(f.dens) if not q.is_one)
-    chain = "*".join(
-        f"({format_unipoly(f.dens[i], f'x{i}')})" for i in range(last + 1)
-    )
-    return f"{num}/{chain}"

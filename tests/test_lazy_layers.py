@@ -12,8 +12,8 @@ import pytest
 import treeseries
 
 _ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("exactmath", "core", "_trees", "series", "closure", "_expr", "compile", "_languages",
-          "decide", "species")
+LAYERS = ("exactmath", "core", "_trees", "_format", "series", "closure", "_shift", "_expr",
+          "compile", "_languages", "decide", "_system", "species")
 
 # a layer has run once its module is no longer the LazyLoader placeholder
 _REPORT = """
@@ -32,8 +32,8 @@ print(code)
 """
 
 
-def _python(code, *argv):
-    env = dict(os.environ)
+def _python(code, *argv, **extra_env):
+    env = dict(os.environ, **extra_env)
     env["PYTHONPATH"] = str(_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     done = subprocess.run(
         [sys.executable, "-c", code, *argv],
@@ -55,10 +55,13 @@ def test_import_runs_no_layer():
 # exactmath, and _expr, which parses the weight strings; only commands that
 # build, evaluate or enumerate trees run _trees, only the source languages
 # other than rational systems run _languages, and only closure operations and
-# the decisions built on them (equiv, tree-series zero) run closure
+# the decisions built on them (equiv, tree-series zero) run closure; only the
+# operations that shift sizes run _shift, only emit-system runs _system, and
+# only commands that write an automaton or a system run _format
 READ = {"core", "exactmath", "_expr"}
 DECIDE = READ | {"series", "decide"}
 COMPILE = READ | {"compile"}
+SPLIT = {"_format", "_shift", "_system"}
 
 
 @pytest.mark.parametrize(
@@ -75,26 +78,47 @@ COMPILE = READ | {"compile"}
          DECIDE | {"closure", "_trees"}),
         (["equiv", "-a", "samples/bell.json", "-b", "samples/bell.json", "--cap", "5"], 0,
          DECIDE | {"closure"}),
-        (["emit-system", "-a", "samples/bell.json", "--solve", "3"], 0, DECIDE),
-        (["op", "gf-derive", "-a", "samples/bell.json"], 0, READ | {"closure"}),
-        (["op", "gf-inverse", "-a", "samples/bell.json"], 0, READ | {"closure", "series"}),
+        (["emit-system", "-a", "samples/bell.json", "--solve", "3"], 0,
+         DECIDE | {"_system", "_format"}),
+        (["op", "gf-derive", "-a", "samples/bell.json"], 0,
+         READ | {"closure", "_shift", "_format"}),
+        (["op", "gf-inverse", "-a", "samples/bell.json"], 0,
+         READ | {"closure", "_shift", "series", "_format"}),
         (["op", "ts-add", "-a", "samples/bell.json", "-b", "samples/bell.json"], 0,
-         READ | {"closure"}),
-        (["compile", "rda", "-f", "samples/bell.rds"], 0, COMPILE),
-        (["compile", "cda", "-f", "samples/bell.rds"], 0, COMPILE | {"_languages"}),
-        (["compile", "da", "-f", "samples/cubic.da"], 0, COMPILE | {"_languages"}),
+         READ | {"closure", "_format"}),
+        (["compile", "rda", "-f", "samples/bell.rds"], 0, COMPILE | {"_format"}),
+        (["compile", "cda", "-f", "samples/bell.rds"], 0, COMPILE | {"_languages", "_format"}),
+        (["compile", "da", "-f", "samples/cubic.da"], 0, COMPILE | {"_languages", "_format"}),
         (["compile", "dfinite", "-f", "samples/factorial.dfinite"], 0,
-         COMPILE | {"_languages"}),
+         COMPILE | {"_languages", "_format"}),
         (["taylor", "-f", "samples/bell.rds", "-n", "5"], 0, COMPILE | {"_languages", "series"}),
         (["species", "count", "-f", "samples/bell.spec", "-n", "5"], 0,
          COMPILE | {"series", "species"}),
-        (["species", "compile", "-f", "samples/bell.spec"], 0, COMPILE | {"species"}),
+        (["species", "compile", "-f", "samples/bell.spec"], 0,
+         COMPILE | {"species", "_format"}),
     ],
 )
 def test_command_runs_only_the_layers_it_uses(argv, code, ran):
     exit_code, *layers = _python(_RUN_CLI + _REPORT.format(layers=LAYERS), *argv).split()
     assert int(exit_code) == code
     assert set(layers) == ran
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equiv", "-a", "samples/bell.json", "-b", "samples/bell.json", "--cap", "5"],
+        ["zero", "-a", "samples/bell.json", "--cap", "5"],
+        ["bound", "-a", "samples/bell.json"],
+        ["series", "-a", "samples/bell.json", "-n", "5"],
+        ["species", "count", "-f", "samples/bell.spec", "-n", "5"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_deciding_and_counting_run_no_split_module(argv):
+    exit_code, *layers = _python(_RUN_CLI + _REPORT.format(layers=LAYERS), *argv).split()
+    assert int(exit_code) == 0
+    assert "series" in layers and not SPLIT & set(layers)
 
 
 def test_species_count_does_not_import_json():
@@ -232,3 +256,30 @@ def test_no_module_is_over_16_kib():
     package = _ROOT / "src" / "treeseries"
     sizes = {path.name: path.stat().st_size for path in package.glob("*.py")}
     assert {name: size for name, size in sizes.items() if size > MODULE_BYTES} == {}
+
+
+# the benchmark runs every job without a bytecode cache, so a command compiles
+# the source of each module it runs: 117.8 KiB took 32-38 ms of an `equiv` job
+# on a 2-core x86-64 VM before `_shift`, `_system` and `_format` were split off
+COMPILE_BUDGET = 110 * 1024
+_COUNT_COMPILED = """
+import builtins, pathlib
+sizes = []
+
+def counting(source, filename, *args, **kwargs):
+    if pathlib.Path(str(filename)).parent.name == "treeseries":
+        sizes.append(len(source))
+    return original(source, filename, *args, **kwargs)
+
+original, builtins.compile = builtins.compile, counting
+""" + _RUN_CLI + "print(sum(sizes))\n"
+
+
+def test_equiv_compiles_at_most_110_kib_of_package_source(tmp_path):
+    argv = ["equiv", "-a", "samples/bell.json", "-b", "samples/bell.json", "--cap", "5"]
+    # an empty cache prefix: nothing is read from or written to __pycache__
+    out = _python(_COUNT_COMPILED, *argv, PYTHONPYCACHEPREFIX=str(tmp_path),
+                  PYTHONDONTWRITEBYTECODE="1")
+    exit_code, compiled = out.split()
+    assert int(exit_code) == 0
+    assert 50 * 1024 < int(compiled) <= COMPILE_BUDGET

@@ -93,6 +93,21 @@ def test_record_is_frozen_like_a_dataclass(ours, theirs):
         _instances(ours)[0].x = 1
 
 
+BAD_CALLS = {
+    "missing-required-field": ((), {}),
+    "too-many-positional-arguments": ((1, 2, "p", 4), {}),
+    "unknown-keyword": ((1,), {"z": 3}),
+    "keyword-repeats-a-positional-argument": ((1,), {"x": 2}),
+}
+
+
+@pytest.mark.parametrize("args, kwargs", BAD_CALLS.values(), ids=list(BAD_CALLS))
+def test_invalid_construction_raises_type_error_like_a_dataclass(args, kwargs):
+    for cls in (*TWINS[0], *(TWINS[2] if args or kwargs else ())):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
 def test_record_runs_post_init_and_takes_defaults():
     assert _node_class(record)("f", (_node_class(record)("a"),)).size == 2
     tree = parse_tree("(sigma2 (sigma0) (sigma1 (sigma0)))")
@@ -161,3 +176,35 @@ assert "treeseries.cli" in sys.modules
     done = _run("-c", _RUN_EVERY_LAYER + cli + _LOADED, "--help")
     assert done.stdout.startswith("usage: treeseries")
     assert done.stdout.endswith("False False\n")
+
+
+# importlib executes modules from code objects; a source string that the
+# package passes to exec or eval is code generated at run time (the standard
+# library's namedtuple, which `fractions` reaches through `decimal`, evals one)
+_NO_SOURCE_STRINGS = """
+import builtins, runpy, sys
+strings = []
+
+def guard(original):
+    def guarded(code, *args, **kwargs):
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        if isinstance(code, (str, bytes)) and caller.startswith("treeseries"):
+            strings.append((original.__name__, caller))
+        return original(code, *args, **kwargs)
+    return guarded
+
+builtins.exec, builtins.eval = guard(builtins.exec), guard(builtins.eval)
+try:
+    runpy.run_module("treeseries", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(strings)
+"""
+
+
+def test_equiv_passes_no_source_string_to_exec_or_eval():
+    bell = str(Path(_SRC).parent / "samples" / "bell.json")
+    done = _run("-c", _NO_SOURCE_STRINGS, "equiv", "-a", bell, "-b", bell, "--cap", "5")
+    verdict, strings = done.stdout.splitlines()
+    assert verdict.startswith('{"verdict": "zero_up_to"')
+    assert strings == "[]"
