@@ -271,11 +271,9 @@ def da_to_rds(e: DAEquation) -> RDS:
     nvars = n + 1
     if e.poly.degree_in(n) == 1:
         lead = e.poly.partial(n)  # in y^(<n) only, since the top degree is 1
-        images = [MultiPolynomial.var(n, i) for i in range(n)] + [
-            MultiPolynomial.const(n, 0)
-        ]
-        lead_low = lead.compose(images)
-        rest_low = e.poly.compose(images)
+        # y^(n) set to 0: the part of P free of the top derivative
+        lead_low = lead.restrict(range(n))
+        rest_low = e.poly.restrict(range(n))
         jet = tuple(_frac(v) for v in e.jet[:n])
         if len(e.jet) == nvars and e.poly(e.jet) != 0:
             raise InvalidJet("the jet does not satisfy the equation")

@@ -46,13 +46,14 @@ def power(base, e: int, one):
 class UniPolynomial:
     """Univariate polynomial over the rationals, lowest degree first."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs=()):
         cs = [_frac(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._hash = None  # hash(coeffs), on first use: cache keys hash it often
 
     @classmethod
     def const(cls, c) -> "UniPolynomial":
@@ -80,10 +81,14 @@ class UniPolynomial:
         return self.coeffs[-1]
 
     def __eq__(self, other):
-        return isinstance(other, UniPolynomial) and self.coeffs == other.coeffs
+        return self is other or (
+            isinstance(other, UniPolynomial) and self.coeffs == other.coeffs
+        )
 
     def __hash__(self):
-        return hash(self.coeffs)
+        if self._hash is None:
+            self._hash = hash(self.coeffs)
+        return self._hash
 
     def __repr__(self):
         return f"UniPolynomial({list(self.coeffs)})"
@@ -357,6 +362,18 @@ class MultiPolynomial:
             for key, value in term.terms.items():
                 acc[key] = acc.get(key, 0) + value
         return MultiPolynomial(nvars, acc)
+
+    def restrict(self, keep) -> "MultiPolynomial":
+        """The polynomial over len(keep) variables whose variable j is
+        variable keep[j] of this one, every variable not in keep set to 0:
+        ``compose`` with variables and zeros as images, without a product."""
+        kept = set(keep)
+        dropped = [i for i in range(self.nvars) if i not in kept]
+        terms = {}
+        for exps, c in self.terms.items():
+            if not any(exps[i] for i in dropped):
+                terms[tuple(exps[i] for i in keep)] = c
+        return MultiPolynomial(len(keep), terms)
 
     def partial(self, index: int) -> "MultiPolynomial":
         out = {}

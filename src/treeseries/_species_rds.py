@@ -7,8 +7,10 @@ differential equation v' = F is read off its part linear in the
 derivatives; an algebraic one v = F is differentiated by the chain rule on
 F = P/Q, as ``_languages.da_to_rds`` differentiates a polynomial.  All
 derivatives are then solved for at once; ``rds_with_target`` puts the
-series target first.  ``species`` re-exports every name it held before
-this module was split from it.
+series target first.  Both relabel variables only through
+``MultiPolynomial.restrict``, which drops the derivative slots and permutes
+the variables without multiplying polynomials.  ``species`` re-exports the
+public names of this module.
 """
 
 from __future__ import annotations
@@ -116,10 +118,6 @@ def diffsys_to_rds(dsys: DiffEqSystem, initial=None) -> RDS:
     return RDS(tuple(names), tuple(rhs), point)
 
 
-def _drop_slots(p: MultiPolynomial, nvars: int) -> MultiPolynomial:
-    return MultiPolynomial(nvars, {e[:nvars]: c for e, c in p.terms.items()})
-
-
 def _linear_part(rf: RatFunc, slot_names: list, nvars: int):
     """(constant, {u: coefficient of u'}) of an equation v' = rf, which must
     be linear in the derivatives."""
@@ -143,7 +141,7 @@ def _linear_part(rf: RatFunc, slot_names: list, nvars: int):
             raise NonlinearInDerivatives("derivative inside a power")
         else:
             terms.setdefault(used[0], {})[e[:nvars]] = c
-    den = _drop_slots(rf.den, nvars)
+    den = rf.den.restrict(range(nvars))
     lin = {
         slot_names[i - nvars]: RatFunc(MultiPolynomial(nvars, terms[i]), den)
         for i in sorted(terms)
@@ -156,7 +154,7 @@ def _chain_rule(rf: RatFunc, slot_names: list, nvars: int):
     v = F: v' = dF/dx + sum_u dF/du u', with u in the order of the names."""
     if any(any(e[nvars:]) for part in (rf.num, rf.den) for e in part.terms):
         raise NonlinearInDerivatives("second derivatives are not supported")
-    p, q = _drop_slots(rf.num, nvars), _drop_slots(rf.den, nvars)
+    p, q = rf.num.restrict(range(nvars)), rf.den.restrict(range(nvars))
     used = sorted({i for part in (p, q) for e in part.terms for i, k in enumerate(e) if k})
     const, lin = RatFunc.const(nvars, 0), {}
     for i in used:
@@ -229,22 +227,16 @@ def _solve_coupled(pending, solved, nvars: int):
 
 
 def rds_with_target(rds: RDS, name: str) -> RDS:
-    """Permute an RDS so the named variable sits first (the series target)."""
+    """Permute an RDS so the named variable sits first (the series target);
+    the right-hand sides are relabelled by ``MultiPolynomial.restrict``."""
     if name not in rds.variables:
         raise UnknownName(f"{name!r} is not a variable of the system")
     order = [rds.variables.index(name)] + [
         i for i in range(len(rds.variables)) if rds.variables[i] != name
     ]
-    nvars = len(rds.variables)
-    images = [None] * nvars
-    for new_pos, old_pos in enumerate(order):
-        images[old_pos] = MultiPolynomial.var(nvars, new_pos)
-    permuted = []
-    for i in order:
-        p, q = rds.rhs[i]
-        permuted.append((p.compose(images), q.compose(images)))
+    rhs = (rds.rhs[i] for i in order)
     return RDS(
         tuple(rds.variables[i] for i in order),
-        tuple(permuted),
+        tuple((p.restrict(order), q.restrict(order)) for p, q in rhs),
         tuple(rds.init[i] for i in order),
     )

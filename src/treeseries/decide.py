@@ -159,7 +159,7 @@ class DifferAt:
 # zeroness and equivalence of generating functions
 
 
-def check_zero_genfun(a: Automaton, cap: int, progress=None):
+def check_zero_genfun(a: Automaton, cap: int):
     """Scan coefficients to min(cap, B): the first nonzero one refutes,
     a full zero scan either proves (cap >= B) or reports the honest prefix."""
     form = common_form(a)
@@ -173,16 +173,14 @@ def check_zero_genfun(a: Automaton, cap: int, progress=None):
         value = stream.up_to(n)[n][0]
         if value != 0:
             return NonzeroAt(n, value)
-        if progress is not None and n % 100 == 0 and n > 0:
-            progress(n)
     if bound.cap_reaches(cap):
         return ProvenZero(bound)
     return ZeroUpTo(cap, bound)
 
 
-def check_equiv_genfun(a1: Automaton, a2: Automaton, cap: int, progress=None):
+def check_equiv_genfun(a1: Automaton, a2: Automaton, cap: int):
     diff = closure.gf_add(a1, closure.gf_scale(a2, -1))
-    return check_zero_genfun(diff, cap, progress=progress)
+    return check_zero_genfun(diff, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -203,20 +201,20 @@ def _witness_tree(a: Automaton, n: int):
     raise AssertionError("squared series was nonzero but no witness tree found")
 
 
-def check_zero_tree_series(a: Automaton, cap: int, progress=None):
+def check_zero_tree_series(a: Automaton, cap: int):
     """Square the automaton pointwise; the squared generating function has
     nonnegative coefficients, so its zeroness mirrors tree-series zeroness."""
     squared = closure.ts_hadamard(a, a)
-    verdict = check_zero_genfun(squared, cap, progress=progress)
+    verdict = check_zero_genfun(squared, cap)
     if isinstance(verdict, NonzeroAt):
         tree, value = _witness_tree(a, verdict.n)
         return DifferAt(tree, (value,))
     return verdict
 
 
-def check_equiv_tree_series(a1: Automaton, a2: Automaton, cap: int, progress=None):
+def check_equiv_tree_series(a1: Automaton, a2: Automaton, cap: int):
     diff = closure.ts_add(a1, closure.ts_scale(a2, -1))
-    verdict = check_zero_tree_series(diff, cap, progress=progress)
+    verdict = check_zero_tree_series(diff, cap)
     if isinstance(verdict, DifferAt):
         t = verdict.tree
         _, v1 = core.evaluate(a1, t)

@@ -12,14 +12,17 @@ set.  Each construct contributes equations over EGF variables:
     cycle(A):     v' = A' / (1 - A)      v(0) = 0
 
 all requiring A(0) = 0.  Initial values come from counting structures on the
-empty label set, computed as a least fixpoint over the specification.
+empty label set: one evaluator, ``_empty_count``, gives them for the
+specification's names (a least fixpoint) and for the helper variables of
+the translation.
 
 This module keeps the species syntax, the translation and the counting.  The
 normalization of the translated system to a first-order rational system
-(``diffsys_to_rds``, ``rds_with_target`` and their helpers, and
-``RHS_TERM_BUDGET``) lives in ``_species_rds``; every one of those names
-that this module held before the split is re-exported here, bound to the
-defining object.
+lives in ``_species_rds``.  Its public names ``diffsys_to_rds``,
+``rds_with_target`` and ``RHS_TERM_BUDGET``, and the names only it uses
+(``RatFunc``, ``to_ratfunc``, ``expr_variables``, ``MultiPolynomial`` and
+two errors), are re-exported here, bound to the defining objects, as this
+module held them before the split.
 """
 
 from __future__ import annotations
@@ -46,14 +49,8 @@ from ._expr import (
 )
 from ._record import record
 # re-exported, like the names above that only _species_rds uses, so that
-# this module still holds every name it held before the split
-from ._species_rds import (
-    RHS_TERM_BUDGET,
-    _budgeted,
-    _solve_coupled,
-    diffsys_to_rds,
-    rds_with_target,
-)
+# this module still holds every public name it held before the split
+from ._species_rds import RHS_TERM_BUDGET, diffsys_to_rds, rds_with_target
 from .compile import RDS, compile_rda
 from .errors import (
     BadCardinality,
@@ -66,7 +63,7 @@ from .errors import (
     UnsupportedConstruct,
     nesting_guard,
 )
-from .exactmath import MultiPolynomial, _frac
+from .exactmath import MultiPolynomial
 
 
 # ---------------------------------------------------------------------------
@@ -250,31 +247,32 @@ def _references(expr, out=None):
 # empty-set counts (initial values)
 
 
+def _empty_count(e, values: dict) -> Fraction:
+    """Structures of e on the empty label set, given those of every name."""
+    if isinstance(e, SpOne):
+        return Fraction(1)
+    if isinstance(e, SpX):
+        return Fraction(0)
+    if isinstance(e, SpRef):
+        return values[e.name]
+    if isinstance(e, SpSum):
+        return sum(_empty_count(arg, values) for arg in e.args)
+    if isinstance(e, SpProd):
+        return math.prod(_empty_count(arg, values) for arg in e.args)
+    if isinstance(e, (SpSeq, SpSet)):
+        if e.card and e.card[1] >= 1:
+            return Fraction(0)
+        return Fraction(1)
+    if isinstance(e, SpCycle):
+        return Fraction(0)
+    raise TypeError(f"not a species node: {e!r}")
+
+
 def empty_counts(spec: SpeciesSpec) -> dict:
     """Structures on the empty label set, as a least fixpoint."""
     values = {name: Fraction(0) for name in spec.names()}
-
-    def ev(e):
-        if isinstance(e, SpOne):
-            return Fraction(1)
-        if isinstance(e, SpX):
-            return Fraction(0)
-        if isinstance(e, SpRef):
-            return values[e.name]
-        if isinstance(e, SpSum):
-            return sum(map(ev, e.args))
-        if isinstance(e, SpProd):
-            return math.prod(map(ev, e.args))
-        if isinstance(e, (SpSeq, SpSet)):
-            if e.card and e.card[1] >= 1:
-                return Fraction(0)
-            return Fraction(1)
-        if isinstance(e, SpCycle):
-            return Fraction(0)
-        raise TypeError(f"not a species node: {e!r}")
-
     for _ in range(len(values) + 2):
-        new = {name: ev(expr) for name, expr in spec.equations}
+        new = {name: _empty_count(expr, values) for name, expr in spec.equations}
         if new == values:
             break
         values = new
@@ -286,7 +284,7 @@ def empty_counts(spec: SpeciesSpec) -> dict:
             for arg in e.args:
                 check(arg)
         elif isinstance(e, (SpSeq, SpSet, SpCycle)):
-            if ev(e.arg) != 0:
+            if _empty_count(e.arg, values) != 0:
                 raise UnsupportedConstruct(
                     "set/sequence/cycle need an argument with no empty-set structure"
                 )
@@ -329,21 +327,6 @@ def species_to_diffsys(spec: SpeciesSpec) -> DiffEqSystem:
                 taken.add(name)
                 return name
 
-    def sp_count(e) -> Fraction:
-        if isinstance(e, SpOne):
-            return Fraction(1)
-        if isinstance(e, SpX):
-            return Fraction(0)
-        if isinstance(e, SpRef):
-            return counts[e.name]
-        if isinstance(e, SpSum):
-            return sum(map(sp_count, e.args))
-        if isinstance(e, SpProd):
-            return math.prod(map(sp_count, e.args))
-        if isinstance(e, (SpSeq, SpSet)):
-            return Fraction(0) if (e.card and e.card[1] >= 1) else Fraction(1)
-        return Fraction(0)
-
     def ensure_var(e) -> str:
         """A variable name whose series is the EGF of e."""
         if isinstance(e, SpX):
@@ -355,7 +338,7 @@ def species_to_diffsys(spec: SpeciesSpec) -> DiffEqSystem:
             return t.name
         name = fresh()
         equations.append(("alg", name, t))
-        init[name] = sp_count(e)
+        init[name] = _empty_count(e, counts)
         return name
 
     def truncation(w: str, k: int):

@@ -116,12 +116,6 @@ def test_nonzero_witness_reverifies(bell, labelled, cubic):
         assert verdict.witness != 0
 
 
-def test_progress_callback(zero, bell):
-    seen = []
-    check_zero_genfun(gf_add(bell, gf_scale(bell, -1)), 110, progress=seen.append)
-    assert seen == [100]
-
-
 # ---------------------------------------------------------------------------
 # equivalence of generating functions
 

@@ -6,9 +6,14 @@ path gives: the same numerators and denominators, not only equal values.
 - ``normalize_common_denominator`` eliminates x0 from a list of powers of
   1 + x1 + ... + xk instead of ``MultiPolynomial.compose``;
 - ``absorb_final_vector`` scales by constant final-vector entries and skips
-  zero ones instead of multiplying every cell by ``mul_univariate``.
+  zero ones instead of multiplying every cell by ``mul_univariate``;
+- ``MultiPolynomial.restrict`` relabels variables and sets the others to 0
+  as ``MultiPolynomial.compose`` with variables and zeros as images does,
+  and the species and differential-algebraic front ends relabel through it;
+- ``UniPolynomial`` hashes its coefficients once.
 """
 
+import fractions
 from fractions import Fraction as F
 
 from hypothesis import given, settings
@@ -16,6 +21,7 @@ from hypothesis import strategies as st
 from test_exactmath import finite_fracs, multipolys, size_rationals
 from test_random_automata import automata
 
+from treeseries.compile import da_to_rds, parse_da
 from treeseries.core import FinalVector, absorb_final_vector, shift_row
 from treeseries.exactmath import (
     MultiPolynomial,
@@ -24,6 +30,7 @@ from treeseries.exactmath import (
     normalize_common_denominator,
     poly_lcm,
 )
+from treeseries.species import diffsys_to_rds, parse_species, rds_with_target, species_to_diffsys
 
 
 def _parts(f: SizeRational):
@@ -183,3 +190,78 @@ def test_absorb_final_vector_matches_multiplying_every_cell(a, data):
         for name, arity in a.alphabet.symbols
     }
     assert got == _absorbed_through_mul_univariate(a, beta)
+
+
+# ---------------------------------------------------------------------------
+# relabelling variables
+
+
+@st.composite
+def polys_and_keeps(draw):
+    """A random polynomial over 1 to 5 variables and a keep list: a
+    permutation of all its variables or a prefix of them."""
+    nvars = draw(st.integers(1, 5))
+    p = draw(multipolys(nvars=nvars))
+    if draw(st.booleans()):
+        keep = draw(st.permutations(range(nvars)))
+    else:
+        keep = list(range(draw(st.integers(0, nvars))))
+    return p, keep
+
+
+@settings(max_examples=120, deadline=None)
+@given(polys_and_keeps())
+def test_restrict_matches_compose_with_variables_and_zeros(case):
+    p, keep = case
+    m = len(keep)
+    images = [MultiPolynomial.const(m, 0)] * p.nvars
+    for j, i in enumerate(keep):
+        images[i] = MultiPolynomial.var(m, j)
+    restricted = p.restrict(keep)
+    expected = p.compose(images)
+    assert restricted.nvars == m
+    assert restricted.terms == expected.terms
+    assert list(restricted.terms) == list(expected.terms)  # the same term order
+
+
+def test_relabelling_front_ends_call_neither_compose_nor_a_product(monkeypatch):
+    spec = parse_species("A = X * set(B)\nB = X + cycle(A)")
+    rds = diffsys_to_rds(species_to_diffsys(spec))
+    assert rds.variables[0] != "B"  # so that B is permuted to the front
+    # equations linear in the top derivative: y^(n) is dropped by relabelling
+    equations = [parse_da("y' - y ; y(0)=1"), parse_da("y'' + y*y' - y ; y(0)=0, y'(0)=1")]
+    calls = []
+    for method in ("compose", "__mul__"):
+        original = getattr(MultiPolynomial, method)
+
+        def counting(self, *args, _original=original, _method=method):
+            calls.append(_method)
+            return _original(self, *args)
+
+        monkeypatch.setattr(MultiPolynomial, method, counting)
+    assert rds_with_target(rds, "B").variables[0] == "B"
+    for e in equations:
+        da_to_rds(e)
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# hashing univariate polynomials
+
+
+def test_a_univariate_polynomial_hashes_its_coefficients_once(monkeypatch):
+    calls = []
+    original = fractions.Fraction.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    p = UniPolynomial((1, F(1, 2), 3))
+    monkeypatch.setattr(fractions.Fraction, "__hash__", counting)
+    first = hash(p)
+    assert len(calls) == 3
+    assert hash(p) == first
+    assert len(calls) == 3
+    q = UniPolynomial((1, F(1, 2), 3))
+    assert hash(q) == first and q == p
