@@ -1,6 +1,11 @@
-"""Shared tokenizer, expression AST, and rational-function arithmetic for
-the small text DSLs (dynamical systems, recurrences, differential equations,
-species right-hand sides).
+"""Shared tokenizer, statement splitter, expression AST, and rational-function
+arithmetic for the small text DSLs (dynamical systems, recurrences,
+differential equations, species right-hand sides) and the weight strings.
+
+Each input is tokenized once; ``statements`` cuts the tokens of a line
+format at newlines and semicolons, so a ``#`` comment, which yields no
+token, never makes or splits a statement, and every error names the line
+and column of the input.
 
 Expressions are parsed into a tiny AST; ``to_ratfunc`` lowers an AST to an
 exact P/Q pair of multivariate polynomials over a caller-chosen variable
@@ -74,7 +79,7 @@ def tokenize(text: str):
             col += 1
             continue
         two = text[i : i + 2]
-        if two in _SYMBOLS:
+        if len(two) == 2 and two in _SYMBOLS:
             tokens.append(Token(two, two, line, col))
             i += 2
             col += 2
@@ -123,9 +128,21 @@ class TokenStream:
         if tok.kind != "end":
             raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
 
-    def skip_newlines(self):
-        while self.peek().kind == "newline":
-            self.next()
+
+def statements(text: str):
+    """The statements of a text, tokenized once: the runs of tokens between
+    newlines and semicolons (a comment is no token, so it separates nothing),
+    each closed by an end token where it stops, so that every error points
+    into the text.  Empty statements are dropped."""
+    out, current = [], []
+    for tok in tokenize(text):
+        if tok.kind in ("newline", ";", "end"):
+            if current:
+                out.append(current + [Token("end", "", tok.line, tok.column)])
+                current = []
+        else:
+            current.append(tok)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +164,6 @@ class DVar:
     """First derivative of a named power-series variable."""
 
     name: str
-
-
-@record
-class Call:
-    """Application name(args); meaning is decided by the surrounding DSL."""
-
-    name: str
-    args: tuple
 
 
 @record
@@ -188,7 +197,7 @@ class Neg:
     arg: object
 
 
-def parse_expression(ts: TokenStream, allow_calls=False):
+def parse_expression(ts: TokenStream):
     """Parse + - * / ^ with the usual precedence; primes bind to names."""
 
     def atom():
@@ -198,29 +207,10 @@ def parse_expression(ts: TokenStream, allow_calls=False):
             return Const(Fraction(int(tok.text)))
         if tok.kind == "name":
             ts.next()
-            if allow_calls and ts.peek().kind == "(":
-                ts.next()
-                args = []
-                if ts.peek().kind != ")":
-                    args.append(expr())
-                    while ts.accept(","):
-                        args.append(expr())
-                ts.expect(")")
-                node = Call(tok.text, tuple(args))
-            else:
-                node = Var(tok.text)
             primes = 0
-            while ts.peek().kind == "prime":
-                ts.next()
+            while ts.accept("prime"):
                 primes += 1
-            if primes:
-                if not isinstance(node, Var):
-                    raise ParseError("cannot differentiate this", tok.line, tok.column)
-                if primes == 1:
-                    node = DVar(node.name)
-                else:
-                    node = Var(node.name + "'" * primes)
-            return node
+            return DVar(tok.text) if primes == 1 else Var(tok.text + "'" * primes)
         if tok.kind == "(":
             ts.next()
             inner = expr()
@@ -370,7 +360,7 @@ class RatFunc:
 
 def to_ratfunc(expr, var_index: dict, nvars: int) -> RatFunc:
     """Lower an AST to P/Q over the given variable order.  DVar(y) is the
-    variable named y' when var_index has one; Call nodes are rejected."""
+    variable named y' when var_index has one."""
     if isinstance(expr, Const):
         return RatFunc.const(nvars, expr.value)
     if isinstance(expr, Var):
@@ -382,8 +372,6 @@ def to_ratfunc(expr, var_index: dict, nvars: int) -> RatFunc:
         if name not in var_index:
             raise ParseError(f"derivative {name} not allowed here")
         return RatFunc.var(nvars, var_index[name])
-    if isinstance(expr, Call):
-        raise ParseError(f"call {expr.name}(...) not allowed here")
     if isinstance(expr, Add):
         # the polynomial operands are summed in one dict: adding them one at
         # a time would copy the growing sum once per operand
@@ -422,7 +410,7 @@ def expr_variables(expr, out=None, primed=False):
         out.add(expr.name)
     elif isinstance(expr, DVar):
         out.add(expr.name + "'" if primed else expr.name)
-    elif isinstance(expr, (Add, Mul, Call)):
+    elif isinstance(expr, (Add, Mul)):
         for arg in expr.args:
             expr_variables(arg, out, primed)
     elif isinstance(expr, DivE):

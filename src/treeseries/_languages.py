@@ -23,24 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import series
-from ._expr import (
-    Add,
-    Call,
-    Const,
-    DivE,
-    Mul,
-    Neg,
-    Pow,
-    TokenStream,
-    Var,
-    expr_variables,
-    nary,
-    parse_expression,
-    to_ratfunc,
-    tokenize,
-)
+from ._expr import RatFunc, Token, TokenStream, expr_variables, parse_expression, statements, to_ratfunc
 from ._record import record
-from .compile import RDS, _index_tuple, _parse_init_clause, _parse_rational, _split_statements
+from .compile import RDS, _at_zero, _index_tuple, _parse_init_clause
 from .core import Automaton, RankedAlphabet, row_index
 from .errors import (
     InvalidJet,
@@ -313,114 +298,86 @@ def da_to_rds(e: DAEquation) -> RDS:
 
 @nesting_guard(ParseError)
 def parse_dfinite(text: str) -> DFiniteRecurrence:
-    """Parse `Q0(n)*a(n) + Q1(n)*a(n-1) + ... = 0 ; a(0)=..., a(1)=...`."""
-    statements = _split_statements(text)
-    recurrence = None
-    init = {}
-    for stmt in statements:
-        if "=" in stmt and stmt.lstrip().startswith("a") and "(" in stmt.split("=")[0] and "n" not in stmt.split("=")[0]:
-            _parse_dfinite_init(stmt, init)
-        else:
+    """Parse `Q0(n)*a(n) + Q1(n)*a(n-1) + ... = 0 ; a(0)=..., a(1)=...`.
+
+    A statement that starts `name(number` is an initial clause; exactly one
+    other statement is the recurrence.  Its left side is lowered by
+    ``to_ratfunc`` over n and one variable per shift, and read as a form
+    linear in those; the order is the largest shift written."""
+    recurrence, init = None, {}
+    for stmt in statements(text):
+        if [tok.kind for tok in stmt[:3]] == ["name", "(", "number"]:
+            _parse_init_clause(TokenStream(stmt), init, _of_a)
+        elif recurrence is None:
             recurrence = stmt
+        else:
+            raise ParseError("a second recurrence", stmt[0].line, stmt[0].column)
     if recurrence is None:
         raise ParseError("no recurrence equation found")
-    ts = TokenStream(tokenize(recurrence))
-    lhs = parse_expression(ts, allow_calls=True)
+    tokens, shifts = _shift_names(recurrence)
+    ts = TokenStream(tokens)
+    lhs = parse_expression(ts)
     ts.expect("=")
     zero = ts.expect("number")
     if zero.text != "0":
         raise ParseError("recurrence must be equated to 0", zero.line, zero.column)
-    coeffs = {}
-    _collect_linear_in_a(lhs, UniPolynomial.const(1), coeffs)
-    k = max(coeffs)
-    qs = [coeffs.get(i, UniPolynomial()) for i in range(k + 1)]
-    missing = [i for i in range(k) if i not in init]
-    if missing:
-        raise ParseError(f"missing initial value(s) a({missing[0]})")
-    return DFiniteRecurrence(tuple(qs), tuple(init[i] for i in range(k)))
+    ts.expect_end()
+    if not shifts:
+        raise ParseError("the recurrence has no term a(...)")
+    k = max(shifts)
+    # checked before anything of size k is built, so that k <= len(init)
+    missing = next((i for i in range(k) if i not in init), None)
+    if missing is not None:
+        raise ParseError(f"missing initial value(s) a({missing})")
+    names = {"n": 0, **{f"a(n-{i})": i + 1 for i in range(k + 1)}}
+    rf = to_ratfunc(lhs, names, k + 2)
+    if not rf.is_polynomial():
+        raise ParseError("recurrence coefficients must be polynomials in n")
+    qs = [[0] * (rf.num.degree_in(0) + 1) for _ in range(k + 1)]
+    for exps, c in rf.num.terms.items():
+        if sum(exps[1:]) != 1:
+            raise ParseError("every term must be a polynomial in n times one a(...)")
+        qs[exps.index(1, 1) - 1][exps[0]] = c  # the term's a(n-i) is variable i + 1
+    return DFiniteRecurrence(tuple(map(UniPolynomial, qs)), tuple(init[i] for i in range(k)))
 
 
-def _parse_dfinite_init(stmt: str, out: dict):
-    ts = TokenStream(tokenize(stmt))
+def _of_a(name, name_tok, k_tok):
+    """The rule of recurrences: values of a, keyed by the index."""
+    if name != "a":
+        raise ParseError("initial values use a(i)=...", name_tok.line, name_tok.column)
+    return int(k_tok.text)
+
+
+def _shift_names(tokens):
+    """The tokens of a recurrence with each run `a(<n - k>)`, k a nonnegative
+    integer, made one name token `a(n-k)`, which no input can spell, and
+    the set of shifts k written."""
+    ts, out, shifts = TokenStream(tokens), [], set()
     while True:
-        name = ts.expect("name")
-        if name.text != "a":
-            raise ParseError("initial values use a(i)=...", name.line, name.column)
-        ts.expect("(")
-        index = int(ts.expect("number").text)
-        ts.expect(")")
-        ts.expect("=")
-        out[index] = _parse_rational(ts)
-        if not ts.accept(","):
-            break
-
-
-def _collect_linear_in_a(expr, scale: UniPolynomial, out: dict):
-    """Flatten sums of polynomial-in-n multiples of a(n-i) terms."""
-    if isinstance(expr, Add):
-        for arg in expr.args:
-            _collect_linear_in_a(arg, scale, out)
-        return
-    if isinstance(expr, Neg):
-        _collect_linear_in_a(expr.arg, -scale, out)
-        return
-    if isinstance(expr, Mul):
-        with_a = [i for i, arg in enumerate(expr.args) if _mentions_a(arg)]
-        if len(with_a) > 1:
-            raise ParseError("recurrence must be linear in a(...)")
-        if with_a:
-            i = with_a[0]
-            rest = expr.args[:i] + expr.args[i + 1 :]
-            coeff = to_ratfunc(nary(Mul, rest), {"n": 0}, 1)
-            if not coeff.is_polynomial():
-                raise ParseError("recurrence coefficients must be polynomials in n")
-            _collect_linear_in_a(expr.args[i], scale * coeff.num.to_uni(0), out)
-            return
-    if isinstance(expr, Call) and expr.name == "a":
-        shift = _parse_shift(expr)
-        out[shift] = out.get(shift, UniPolynomial()) + scale
-        return
-    raise ParseError("term is not a polynomial multiple of a(...)")
-
-
-def _mentions_a(expr) -> bool:
-    if isinstance(expr, Call):
-        return expr.name == "a" or any(_mentions_a(arg) for arg in expr.args)
-    if isinstance(expr, (Add, Mul)):
-        return any(_mentions_a(arg) for arg in expr.args)
-    if isinstance(expr, DivE):
-        return _mentions_a(expr.left) or _mentions_a(expr.right)
-    if isinstance(expr, Neg):
-        return _mentions_a(expr.arg)
-    if isinstance(expr, Pow):
-        return _mentions_a(expr.base)
-    return False
-
-
-def _parse_shift(call: Call) -> int:
-    if len(call.args) != 1:
-        raise ParseError("a(...) takes one argument")
-    arg = call.args[0]
-    if isinstance(arg, Var) and arg.name == "n":
-        return 0
-    if isinstance(arg, Add) and len(arg.args) == 2:
-        left, right = arg.args
-        if isinstance(left, Var) and left.name == "n" and isinstance(right, Neg) and isinstance(right.arg, Const):
-            return int(right.arg.value)
-    raise ParseError("a(...) argument must be n or n-<int>")
+        tok = ts.next()
+        if tok.kind == "name" and tok.text == "a" and ts.accept("("):
+            shift = RatFunc.var(1, 0) - to_ratfunc(parse_expression(ts), {"n": 0}, 1)
+            ts.expect(")")
+            k = shift.num.constant_value() if shift.is_polynomial() else None
+            if k is None or k < 0 or k.denominator != 1:
+                raise ParseError("a(...) argument must be n or n-<int>", tok.line, tok.column)
+            shifts.add(int(k))
+            tok = Token("name", f"a(n-{int(k)})", tok.line, tok.column)
+        out.append(tok)
+        if tok.kind == "end":
+            return out, shifts
 
 
 @nesting_guard(ParseError)
 def parse_da(text: str) -> DAEquation:
     """Parse a differential polynomial in y, y', y'', ... plus a jet clause."""
-    statements = _split_statements(text)
-    if len(statements) < 2:
+    stmts = statements(text)
+    if len(stmts) < 2:
         raise ParseError("expected `polynomial ; jet values`")
-    poly_text = statements[0]
     init = {}
-    for stmt in statements[1:]:
-        _parse_init_clause(stmt, init)
-    ts = TokenStream(tokenize(poly_text))
+    for stmt in stmts[1:]:
+        _parse_init_clause(TokenStream(stmt), init, _at_zero)
+    ts = TokenStream(stmts[0])
     expr = parse_expression(ts)
     ts.expect_end()
     order = max(name.count("'") for name in expr_variables(expr, primed=True))

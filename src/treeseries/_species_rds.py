@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._expr import RatFunc, expr_variables, to_ratfunc
-from ._poly import MultiPolynomial, _frac
+from ._poly import MultiPolynomial
 from .compile import RDS
 from .errors import (
     InvariantError,
@@ -40,15 +40,10 @@ RHS_TERM_BUDGET = 2000
 # normalization to a first-order rational system
 
 
-def diffsys_to_rds(dsys: DiffEqSystem, initial=None) -> RDS:
+def diffsys_to_rds(dsys: DiffEqSystem) -> RDS:
     """Lower every equation once to a rational function, read it as linear
-    in the derivatives, and solve for every derivative at once.
-
-    ``initial`` may override or supply initial values by name.
-    """
+    in the derivatives, and solve for every derivative at once."""
     init = dict(dsys.init)
-    if initial:
-        init.update({k: _frac(v) for k, v in initial.items()})
     names = list(dsys.names())
     referenced = set()
     for _, _, rhs in dsys.equations:

@@ -45,13 +45,13 @@ def _write_automaton(a: core.Automaton, path: str):
             fh.write(text)
 
 
-def _emit_series(values, fmt: str, label: str = "coefficient"):
+def _emit_series(values, fmt: str):
     if fmt == "json":
         import json
 
-        print(json.dumps({label + "s": [str(v) for v in values]}))
+        print(json.dumps({"coefficients": [str(v) for v in values]}))
     elif fmt == "csv":
-        print(f"n,{label}")
+        print("n,coefficient")
         for n, v in enumerate(values):
             print(f"{n},{v}")
     else:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import _languages
-from ._expr import Const, TokenStream, expr_variables, parse_expression, to_ratfunc, tokenize
+from ._expr import Const, TokenStream, expr_variables, parse_expression, statements, to_ratfunc
 from ._record import record
 from .core import Automaton, RankedAlphabet
 from .errors import NotRDA, ParseError, ZeroPolynomial, nesting_guard
@@ -66,16 +66,6 @@ class RDS:
 
     def is_polynomial(self) -> bool:
         return all(q.constant_value() is not None for _, q in self.rhs)
-
-
-@record
-class RecurrenceNormalForm:
-    """One coordinate's shifted-coefficient recurrence: constant part A(x0),
-    lag-one parts B_h(x0, x1), convolution parts C_{h,g}(x0, x1, x2)."""
-
-    a: SizeRational
-    b: dict  # coordinate key -> SizeRational of arity 1
-    c: dict  # (coordinate key, coordinate key) -> SizeRational of arity 2
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +154,10 @@ def _poly_on_duals(p: MultiPolynomial, duals):
 
 
 class _NF:
-    """Mutable accumulator for one coordinate's normal form."""
+    """One coordinate's shifted-coefficient recurrence, built up term by
+    term: constant part A(x0) in ``a``, lag-one parts B_h(x0, x1) in ``b``
+    (coordinate key -> SizeRational of arity 1), convolution parts
+    C_{h,g}(x0, x1, x2) in ``c`` ((key, key) -> SizeRational of arity 2)."""
 
     def __init__(self):
         self.a = SizeRational(MultiPolynomial(1))
@@ -187,9 +180,6 @@ class _NF:
         for pair, sr in other.c.items():
             self.add_c(pair, sr.scale(coeff))
 
-    def freeze(self) -> RecurrenceNormalForm:
-        return RecurrenceNormalForm(self.a, dict(self.b), dict(self.c))
-
 
 def _inv_shifted_x0(scale: Fraction) -> SizeRational:
     """1 / (scale * (x0 + 1)) as a SizeRational of arity 0."""
@@ -202,8 +192,8 @@ def rda_normal_forms(s: RDS):
     system, plus supporting data.
 
     Returns (order, forms, pairs) where order lists the kept
-    coordinate keys, forms maps every Gamma variable to its
-    RecurrenceNormalForm, and pairs maps variables to order-1 series values.
+    coordinate keys, forms maps every Gamma variable to its normal form
+    (an ``_NF``), and pairs maps variables to order-1 series values.
     """
     if not s.is_rda:
         raise NotRDA("a right-hand side denominator vanishes at the initial point")
@@ -228,7 +218,9 @@ def rda_normal_forms(s: RDS):
         pairs[("z", j)] = _poly_on_duals(z_defs[j], duals)
         pairs[("w", j)] = _poly_on_duals(w_defs[j], duals)
 
-    # merge rule: constants vanish after the shift, single unit monomials alias
+    # merge rule: constants vanish after the shift, single unit monomials
+    # alias a y or t variable, which has a form of its own; reps[key] is
+    # None, (c, alias) or (1, key)
     reps = {}
 
     def classify(key, poly):
@@ -248,27 +240,15 @@ def rda_normal_forms(s: RDS):
         classify(("z", j), z_defs[j])
         classify(("w", j), w_defs[j])
 
-    def resolve(key):
-        if key[0] in ("y", "t"):
-            return (Fraction(1), key)
-        rep = reps[key]
-        if rep is None:
-            return None
-        c, target = rep
-        if target == key:
-            return rep
-        inner = resolve(target)
-        return None if inner is None else (c * inner[0], inner[1])
-
     forms = {}
     # coefficient recurrences for the y's
     for j in range(k):
         nf = _NF()
         inv = _inv_shifted_x0(z0[j])
-        w_ref = resolve(("w", j))
+        w_ref = reps[("w", j)]
         if w_ref is not None:
             nf.add_b(w_ref[1], inv.lift(1).scale(w_ref[0]))
-        z_ref = resolve(("z", j))
+        z_ref = reps[("z", j)]
         if z_ref is not None:
             # -(x2+1)/(z0_j (x0+1)) on the ordered pair (z_j, y_j)
             num = MultiPolynomial(3, {(0, 0, 1): -z_ref[0] / z0[j],
@@ -306,17 +286,16 @@ def rda_normal_forms(s: RDS):
         product = MultiPolynomial(nvars, {_exps_for(nvars, factors): Fraction(1)})
         forms[("t", m)] = nf_of_poly(product)
     for j in range(k):
-        if resolve(("z", j)) == (Fraction(1), ("z", j)):
+        if reps[("z", j)] == (Fraction(1), ("z", j)):
             forms[("z", j)] = nf_of_poly(z_defs[j])
-        if resolve(("w", j)) == (Fraction(1), ("w", j)):
+        if reps[("w", j)] == (Fraction(1), ("w", j)):
             forms[("w", j)] = nf_of_poly(w_defs[j])
 
     order = [("y", j) for j in range(k)]
     order += [("z", j) for j in range(k) if ("z", j) in forms]
     order += [("w", j) for j in range(k) if ("w", j) in forms]
     order += [("t", m) for m in range(n_chain)]
-    frozen = {key: nf.freeze() for key, nf in forms.items()}
-    return order, frozen, pairs
+    return order, forms, pairs
 
 
 def _gamma_key(index: int, k: int):
@@ -373,13 +352,6 @@ def compile_rda(s: RDS) -> Automaton:
 # text formats
 
 
-def _split_statements(text: str):
-    parts = []
-    for chunk in text.replace("\r", "").split("\n"):
-        parts.extend(chunk.split(";"))
-    return [p for p in (part.strip() for part in parts) if p]
-
-
 @nesting_guard(ParseError)
 def parse_rds(text: str) -> RDS:
     """Parse lines `name' = expr` plus initial clauses `name(0)=p/q`.
@@ -389,18 +361,20 @@ def parse_rds(text: str) -> RDS:
     """
     equations = []
     init = {}
-    for stmt in _split_statements(text):
-        ts = TokenStream(tokenize(stmt))
-        first = ts.expect("name")
-        if ts.peek().kind == "(":
-            _parse_init_clause(stmt, init)
+    for stmt in statements(text):
+        ts = TokenStream(stmt)
+        if stmt[1].kind == "(":
+            _parse_init_clause(ts, init, _at_zero)
             continue
+        first = ts.expect("name")
         ts.expect("prime")
         ts.expect("=")
         rhs = parse_expression(ts)
         ts.expect_end()
         equations.append((first.text, rhs))
     names = [name for name, _ in equations]
+    if not names:
+        raise ParseError("no equation `name' = expr`")
     if len(set(names)) != len(names):
         raise ParseError("duplicate equation for a variable")
     referenced = set()
@@ -424,35 +398,40 @@ def parse_rds(text: str) -> RDS:
     return RDS(tuple(names), tuple(rhs_pairs), tuple(init[n] for n in names))
 
 
-def _parse_init_clause(stmt: str, out: dict):
-    ts = TokenStream(tokenize(stmt))
+def _parse_init_clause(ts: TokenStream, out: dict, rule):
+    """Read the statement `name'...(k) = p/q, ...` into ``out``.  The caller's
+    ``rule(name, name_token, k_token)`` refuses what its format does not
+    allow and returns the key of the value; a key given twice is refused."""
     while True:
-        name = ts.expect("name").text
-        primes = 0
+        name_tok = ts.expect("name")
+        name = name_tok.text
         while ts.accept("prime"):
-            primes += 1
-        name = name + "'" * primes
+            name += "'"
         ts.expect("(")
-        zero = ts.expect("number")
-        if zero.text != "0":
-            raise ParseError("initial values are given at 0", zero.line, zero.column)
+        k_tok = ts.expect("number")
         ts.expect(")")
+        key = rule(name, name_tok, k_tok)
+        if key in out:
+            raise ParseError(
+                f"initial value {name}({k_tok.text}) given twice", name_tok.line, name_tok.column
+            )
         ts.expect("=")
-        out[name] = _parse_rational(ts)
+        sign = -1 if ts.accept("-") else 1
+        num, den = int(ts.expect("number").text), 1
+        if ts.accept("/"):
+            tok = ts.expect("number")
+            den = int(tok.text)
+            if den == 0:
+                raise ParseError("division by zero", tok.line, tok.column)
+        out[key] = Fraction(sign * num, den)
         if not ts.accept(","):
             break
     ts.expect_end()
 
 
-def _parse_rational(ts: TokenStream) -> Fraction:
-    sign = 1
-    if ts.accept("-"):
-        sign = -1
-    num = int(ts.expect("number").text)
-    if ts.accept("/"):
-        tok = ts.expect("number")
-        den = int(tok.text)
-        if den == 0:
-            raise ParseError("division by zero", tok.line, tok.column)
-        return Fraction(sign * num, den)
-    return Fraction(sign * num)
+def _at_zero(name, name_tok, k_tok):
+    """The rule of rational systems and differential equations: values at 0,
+    keyed by the (primed) name."""
+    if k_tok.text != "0":
+        raise ParseError("initial values are given at 0", k_tok.line, k_tok.column)
+    return name

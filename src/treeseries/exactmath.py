@@ -298,23 +298,6 @@ def size_rational_eval(f: SizeRational, point) -> Fraction:
 # text format
 
 
-def _split_denominator_chain(text: str):
-    """Split at the '/' that introduces the denominator chain: the first '/'
-    outside parentheses immediately followed (modulo spaces) by '('.  Any
-    other '/' divides inside the numerator."""
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            rest = text[i + 1 :].lstrip()
-            if rest.startswith("("):
-                return text[:i], text[i + 1 :]
-    return text, None
-
-
 @nesting_guard(InputFormatError)
 def parse_size_rational(text: str, arity: int) -> SizeRational:
     """Parse a weight: a polynomial over x0..xk in the expression syntax of
@@ -322,7 +305,9 @@ def parse_size_rational(text: str, arity: int) -> SizeRational:
 
         <polynomial> [ "/" "(" <poly in x0> ")" { "*" "(" <poly in xi> ")" } ]
 
-    whose factor i may only use xi."""
+    whose factor i may only use xi.  The chain starts at the first '/'
+    outside parentheses followed by '('; any other '/' divides inside the
+    numerator."""
     nvars = arity + 1
     var_index = {f"x{i}": i for i in range(nvars)}
 
@@ -332,13 +317,20 @@ def parse_size_rational(text: str, arity: int) -> SizeRational:
             raise InputFormatError(f"{what} of {text!r} is not a polynomial")
         return value.num
 
-    num_text, den_text = _split_denominator_chain(text)
-    ts = _expr.TokenStream(_expr.tokenize(num_text))
+    tokens = _expr.tokenize(text)
+    depth, cut = 0, len(tokens) - 1  # the chain's '/', else the end token
+    for i, tok in enumerate(tokens):
+        depth += (tok.kind == "(") - (tok.kind == ")")
+        if tok.kind == "/" and depth == 0 and tokens[i + 1].kind == "(":
+            cut = i
+            break
+    end = tokens[cut]
+    ts = _expr.TokenStream(tokens[:cut] + [_expr.Token("end", "", end.line, end.column)])
     num = polynomial(ts, "the numerator")
     ts.expect_end()
     dens = [UniPolynomial.const(1)] * nvars
-    if den_text is not None:
-        ts = _expr.TokenStream(_expr.tokenize(den_text))
+    if end.kind == "/":
+        ts = _expr.TokenStream(tokens[cut + 1 :])
         slot = 0
         while True:
             ts.expect("(")

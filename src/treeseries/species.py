@@ -44,8 +44,8 @@ from ._expr import (
     Var,
     expr_variables,
     nary,
+    statements,
     to_ratfunc,
-    tokenize,
 )
 from ._record import record
 # re-exported, like the names above that only _species_rds uses, so that
@@ -132,7 +132,7 @@ _CONSTRUCTS = {"set", "sequence", "cycle"}
 @nesting_guard(ParseError)
 def parse_species(text: str) -> SpeciesSpec:
     """Parse `Name = expr` lines into a specification."""
-    ts = TokenStream(tokenize(text))
+    ts = None  # the statement being read, for the helpers below
     equations = []
 
     def expr():
@@ -202,8 +202,8 @@ def parse_species(text: str) -> SpeciesSpec:
         k = ts.expect("number")
         return (kind, int(k.text))
 
-    ts.skip_newlines()
-    while ts.peek().kind != "end":
+    for stmt in statements(text):
+        ts = TokenStream(stmt)
         name_tok = ts.expect("name")
         if name_tok.text in _CONSTRUCTS or name_tok.text == "X":
             raise ParseError(
@@ -211,11 +211,7 @@ def parse_species(text: str) -> SpeciesSpec:
             )
         ts.expect("=")
         equations.append((name_tok.text, expr()))
-        if ts.peek().kind not in ("newline", "end", ";"):
-            tok = ts.peek()
-            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
-        while ts.peek().kind in ("newline", ";"):
-            ts.next()
+        ts.expect_end()
     if not equations:
         raise ParseError("empty species specification")
     names = [n for n, _ in equations]
@@ -416,18 +412,18 @@ def species_to_diffsys(spec: SpeciesSpec) -> DiffEqSystem:
 # counting
 
 
-def species_to_rds(spec: SpeciesSpec, target: str = None, initial=None) -> RDS:
+def species_to_rds(spec: SpeciesSpec, target: str = None) -> RDS:
     """Full pipeline: translate, normalize, and put the target first."""
     if target is None:
         target = spec.names()[0]
     spec.expression(target)
-    rds = diffsys_to_rds(species_to_diffsys(spec), initial=initial)
+    rds = diffsys_to_rds(species_to_diffsys(spec))
     return rds_with_target(rds, target)
 
 
-def count_species(spec: SpeciesSpec, target: str = None, n_max: int = 10, initial=None):
+def count_species(spec: SpeciesSpec, target: str = None, n_max: int = 10):
     """Numbers of labelled structures of sizes 0..n_max, via the automaton."""
-    rds = species_to_rds(spec, target, initial=initial)
+    rds = species_to_rds(spec, target)
     prefix = series.generating_prefix(compile_rda(rds), n_max)
     counts = []
     for n, c in enumerate(prefix.coefficients):

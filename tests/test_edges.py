@@ -1,10 +1,13 @@
 """Edge cases cutting across modules: idempotent normalizations, chained
 closure operations on irregular alphabets, and odd but legal inputs."""
 
+import functools
 from fractions import Fraction as F
 
 import pytest
 
+from treeseries import _expr
+from treeseries._expr import tokenize
 from treeseries.closure import (
     gf_add,
     gf_cauchy,
@@ -187,3 +190,79 @@ _DEEP_TREE = "(sigma1 " * 800 + "(sigma0)" + ")" * 800
 def test_deep_nesting_raises_input_error_not_recursion_error(call, error):
     with pytest.raises(error, match="input nested too deeply"):
         call()
+
+
+# ---------------------------------------------------------------------------
+# the text front ends: statements split on tokens, one initial-value parser
+
+_RDS = "y' = y*z\nz' = z\ny(0)=1, z(0)=2"
+_DA = "y'' + y\ny(0)=0, y'(0)=1"
+_DFINITE = "n*a(n) - a(n-1) = 0\na(0)=1"
+_WEIGHT = functools.partial(parse_size_rational, arity=1)
+
+# (parse, text, a text it must read the same as, or None, the error it must raise)
+_STATEMENT_CASES = {
+    "rds-comment-line": (parse_rds, "y' = y*z\n# z grows\nz' = z\ny(0)=1, z(0)=2", _RDS, None),
+    "rds-semicolon-in-comment": (
+        parse_rds, "y' = y*z # z grows; fast\nz' = z\ny(0)=1, z(0)=2", _RDS, None),
+    "rds-error-line": (parse_rds, _RDS + "\n\nz' = z +* 1", None, r"line 5, column 9"),
+    "rds-repeated-initial-value": (
+        parse_rds, "y' = y*z ; z' = z ; y(0)=1, z(0)=2, y(0)=3", None, "given twice"),
+    "rds-repeated-initial-statement": (parse_rds, _RDS + "\nz(0)=2", None, "given twice"),
+    "rds-comments-only": (parse_rds, "# no system yet\n", None, "no equation"),
+    "da-comment-line": (parse_da, "y'' + y\n  # the sine\ny(0)=0, y'(0)=1", _DA, None),
+    "da-semicolon-in-comment": (parse_da, "y'' + y # sine; cosine\ny(0)=0, y'(0)=1", _DA, None),
+    "da-error-line": (parse_da, "y'' + y\n\ny(0)=0, y'(0)=1/", None, r"line 3, column 17"),
+    "da-repeated-initial-value": (
+        parse_da, "y'' + y ; y(0)=0, y'(0)=1, y'(0)=2", None, "given twice"),
+    "dfinite-comment-line": (parse_dfinite, "n*a(n) - a(n-1) = 0\na(0)=1\n# e^x", _DFINITE, None),
+    "dfinite-semicolon-in-comment": (
+        parse_dfinite, "n*a(n) - a(n-1) = 0 # e^x; n! a(n)\na(0)=1", _DFINITE, None),
+    "dfinite-error-line": (parse_dfinite, _DFINITE + "\na(1)=+", None, r"line 3, column 6"),
+    "dfinite-trailing-input-after-initial-values": (
+        parse_dfinite, "n*a(n) - a(n-1) = 0 ; a(0)=1 garbage here", None, "trailing input"),
+    "dfinite-trailing-input-after-recurrence": (
+        parse_dfinite, "n*a(n) - a(n-1) = 0 0 ; a(0)=1", None, "trailing input"),
+    "dfinite-repeated-initial-value": (
+        parse_dfinite, "n*a(n) - a(n-1) = 0 ; a(0)=1, a(0)=2", None, "given twice"),
+    "dfinite-second-recurrence": (
+        parse_dfinite, "n*a(n) - a(n-1) = 0 ; a(n) - 5*a(n-1) = 0 ; a(0)=1", None,
+        "second recurrence"),
+    # the order is checked against the values given before anything of its size is built
+    "dfinite-large-order-without-values": (
+        parse_dfinite, "n*a(n) - a(n-10^12) = 0 ; a(0)=1", None, r"missing initial value\(s\) a\(1\)"),
+    "weight-comment-hides-chain": (_WEIGHT, "x1 # /(x0)", "x1", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STATEMENT_CASES))
+def test_comments_separators_and_clauses_are_read_on_tokens(case):
+    """A comment is no token: it neither makes a statement nor splits one.
+    Errors name the line of the text, not of the statement, and trailing
+    input, a value given twice and a second recurrence are refused.  (The
+    species front end read its statements on tokens already.)"""
+    parse, text, same_as, error = _STATEMENT_CASES[case]
+    if error is None:
+        assert parse(text) == parse(same_as)
+    else:
+        with pytest.raises(ParseError, match=error):
+            parse(text)
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [(parse_rds, _RDS), (parse_da, _DA), (parse_dfinite, _DFINITE),
+     (parse_species, "A = X*set(B)\nB = X + A ; C = A*B"),
+     (_WEIGHT, "(x1+1)/(x0+1)*(x1+2)")],
+    ids=["parse_rds", "parse_da", "parse_dfinite", "parse_species", "parse_size_rational"],
+)
+def test_each_front_end_tokenizes_its_input_once(monkeypatch, parse, text):
+    calls = []
+
+    def counting(source):
+        calls.append(source)
+        return tokenize(source)
+
+    monkeypatch.setattr(_expr, "tokenize", counting)
+    parse(text)
+    assert calls == [text]

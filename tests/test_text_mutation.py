@@ -43,7 +43,7 @@ from zoo import bell_automaton
 
 SAMPLES = Path(__file__).parent.parent / "samples"
 _MAX_NUMBER = 4
-_CHARS = "0123 xyXAF'()+-*/^=,;<>\n"
+_CHARS = "0123 xyXAF'()+-*/^=,;<>#\n"
 
 
 def _texts(pattern):
