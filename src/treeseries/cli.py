@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import closure, compile, core, decide, series, species
-from .errors import InputFormatError, InvariantError, TreeSeriesError
+from .errors import InputFormatError, TreeSeriesError
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
@@ -368,21 +368,12 @@ def main(argv=None) -> int:
     try:
         _check_sizes(args)
         return args.func(args)
-    except InputFormatError as exc:
+    except (InputFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except InvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     except TreeSeriesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
     except RecursionError:
         # the parsers and the tree and expression walkers recurse once per
         # level of nesting in the input

@@ -5,9 +5,11 @@ reduced so every polynomial has degree at most two (a long monomial is split
 in halves, each half of two or more variables a fresh variable split the same
 way), then each shifted coefficient v_{n+1} is written in the normal form
 
-    A(n) + sum_h B_h(n, n-1) h_n + sum_{h,g} sum_l C_{h,g}(n, l, n-1-l) h_l g_{n-1-l}
+    sum_h B_h(n, n-1) h_n + sum_{h,g} sum_l C_{h,g}(n, l, n-1-l) h_l g_{n-1-l}
 
 whose B rows become the unary weight and C cells the binary weight.
+Constants vanish after the shift, so there is no constant term and no
+all-ones coordinate.
 
 The other source languages (recurrences, polynomial systems, differential
 equations) and the Taylor oracle are names of this module too, but live in
@@ -22,7 +24,7 @@ from fractions import Fraction
 from . import _languages
 from ._expr import Const, TokenStream, expr_variables, parse_expression, statements, to_ratfunc
 from ._record import record
-from .core import Automaton, RankedAlphabet
+from .core import Automaton, RankedAlphabet, row_index
 from .errors import NotRDA, ParseError, ZeroPolynomial, nesting_guard
 from .exactmath import MultiPolynomial, SizeRational, UniPolynomial, _frac
 
@@ -153,47 +155,30 @@ def _poly_on_duals(p: MultiPolynomial, duals):
     return acc
 
 
-class _NF:
-    """One coordinate's shifted-coefficient recurrence, built up term by
-    term: constant part A(x0) in ``a``, lag-one parts B_h(x0, x1) in ``b``
-    (coordinate key -> SizeRational of arity 1), convolution parts
-    C_{h,g}(x0, x1, x2) in ``c`` ((key, key) -> SizeRational of arity 2)."""
+def _add(terms: dict, key, sr: SizeRational):
+    terms[key] = terms[key] + sr if key in terms else sr
 
-    def __init__(self):
-        self.a = SizeRational(MultiPolynomial(1))
-        self.b = {}
-        self.c = {}
 
-    def add_b(self, key, sr: SizeRational):
-        self.b[key] = self.b[key] + sr if key in self.b else sr
-
-    def add_c(self, pair, sr: SizeRational):
-        self.c[pair] = self.c[pair] + sr if pair in self.c else sr
-
-    def add_scaled(self, coeff: Fraction, other: "_NF"):
-        if coeff == 0:
-            return
-        if not other.a.is_zero:
-            self.a = self.a + other.a.scale(coeff)
-        for key, sr in other.b.items():
-            self.add_b(key, sr.scale(coeff))
-        for pair, sr in other.c.items():
-            self.add_c(pair, sr.scale(coeff))
+def _add_scaled(terms: dict, c: Fraction, form: dict):
+    for key, sr in form.items():
+        _add(terms, key, sr.scale(c))
 
 
 def _inv_shifted_x0(scale: Fraction) -> SizeRational:
-    """1 / (scale * (x0 + 1)) as a SizeRational of arity 0."""
-    num = MultiPolynomial.const(1, 1 / scale)
-    return SizeRational(num, [UniPolynomial((1, 1))])
+    """1 / (scale * (x0 + 1)) as a SizeRational of arity 1."""
+    num = MultiPolynomial.const(2, 1 / scale)
+    return SizeRational(num, [UniPolynomial((1, 1)), UniPolynomial.const(1)])
 
 
 def rda_normal_forms(s: RDS):
     """Shifted-coefficient normal forms for every coordinate of the reduced
     system, plus supporting data.
 
-    Returns (order, forms, pairs) where order lists the kept
-    coordinate keys, forms maps every Gamma variable to its normal form
-    (an ``_NF``), and pairs maps variables to order-1 series values.
+    Returns (order, forms, pairs) where order lists the kept coordinate
+    keys, forms maps every Gamma variable to its normal form, a dict
+    {sources: SizeRational} whose key (h,) holds B_h (arity 1) and (h, g)
+    holds C_{h,g} (arity 2), and pairs maps variables to order-1 series
+    values.
     """
     if not s.is_rda:
         raise NotRDA("a right-hand side denominator vanishes at the initial point")
@@ -203,7 +188,6 @@ def rda_normal_forms(s: RDS):
     w_defs = reduced[0::2]
     z_defs = reduced[1::2]
     n_chain = len(chains)
-    nvars = k + n_chain
 
     # order-1 (value, first-derivative-coefficient) pairs for every variable
     z0 = [q(s.init) for _, q in s.rhs]
@@ -230,9 +214,7 @@ def rda_normal_forms(s: RDS):
         if len(poly.terms) == 1:
             exps, c = next(iter(poly.terms.items()))
             if sum(exps) == 1:
-                i = exps.index(1)
-                target = ("y", i) if i < k else ("t", i - k)
-                reps[key] = (c, target)
+                reps[key] = (c, _gamma_key(exps.index(1), k))
                 return
         reps[key] = (Fraction(1), key)
 
@@ -243,53 +225,51 @@ def rda_normal_forms(s: RDS):
     forms = {}
     # coefficient recurrences for the y's
     for j in range(k):
-        nf = _NF()
-        inv = _inv_shifted_x0(z0[j])
+        terms = {}
         w_ref = reps[("w", j)]
         if w_ref is not None:
-            nf.add_b(w_ref[1], inv.lift(1).scale(w_ref[0]))
+            terms[(w_ref[1],)] = _inv_shifted_x0(z0[j]).scale(w_ref[0])
         z_ref = reps[("z", j)]
         if z_ref is not None:
             # -(x2+1)/(z0_j (x0+1)) on the ordered pair (z_j, y_j)
-            num = MultiPolynomial(3, {(0, 0, 1): -z_ref[0] / z0[j],
-                                      (0, 0, 0): -z_ref[0] / z0[j]})
-            sr = SizeRational(num, [UniPolynomial((1, 1)),
-                                    UniPolynomial.const(1),
-                                    UniPolynomial.const(1)])
-            nf.add_c((z_ref[1], ("y", j)), sr)
-        forms[("y", j)] = nf
+            c, one = -z_ref[0] / z0[j], UniPolynomial.const(1)
+            num = MultiPolynomial(3, {(0, 0, 1): c, (0, 0, 0): c})
+            terms[(z_ref[1], ("y", j))] = SizeRational(num, [UniPolynomial((1, 1)), one, one])
+        forms[("y", j)] = terms
 
-    def nf_of_poly(poly: MultiPolynomial) -> _NF:
-        nf = _NF()
+    def add_product(terms, coeff, i, j):
+        """Add coeff times the form of the product u v of the variables of
+        indices i <= j: u0 v' + v0 u' + the convolution term (u, v), where '
+        is the variable's own form."""
+        u, v = _gamma_key(i, k), _gamma_key(j, k)
+        u0, v0 = pairs[u][0], pairs[v][0]
+        if v0:
+            _add_scaled(terms, coeff * v0, forms[u])
+        if u0:
+            _add_scaled(terms, coeff * u0, forms[v])
+        _add(terms, (u, v), SizeRational.const(2, coeff))
+
+    def form_of_poly(poly: MultiPolynomial) -> dict:
+        terms = {}
         for exps, coeff in poly.terms.items():
             deg = sum(exps)
-            if deg == 0:
-                continue  # constants have no coefficient beyond order 0
-            vars_used = _index_tuple(exps)
             if deg == 1:
-                u = _gamma_key(vars_used[0], k)
-                nf.add_scaled(coeff, forms[u])
+                _add_scaled(terms, coeff, forms[_gamma_key(exps.index(1), k)])
             elif deg == 2:
-                u = _gamma_key(vars_used[0], k)
-                v = _gamma_key(vars_used[1], k)
-                u0, v0 = pairs[u][0], pairs[v][0]
-                if v0:
-                    nf.add_scaled(coeff * v0, forms[u])
-                if u0:
-                    nf.add_scaled(coeff * u0, forms[v])
-                nf.add_c((u, v), SizeRational.const(2, coeff))
-            else:
+                add_product(terms, coeff, *_index_tuple(exps))
+            elif deg:
                 raise AssertionError("degree > 2 survived reduction")
-        return nf
+            # constants have no coefficient beyond order 0
+        return terms
 
     for m, (_, factors) in enumerate(chains):
-        product = MultiPolynomial(nvars, {_exps_for(nvars, factors): Fraction(1)})
-        forms[("t", m)] = nf_of_poly(product)
+        forms[("t", m)] = terms = {}
+        add_product(terms, Fraction(1), *sorted(factors))
     for j in range(k):
         if reps[("z", j)] == (Fraction(1), ("z", j)):
-            forms[("z", j)] = nf_of_poly(z_defs[j])
+            forms[("z", j)] = form_of_poly(z_defs[j])
         if reps[("w", j)] == (Fraction(1), ("w", j)):
-            forms[("w", j)] = nf_of_poly(w_defs[j])
+            forms[("w", j)] = form_of_poly(w_defs[j])
 
     order = [("y", j) for j in range(k)]
     order += [("z", j) for j in range(k) if ("z", j) in forms]
@@ -313,39 +293,20 @@ def compile_rda(s: RDS) -> Automaton:
     """Automaton over {eps/0, sigma1/1, sigma2/2} whose generating function
     is the first variable's series."""
     order, forms, pairs = rda_normal_forms(s)
-    use_one = any(not forms[key].a.is_zero for key in order)
-    coords = ["target"] + order + (["one"] if use_one else [])
-    pos = {key: i for i, key in enumerate(coords)}
-    d = len(coords)
-
-    eps = [Fraction(0)] * d
-    eps[0] = s.init[0]
+    pos = {key: i for i, key in enumerate(["target"] + order)}
+    d = len(pos)
+    weights = {
+        "eps": [[s.init[0]] + [pairs[key][1] for key in order]],
+        "sigma1": {(pos[("y", 0)], 0): SizeRational.const(1, 1)},
+        "sigma2": {},
+    }
     for key in order:
-        eps[pos[key]] = pairs[key][1]
-    if use_one:
-        eps[pos["one"]] = Fraction(1)
-
-    def add(cells, key, sr):
-        cells[key] = cells[key] + sr if key in cells else sr
-
-    sigma1 = {(pos[("y", 0)], 0): SizeRational.const(1, 1)}
-    sigma2 = {}
-    for key in order:
-        nf = forms[key]
-        col = pos[key]
-        if use_one and not nf.a.is_zero:
-            sigma1[(pos["one"], col)] = nf.a.lift(1)
-        for h, sr in nf.b.items():
+        for sources, sr in forms[key].items():
             if not sr.is_zero:
-                add(sigma1, (pos[h], col), sr.lift(1))
-        for (h, g), sr in nf.c.items():
-            if not sr.is_zero:
-                add(sigma2, (pos[h] * d + pos[g], col), sr.lift(2))
-    if use_one:
-        sigma1[(pos["one"], pos["one"])] = SizeRational.const(1, 1)
-
+                cell = (row_index([pos[h] for h in sources], d), pos[key])
+                weights[f"sigma{len(sources)}"][cell] = sr
     alphabet = RankedAlphabet.of(("eps", 0), ("sigma1", 1), ("sigma2", 2))
-    return Automaton.build(d, alphabet, {"eps": [eps], "sigma1": sigma1, "sigma2": sigma2})
+    return Automaton.build(d, alphabet, weights)
 
 
 # ---------------------------------------------------------------------------

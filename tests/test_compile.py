@@ -1,11 +1,14 @@
+import hashlib
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from species_gold import GOLD_SPECIES
+from treeseries._format import automaton_to_json
 from treeseries.compile import (
     RDS,
     DFiniteRecurrence,
@@ -304,34 +307,114 @@ GOLD_DIMENSIONS = {
 }
 
 
-@pytest.mark.parametrize(
-    "label, source",
-    [(label, source) for label, *_ in GOLD_SPECIES for source in ("species", "system")],
-)
-def test_gold_compiled_dimension_and_prefix(label, source):
+def _gold_rds(label, source):
     _, spec, target, system, _ = next(g for g in GOLD_SPECIES if g[0] == label)
     if source == "species":
-        s = species_to_rds(parse_species(spec), target)
-        dimension = GOLD_DIMENSIONS[label][0]
-    else:
-        s = parse_rds(system)
-        dimension = GOLD_DIMENSIONS[label][1]
+        return species_to_rds(parse_species(spec), target)
+    return parse_rds(system)
+
+
+GOLD_SOURCES = [(label, source) for label, *_ in GOLD_SPECIES for source in ("species", "system")]
+
+
+@pytest.mark.parametrize("label, source", GOLD_SOURCES)
+def test_gold_compiled_dimension_and_prefix(label, source):
+    s = _gold_rds(label, source)
     a = compile_rda(s)
-    assert a.dimension == dimension
+    assert a.dimension == GOLD_DIMENSIONS[label][0 if source == "species" else 1]
     expected = taylor_oracle(s, 8)[s.variables[0]].coefficients
     assert generating_prefix(a, 8).coefficients == expected
 
 
 def test_normal_forms_stay_in_ring():
-    s = parse_rds(CUBIC_RDS_TEXT)
-    order, forms, pairs = rda_normal_forms(s)
-    for key in order:
-        nf = forms[key]
-        assert nf.a.is_zero
-        for sr in nf.b.values():
-            assert sr.arity == 1
-        for sr in nf.c.values():
-            assert sr.arity == 2
+    systems = [("cubic", parse_rds(CUBIC_RDS_TEXT))]
+    systems += [(f"{label}/{source}", _gold_rds(label, source)) for label, source in GOLD_SOURCES]
+    for name, s in systems:
+        order, forms, pairs = rda_normal_forms(s)
+        for key in order:
+            for sources, sr in forms[key].items():
+                # no constant term (key ()): B_h has arity 1, C_{h,g} arity 2
+                assert len(sources) in (1, 2) and sr.arity == len(sources), (name, key, sources)
+
+
+# sha256 of automaton_to_json of compile_rda on each gold system and species
+# and each sample; no other test pins the compiler's output byte for byte
+COMPILED_SHA256 = {
+    ("system", "non-plane trees"):
+        "441564dd6413e02dc62938b8d4e86a96b3d3cbb5566b9a99109db497e1bb9298",
+    ("species", "non-plane trees"):
+        "441564dd6413e02dc62938b8d4e86a96b3d3cbb5566b9a99109db497e1bb9298",
+    ("system", "plane binary trees"):
+        "14a8fe36e0ea9d5f94f3b39244da71b5d0260a9661d4850fc56ca9f53ce7697d",
+    ("species", "plane binary trees"):
+        "b0e3343109b05492e281c7b31b066fb9fb6bfaa21c46ccdaa856152fba6f807b",
+    ("system", "plane general trees"):
+        "36c9a2c7c239732e82e5d4b639475c1777cf0048bd6d06072efd26b2c57ac7bf",
+    ("species", "plane general trees"):
+        "eba61158a591c4148481bf88315c4904ab6c9f7cca26a880c68c2b909934d473",
+    ("system", "permutations"):
+        "ebfefa7ea0ec53bbe40aee673437d670c7c1fa245ea9f0ce58b79fc13bf88772",
+    ("species", "permutations"):
+        "84618ba21999099575f7bae9c963f4c152e82301846290fb40d62457a0c1de75",
+    ("system", "functional graphs"):
+        "28fb526f8013cd4fc8b128e3a8163b3d8ff6aeec1de2bde187bceeea6b096c8f",
+    ("species", "functional graphs"):
+        "ab1cd9c48ad0b901f8020f8a5c5a615c706fba4a0b6417ac13455c8b196ac723",
+    ("system", "set partitions"):
+        "ba0b04628b267e6bb4a1426ce4b60a3bdf24c45d977231492fce6206d052303e",
+    ("species", "set partitions"):
+        "e7f805de5d34cea49f03d55588d29112cc3983118f84618d054ca99d4e572eba",
+    ("system", "non-plane ternary trees"):
+        "a7090bab2589443d61217dd50ebb3a48e9cc26d29a11add3c8924ffc25c657bf",
+    ("species", "non-plane ternary trees"):
+        "db9ec691b07aca97520a9381f33022362d708aecd022c5a9679c4134f020d356",
+    ("system", "hierarchies"):
+        "cf69ff5a54c3e57f0c1f9f24d62ec54250bf551676ef595f027bd117c5a5ae11",
+    ("species", "hierarchies"):
+        "703b421b9b36410e068e4423124fcc27eff88c4ef4ca11414459bb4f79e49fa8",
+    ("system", "3-constrained functional graphs"):
+        "9079a5af1dbb06745e437bc2a52673cd849da0ef35a6a99eac1da8ab672fa84c",
+    ("species", "3-constrained functional graphs"):
+        "3703307bf982e49de6a074e06df6e8281adfbc6560e4ab761f41ccf06b3a6917",
+    ("system", "3-balanced hierarchies"):
+        "6912e21bdaa82a6a4a0c49d8f8e97653396eefa978e8984c28336408f33cd99c",
+    ("species", "3-balanced hierarchies"):
+        "327f5da8dc8aa50ac87f8163a3995ea0b0c32b979a695902300664aae9832439",
+    ("system", "surjections"):
+        "7226ac4d2e4964012a9e75a5296fe9a7bbd8d5e1cbb3b1cc973bc6bbbbb320cf",
+    ("species", "surjections"):
+        "91cc99adc9d0bbff42452aa07b4ad31b81e0fa43a17c2d95af9c69c0680e7cff",
+    ("sample", "bell.rds"):
+        "ba0b04628b267e6bb4a1426ce4b60a3bdf24c45d977231492fce6206d052303e",
+    ("sample", "cubic.rds"):
+        "38112817c234c3a52007f47f390a23c9634960f13212a2f034c2485ca5577994",
+    ("sample", "bell.spec"):
+        "e7f805de5d34cea49f03d55588d29112cc3983118f84618d054ca99d4e572eba",
+    ("sample", "labelled_trees.spec"):
+        "441564dd6413e02dc62938b8d4e86a96b3d3cbb5566b9a99109db497e1bb9298",
+    ("sample", "surjections.spec"):
+        "91cc99adc9d0bbff42452aa07b4ad31b81e0fa43a17c2d95af9c69c0680e7cff",
+    ("sample", "cubic.da"):
+        "d11d74910a1f0dd4986cfda20f88a61d7794c4628e92f9fd2dc430b231f9464c",
+}
+SAMPLE_RDS = {
+    ".rds": parse_rds,
+    ".spec": lambda text: species_to_rds(parse_species(text)),
+    ".da": lambda text: da_to_rds(parse_da(text)),
+}
+
+
+@pytest.mark.parametrize("source, label", COMPILED_SHA256)
+def test_compiled_automaton_is_byte_exact(source, label):
+    if source == "sample":
+        path = Path(__file__).resolve().parent.parent / "samples" / label
+        s = SAMPLE_RDS[path.suffix](path.read_text())
+    else:
+        s = _gold_rds(label, source)
+    a = compile_rda(s)
+    digest = hashlib.sha256(automaton_to_json(a).encode()).hexdigest()
+    cells = sum(len(matrix.cells) for _, matrix in a.weights)
+    assert digest == COMPILED_SHA256[source, label], f"dimension {a.dimension}, {cells} cells"
 
 
 # ---------------------------------------------------------------------------
