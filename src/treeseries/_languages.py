@@ -67,7 +67,7 @@ class DFiniteRecurrence:
         q0 = self.qs[0]
         if q0.is_zero:
             raise ZeroPolynomial("leading polynomial must be nonzero")
-        bad = {r for r in poly_integer_roots(q0) if r >= k} if q0.degree >= 1 else set()
+        bad = {r for r in poly_integer_roots(q0) if r >= k}
         if bad:
             raise LeadingRoot(
                 f"leading polynomial vanishes at admissible index(es) {sorted(bad)}"

@@ -6,11 +6,11 @@ leaf-to-root recursion
 
     mu~(g(t1,...,tk)) = (mu~(t1) (x) ... (x) mu~(tk)) . mu(g)(|t|, |t1|, ..., |tk|)
 
-and the value of t is the first entry of mu~(t).  Only tree evaluation,
-tree-series witnesses, ``gf_inverse`` and the brute-force oracle use this
-module; ``core`` offers every name here as its own and runs this module on
-the first read of one of them, so a command that never touches a tree never
-compiles it.
+and the value of t is the first entry of mu~(t).  One generator,
+``mu_tildes``, runs it for ``evaluate``, the tree-series witness search and
+the brute-force oracle.  ``core`` offers every name here as its own and runs
+this module on the first read of one of them, so a command that never
+touches a tree never compiles it.
 """
 
 from __future__ import annotations
@@ -135,6 +135,19 @@ def kron_all(vectors):
 def evaluate(a: Automaton, t: Tree):
     """Return (mu~(t), value of t); the value is the first entry."""
     check_tree(a.alphabet, t)
+    (mu_tilde,) = mu_tildes(a, (t,))
+    return mu_tilde, mu_tilde[0]
+
+
+def mu_tildes(a: Automaton, trees):
+    """Yield mu~(t) for each tree t of ``trees``, unchecked against the alphabet.
+
+    Each symbol's nonzero cells are unranked once, and the vector of every
+    subtree object is kept while the generator runs: enumeration shares
+    subtree instances heavily, and mu~ of a subtree does not depend on its
+    context.  The cache is keyed by id and holds the subtree too, so that no
+    id is reused while it runs.
+    """
     d = a.dimension
     leaves, cells = {}, {}
     for name, k in a.alphabet.symbols:
@@ -144,25 +157,32 @@ def evaluate(a: Automaton, t: Tree):
             cells[name] = [
                 (unrank_row(i, d, k), j, entry) for i, j, entry in a.nonzero_entries(name)
             ]
+    cache = {}  # id(subtree) -> (subtree, mu~(subtree))
 
     def rec(node: Tree):
+        found = cache.get(id(node))
+        if found is not None:
+            return found[1]
         if not node.children:
-            return leaves[node.root]
-        child_vecs = [rec(c) for c in node.children]
-        sizes = (node.size,) + tuple(c.size for c in node.children)
-        out = [Fraction(0)] * d
-        for states, col, entry in cells[node.root]:
-            coeff = Fraction(1)
-            for vec, state in zip(child_vecs, states):
-                coeff *= vec[state]
-                if coeff == 0:
-                    break
-            else:
-                out[col] += coeff * entry(sizes)
-        return tuple(out)
+            out = leaves[node.root]
+        else:
+            child_vecs = [rec(c) for c in node.children]
+            sizes = (node.size,) + tuple(c.size for c in node.children)
+            acc = [Fraction(0)] * d
+            for states, col, entry in cells[node.root]:
+                coeff = Fraction(1)
+                for vec, state in zip(child_vecs, states):
+                    coeff *= vec[state]
+                    if coeff == 0:
+                        break
+                else:
+                    acc[col] += coeff * entry(sizes)
+            out = tuple(acc)
+        cache[id(node)] = (node, out)
+        return out
 
-    mu_tilde = rec(t)
-    return mu_tilde, mu_tilde[0]
+    for t in trees:
+        yield rec(t)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from .errors import InputFormatError, InvalidBeta, InvariantError, SymbolMismatc
 _ELSEWHERE = {
     **dict.fromkeys((
         "ENUMERATION_GUARD", "Tree", "check_tree", "compositions", "count_trees",
-        "enumerate_trees", "evaluate", "format_tree", "kron", "kron_all", "parse_tree",
-        "tree_size",
+        "enumerate_trees", "evaluate", "format_tree", "kron", "kron_all", "mu_tildes",
+        "parse_tree", "tree_size",
     ), _trees),
     "automaton_to_json": _format,
 }
@@ -222,12 +222,11 @@ class FinalVector:
         for num, den in self.entries:
             if den.is_zero:
                 raise InvalidBeta("final vector denominator is zero")
-            if den.degree >= 1:
-                bad = {r for r in exactmath.poly_integer_roots(den) if r >= 0}
-                if bad:
-                    raise InvalidBeta(
-                        f"final vector denominator has nonnegative root(s) {sorted(bad)}"
-                    )
+            bad = {r for r in exactmath.poly_integer_roots(den) if r >= 0}
+            if bad:
+                raise InvalidBeta(
+                    f"final vector denominator has nonnegative root(s) {sorted(bad)}"
+                )
 
     @classmethod
     def of(cls, *entries) -> "FinalVector":

@@ -188,16 +188,17 @@ def check_equiv_genfun(a1: Automaton, a2: Automaton, cap: int):
 
 
 def _witness_tree(a: Automaton, n: int):
+    """The first tree of size n, in enumeration order, whose value is nonzero."""
     try:
-        for t in core.enumerate_trees(a.alphabet, n):
-            _, value = core.evaluate(a, t)
-            if value != 0:
-                return t, value
+        trees = core.enumerate_trees(a.alphabet, n)
     except TooManyTrees as exc:
         raise TooManyTrees(
             f"a tree of size {n} with nonzero value exists, but there are too"
             f" many trees of that size to search ({exc})"
         ) from exc
+    for t, mu_tilde in zip(trees, core.mu_tildes(a, trees)):
+        if mu_tilde[0] != 0:
+            return t, mu_tilde[0]
     raise AssertionError("squared series was nonzero but no witness tree found")
 
 

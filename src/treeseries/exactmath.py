@@ -75,7 +75,7 @@ def __getattr__(name):
 def _check_denominator(q: UniPolynomial, slot: int):
     if q.is_zero:
         raise InvalidDenominator("denominator is the zero polynomial")
-    roots = poly_integer_roots(q) if q.degree >= 1 else set()
+    roots = poly_integer_roots(q)
     if slot == 0:
         bad = {r for r in roots if r >= 1}
     else:

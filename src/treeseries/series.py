@@ -322,39 +322,9 @@ def generating_prefix(a: Automaton, n_max: int) -> SeriesPrefix:
 
 
 def brute_force_coefficient(a: Automaton, n: int):
-    """Sum of mu~(t) over every tree of size n, by exhaustive enumeration.
-
-    Subtree vectors are cached per object: the enumeration shares subtree
-    instances heavily, and mu~ of a subtree does not depend on its context.
-    """
-    d = a.dimension
-    kron_all = core.kron_all
-    trees = core.enumerate_trees(a.alphabet, n)
-    nonzero = {name: a.nonzero_entries(name) for name in a.alphabet.names()}
-    cache = {}
-
-    def mu_tilde(t):
-        found = cache.get(id(t))
-        if found is not None:
-            return found
-        k = a.alphabet.arity(t.root)
-        if k == 0:
-            result = a.weight(t.root)[0]
-        else:
-            big = kron_all([mu_tilde(c) for c in t.children])
-            sizes = (t.size,) + tuple(c.size for c in t.children)
-            out = [Fraction(0)] * d
-            for row, col, entry in nonzero[t.root]:
-                coeff = big[row]
-                if coeff != 0:
-                    out[col] += coeff * entry(sizes)
-            result = tuple(out)
-        cache[id(t)] = result
-        return result
-
-    acc = [Fraction(0)] * d
-    for t in trees:
-        vec = mu_tilde(t)
-        for j in range(d):
-            acc[j] += vec[j]
+    """Sum of mu~(t) over every tree of size n, by exhaustive enumeration."""
+    acc = [Fraction(0)] * a.dimension
+    for vec in core.mu_tildes(a, core.enumerate_trees(a.alphabet, n)):
+        for j, v in enumerate(vec):
+            acc[j] += v
     return tuple(acc)

@@ -226,6 +226,56 @@ def test_tree_witness_search_reports_too_many():
     assert "size 16" in str(err.value)
 
 
+def _bell_changed_from_size(size: int) -> Automaton:
+    """The Bell automaton with its binary weight multiplied out of 1/x0 only at
+    node sizes >= size: the two tree series first differ on trees of that size."""
+    factors = "*".join(f"(x0-{i})" for i in range(1, size))
+    return Automaton.build(
+        2,
+        SIGNATURE,
+        {
+            "sigma0": [1, 1],
+            "sigma1": [["0", "0"], ["0", "1/(x0)"]],
+            "sigma2": [["0", "0"], ["0", "0"], [f"(1+3*{factors})/(x0)", "0"], ["0", "0"]],
+        },
+    )
+
+
+def _node_count(t: Tree) -> int:
+    return 1 + sum(_node_count(c) for c in t.children)
+
+
+def test_tree_witness_is_first_in_enumeration_order(bell):
+    changed = _bell_changed_from_size(6)
+    diff = ts_add(bell, ts_scale(changed, -1))
+    for n in range(6):
+        assert all(evaluate(diff, t)[1] == 0 for t in enumerate_trees(SIGNATURE, n)), n
+    first = next(t for t in enumerate_trees(SIGNATURE, 6) if evaluate(diff, t)[1] != 0)
+    assert check_zero_tree_series(diff, 12) == DifferAt(first, (evaluate(diff, first)[1],))
+    values = (evaluate(bell, first)[1], evaluate(changed, first)[1])
+    assert values[0] != values[1]
+    assert check_equiv_tree_series(bell, changed, 12) == DifferAt(first, values)
+
+
+def test_tree_witness_search_evaluates_no_tree_it_scans(bell, monkeypatch):
+    # the witness of this pair is tree 516 of the 1,806 of size 6; checking
+    # each scanned tree against the alphabet costs one call per node
+    from treeseries import _trees
+
+    calls = []
+    check_tree = _trees.check_tree
+
+    def counting(alphabet, t):
+        calls.append(t)
+        return check_tree(alphabet, t)
+
+    monkeypatch.setattr(_trees, "check_tree", counting)
+    diff = ts_add(bell, ts_scale(_bell_changed_from_size(6), -1))
+    verdict = check_zero_tree_series(diff, 12)
+    assert verdict.tree.size == 6
+    assert len(calls) <= _node_count(verdict.tree)
+
+
 # ---------------------------------------------------------------------------
 # the defining differential system
 
