@@ -89,15 +89,12 @@ def automaton_to_json(a: core.Automaton) -> str:
         "alphabet": [{"name": n, "arity": k} for n, k in a.alphabet.symbols],
         "weights": {},
     }
-    unrank_row = core.unrank_row
-    for name, arity in a.alphabet.symbols:
+    for name, matrix in a.weights:
+        text = str if matrix.arity == 0 else format_size_rational
         entries = []
-        for i, j, entry in a.nonzero_entries(name):
-            if arity == 0:
-                row_ix, value = [], str(entry)
-            else:
-                row_ix = [x + 1 for x in unrank_row(i, a.dimension, arity)]
-                value = format_size_rational(entry)
-            entries.append({"row": row_ix, "col": j + 1, "value": value})
+        for states, row in matrix.rows.values():
+            row_ix = [s + 1 for s in states]
+            for j, entry in row:
+                entries.append({"row": row_ix, "col": j + 1, "value": text(entry)})
         payload["weights"][name] = {"entries": entries}
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import core, exactmath, series
-from .closure import _embed_shifted, _rows_of
+from .closure import _embed_shifted
 from .errors import ZeroConstantTerm
 
 
@@ -115,7 +115,7 @@ def gf_shift_backward(a: core.Automaton) -> core.Automaton:
     for k in arities:
         if k == 0:
             continue
-        gk = _rows_of(a.weight(f"h{k}"), d, k)
+        gk = a.weight(f"h{k}").rows
         # arity 0: the vector of the size-1 tree g_k(leaf,...,leaf), the
         # Kronecker product of k leaf rows times the weight at sizes (1, 0, ..., 0)
         sizes = (1,) + (0,) * k

@@ -15,10 +15,11 @@ touches a tree never compiles it.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from ._record import record
-from .core import Automaton, RankedAlphabet, unrank_row
+from .core import Automaton, RankedAlphabet
 from .errors import InputFormatError, SymbolMismatch, TooManyTrees, nesting_guard
 
 ENUMERATION_GUARD = 10**6
@@ -142,21 +143,20 @@ def evaluate(a: Automaton, t: Tree):
 def mu_tildes(a: Automaton, trees):
     """Yield mu~(t) for each tree t of ``trees``, unchecked against the alphabet.
 
-    Each symbol's nonzero cells are unranked once, and the vector of every
+    Each node forms one product of its children's entries per nonzero row of
+    its symbol's weight (``WeightMatrix.rows``), and the vector of every
     subtree object is kept while the generator runs: enumeration shares
     subtree instances heavily, and mu~ of a subtree does not depend on its
     context.  The cache is keyed by id and holds the subtree too, so that no
     id is reused while it runs.
     """
     d = a.dimension
-    leaves, cells = {}, {}
-    for name, k in a.alphabet.symbols:
-        if k == 0:
-            leaves[name] = a.weight(name)[0]
+    leaves, rows = {}, {}
+    for name, matrix in a.weights:
+        if matrix.arity == 0:
+            leaves[name] = matrix[0]
         else:
-            cells[name] = [
-                (unrank_row(i, d, k), j, entry) for i, j, entry in a.nonzero_entries(name)
-            ]
+            rows[name] = matrix.rows.values()
     cache = {}  # id(subtree) -> (subtree, mu~(subtree))
 
     def rec(node: Tree):
@@ -166,17 +166,18 @@ def mu_tildes(a: Automaton, trees):
         if not node.children:
             out = leaves[node.root]
         else:
-            child_vecs = [rec(c) for c in node.children]
+            first, *others = [rec(c) for c in node.children]
             sizes = (node.size,) + tuple(c.size for c in node.children)
             acc = [Fraction(0)] * d
-            for states, col, entry in cells[node.root]:
-                coeff = Fraction(1)
-                for vec, state in zip(child_vecs, states):
-                    coeff *= vec[state]
-                    if coeff == 0:
+            for states, entries in rows[node.root]:
+                coeff = first[states[0]]
+                for vec, state in zip(others, states[1:]):
+                    if not coeff:
                         break
-                else:
-                    acc[col] += coeff * entry(sizes)
+                    coeff *= vec[state]
+                if coeff:
+                    for col, entry in entries:
+                        acc[col] += coeff * entry(sizes)
             out = tuple(acc)
         cache[id(node)] = (node, out)
         return out
@@ -189,30 +190,38 @@ def mu_tildes(a: Automaton, trees):
 # exhaustive tree enumeration (the brute-force oracle)
 
 
-def count_trees(alphabet: RankedAlphabet, n: int) -> int:
-    """Number of trees of size n.
+def _tree_counts(alphabet: RankedAlphabet):
+    """Yield the numbers of trees of size 0, 1, 2, ...
 
     With C(x) = sum_m counts[m] x^m, counts[m] = sum_k |Sigma_k| [x^(m-1)] C(x)^k
-    for m >= 1.  Each power P = C^k is kept as an exact truncated series and
-    extended by one coefficient per size through J.C.P. Miller's recurrence
-    i C_0 P_i = sum_{j=1..i} ((k+1) j - i) C_j P_{i-j}, which follows from
-    C P' = k C' P; C_0 >= 1 because every alphabet has a nullary symbol.  The
-    work is O(n^2) per arity, however many compositions of m - 1 there are.
+    for m >= 1.  Each power P = C^k with k >= 2 is kept as an exact truncated
+    series and extended by one coefficient per size through J.C.P. Miller's
+    recurrence i C_0 P_i = sum_{j=1..i} ((k+1) j - i) C_j P_{i-j}, which
+    follows from C P' = k C' P; C_0 >= 1 because every alphabet has a nullary
+    symbol.  C^1 is C itself.  The work up to size n is O(n^2) per arity,
+    however many compositions of n - 1 there are.
     """
     arities = {k: c for k, c in alphabet.arity_counts().items() if k > 0}
     c0 = len(alphabet.of_arity(0))
     counts = [c0]
-    powers = {k: [] for k in arities}  # coefficients 0..m-1 of C^k
-    for m in range(1, n + 1):
-        i = m - 1
+    powers = {k: counts if k == 1 else [] for k in arities}  # coefficients 0..m-1 of C^k
+    while True:
+        yield counts[-1]
+        i = len(counts) - 1
         for k, p in powers.items():
+            if k == 1:
+                continue
             if i == 0:
                 p.append(c0**k)
             else:
                 total = sum(((k + 1) * j - i) * counts[j] * p[i - j] for j in range(1, i + 1))
                 p.append(total // (i * c0))
         counts.append(sum(c * powers[k][i] for k, c in arities.items()))
-    return counts[n]
+
+
+def count_trees(alphabet: RankedAlphabet, n: int) -> int:
+    """Number of trees of size n."""
+    return next(itertools.islice(_tree_counts(alphabet), n, None))
 
 
 def compositions(total: int, parts: int):
@@ -236,12 +245,19 @@ def _beyond_guard(alphabet: RankedAlphabet, n: int) -> bool:
     With c >= 2 nullary symbols and a symbol f of arity k, the chains of n
     f-nodes whose other children are leaves alone give c^(n(k-1)+1) trees of
     size n, more than the guard once the exponent reaches the guard's bit
-    length; that settles a wide alphabet before count_trees works with c^k.
+    length; that settles a wide alphabet before the count works with c^k.
+    Otherwise the counts are taken size by size up to the first past the
+    guard: with a symbol g of arity >= 1, t -> g(t, leaf, ..., leaf) maps the
+    trees of size m one-to-one into those of size m + 1, so the counts never
+    fall.  Without one, every tree has size 0.
     """
+    if alphabet.max_arity == 0:
+        return n == 0 and len(alphabet.symbols) > ENUMERATION_GUARD
     exponent = n * (alphabet.max_arity - 1) + 1
     if n >= 1 and len(alphabet.of_arity(0)) >= 2 and exponent >= ENUMERATION_GUARD.bit_length():
         return True
-    return count_trees(alphabet, n) > ENUMERATION_GUARD
+    counts = itertools.islice(_tree_counts(alphabet), n + 1)
+    return any(count > ENUMERATION_GUARD for count in counts)
 
 
 def enumerate_trees(alphabet: RankedAlphabet, n: int):
@@ -264,20 +280,9 @@ def enumerate_trees(alphabet: RankedAlphabet, n: int):
                     continue
                 for comp in compositions(m - 1, k):
                     pools = [of_size(part) for part in comp]
-                    out.extend(
-                        Tree(name, kids)
-                        for kids in _cartesian(pools)
-                    )
+                    out.extend(Tree(name, kids) for kids in itertools.product(*pools))
         memo[m] = out
         return out
 
     return of_size(n)
 
-
-def _cartesian(pools):
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for rest in _cartesian(pools[1:]):
-            yield (head,) + rest

@@ -4,7 +4,8 @@ A ``WeightMatrix`` holds an automaton's weights for one symbol as its
 nonzero cells.  ``normalize_common_denominator`` puts the weights of every
 non-nullary symbol over one denominator in x0, the form the coefficient
 engine (``series``) and the zeroness bound (``decide``) read.  Entries are
-``exactmath.SizeRational``s, reached through that module at call time;
+``exactmath.SizeRational``s, reached through that module at call time, as
+is ``core.unrank_row``, which gives the children's states of a row;
 ``exactmath`` re-exports every name defined here.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import exactmath
+from . import core, exactmath
 from ._poly import MultiPolynomial, UniPolynomial, poly_lcm
 from ._record import record
 
@@ -30,11 +31,12 @@ class WeightMatrix:
 
     ``cells`` maps (row, col) to a nonzero entry, in row-major order: a
     Fraction for a nullary symbol, else a SizeRational of ``arity``.  Zero
-    entries are dropped on construction.  Indexing and iteration read the
-    matrix as dense row tuples, built on demand; computations use ``cells``.
+    entries are dropped on construction.  ``rows`` groups the cells by row;
+    indexing and iteration read the matrix as dense row tuples, built on
+    demand from ``rows``.
     """
 
-    __slots__ = ("shape", "arity", "cells", "_by_row", "_zero_row")
+    __slots__ = ("shape", "arity", "cells", "_rows", "_zero_row")
 
     def __init__(self, shape, arity: int, cells):
         self.shape = tuple(shape)
@@ -42,7 +44,7 @@ class WeightMatrix:
         self.cells = {
             key: entry for key, entry in sorted(cells.items()) if not _is_zero_entry(entry)
         }
-        self._by_row = None
+        self._rows = None
         self._zero_row = None
 
     @classmethod
@@ -51,6 +53,20 @@ class WeightMatrix:
         shape = (len(rows), len(rows[0]) if rows else 0)
         cells = {(i, j): e for i, row in enumerate(rows) for j, e in enumerate(row)}
         return cls(shape, arity, cells)
+
+    @property
+    def rows(self) -> dict:
+        """The nonzero rows in row-major order: row -> (the children's states,
+        [(col, entry)]), grouped and unranked on the first read."""
+        if self._rows is None:
+            unrank_row, d, k = core.unrank_row, self.shape[1], self.arity
+            self._rows = {}
+            for (row, col), entry in self.cells.items():
+                found = self._rows.get(row)
+                if found is None:
+                    found = self._rows[row] = (unrank_row(row, d, k), [])
+                found[1].append((col, entry))
+        return self._rows
 
     # -- the dense row view ---------------------------------------------------
 
@@ -61,20 +77,17 @@ class WeightMatrix:
         nrows, ncols = self.shape
         if not -nrows <= i < nrows:
             raise IndexError("weight row index out of range")
-        if self._by_row is None:
-            self._by_row = {}
-            for (r, c), entry in self.cells.items():
-                self._by_row.setdefault(r, []).append((c, entry))
+        if self._zero_row is None:
             if self.arity == 0:
                 zero = Fraction(0)
             else:
                 zero = exactmath.SizeRational(MultiPolynomial(self.arity + 1))
             self._zero_row = (zero,) * ncols
-        found = self._by_row.get(i % nrows)
+        found = self.rows.get(i % nrows)
         if found is None:
             return self._zero_row
         row = list(self._zero_row)
-        for c, entry in found:
+        for c, entry in found[1]:
             row[c] = entry
         return tuple(row)
 

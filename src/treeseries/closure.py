@@ -74,17 +74,6 @@ def ts_scale(a: core.Automaton, c) -> core.Automaton:
     return core.absorb_final_vector(a, core.FinalVector.unit(a.dimension, scale=c))
 
 
-def _rows_of(matrix, d: int, arity: int) -> dict:
-    """Nonzero rows of a weight matrix: row -> (state tuple, [(col, entry)])."""
-    unrank_row = core.unrank_row
-    rows = {}
-    for (row, col), entry in matrix.cells.items():
-        if row not in rows:
-            rows[row] = (unrank_row(row, d, arity), [])
-        rows[row][1].append((col, entry))
-    return rows
-
-
 def ts_hadamard(a1: core.Automaton, a2: core.Automaton) -> core.Automaton:
     """Value on every tree is the product of the inputs' values (dimension
     d1*d2, paired-index construction: state (i, j) is i*d2 + j)."""
@@ -97,9 +86,9 @@ def ts_hadamard(a1: core.Automaton, a2: core.Automaton) -> core.Automaton:
     row_index = core.row_index
     weights = {}
     for name, arity in a1.alphabet.symbols:
-        rows2 = _rows_of(a2.weight(name), d2, arity).values()
+        rows2 = a2.weight(name).rows.values()
         cells = {}
-        for states1, entries1 in _rows_of(a1.weight(name), d1, arity).values():
+        for states1, entries1 in a1.weight(name).rows.values():
             for states2, entries2 in rows2:
                 row = row_index(tuple(i * d2 + j for i, j in zip(states1, states2)), d)
                 for i, e1 in entries1:

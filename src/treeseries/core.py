@@ -201,11 +201,6 @@ class Automaton:
                 return matrix
         raise SymbolMismatch(f"symbol {name!r} is not in the alphabet")
 
-    def nonzero_entries(self, name: str):
-        """(row, col, entry) triples of the nonzero weight cells of a symbol,
-        in row-major order."""
-        return [(i, j, entry) for (i, j), entry in self.weight(name).cells.items()]
-
 
 # ---------------------------------------------------------------------------
 # final vectors
@@ -296,10 +291,10 @@ def absorb_final_vector(a: Automaton, beta: FinalVector) -> Automaton:
 # alphabet normalizations
 
 
-def make_arity_distinct(a: Automaton) -> Automaton:
-    """Merge all symbols of equal arity into one (named h<k>), summing their
-    weight matrices.  Preserves the generating function, not tree values."""
-    arities = sorted({k for _, k in a.alphabet.symbols})
+def _merge_onto(a: Automaton, arities) -> Automaton:
+    """Merge all symbols of a of equal arity k into one, named h<k>, summing
+    their weight matrices, over the alphabet of the h<k> for k in arities;
+    an arity a lacks gets an empty weight."""
     alphabet = RankedAlphabet.of(*[(f"h{k}", k) for k in arities])
     weights = {}
     for k in arities:
@@ -311,26 +306,19 @@ def make_arity_distinct(a: Automaton) -> Automaton:
     return Automaton.build(a.dimension, alphabet, weights)
 
 
+def make_arity_distinct(a: Automaton) -> Automaton:
+    """Merge all symbols of equal arity into one (named h<k>), summing their
+    weight matrices.  Preserves the generating function, not tree values."""
+    return _merge_onto(a, sorted(a.alphabet.arity_counts()))
+
+
 def unify_alphabets(a1: Automaton, a2: Automaton):
     """Rename both automata onto one shared alphabet, giving missing arities
     an empty weight.  Series prefixes are preserved."""
     if a1.alphabet == a2.alphabet:
         return a1, a2
-    b1 = make_arity_distinct(a1)
-    b2 = make_arity_distinct(a2)
-    arities = sorted(
-        {k for _, k in b1.alphabet.symbols} | {k for _, k in b2.alphabet.symbols}
-    )
-    alphabet = RankedAlphabet.of(*[(f"h{k}", k) for k in arities])
-
-    def pad(b: Automaton) -> Automaton:
-        weights = {
-            f"h{k}": b.weight(f"h{k}").cells if f"h{k}" in b.alphabet else {}
-            for k in arities
-        }
-        return Automaton.build(b.dimension, alphabet, weights)
-
-    return pad(b1), pad(b2)
+    arities = sorted(a1.alphabet.arity_counts().keys() | a2.alphabet.arity_counts().keys())
+    return _merge_onto(a1, arities), _merge_onto(a2, arities)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import hashlib
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,16 @@ from treeseries.closure import (
     ts_hadamard,
     ts_scale,
 )
-from treeseries.core import Automaton, RankedAlphabet, enumerate_trees, evaluate
+from treeseries.compile import compile_dfinite, parse_dfinite
+from treeseries.core import (
+    Automaton,
+    RankedAlphabet,
+    automaton_from_json,
+    automaton_to_json,
+    enumerate_trees,
+    evaluate,
+    make_arity_distinct,
+)
 from treeseries.errors import AlphabetMismatch, ZeroConstantTerm
 from treeseries.series import (
     generating_prefix,
@@ -305,3 +316,52 @@ def test_gf_inverse_convolution_identity_at_automaton_level(bell):
 def test_gf_inverse_requires_nonzero_constant(labelled):
     with pytest.raises(ZeroConstantTerm):
         gf_inverse(labelled)
+
+
+# sha256 of automaton_to_json of closure operations on samples/; the three
+# JSON samples share one alphabet, so gf-add meets differing alphabets (arities
+# 0, 1, 2 against 0, 1) on the automaton compiled from factorial.dfinite
+CLOSURE_SHA256 = {
+    ("ts-add", "bell.json", "labelled_trees.json"):
+        "fdeb4478c43f7e151edf2f56d6883103f0b3eda53ce808f3446166678f294adc",
+    ("ts-hadamard", "bell.json", "labelled_trees.json"):
+        "0ddae359cb22aef06b6ab643ae34bc2daa50ce4e94a2ceca04badc0cbe523e24",
+    ("ts-hadamard", "cubic.json", "cubic.json"):
+        "80c75bd84529f1d53a7a2c5b5eee32960c40e50acdf693999df1f715520270de",
+    ("gf-add", "bell.json", "cubic.json"):
+        "425b35ebe22a2ce1a5af00420d749fd30640bb2d2a405db05da1fdcb72a866ac",
+    ("gf-add", "bell.json", "factorial.dfinite"):
+        "581782b44c778a1563dca2ae3a0c5801a67e6391066f8f58d24d72acf4c543f9",
+    ("gf-cauchy", "bell.json", "labelled_trees.json"):
+        "147e6f59042a9b9eaed31efb180f13752bc43b0e769c58272464080bd09040de",
+    ("gf-shift-backward", "cubic.json"):
+        "c877e09a2435f396e251e23312a62b54382432deecaf7b35e1b3cb52361fbf8e",
+    ("gf-inverse", "bell.json"):
+        "a5e7e65ffc157098137f3b82bba596993fc8f9085e700c93c980726ad595609f",
+    ("arity-distinct", "cubic.json"):
+        "6fdb09435824fcff5fc7545c72d02adb7a8476cd87d3bed01826440e460e48e3",
+}
+CLOSURE_OPS = {
+    "ts-add": ts_add,
+    "ts-hadamard": ts_hadamard,
+    "gf-add": gf_add,
+    "gf-cauchy": gf_cauchy,
+    "gf-shift-backward": gf_shift_backward,
+    "gf-inverse": gf_inverse,
+    "arity-distinct": make_arity_distinct,
+}
+
+
+def _sample_automaton(name):
+    path = Path(__file__).resolve().parent.parent / "samples" / name
+    if path.suffix == ".dfinite":
+        return compile_dfinite(parse_dfinite(path.read_text()))
+    return automaton_from_json(path.read_text())
+
+
+@pytest.mark.parametrize("case", CLOSURE_SHA256)
+def test_closure_output_is_byte_exact(case):
+    op, *operands = case
+    result = CLOSURE_OPS[op](*map(_sample_automaton, operands))
+    digest = hashlib.sha256(automaton_to_json(result).encode()).hexdigest()
+    assert digest == CLOSURE_SHA256[case]

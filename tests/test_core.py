@@ -1,5 +1,11 @@
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 from fractions import Fraction as F
 
 import pytest
@@ -324,12 +330,46 @@ def test_wide_alphabet_shortcut_agrees_with_the_count(leaves):
             assert _beyond_guard(alphabet, n) == beyond, (k, n)
 
 
+_WIDE_SYMBOL = """
+from treeseries.core import RankedAlphabet, Tree, enumerate_trees
+from treeseries.errors import TooManyTrees
+
+alphabet = RankedAlphabet.of(("a", 0), ("b", 0), ("f", 10**11))
+assert enumerate_trees(alphabet, 0) == [Tree("a"), Tree("b")]
+try:
+    enumerate_trees(alphabet, 1)
+except TooManyTrees:
+    print("refused")
+"""
+
+
+def _limit_memory():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
 def test_enumerate_guard_on_a_very_wide_symbol():
-    # 2^(10^11) trees of size 1: refused without building that number
-    alphabet = RankedAlphabet.of(("a", 0), ("b", 0), ("f", 10**11))
-    assert enumerate_trees(alphabet, 0) == [t("a"), t("b")]
+    # 2^(10^11) trees of size 1: refused without building that number.  The
+    # check runs in a child under a 1 GiB address-space limit and a timeout,
+    # so a guard that did build it fails here instead of exhausting memory
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _WIDE_SYMBOL], env=env, capture_output=True, text=True,
+        timeout=60, preexec_fn=_limit_memory,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "refused\n"
+
+
+def test_enumerate_guard_stops_at_the_first_size_past_it():
+    # the counts never fall once a symbol has arity >= 1, so the guard needs
+    # only the Catalan numbers up to C_15, not the 4,000 counts up to size 4,000
+    alphabet = RankedAlphabet.of(("a", 0), ("f", 2))
+    start = time.perf_counter()
     with pytest.raises(TooManyTrees):
-        enumerate_trees(alphabet, 1)
+        enumerate_trees(alphabet, 4000)
+    assert time.perf_counter() - start < 2
 
 
 def test_enumerate_catalan():

@@ -28,6 +28,8 @@ from treeseries.core import (
     automaton_to_json,
     enumerate_trees,
     evaluate,
+    row_index,
+    unrank_row,
 )
 from treeseries.series import (
     brute_force_coefficient,
@@ -144,6 +146,32 @@ def test_random_closure_results_store_nonzero_cells_only(a1, a2):
         results.append(gf_inverse(a1))
     for result in results:
         _assert_sparse_store(result)
+
+
+@settings(max_examples=30, deadline=None)
+@given(automata(dmax=3))
+def test_random_weight_rows_group_the_cells(a):
+    # rows holds the cells grouped by row, rows in row-major order, with the
+    # children's states that unrank_row gives; the dense view agrees, and a
+    # second read returns the same object
+    d = a.dimension
+    for _, matrix in a.weights:
+        rows = matrix.rows
+        assert matrix.rows is rows
+        assert list(rows) == sorted({row for row, _ in matrix.cells})
+        assert [
+            ((row, col), entry) for row, (_, entries) in rows.items() for col, entry in entries
+        ] == list(matrix.cells.items())
+        for row, (states, _) in rows.items():
+            assert states == unrank_row(row, d, matrix.arity)
+            assert row_index(states, d) == row
+        for i, dense in enumerate(matrix):
+            entries = dict(rows[i][1]) if i in rows else {}
+            for j, entry in enumerate(dense):
+                if j in entries:
+                    assert entry is entries[j]
+                else:
+                    assert entry == 0 if matrix.arity == 0 else entry.is_zero
 
 
 @settings(max_examples=20, deadline=None)
