@@ -17,50 +17,49 @@ from . import core, exactmath
 # weights
 
 
-def format_unipoly(p: exactmath.UniPolynomial, var: str = "x0") -> str:
-    if p.is_zero:
-        return "0"
+def _join_terms(terms) -> str:
+    """Write (coefficient, monomial text) pairs as a signed sum; an empty
+    monomial is the constant term, and a unit coefficient is left out."""
     parts = []
+    for c, monomial in terms:
+        mag = abs(c)
+        if not monomial:
+            body = str(mag)
+        elif mag == 1:
+            body = monomial
+        else:
+            body = f"{mag}*{monomial}"
+        if c < 0:
+            parts.append(f"-{body}")
+        else:
+            parts.append(f"+{body}" if parts else body)
+    return "".join(parts) or "0"
+
+
+def format_unipoly(p: exactmath.UniPolynomial, var: str = "x0") -> str:
+    terms = []
     for e in range(p.degree, -1, -1):
         c = p.coeffs[e]
         if c == 0:
             continue
-        mag = abs(c)
         if e == 0:
-            body = str(mag)
+            terms.append((c, ""))
         else:
-            v = var if e == 1 else f"{var}^{e}"
-            body = v if mag == 1 else f"{mag}*{v}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+{body}" if c > 0 else f"-{body}")
-    return "".join(parts)
+            terms.append((c, var if e == 1 else f"{var}^{e}"))
+    return _join_terms(terms)
 
 
 def format_multipoly(p: exactmath.MultiPolynomial) -> str:
-    if p.is_zero:
-        return "0"
-    parts = []
+    terms = []
     for exps, c in p.sorted_terms():
-        mag = abs(c)
         factors = []
         for i, e in enumerate(exps):
             if e == 1:
                 factors.append(f"x{i}")
             elif e > 1:
                 factors.append(f"x{i}^{e}")
-        if not factors:
-            body = str(mag)
-        else:
-            body = "*".join(factors)
-            if mag != 1:
-                body = f"{mag}*{body}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+{body}" if c > 0 else f"-{body}")
-    return "".join(parts)
+        terms.append((c, "*".join(factors)))
+    return _join_terms(terms)
 
 
 def format_size_rational(f: exactmath.SizeRational) -> str:

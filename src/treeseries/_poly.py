@@ -4,7 +4,7 @@ A ``UniPolynomial`` stores coefficients lowest degree first with no trailing
 zeros.  A ``MultiPolynomial`` over variables x0..xk maps exponent tuples to
 nonzero coefficients.  Neither is changed after construction, so results
 may share them (``p.pow(1)`` is ``p``).  ``exactmath`` builds the size-weight
-functions on them and re-exports every name defined here but ``power``.
+functions on them and binds every name defined here but ``_ONE`` and ``power``.
 """
 
 from __future__ import annotations

@@ -99,9 +99,17 @@ def parse_tree(text: str) -> Tree:
 
 
 def format_tree(t: Tree) -> str:
-    if not t.children:
-        return f"({t.root})"
-    return "(" + t.root + " " + " ".join(format_tree(c) for c in t.children) + ")"
+    parts, stack = [], [t]  # trees and the text between them: no recursion
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        else:
+            parts.append("(" + node.root)
+            stack.append(")")
+            for c in reversed(node.children):
+                stack.extend((c, " "))
+    return "".join(parts)
 
 
 def check_tree(alphabet: RankedAlphabet, t: Tree):
@@ -266,23 +274,14 @@ def enumerate_trees(alphabet: RankedAlphabet, n: int):
         raise TooManyTrees(
             f"more than {ENUMERATION_GUARD} trees of size {n}; refusing to enumerate"
         )
-    memo = {}
-
-    def of_size(m: int):
-        if m in memo:
-            return memo[m]
-        if m == 0:
-            out = [Tree(name) for name in alphabet.of_arity(0)]
-        else:
-            out = []
-            for name, k in alphabet.symbols:
-                if k == 0:
-                    continue
-                for comp in compositions(m - 1, k):
-                    pools = [of_size(part) for part in comp]
-                    out.extend(Tree(name, kids) for kids in itertools.product(*pools))
-        memo[m] = out
-        return out
-
-    return of_size(n)
-
+    by_size = [[Tree(name) for name in alphabet.of_arity(0)]]  # the trees of each size
+    for m in range(1, n + 1):
+        out = []
+        for name, k in alphabet.symbols:
+            if k == 0:
+                continue
+            for comp in compositions(m - 1, k):
+                pools = [by_size[part] for part in comp]
+                out.extend(Tree(name, kids) for kids in itertools.product(*pools))
+        by_size.append(out)
+    return by_size[n] if n >= 0 else []

@@ -5,8 +5,7 @@ nonzero cells.  ``normalize_common_denominator`` puts the weights of every
 non-nullary symbol over one denominator in x0, the form the coefficient
 engine (``series``) and the zeroness bound (``decide``) read.  Entries are
 ``exactmath.SizeRational``s, reached through that module at call time, as
-is ``core.unrank_row``, which gives the children's states of a row;
-``exactmath`` re-exports every name defined here.
+is ``core.unrank_row``, which gives the children's states of a row.
 """
 
 from __future__ import annotations
@@ -175,33 +174,35 @@ def normalize_common_denominator(weights) -> CommonDenominatorForm:
         (name, k, m if isinstance(m, WeightMatrix) else WeightMatrix.from_rows(m, k))
         for name, k, m in weights
     ]
-    # cells share a few denominators: fold and divide each distinct one once
-    q0 = _lcm_of(entry.dens[0] for _, _, matrix in weights for entry in matrix.cells.values())
+    # cells share a few denominator tuples: fold and divide each distinct one once
+    by_dens = []  # per weight: denominator tuple -> [(cell, numerator)]
+    for _, _, matrix in weights:
+        groups = {}
+        for key, entry in matrix.cells.items():
+            groups.setdefault(entry.dens, []).append((key, entry.num))
+        by_dens.append(groups)
+    q0 = _lcm_of(dens[0] for groups in by_dens for dens in groups)
     symbols = {}
     r = 0
     x0_powers = {}  # arity k -> the terms of (1 + x1 + ... + xk)^e, by e
-    for name, k, matrix in weights:
+    for (name, k, matrix), groups in zip(weights, by_dens):
         nvars = k + 1
-        child_dens = [
-            _lcm_of(entry.dens[i] for entry in matrix.cells.values()) for i in range(1, nvars)
-        ]
+        child_dens = [_lcm_of(dens[i] for dens in groups) for i in range(1, nvars)]
         lcms = [q0] + child_dens
         powers = x0_powers.setdefault(k, [{(0,) * k: 1}])
-        cofactors = {}  # (variable, denominator) -> multiplier in x_v, None for 1
         matrices = {}
-        for key, entry in matrix.cells.items():
-            num = entry.num
+        for dens, cells in groups.items():
+            cofactor = None  # lcms / dens as one polynomial, None for 1
             for v in range(nvars):
-                den = entry.dens[v]
-                if (v, den) not in cofactors:
-                    cof = lcms[v].div_exact(den)
-                    cofactors[v, den] = (
-                        None if cof.is_one else MultiPolynomial.from_uni(cof, nvars, v)
-                    )
-                if cofactors[v, den] is not None:
-                    num = num * cofactors[v, den]
-            for exps, c in _eliminate_x0(num, powers).items():
-                matrices.setdefault(exps, {})[key] = c
+                cof = lcms[v].div_exact(dens[v])
+                if not cof.is_one:
+                    cof = MultiPolynomial.from_uni(cof, nvars, v)
+                    cofactor = cof if cofactor is None else cofactor * cof
+            for key, num in cells:
+                if cofactor is not None:
+                    num = num * cofactor
+                for exps, c in _eliminate_x0(num, powers).items():
+                    matrices.setdefault(exps, {})[key] = c
         for exps in matrices:
             r = max(r, max(exps, default=0))
         if not matrices:

@@ -182,12 +182,10 @@ def _cmd_op(args) -> int:
             result = _UNARY_OPS[args.name](a, _parse_scalar(args.scalar))
         else:
             result = _UNARY_OPS[args.name](a, None)
-    elif args.name in _BINARY_OPS:
+    else:
         if args.b is None:
             raise InputFormatError(f"{args.name} needs a second automaton (-b)")
         result = _BINARY_OPS[args.name](a, _load_automaton(args.b))
-    else:
-        raise InputFormatError(f"unknown operation {args.name!r}")
     _write_automaton(result, args.output)
     return EXIT_OK
 
@@ -200,10 +198,8 @@ def _cmd_compile(args) -> int:
         automaton = compile.compile_cda(compile.parse_rds(text))
     elif args.language == "rda":
         automaton = compile.compile_rda(compile.parse_rds(text))
-    elif args.language == "da":
-        automaton = compile.compile_rda(compile.da_to_rds(compile.parse_da(text)))
     else:
-        raise InputFormatError(f"unknown compile source {args.language!r}")
+        automaton = compile.compile_rda(compile.da_to_rds(compile.parse_da(text)))
     _write_automaton(automaton, args.output)
     return EXIT_OK
 

@@ -21,8 +21,8 @@ from .errors import AlphabetMismatch
 
 # names of this module that _shift defines
 _SHIFT_NAMES = frozenset((
-    "_fresh_name", "_rename_apart", "gf_cauchy", "gf_derive", "gf_integrate", "gf_inverse",
-    "gf_mul_shifted", "gf_shift_backward", "gf_shift_forward",
+    "gf_cauchy", "gf_derive", "gf_integrate", "gf_inverse", "gf_mul_shifted",
+    "gf_shift_backward", "gf_shift_forward",
 ))
 
 

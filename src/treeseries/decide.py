@@ -35,7 +35,7 @@ from .exactmath import CommonDenominatorForm
 from .series import CoefficientStream, common_form
 
 # names of this module that _system defines
-_SYSTEM_NAMES = frozenset(("DifferentialSystem", "_fmt_exps", "emit_differential_system"))
+_SYSTEM_NAMES = frozenset(("DifferentialSystem", "emit_differential_system"))
 
 
 def __getattr__(name):

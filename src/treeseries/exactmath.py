@@ -15,13 +15,13 @@ so the set forms a ring.  Denominators are kept factored per variable and
 are never expanded into a joint multivariate denominator.
 
 This module defines ``SizeRational`` and its parser.  The polynomials it is
-built on live in ``_poly`` (``UniPolynomial``, ``MultiPolynomial``,
-``poly_gcd``, ``poly_lcm``, ``poly_integer_roots``), and the sparse weight
-matrices and the common-denominator normal form in ``_weights``
-(``WeightMatrix``, ``SymbolDecomposition``, ``CommonDenominatorForm``,
-``normalize_common_denominator``).  Every one of those names is re-exported
-here, bound to the defining object.  The text forms (``format_*``) live in
-``_format`` and are read from it on first use (``__getattr__`` below).
+built on live in ``_poly``, and the sparse weight matrices and the
+common-denominator normal form in ``_weights``; the names of theirs that
+other modules read here (``UniPolynomial``, ``MultiPolynomial``,
+``poly_gcd``, ``poly_lcm``, ``poly_integer_roots``, ``WeightMatrix``,
+``CommonDenominatorForm``, ``normalize_common_denominator``) are bound to
+the defining objects.  The text forms (``format_*``) live in ``_format``
+and are read from it on first use (``__getattr__`` below).
 """
 
 from __future__ import annotations
@@ -29,33 +29,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import _expr, _format
-# re-exported: the names split off into _poly and _weights, and record and
-# ZeroPolynomial, which only they use, so this module holds every name it held
-from ._poly import (
-    _ONE,
-    MultiPolynomial,
-    UniPolynomial,
-    _frac,
-    poly_gcd,
-    poly_integer_roots,
-    poly_lcm,
-)
-from ._record import record
-from ._weights import (
-    CommonDenominatorForm,
-    SymbolDecomposition,
-    WeightMatrix,
-    _is_zero_entry,
-    _lcm_of,
-    normalize_common_denominator,
-)
-from .errors import (
-    DenominatorZero,
-    InputFormatError,
-    InvalidDenominator,
-    ZeroPolynomial,
-    nesting_guard,
-)
+from ._poly import MultiPolynomial, UniPolynomial, _frac, poly_gcd, poly_integer_roots, poly_lcm
+from ._weights import CommonDenominatorForm, WeightMatrix, normalize_common_denominator
+from .errors import DenominatorZero, InputFormatError, InvalidDenominator, nesting_guard
 
 Rational = Fraction
 

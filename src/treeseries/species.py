@@ -18,11 +18,8 @@ the translation.
 
 This module keeps the species syntax, the translation and the counting.  The
 normalization of the translated system to a first-order rational system
-lives in ``_species_rds``.  Its public names ``diffsys_to_rds``,
-``rds_with_target`` and ``RHS_TERM_BUDGET``, and the names only it uses
-(``RatFunc``, ``to_ratfunc``, ``expr_variables``, ``MultiPolynomial`` and
-two errors), are re-exported here, bound to the defining objects, as this
-module held them before the split.
+lives in ``_species_rds``; its public names ``diffsys_to_rds``,
+``rds_with_target`` and ``RHS_TERM_BUDGET`` are bound here too.
 """
 
 from __future__ import annotations
@@ -39,31 +36,23 @@ from ._expr import (
     Mul,
     Neg,
     Pow,
-    RatFunc,
     TokenStream,
     Var,
-    expr_variables,
     nary,
     statements,
-    to_ratfunc,
 )
 from ._record import record
-# re-exported, like the names above that only _species_rds uses, so that
-# this module still holds every public name it held before the split
 from ._species_rds import RHS_TERM_BUDGET, diffsys_to_rds, rds_with_target
 from .compile import RDS, compile_rda
 from .errors import (
     BadCardinality,
     InvariantError,
     NonIntegerCount,
-    NonlinearInDerivatives,
     ParseError,
-    SingularInitialValues,
     UnknownName,
     UnsupportedConstruct,
     nesting_guard,
 )
-from .exactmath import MultiPolynomial
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -155,6 +156,13 @@ def test_enum_trees(capsys):
     ]
 
 
+def test_enum_trees_of_a_unary_chain_1000_deep(capsys):
+    # one tree, 1000 nodes deep: writing and building it must not recurse per node
+    code, out, err = run(capsys, "enum-trees", "--alphabet", "a/0,u/1", "-n", "1000")
+    assert code == 0 and err == ""
+    assert out == "(u " * 1000 + "(a)" + ")" * 1000 + "\n"
+
+
 def test_enum_trees_guard_on_a_wide_symbol_exits_3_quickly():
     # 8,167,059,012 trees of size 6; counting them must not walk the
     # C(64, 5) compositions of 5 into 60 parts
@@ -216,6 +224,48 @@ def test_emit_system_solve_zero_does_not_solve(bell_path, capsys):
     code, out, _ = run(capsys, "emit-system", "-a", bell_path, "--solve", "0")
     assert code == 0
     assert out.endswith("scalar equations\n")
+
+
+# sha256 of the stdout of `emit-system -a A --solve 5`, recorded before the
+# polynomial writers shared one term joiner; no other test pins the text of
+# the denominators (Q(x), Q_{g,i}(x)) byte for byte
+EMIT_SYSTEM_SHA256 = {
+    ("sample", "bell.json"):
+        "da8d601e1cc283ef33a749978017d19f409fc057d1412ed35a022ce733e474b8",
+    ("sample", "cubic.json"):
+        "3dfe5f0ebee5b5b3c28699f42eab2ba3a27933e4f389e4ef117ccc97285c816d",
+    ("sample", "labelled_trees.json"):
+        "a86c8b7687580c6be32f7c92846fd5de2733904209438348ff7cc736af66dfe7",
+    ("species", "functional graphs"):
+        "325bd6f5817998f8f39c56b93861be6c4773708abaf1eac613e9cd0ffdf9b0ec",
+    ("species", "3-constrained functional graphs"):
+        "838c6b77b80cb6c2aef3e3ec7caa2d287a020dbd9d073ebb4ae319bd0f9e4d82",
+    ("compile dfinite", "factorial.dfinite"):
+        "098e9e553515a8f59509ceef6372f8443e77e6a669e09d8e196b3f885da5b0f5",
+    ("op gf-derive", "cubic.json"):
+        "14769dd0a1b32da3c1ead478c37277cb4e255ca5447d0d633a152637e56ad084",
+}
+
+
+@pytest.mark.parametrize("source, label", EMIT_SYSTEM_SHA256)
+def test_emit_system_text_is_byte_exact(source, label, tmp_path, capsys):
+    from species_gold import GOLD_SPECIES
+
+    sample = str(Path(__file__).resolve().parent.parent / "samples" / label)
+    path = str(tmp_path / "a.json")
+    if source == "sample":
+        path = sample
+    elif source == "species":
+        spec = tmp_path / "a.spec"
+        spec.write_text(next(g for g in GOLD_SPECIES if g[0] == label)[1] + "\n")
+        assert main(["species", "compile", "-f", str(spec), "-o", path]) == 0
+    elif source == "compile dfinite":
+        assert main(["compile", "dfinite", "-f", sample, "-o", path]) == 0
+    else:
+        assert main(["op", "gf-derive", "-a", sample, "-o", path]) == 0
+    code, out, err = run(capsys, "emit-system", "-a", path, "--solve", "5")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == EMIT_SYSTEM_SHA256[source, label], out
 
 
 def _exits_2_without_traceback(capsys, *argv):

@@ -377,6 +377,14 @@ def test_enumerate_catalan():
     assert len(enumerate_trees(alphabet, 3)) == 5
 
 
+def test_enumerate_below_size_zero():
+    # n = -1 is empty for every alphabet, n < -1 is refused by the guard
+    for alphabet in (RankedAlphabet.of(("a", 0), ("f", 2)), RankedAlphabet.of(("a", 0), ("u", 1))):
+        assert enumerate_trees(alphabet, -1) == []
+        with pytest.raises(ValueError):
+            enumerate_trees(alphabet, -2)
+
+
 def test_enumerate_guard():
     alphabet = RankedAlphabet.of(("a", 0), ("f", 2))
     with pytest.raises(TooManyTrees):

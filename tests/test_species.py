@@ -217,6 +217,31 @@ def test_normalizing_a_product_is_linear_in_its_depth(spelling, monkeypatch):
         assert deep <= 2.5 * shallow, counts
 
 
+def test_normalization_compares_each_cell_denominator_tuple_once(monkeypatch):
+    # the 1,312 cells of a set(..., card>=1) nested 20 deep share 3 denominator
+    # tuples: grouping the cells by tuple compares each cell's tuple once, and
+    # lcms and cofactors are taken per tuple (10,080 comparisons when they were
+    # taken per variable and per cell)
+    from treeseries._poly import UniPolynomial
+    from treeseries.exactmath import normalize_common_denominator
+
+    inner = "X"
+    for _ in range(20):
+        inner = f"set({inner}, card>=1)"
+    a = compile_rda(species_to_rds(parse_species(f"B = X*{inner}"), "B"))
+    weights = [(name, k, a.weight(name)) for name, k in a.alphabet.symbols if k >= 1]
+    calls = [0]
+    equal = UniPolynomial.__eq__
+
+    def counted(self, other):
+        calls[0] += 1
+        return equal(self, other)
+
+    monkeypatch.setattr(UniPolynomial, "__eq__", counted)
+    normalize_common_denominator(weights)
+    assert 0 < calls[0] <= sum((k + 1) * len(matrix.cells) for _, k, matrix in weights)
+
+
 # ---------------------------------------------------------------------------
 # the eleven gold species: pipeline output vs hand-normalized systems
 
@@ -257,6 +282,25 @@ def test_surjection_counts_match_fubini_recurrence():
     spec = parse_species("M = sequence(set(X, card>=1))")
     assert count_species(spec, "M", 8) == fubini
     assert fubini[:6] == [1, 1, 3, 13, 75, 541]
+
+
+def _fubini(n):
+    # ordered set partitions: a_n = sum_{k=1..n} C(n,k) a_{n-k}, a_0 = 1
+    return 1 if n == 0 else sum(math.comb(n, k) * _fubini(n - k) for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize("text, closed_form", [
+    ("L = sequence(X, card>=2)", lambda n: math.factorial(n) if n >= 2 else 0),
+    ("L = sequence(X*X, card>=1)", lambda n: math.factorial(n) if n >= 2 and n % 2 == 0 else 0),
+    ("L = sequence(set(X, card>=1), card>=2)", lambda n: _fubini(n) - 1 if n >= 1 else 0),
+    ("L = set(X, card=0)", lambda n: 1 if n == 0 else 0),
+    ("L = set(X, card>=0)", lambda n: 1),
+    ("O = 1", lambda n: 1 if n == 0 else 0),
+], ids=["sequence-card>=2", "sequence-of-pairs", "ordered-partitions-2-blocks", "set-card=0",
+        "set-card>=0", "one"])
+def test_translations_count_their_closed_forms(text, closed_form):
+    name = text.split()[0]
+    assert count_species(parse_species(text), name, 9) == [closed_form(n) for n in range(10)]
 
 
 @pytest.mark.parametrize(
