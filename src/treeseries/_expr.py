@@ -351,12 +351,6 @@ class RatFunc:
             (self.num * other.den) == (other.num * self.den)
         )
 
-    def __call__(self, point) -> Fraction:
-        d = self.den(point)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at the point")
-        return self.num(point) / d
-
 
 def to_ratfunc(expr, var_index: dict, nvars: int) -> RatFunc:
     """Lower an AST to P/Q over the given variable order.  DVar(y) is the

@@ -174,35 +174,30 @@ def normalize_common_denominator(weights) -> CommonDenominatorForm:
         (name, k, m if isinstance(m, WeightMatrix) else WeightMatrix.from_rows(m, k))
         for name, k, m in weights
     ]
-    # cells share a few denominator tuples: fold and divide each distinct one once
-    by_dens = []  # per weight: denominator tuple -> [(cell, numerator)]
+    # cells repeat a few entries: rewrite each distinct one once
+    by_entry = []  # per weight: (denominators, numerator) -> [cell]
     for _, _, matrix in weights:
         groups = {}
         for key, entry in matrix.cells.items():
-            groups.setdefault(entry.dens, []).append((key, entry.num))
-        by_dens.append(groups)
-    q0 = _lcm_of(dens[0] for groups in by_dens for dens in groups)
+            groups.setdefault((entry.dens, entry.num), []).append(key)
+        by_entry.append(groups)
+    q0 = _lcm_of(dens[0] for groups in by_entry for dens, _ in groups)
     symbols = {}
     r = 0
     x0_powers = {}  # arity k -> the terms of (1 + x1 + ... + xk)^e, by e
-    for (name, k, matrix), groups in zip(weights, by_dens):
+    for (name, k, matrix), groups in zip(weights, by_entry):
         nvars = k + 1
-        child_dens = [_lcm_of(dens[i] for dens in groups) for i in range(1, nvars)]
+        child_dens = [_lcm_of(dens[i] for dens, _ in groups) for i in range(1, nvars)]
         lcms = [q0] + child_dens
         powers = x0_powers.setdefault(k, [{(0,) * k: 1}])
         matrices = {}
-        for dens, cells in groups.items():
-            cofactor = None  # lcms / dens as one polynomial, None for 1
+        for (dens, num), cells in groups.items():
             for v in range(nvars):
-                cof = lcms[v].div_exact(dens[v])
-                if not cof.is_one:
-                    cof = MultiPolynomial.from_uni(cof, nvars, v)
-                    cofactor = cof if cofactor is None else cofactor * cof
-            for key, num in cells:
-                if cofactor is not None:
-                    num = num * cofactor
-                for exps, c in _eliminate_x0(num, powers).items():
-                    matrices.setdefault(exps, {})[key] = c
+                cofactor = lcms[v].div_exact(dens[v])
+                if not cofactor.is_one:
+                    num = num * MultiPolynomial.from_uni(cofactor, nvars, v)
+            for exps, c in _eliminate_x0(num, powers).items():
+                matrices.setdefault(exps, {}).update(dict.fromkeys(cells, c))
         for exps in matrices:
             r = max(r, max(exps, default=0))
         if not matrices:

@@ -115,11 +115,6 @@ class SizeRational:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def constant_value(self):
-        if all(q.is_one for q in self.dens):
-            return self.num.constant_value()
-        return None
-
     # -- ring structure -----------------------------------------------------
 
     def __add__(self, other: "SizeRational") -> "SizeRational":

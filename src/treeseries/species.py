@@ -402,10 +402,18 @@ def species_to_diffsys(spec: SpeciesSpec) -> DiffEqSystem:
 
 
 def species_to_rds(spec: SpeciesSpec, target: str = None) -> RDS:
-    """Full pipeline: translate, normalize, and put the target first."""
+    """Full pipeline: translate the equations the target reaches, normalize,
+    and put the target first."""
     if target is None:
         target = spec.names()[0]
     spec.expression(target)
+    defining, reached, todo = dict(spec.equations), set(), [target]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(_references(defining[name]))
+    spec = SpeciesSpec(tuple((n, e) for n, e in spec.equations if n in reached))
     rds = diffsys_to_rds(species_to_diffsys(spec))
     return rds_with_target(rds, target)
 

@@ -191,6 +191,44 @@ def test_bound(bell_path, capsys):
     assert payload["B"] == {"base": 2, "exponent": "838860800"}
 
 
+def test_verdict_text_at_max_arity_one(tmp_path, capsys):
+    # a unary automaton has a small zeroness bound: its text and JSON, and the
+    # proven_zero verdict when the cap reaches it
+    sample = Path(__file__).resolve().parent.parent / "samples" / "factorial.dfinite"
+    path = str(tmp_path / "factorial.json")
+    assert main(["compile", "dfinite", "-f", str(sample), "-o", path]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, "bound", "-a", path)
+    assert code == 0
+    assert out.splitlines() == ["dimension 1, max arity 1, s 1", "M = 7", "B = 7"]
+    code, out, _ = run(capsys, "bound", "-a", path, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"dimension": 1, "max_arity": 1, "s": 1, "M": 7, "B": {"value": 7}}
+    code, out, _ = run(capsys, "equiv", "-a", path, "-b", path, "--cap", "50")
+    assert code == 0
+    assert json.loads(out) == {"verdict": "proven_zero", "bound": {"value": 25}}
+    code, out, _ = run(
+        capsys, "equiv", "-a", path, "-b", path, "--cap", "24", "--require-decided"
+    )
+    assert code == 4
+    assert json.loads(out) == {"verdict": "zero_up_to", "n": 24, "bound": {"value": 25}}
+
+
+def test_emit_system_of_a_nullary_automaton(tmp_path, capsys):
+    path = tmp_path / "nullary.json"
+    path.write_text(json.dumps({
+        "dimension": 2,
+        "alphabet": [{"name": "a", "arity": 0}],
+        "weights": {"a": {"entries": [
+            {"row": [], "col": 1, "value": "3"}, {"row": [], "col": 2, "value": "-1/2"},
+        ]}},
+    }))
+    code, out, _ = run(capsys, "emit-system", "-a", str(path), "--solve", "2")
+    assert code == 0
+    assert "\nf = a0\n" in out
+    assert "a0 = (3, -1/2)" in out
+
+
 def test_taylor(tmp_path, capsys):
     rds = tmp_path / "exp.rds"
     rds.write_text("y' = y ; y(0)=1\n")

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treeseries.closure import (
@@ -28,8 +28,16 @@ from treeseries.core import (
     automaton_to_json,
     enumerate_trees,
     evaluate,
+    mu_tildes,
     row_index,
     unrank_row,
+)
+from treeseries.decide import (
+    DifferAt,
+    NonzeroAt,
+    ZeroUpTo,
+    check_equiv_genfun,
+    check_equiv_tree_series,
 )
 from treeseries.series import (
     brute_force_coefficient,
@@ -41,9 +49,13 @@ from treeseries.series import (
 
 ALPHABET = RankedAlphabet.of(("a", 0), ("u", 1), ("f", 2))
 
-# weight pool: all members of the restricted ring, mixing denominators
-_POOL1 = ["0", "1", "-2", "1/(x0)", "(x1+1)/(x0)", "3/(x0+1)", "x1"]
-_POOL2 = ["0", "0", "1", "1/(x0)", "(x2+1)/(x0)", "-(x1+1)/(x0+1)", "1/2"]
+# weight pool: all members of the restricted ring, mixing denominators in the
+# parent's and the children's sizes
+_POOL1 = ["0", "1", "-2", "1/(x0)", "(x1+1)/(x0)", "3/(x0+1)", "x1", "x1/(1)*(x1+2)"]
+_POOL2 = [
+    "0", "0", "1", "1/(x0)", "(x2+1)/(x0)", "-(x1+1)/(x0+1)", "1/2", "x2",
+    "(x0+x1)/(x0)*(1)*(x2^2+x2+3)",
+]
 
 
 @st.composite
@@ -97,6 +109,13 @@ def test_random_gf_add_and_cauchy(a1, a2):
     )
 
 
+# the backward shift pins a trailing child to size 0: there the last binary
+# weight has the denominator 3, and the weight x2 vanishes
+@example(Automaton.build(2, ALPHABET, {
+    "a": [[1, -1]],
+    "u": [["x1/(1)*(x1+2)", "1"], ["0", "1/(x0)"]],
+    "f": [["x2", "1/2"], ["0", "x2"], ["1", "0"], ["(x0+x1)/(x0)*(1)*(x2^2+x2+3)", "x2"]],
+}))
 @settings(max_examples=20, deadline=None)
 @given(automata())
 def test_random_shifts_and_derivative(a):
@@ -280,3 +299,78 @@ def test_engine_matches_brute_force_with_negative_ternary_weights(seed):
         if k:
             weights[name] = [[rng.choice(pool) for _ in range(d)] for _ in range(d**k)]
     _assert_engine_matches_brute_force(Automaton.build(d, alphabet, weights), 4)
+
+
+# ---------------------------------------------------------------------------
+# decide verdicts against brute force
+
+
+def _permuted(a: Automaton, perm) -> Automaton:
+    """The automaton with state s renamed perm[s]; perm fixes state 0, whose
+    entry is the value, so both compute the same tree series."""
+    d = a.dimension
+    weights = {
+        name: {
+            (row_index([perm[s] for s in states], d), perm[col]): e
+            for states, entries in matrix.rows.values()
+            for col, e in entries
+        }
+        for name, matrix in a.weights
+    }
+    return Automaton.build(d, a.alphabet, weights)
+
+
+_DECIDE_CAP = 4
+
+
+def _decide_against_brute_force(a1: Automaton, a2: Automaton):
+    """Both equivalence verdicts at the cap, checked against brute force."""
+    first = [
+        (brute_force_coefficient(a1, n)[0], brute_force_coefficient(a2, n)[0])
+        for n in range(_DECIDE_CAP + 1)
+    ]
+    gf_verdict = check_equiv_genfun(a1, a2, _DECIDE_CAP)
+    if isinstance(gf_verdict, NonzeroAt):
+        assert all(c1 == c2 for c1, c2 in first[: gf_verdict.n])
+        c1, c2 = first[gf_verdict.n]
+        assert gf_verdict.witness == c1 - c2 != 0
+    else:
+        assert isinstance(gf_verdict, ZeroUpTo)
+        assert all(c1 == c2 for c1, c2 in first)
+
+    # the values of every tree up to the cap, each automaton in one pass (the
+    # value of a tree is the first entry of mu_tilde, as evaluate gives it)
+    trees = [t for n in range(_DECIDE_CAP + 1) for t in enumerate_trees(ALPHABET, n)]
+    values = zip(trees, *([mu[0] for mu in mu_tildes(a, trees)] for a in (a1, a2)))
+    differ = next(((t, v1, v2) for t, v1, v2 in values if v1 != v2), None)
+    ts_verdict = check_equiv_tree_series(a1, a2, _DECIDE_CAP)
+    if differ is None:
+        assert isinstance(ts_verdict, ZeroUpTo)
+    else:
+        assert isinstance(ts_verdict, DifferAt)
+        assert (ts_verdict.tree, *ts_verdict.values) == differ
+    return gf_verdict, ts_verdict
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(automata(), automata())
+def test_decide_verdicts_agree_with_brute_force(a1, a2):
+    _decide_against_brute_force(a1, a2)
+
+
+@st.composite
+def _equal_pairs(draw):
+    """Two automata with the same tree series by construction."""
+    how = draw(st.sampled_from(["same", "unit scale", "permuted"]))
+    if how == "permuted":
+        a = draw(automata(dmax=3))
+        return a, _permuted(a, [0] + list(range(a.dimension - 1, 0, -1)))
+    a = draw(automata())
+    return a, a if how == "same" else ts_scale(a, 1)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(_equal_pairs())
+def test_decide_verdicts_on_pairs_equal_by_construction(pair):
+    verdicts = _decide_against_brute_force(*pair)
+    assert all(isinstance(v, ZeroUpTo) for v in verdicts)

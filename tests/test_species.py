@@ -221,7 +221,9 @@ def test_normalization_compares_each_cell_denominator_tuple_once(monkeypatch):
     # the 1,312 cells of a set(..., card>=1) nested 20 deep share 3 denominator
     # tuples: grouping the cells by tuple compares each cell's tuple once, and
     # lcms and cofactors are taken per tuple (10,080 comparisons when they were
-    # taken per variable and per cell)
+    # taken per variable and per cell); the cells hold 3 distinct entries, and
+    # x0 is eliminated once per entry, not once per cell
+    from treeseries import _weights
     from treeseries._poly import UniPolynomial
     from treeseries.exactmath import normalize_common_denominator
 
@@ -230,16 +232,23 @@ def test_normalization_compares_each_cell_denominator_tuple_once(monkeypatch):
         inner = f"set({inner}, card>=1)"
     a = compile_rda(species_to_rds(parse_species(f"B = X*{inner}"), "B"))
     weights = [(name, k, a.weight(name)) for name, k in a.alphabet.symbols if k >= 1]
-    calls = [0]
-    equal = UniPolynomial.__eq__
+    entries = sum(len({(e.dens, e.num) for e in m.cells.values()}) for _, _, m in weights)
+    calls, eliminations = [0], [0]
+    equal, eliminate = UniPolynomial.__eq__, _weights._eliminate_x0
 
     def counted(self, other):
         calls[0] += 1
         return equal(self, other)
 
+    def counted_elimination(num, powers):
+        eliminations[0] += 1
+        return eliminate(num, powers)
+
     monkeypatch.setattr(UniPolynomial, "__eq__", counted)
+    monkeypatch.setattr(_weights, "_eliminate_x0", counted_elimination)
     normalize_common_denominator(weights)
     assert 0 < calls[0] <= sum((k + 1) * len(matrix.cells) for _, k, matrix in weights)
+    assert eliminations[0] == entries == 3
 
 
 # ---------------------------------------------------------------------------
@@ -325,3 +334,24 @@ def test_product_of_three_species():
 def test_flat_sum_of_3000_singletons():
     spec = parse_species("A = " + "+".join(["X"] * 3000))
     assert count_species(spec, n_max=5) == [0, 3000, 0, 0, 0, 0]
+
+
+def test_counts_translate_only_the_names_the_target_reaches():
+    # a name the target never uses does not take part in its translation, so
+    # B's inadmissible set(B) and A1's oversized right-hand side refuse neither
+    # A nor A0; the whole file still fails where it is read as a whole
+    spec = parse_species("A = X + A*A\nB = set(B)")
+    # n! times the Catalan number C(n-1): ordered binary trees with n labelled leaves
+    expected = [0] + [math.factorial(n) * math.comb(2 * n - 2, n - 1) // n for n in range(1, 9)]
+    assert count_species(spec, "A", 8) == expected
+    with pytest.raises(UnsupportedConstruct):
+        count_species(spec, "B", 3)
+    with pytest.raises(UnsupportedConstruct):
+        empty_counts(spec)
+    with pytest.raises(UnknownName):
+        species_to_rds(spec, "C")
+    a0 = "A0 = cycle(X*cycle(X*sequence(X*X)))"
+    spec = parse_species(f"{a0}\nA1 = sequence(X*((X + A0 + A1)*(A0 + X)))")
+    expected = [0, 0, 2, 3, 44, 210, 2874, 25620, 390704]
+    assert count_species(parse_species(a0), "A0", 8) == expected
+    assert count_species(spec, "A0", 8) == expected
