@@ -5,12 +5,13 @@ rational dynamical system.
 once to a rational function over the variables and their derivatives.  A
 differential equation v' = F is read off its part linear in the
 derivatives; an algebraic one v = F is differentiated by the chain rule on
-F = P/Q, as ``_languages.da_to_rds`` differentiates a polynomial.  All
-derivatives are then solved for at once; ``rds_with_target`` puts the
-series target first.  Both relabel variables only through
-``MultiPolynomial.restrict``, which drops the derivative slots and permutes
-the variables without multiplying polynomials.  ``species`` re-exports the
-public names of this module.
+F = P/Q, as ``_languages.da_to_rds`` differentiates a polynomial.  One
+Gaussian elimination, ``_solve``, then solves for the derivatives: one name
+at a time while some name's dependencies are solved, and the coupled rest
+together; ``rds_with_target`` puts the series target first.  Both relabel
+variables only through ``MultiPolynomial.restrict``, which drops the
+derivative slots and permutes the variables without multiplying
+polynomials.  ``species`` re-exports the public names of this module.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ RHS_TERM_BUDGET = 2000
 
 def diffsys_to_rds(dsys: DiffEqSystem) -> RDS:
     """Lower every equation once to a rational function, read it as linear
-    in the derivatives, and solve for every derivative at once."""
+    in the derivatives, and solve for the derivatives."""
     init = dict(dsys.init)
     names = list(dsys.names())
     referenced = set()
@@ -70,36 +71,22 @@ def diffsys_to_rds(dsys: DiffEqSystem) -> RDS:
         rf = to_ratfunc(rhs, index, nvars + len(slot_names))
         read = _linear_part if kind == "diff" else _chain_rule
         rows[name] = read(rf, slot_names, nvars)
+    zero, one = RatFunc.const(nvars, 0), RatFunc.const(nvars, 1)
     if use_x and "x" not in rows:
-        rows["x"] = (RatFunc.const(nvars, 1), {})
+        rows["x"] = (one, {})
 
+    # a pass solves each name whose dependencies are solved, in order; when a
+    # pass finds none, the rest is solved together
     solved = {}
     pending = dict(rows)
     while pending:
         progressed = False
         for name in list(pending):
-            const, lin = pending[name]
-            unresolved = [u for u in lin if u not in solved and u != name]
-            if unresolved:
-                continue
-            for u, coeff in lin.items():
-                if u == name:
-                    continue
-                const = _budgeted(const + coeff * solved[u], name)
-            self_coeff = lin.get(name)
-            if self_coeff is not None:
-                denom = RatFunc.const(nvars, 1) - self_coeff
-                if denom.is_zero:
-                    raise NonlinearInDerivatives(
-                        f"cannot solve for {name}': degenerate linear system"
-                    )
-                const = _budgeted(const / denom, name)
-            solved[name] = const
-            del pending[name]
-            progressed = True
+            if all(u in solved or u == name for u in pending[name][1]):
+                _solve([name], pending, solved, zero, one)
+                progressed = True
         if not progressed:
-            _solve_coupled(pending, solved, nvars)
-            break
+            _solve(list(pending), pending, solved, zero, one)
 
     point = tuple(init[n] for n in names)
     rhs = []
@@ -174,34 +161,31 @@ def _budgeted(rf: RatFunc, name: str) -> RatFunc:
     return rf
 
 
-def _solve_coupled(pending, solved, nvars: int):
-    """Gaussian elimination for the residual coupled block."""
-    names = list(pending)
+def _solve(names: list, pending: dict, solved: dict, zero: RatFunc, one: RatFunc):
+    """Gaussian elimination for the derivatives of ``names``, whose rows it
+    takes out of ``pending``.  Every other derivative a row uses is in
+    ``solved`` and is substituted, in the order of the row's terms.  The
+    caller builds the constants 0 and 1 once, not once per name."""
     m = len(names)
     pos = {n: i for i, n in enumerate(names)}
-    matrix = []
-    rhs = []
+    matrix, rhs = [], []
     for n in names:
-        const, lin = pending[n]
-        row = [RatFunc.const(nvars, 0)] * m
-        row[pos[n]] = RatFunc.const(nvars, 1)
+        const, lin = pending.pop(n)
+        row = [zero] * m
+        row[pos[n]] = one
         for u, coeff in lin.items():
-            if u in solved:
-                const = _budgeted(const + coeff * solved[u], n)
-            elif u in pos:
+            if u in pos:
                 row[pos[u]] = row[pos[u]] - coeff
             else:
-                raise NonlinearInDerivatives(f"unknown derivative {u}'")
+                const = _budgeted(const + coeff * solved[u], n)
         matrix.append(row)
         rhs.append(const)
     for col in range(m):
-        pivot = None
-        for r in range(col, m):
-            if not matrix[r][col].is_zero:
-                pivot = r
-                break
+        pivot = next((r for r in range(col, m) if not matrix[r][col].is_zero), None)
         if pivot is None:
-            raise NonlinearInDerivatives("derivatives are not uniquely determined")
+            raise NonlinearInDerivatives(
+                f"cannot solve for {names[col]}': degenerate linear system"
+            )
         matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
         rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
         inv = matrix[col][col]
@@ -213,8 +197,11 @@ def _solve_coupled(pending, solved, nvars: int):
                 matrix[r][c] = _budgeted(matrix[r][c] - factor * matrix[col][c], names[r])
             rhs[r] = _budgeted(rhs[r] - factor * rhs[col], names[r])
     for i, n in enumerate(names):
-        solved[n] = _budgeted(rhs[i] / matrix[i][i], n)
-    pending.clear()
+        # RatFunc writes a pivot equal to 1 as 1/1; a row without a
+        # self-coefficient is not divided
+        diagonal = matrix[i][i]
+        unit = diagonal.num.terms == diagonal.den.terms
+        solved[n] = rhs[i] if unit else _budgeted(rhs[i] / diagonal, n)
 
 
 # ---------------------------------------------------------------------------

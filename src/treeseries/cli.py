@@ -358,8 +358,12 @@ def _check_sizes(args):
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes -3/2 for an unknown option, though it reads -1 as a
+    # value: a negative number after -c is joined to it, as -c=-3/2
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "-c" and argv[i].startswith("-") and argv[i][1:2].isdigit():
+            argv[i - 1 : i + 1] = ["-c=" + argv[i]]
     args = build_parser(argv).parse_args(argv)
     try:
         _check_sizes(args)

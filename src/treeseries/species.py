@@ -390,7 +390,7 @@ def species_to_diffsys(spec: SpeciesSpec) -> DiffEqSystem:
 
     for name, e in spec.equations:
         result = translate(e, bind=name)
-        if isinstance(result, Var) and result.name == name:
+        if isinstance(e, (SpSet, SpCycle)) and result == Var(name):
             continue  # the construct bound itself to this name
         equations.append(("alg", name, result))
         init[name] = counts[name]

@@ -113,6 +113,19 @@ def test_op_scale_requires_constant(bell_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("op", ["gf-scale", "ts-scale"])
+def test_op_scale_reads_a_negative_fraction_after_c(op, bell_path, capsys):
+    # argparse takes -3/2 for an unknown option; it is read as -c=-3/2
+    code, out, err = run(capsys, "op", op, "-a", bell_path, "-c", "-3/2")
+    assert code == 0 and err == ""
+    assert (code, out, err) == run(capsys, "op", op, "-a", bell_path, "-c=-3/2")
+    code, out, err = run(capsys, "op", op, "-a", bell_path, "-c", "-1")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "36d78592387c3898d0ca1b0ddde37cc440d0d32548d22be7a789714ce488ddbd"
+    )
+
+
 def test_zero_require_decided_exit_code(tmp_path, bell_path, capsys):
     out_path = tmp_path / "cancel.json"
     run(capsys, "op", "gf-scale", "-a", bell_path, "-c", "-1", "-o", str(out_path))
@@ -400,6 +413,23 @@ def test_species_nested_400_deep_exits_2(tmp_path, capsys):
     spec.write_text("H = " + "set(" * 400 + "X" + ")" * 400 + "\n")
     err = _exits_2_without_traceback(capsys, "species", "count", "-f", str(spec))
     assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize("text, name", [
+    ("A = A", "A"),
+    ("A = X*set(B)\nB = B", "B"),
+    ("A = X + A", "A"),
+    ("A = X + B\nB = A", "B"),
+], ids=["A=A", "B=B", "A=X+A", "A=X+B,B=A"])
+def test_species_with_undetermined_derivatives_exits_3(tmp_path, capsys, text, name):
+    # the derivatives of these species are not determined by their equations;
+    # the message names the derivative the elimination cannot solve for
+    spec = tmp_path / "s.spec"
+    spec.write_text(text + "\n")
+    for command in ("count", "compile"):
+        code, out, err = run(capsys, "species", command, "-f", str(spec))
+        assert (code, out) == (3, "")
+        assert err == f"error: cannot solve for {name}': degenerate linear system\n"
 
 
 def _species_count_in_child(tmp_path, species):

@@ -361,11 +361,14 @@ def test_decide_verdicts_agree_with_brute_force(a1, a2):
 @st.composite
 def _equal_pairs(draw):
     """Two automata with the same tree series by construction."""
-    how = draw(st.sampled_from(["same", "unit scale", "permuted"]))
+    how = draw(st.sampled_from(["same", "unit scale", "permuted", "zero added"]))
     if how == "permuted":
         a = draw(automata(dmax=3))
         return a, _permuted(a, [0] + list(range(a.dimension - 1, 0, -1)))
     a = draw(automata())
+    if how == "zero added":
+        zero = Automaton.build(1, a.alphabet, {name: {} for name, _ in a.alphabet.symbols})
+        return a, ts_add(a, zero)
     return a, a if how == "same" else ts_scale(a, 1)
 
 

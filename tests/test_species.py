@@ -188,6 +188,52 @@ def test_nonlinear_derivatives_detected(equation, error):
         diffsys_to_rds(DiffEqSystem((equation,), {"v": F(0)}))
 
 
+def test_coupled_block_solves_the_names_that_depend_on_it(monkeypatch):
+    # A depends on the coupled pair B, z1 (z1 = set(B)), so no pass finds A
+    # ready and one elimination solves all three; every gold species that
+    # reaches a coupled elimination has all its names inside the cycle
+    import hashlib
+
+    from treeseries import _species_rds
+    from treeseries._format import automaton_to_json
+
+    blocks = []
+    solve = _species_rds._solve
+
+    def recorded(names, *args):
+        blocks.append(list(names))
+        return solve(names, *args)
+
+    monkeypatch.setattr(_species_rds, "_solve", recorded)
+    spec = parse_species("B = X*set(B)\nA = X*sequence(B)")
+    a = compile_rda(species_to_rds(spec, "A"))
+    assert blocks == [["x"], ["z1", "B", "A"]]
+    assert hashlib.sha256(automaton_to_json(a).encode()).hexdigest() == (
+        "6bd46236ce5f95546cf0c5f8c60058aec1f69297549ecfcebc57c30405e550c5"
+    )
+    # A = X/(1 - B) with B the rooted labelled trees, n^(n-1) of size n
+    b = [F(0)] + [F(n ** (n - 1), math.factorial(n)) for n in range(1, 8)]
+    inverse = [F(1)]  # 1/(1 - B) = 1 + B/(1 - B)
+    for n in range(1, 8):
+        inverse.append(sum(b[k] * inverse[n - k] for k in range(1, n + 1)))
+    expected = [0] + [inverse[n - 1] * math.factorial(n) for n in range(1, 9)]
+    assert count_species(spec, "A", 8) == expected == [
+        0, 1, 2, 12, 108, 1280, 18750, 326592, 6588344,
+    ]
+
+
+@pytest.mark.parametrize("text, alg", [
+    ("A = A", [("A", Var("A"))]),
+    ("A = X*set(B)\nB = B", [("A", Mul((Var("x"), Var("z1")))), ("B", Var("B"))]),
+])
+def test_a_name_defined_as_itself_keeps_its_equation(text, alg):
+    # only a set or a cycle binds itself to the name it defines; a name
+    # defined as itself keeps its equation, whose derivative is undetermined
+    # (tests/test_cli.py checks the message)
+    dsys = species_to_diffsys(parse_species(text))
+    assert [(name, rhs) for kind, name, rhs in dsys.equations if kind == "alg"] == alg
+
+
 @pytest.mark.parametrize("spelling", ["nested", "flat"])
 def test_normalizing_a_product_is_linear_in_its_depth(spelling, monkeypatch):
     # multiplying out the product rule for a product d deep takes about d^2
@@ -249,6 +295,21 @@ def test_normalization_compares_each_cell_denominator_tuple_once(monkeypatch):
     normalize_common_denominator(weights)
     assert 0 < calls[0] <= sum((k + 1) * len(matrix.cells) for _, k, matrix in weights)
     assert eliminations[0] == entries == 3
+
+
+def test_nested_set_growth_is_pinned():
+    # set(..., card>=1) nested d deep: the states grow about x2.4 and the unary
+    # and binary cells about x4.2 per doubling of d (the forms that
+    # rda_normal_forms inlines grow with d)
+    grown = []
+    inner = "X"
+    for depth in range(1, 41):
+        inner = f"set({inner}, card>=1)"
+        if depth in (10, 20, 40):
+            a = compile_rda(species_to_rds(parse_species(f"B = X*{inner}"), "B"))
+            cells = sum(len(a.weight(name).cells) for name, k in a.alphabet.symbols if k >= 1)
+            grown.append((a.dimension, cells))
+    assert grown == [(64, 316), (150, 1312), (366, 5535)]
 
 
 # ---------------------------------------------------------------------------
