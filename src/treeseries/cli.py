@@ -12,6 +12,7 @@ subcommand named on the command line, so ``--help`` runs no layer.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 
@@ -381,5 +382,15 @@ def main(argv=None) -> int:
         return EXIT_FORMAT
 
 
+def run() -> int:
+    """The command's exit: `main()`, then `gc.freeze()`, so that shutdown's
+    collections skip every object alive by then.  `main` itself never
+    freezes: it runs many times in one process in tests and the benchmark."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

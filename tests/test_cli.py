@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -528,3 +530,96 @@ def test_compile_rda_y150_is_narrow_and_matches_taylor(tmp_path, capsys):
     assert automaton.dimension == 14
     prefix = generating_prefix(automaton, 8).coefficients
     assert prefix == taylor_oracle(parse_rds(text), 8)["y"].coefficients
+
+
+# ---------------------------------------------------------------------------
+# the command's exit: `python -m treeseries` runs `cli.run`, which freezes
+# every live object after `main` so that shutdown's collections skip them
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture()
+def exit_inputs(tmp_path, bell_path, capsys):
+    from zoo import labelled_trees_automaton
+
+    paths = {"bell": bell_path, "bad": str(tmp_path / "bad.json"),
+             "lt": str(tmp_path / "lt.json"), "sum": str(tmp_path / "sum.json")}
+    Path(paths["bad"]).write_text("{not json")
+    Path(paths["lt"]).write_text(automaton_to_json(labelled_trees_automaton()))
+    cancel = str(tmp_path / "cancel.json")
+    run(capsys, "op", "gf-scale", "-a", bell_path, "-c", "-1", "-o", cancel)
+    run(capsys, "op", "gf-add", "-a", bell_path, "-b", cancel, "-o", paths["sum"])
+    return paths
+
+
+def _treeseries_in_child(*argv, code=None):
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"), COLUMNS="80")
+    command = ["-m", "treeseries"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *command, *argv], cwd=_ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["series", "-a", "{bell}", "-n", "6", "--counts"], 0),
+    (["series", "-a", "{bad}", "-n", "3"], 2),
+    (["op", "gf-inverse", "-a", "{lt}"], 3),
+    (["zero", "-a", "{sum}", "--cap", "10", "--require-decided"], 4),
+    (["--help"], 0),
+    (["series", "-n", "5"], 2),
+    (["op", "ts-add", "-a", "{bell}", "-b", "{bell}", "-o", "{out}"], 0),
+], ids=["ok", "format", "invariant", "undecided", "help", "usage", "write"])
+def test_python_m_treeseries_exits_as_main_returns(argv, exit_code, exit_inputs, tmp_path,
+                                                   capsys, monkeypatch):
+    def command(out):
+        return [arg.format(out=tmp_path / out, **exit_inputs) for arg in argv]
+
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(command("main.json"))
+    except SystemExit as exc:  # argparse's --help and usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == exit_code
+    done = _treeseries_in_child(*command("child.json"))
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+    if "{out}" in argv:
+        written = (tmp_path / "child.json").read_text()
+        assert written == (tmp_path / "main.json").read_text()
+        assert automaton_from_json(written).dimension == 5
+
+
+_ATEXIT_PROBE = """
+import atexit, gc, runpy
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+runpy.run_module("treeseries", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["series", "-a", "samples/bell.json", "-n", "2"], 0),
+    (["--help"], 0),
+    (["series", "-n", "5"], 2),
+], ids=["ok", "help", "usage"])
+def test_the_exit_freezes_and_still_runs_atexit_callbacks(argv, exit_code):
+    done = _treeseries_in_child(*argv, code=_ATEXIT_PROBE)
+    assert done.returncode == exit_code
+    assert done.stdout.splitlines()[-1] == "frozen at exit: True"
+
+
+def test_main_in_process_never_freezes(bell_path, capsys):
+    run(capsys, "series", "-a", bell_path, "-n", "2")
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    capsys.readouterr()
+    assert gc.get_freeze_count() == 0
+
+
+def test_the_installed_script_calls_what_python_m_calls():
+    # read as text: tomllib is not in Python 3.10, which requires-python allows
+    pyproject = (_ROOT / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]\n")[1].split("\n[")[0]
+    target = re.fullmatch(r'treeseries = "treeseries\.cli:(\w+)"\n*', scripts).group(1)
+    main_module = (_ROOT / "src" / "treeseries" / "__main__.py").read_text()
+    assert f"from .cli import {target}\n" in main_module
+    assert f"sys.exit({target}())" in main_module

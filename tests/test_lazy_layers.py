@@ -261,10 +261,10 @@ def test_no_module_is_over_16_kib():
 # the benchmark runs every job without a bytecode cache, so a command compiles
 # the source of each module it runs: 117.8 KiB took 32-38 ms of an `equiv` job
 # on a 2-core x86-64 VM before `_shift`, `_system` and `_format` were split off;
-# it compiles 107.4 KiB now
+# it compiles 107.5 KiB now
 COMPILE_BUDGET = 108 * 1024
-# `species count` and `compile rda` on samples/ compile 132.2 and 101.3 KiB,
-# and `zero --tree-series`, the command that runs `_trees`, 120.5 KiB; each
+# `species count` and `compile rda` on samples/ compile 132.5 and 101.3 KiB,
+# and `zero --tree-series`, the command that runs `_trees`, 120.6 KiB; each
 # cap is that rounded up to the next KiB, so none can grow past it
 SPECIES_COUNT_KIB = 133
 COMPILE_RDA_KIB = 102

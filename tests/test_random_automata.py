@@ -320,7 +320,7 @@ def _permuted(a: Automaton, perm) -> Automaton:
     return Automaton.build(d, a.alphabet, weights)
 
 
-_DECIDE_CAP = 4
+_DECIDE_CAP = 6
 
 
 def _decide_against_brute_force(a1: Automaton, a2: Automaton):
