@@ -21,28 +21,32 @@ from .closure import _embed_shifted
 from .errors import ZeroConstantTerm
 
 
-def _fresh_name(base: str, taken) -> str:
-    name = base
-    n = 1
-    while name in taken:
+def _rooted(parts, arity: int, root_states, value):
+    """The automata of parts side by side after a new state 0, plus a fresh
+    root symbol of the given arity with one cell: children in root_states,
+    the constant value, written to state 0.  Returns the arguments of
+    Automaton.build, so a caller can add cells first."""
+    d = 1 + sum(p.dimension for p in parts)
+    symbols = [s for p in parts for s in p.alphabet.symbols]
+    taken = {name for name, _ in symbols}
+    u_name, n = "__u", 1
+    while u_name in taken:
         n += 1
-        name = f"{base}{n}"
-    return name
+        u_name = f"__u{n}"
+    weights, offset = {}, 1
+    for p in parts:
+        for name, k in p.alphabet.symbols:
+            weights[name] = _embed_shifted(p.weight(name), k, offset, p.dimension, d)
+        offset += p.dimension
+    root = core.row_index(root_states, d)
+    weights[u_name] = {(root, 0): exactmath.SizeRational.const(arity, value)}
+    return d, core.RankedAlphabet.of((u_name, arity), *symbols), weights
 
 
 def gf_shift_forward(a: core.Automaton) -> core.Automaton:
-    """f(x) -> x * f(x), via a fresh unary root symbol."""
-    d = a.dimension
-    d_new = d + 1
-    u_name = _fresh_name("__u", a.alphabet.names())
-    alphabet = core.RankedAlphabet.of((u_name, 1), *a.alphabet.symbols)
-    weights = {
-        name: _embed_shifted(a.weight(name), arity, 1, d, d_new)
-        for name, arity in a.alphabet.symbols
-    }
-    # reads the old first coordinate
-    weights[u_name] = {(1, 0): exactmath.SizeRational.const(1, 1)}
-    return core.Automaton.build(d_new, alphabet, weights)
+    """f(x) -> x * f(x), via a fresh unary root symbol reading the old first
+    coordinate."""
+    return core.Automaton.build(*_rooted([a], 1, (1,), 1))
 
 
 def _rename_apart(a2: core.Automaton, taken) -> core.Automaton:
@@ -61,20 +65,7 @@ def gf_mul_shifted(a1: core.Automaton, a2: core.Automaton) -> core.Automaton:
     """(f, g) -> x * f(x) * g(x), via a fresh binary root symbol whose left
     subtree is read in a1 and right subtree in a2."""
     a2 = _rename_apart(a2, set(a1.alphabet.names()))
-    u_name = _fresh_name("__u", set(a1.alphabet.names()) | set(a2.alphabet.names()))
-    d1, d2 = a1.dimension, a2.dimension
-    d = d1 + d2 + 1
-    alphabet = core.RankedAlphabet.of(
-        (u_name, 2), *a1.alphabet.symbols, *a2.alphabet.symbols
-    )
-    weights = {}
-    for name, arity in a1.alphabet.symbols:
-        weights[name] = _embed_shifted(a1.weight(name), arity, 1, d1, d)
-    for name, arity in a2.alphabet.symbols:
-        weights[name] = _embed_shifted(a2.weight(name), arity, 1 + d1, d2, d)
-    root = core.row_index((1, 1 + d1), d)
-    weights[u_name] = {(root, 0): exactmath.SizeRational.const(2, 1)}
-    return core.Automaton.build(d, alphabet, weights)
+    return core.Automaton.build(*_rooted([a1, a2], 2, (1, 1 + a1.dimension), 1))
 
 
 def gf_shift_backward(a: core.Automaton) -> core.Automaton:
@@ -129,10 +120,7 @@ def gf_shift_backward(a: core.Automaton) -> core.Automaton:
         for i in range(1, k + 1):
             # substituted weight: parent one larger, cut child one larger,
             # trailing children pinned to leaves of size zero
-            mapping = [("var", 0, 1)]
-            mapping += [("var", v, 0) for v in range(1, i)]
-            mapping.append(("var", i, 1))
-            mapping += [("const", 0)] * (k - i)
+            shifts = (1,) + (0,) * (i - 1) + (1,)
             # fold trailing leaf vectors, M = (I_{d^i} (x) leaf^(k-i)) . sub,
             # and move the i-1 leading states to the shifted copy
             cells = {}
@@ -143,7 +131,7 @@ def gf_shift_backward(a: core.Automaton) -> core.Automaton:
                 lead = tuple(s + d for s in states[: i - 1]) + (states[i - 1],)
                 row = row_index(lead, d_new)
                 for col, entry in entries:
-                    value = entry.substitute_sizes(mapping, i)
+                    value = entry.substitute_sizes(shifts)
                     if value.is_zero:
                         continue
                     value = value.scale(tail)
@@ -187,15 +175,6 @@ def gf_inverse(a: core.Automaton) -> core.Automaton:
     if a0 == 0:
         raise ZeroConstantTerm("series has zero constant term; no inverse")
     shifted = core.make_arity_distinct(gf_shift_backward(a))
-    d = shifted.dimension
-    d_new = d + 1
-    u_name = _fresh_name("__u", shifted.alphabet.names())
-    alphabet = core.RankedAlphabet.of((u_name, 2), *shifted.alphabet.symbols)
-    weights = {
-        name: _embed_shifted(shifted.weight(name), arity, 1, d, d_new)
-        for name, arity in shifted.alphabet.symbols
-    }
+    d, alphabet, weights = _rooted([shifted], 2, (1, 0), -1 / a0)
     weights[shifted.alphabet.of_arity(0)[0]][(0, 0)] = 1 / a0
-    root = core.row_index((1, 0), d_new)
-    weights[u_name] = {(root, 0): exactmath.SizeRational.const(2, -1 / a0)}
-    return core.Automaton.build(d_new, alphabet, weights)
+    return core.Automaton.build(d, alphabet, weights)

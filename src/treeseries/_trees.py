@@ -132,14 +132,6 @@ def kron(u, v):
     return tuple(a * b for a in u for b in v)
 
 
-def kron_all(vectors):
-    """Iterated Kronecker product; the empty product is the vector (1)."""
-    acc = (Fraction(1),)
-    for v in vectors:
-        acc = kron(acc, v)
-    return acc
-
-
 @nesting_guard(InputFormatError)
 def evaluate(a: Automaton, t: Tree):
     """Return (mu~(t), value of t); the value is the first entry."""

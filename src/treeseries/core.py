@@ -26,7 +26,7 @@ from .errors import InputFormatError, InvalidBeta, InvariantError, SymbolMismatc
 _ELSEWHERE = {
     **dict.fromkeys((
         "ENUMERATION_GUARD", "Tree", "check_tree", "compositions", "count_trees",
-        "enumerate_trees", "evaluate", "format_tree", "kron", "kron_all", "mu_tildes",
+        "enumerate_trees", "evaluate", "format_tree", "kron", "mu_tildes",
         "parse_tree", "tree_size",
     ), _trees),
     "automaton_to_json": _format,
@@ -119,7 +119,7 @@ def _entry(value, arity: int):
     if arity == 0:
         return exactmath._frac(value)
     if isinstance(value, exactmath.SizeRational):
-        return value.lift(arity)
+        return value
     if isinstance(value, str):
         return exactmath.parse_size_rational(value, arity)
     return exactmath.SizeRational.const(arity, value)

@@ -193,61 +193,29 @@ class SizeRational:
             den *= v
         return self.num(point) / den
 
-    def lift(self, arity: int) -> "SizeRational":
-        """Reinterpret over variables x0..x_arity (padding with unused ones)."""
-        nvars = arity + 1
-        if nvars < self.nvars:
-            raise ValueError("cannot drop variables")
-        if nvars == self.nvars:
-            return self
-        terms = {
-            exps + (0,) * (nvars - self.nvars): c for exps, c in self.num.terms.items()
-        }
-        dens = list(self.dens) + [UniPolynomial.const(1)] * (nvars - self.nvars)
-        return SizeRational(MultiPolynomial(nvars, terms), dens)
-
-    def substitute_sizes(self, mapping, new_arity: int) -> "SizeRational":
-        """Substitute each variable by a shifted new variable or a constant.
-
-        ``mapping[i]`` is ("var", j, delta) sending xi to (new xj) + delta, or
-        ("const", value).  Var targets must be distinct so denominators stay
-        univariate per variable.
-        """
-        nvars = new_arity + 1
-        if len(mapping) != self.nvars:
-            raise ValueError("need one mapping entry per variable")
-        images = []
-        for entry in mapping:
-            if entry[0] == "var":
-                _, j, delta = entry
-                img = MultiPolynomial.var(nvars, j)
-                if delta:
-                    img = img + MultiPolynomial.const(nvars, delta)
-            else:
-                img = MultiPolynomial.const(nvars, entry[1])
-            images.append(img)
+    def substitute_sizes(self, shifts) -> "SizeRational":
+        """Substitute x_i + shifts[i] for each x_i with i < len(shifts), and 0
+        for every later variable; the result is over x0..x_{len(shifts)-1}."""
+        nvars = len(shifts)
+        if not 0 < nvars <= self.nvars:
+            raise ValueError("need one shift per kept variable, x0 included")
+        var, const = MultiPolynomial.var, MultiPolynomial.const
+        images = [var(nvars, i) + const(nvars, s) if s else var(nvars, i)
+                  for i, s in enumerate(shifts)]
+        images += [const(nvars, 0) for _ in range(nvars, self.nvars)]
         num = self.num.compose(images)
         dens = [UniPolynomial.const(1)] * nvars
         scale = Fraction(1)
-        seen = set()
-        for i, entry in enumerate(mapping):
-            q = self.dens[i]
+        for i, q in enumerate(self.dens):
             if q.is_one:
                 continue
-            if entry[0] == "var":
-                _, j, delta = entry
-                if j in seen:
-                    dens[j] = dens[j] * q.shift_argument(delta)
-                else:
-                    dens[j] = q.shift_argument(delta)
-                    seen.add(j)
-            else:
-                v = q(entry[1])
-                if v == 0:
-                    raise DenominatorZero(
-                        f"denominator for x{i} vanishes at substituted constant"
-                    )
-                scale *= v
+            if i < nvars:
+                dens[i] = q.shift_argument(shifts[i])
+                continue
+            v = q(0)
+            if v == 0:
+                raise DenominatorZero(f"denominator for x{i} vanishes at 0")
+            scale *= v
         if scale != 1:
             num = num.scale(1 / scale)
         return SizeRational(num, dens)

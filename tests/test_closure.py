@@ -340,19 +340,52 @@ CLOSURE_SHA256 = {
         "a5e7e65ffc157098137f3b82bba596993fc8f9085e700c93c980726ad595609f",
     ("arity-distinct", "cubic.json"):
         "6fdb09435824fcff5fc7545c72d02adb7a8476cd87d3bed01826440e460e48e3",
+    ("gf-shift-forward", "bell.json"):
+        "e5a552b1a06fcad7c5865fd264d2c1b7f9d5bbaa51794fe118201b462335c4c0",
+    ("gf-mul-shifted", "bell.json", "labelled_trees.json"):
+        "9cbaabebc705f7469b1dfdf89e492cd2af9e943bcd713753ca9b107f95ec4e14",
+    ("gf-derive", "bell.json"):
+        "05d04a43fab720c784ad89c94cd7e349bc621f557a6417f1bdcb4fb90b59d09e",
+    ("gf-integrate", "cubic.json"):
+        "968141ea11800b898df24f932a2efa7c3614cbd64088011f0542f3f96f6c4276",
+    ("gf-shift-backward", "ternary"):
+        "7dc10a33f3dabfc9e63a7f71b87fb7552c463a1a7acbae2a3457e57c1a703731",
 }
 CLOSURE_OPS = {
     "ts-add": ts_add,
     "ts-hadamard": ts_hadamard,
     "gf-add": gf_add,
     "gf-cauchy": gf_cauchy,
+    "gf-shift-forward": gf_shift_forward,
+    "gf-mul-shifted": gf_mul_shifted,
     "gf-shift-backward": gf_shift_backward,
+    "gf-derive": gf_derive,
+    "gf-integrate": gf_integrate,
     "gf-inverse": gf_inverse,
     "arity-distinct": make_arity_distinct,
+}
+# a ternary automaton whose weights have child denominators: the backward
+# shift pins trailing child sizes to 0, where those denominators are evaluated
+_LITERALS = {
+    "ternary": lambda: Automaton.build(
+        2,
+        RankedAlphabet.of(("a", 0), ("u", 1), ("t", 3)),
+        {
+            "a": [[1, 2]],
+            "u": {(0, 1): "x1/(x0+1)", (1, 0): "1/2"},
+            "t": {
+                (0, 0): "(x0+x3)/(x0)*(1)*(1)*(x3+2)",
+                (5, 1): "-(x2+1)/(x0+1)*(x1+1)*(x2+3)",
+                (7, 0): "x1*x2",
+            },
+        },
+    ),
 }
 
 
 def _sample_automaton(name):
+    if name in _LITERALS:
+        return _LITERALS[name]()
     path = Path(__file__).resolve().parent.parent / "samples" / name
     if path.suffix == ".dfinite":
         return compile_dfinite(parse_dfinite(path.read_text()))

@@ -26,7 +26,6 @@ from treeseries.core import (
     evaluate,
     format_tree,
     kron,
-    kron_all,
     make_arity_distinct,
     parse_tree,
     tree_size,
@@ -39,7 +38,7 @@ from treeseries.errors import (
     SymbolMismatch,
     TooManyTrees,
 )
-from treeseries.exactmath import UniPolynomial
+from treeseries.exactmath import UniPolynomial, parse_size_rational
 from treeseries.series import generating_prefix
 from zoo import SIGNATURE
 
@@ -90,10 +89,6 @@ def test_check_tree_rejects_bad_arity():
 def test_kron_definition():
     assert kron((F(1), F(2)), (F(3), F(4))) == (F(3), F(4), F(6), F(8))
     assert kron((F(1), F(1)), (F(1), F(1))) == (F(1),) * 4
-
-
-def test_kron_empty_product_is_one():
-    assert kron_all([]) == (F(1),)
 
 
 def test_kron_mixed_product_property():
@@ -477,6 +472,16 @@ def test_weights_store_nonzero_cells_only():
     with pytest.raises(InvariantError):
         Automaton.build(2, SIGNATURE, {"sigma0": [1, 1], "sigma1": [["1", "0"]],
                                        "sigma2": {}})
+
+
+@pytest.mark.parametrize("arity", [1, 3])
+def test_build_refuses_a_size_rational_of_another_arity(arity):
+    # a SizeRational entry is stored as given: one over fewer size variables
+    # is not padded, and one over more is refused the same way
+    entry = parse_size_rational("x1/(x0)", arity)
+    with pytest.raises(InvariantError):
+        Automaton.build(2, SIGNATURE, {"sigma0": [1, 1], "sigma1": {},
+                                       "sigma2": {(0, 1): entry}})
 
 
 def test_normalization_folds_each_distinct_denominator_once(bell, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -323,6 +324,38 @@ def test_zero_size_rational_is_canonical():
     z = f + f.scale(-1)
     assert z.is_zero
     assert all(q.is_one for q in z.dens)
+
+
+def _seeded_size_rational(rng: random.Random, arity: int) -> SizeRational:
+    nvars = arity + 1
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = [str(rng.randint(-3, 3))]
+        factors += [f"x{rng.randrange(nvars)}" for _ in range(rng.randint(0, 2))]
+        terms.append("*".join(factors))
+    dens = [rng.choice(["1", "x0", "x0+2", "x0^2+1"])]
+    dens += [rng.choice(["1", f"x{i}+1", f"x{i}+3", f"x{i}^2+x{i}+2"]) for i in range(1, nvars)]
+    text = "(" + "+".join(terms) + ")/" + "*".join(f"({q})" for q in dens)
+    return parse_size_rational(text, arity)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_substitute_sizes_agrees_with_evaluation(arity, seed):
+    # f.substitute_sizes(s) at p is f at (p0+s0, ..., pj+sj, 0, ..., 0)
+    rng = random.Random(seed * 10 + arity)
+    f = _seeded_size_rational(rng, arity)
+    for j in range(1, arity + 2):
+        for shifts in itertools.product(range(3), repeat=j):
+            g = f.substitute_sizes(shifts)
+            assert g.nvars == j
+            for _ in range(3):
+                point = [rng.randint(max(0, 1 - shifts[0]), 4)]
+                point += [rng.randint(0, 4) for _ in range(1, j)]
+                shifted = [p + s for p, s in zip(point, shifts)] + [0] * (arity + 1 - j)
+                assert g(point) == f(shifted), (shifts, point)
+    with pytest.raises(ValueError):
+        f.substitute_sizes((0,) * (arity + 2))
 
 
 # ---------------------------------------------------------------------------
