@@ -59,9 +59,10 @@ def tokenize(text: str):
             while i < len(text) and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        # isdecimal, not isdigit: int() reads every decimal digit, but no '²'
+        if ch.isdecimal():
             start = i
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and text[i].isdecimal():
                 i += 1
             tokens.append(Token("number", text[start:i], line, col))
             col += i - start

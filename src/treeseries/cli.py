@@ -4,9 +4,10 @@ Exit codes: 0 success; 2 parse or file-format error; 3 invariant violation
 in the inputs; 4 verdict undecided (ZeroUpTo) under --require-decided.
 Errors print one structured line on stderr; there are no tracebacks.
 ``json`` is imported only where output is written as JSON, and ``Fraction``
-only where ``op -c`` is read.  The closure operations are looked up in
-``closure`` when one runs, and the parser gives arguments only to the
-subcommand named on the command line, so ``--help`` runs no layer.
+only where ``op -c`` is read.  One table, ``_COMMANDS``, gives every
+subcommand its help, handler and arguments, and one, ``_OPS``, every ``op``
+operation; the operations are read from their module when one runs, so
+``--help`` runs no layer.
 """
 
 from __future__ import annotations
@@ -46,11 +47,15 @@ def _write_automaton(a: core.Automaton, path: str):
             fh.write(text)
 
 
+def _print_json(value):
+    import json
+
+    print(json.dumps(value))
+
+
 def _emit_series(values, fmt: str):
     if fmt == "json":
-        import json
-
-        print(json.dumps({"coefficients": [str(v) for v in values]}))
+        _print_json({"coefficients": [str(v) for v in values]})
     elif fmt == "csv":
         print("n,coefficient")
         for n, v in enumerate(values):
@@ -67,12 +72,10 @@ def _cmd_eval(args) -> int:
     t = core.parse_tree(args.tree)
     mu_tilde, value = core.evaluate(a, t)
     if args.format == "json":
-        import json
-
         out = {"value": str(value)}
         if args.vector:
             out["mu_tilde"] = [str(v) for v in mu_tilde]
-        print(json.dumps(out))
+        _print_json(out)
     else:
         print(value)
         if args.vector:
@@ -93,19 +96,8 @@ def _cmd_series(args) -> int:
 def _cmd_bound(args) -> int:
     bound = decide.compute_bound(_load_automaton(args.automaton))
     if args.format == "json":
-        import json
-
-        print(
-            json.dumps(
-                {
-                    "dimension": bound.dimension,
-                    "max_arity": bound.max_arity,
-                    "s": bound.s,
-                    "M": bound.m,
-                    "B": bound.to_json_dict(),
-                }
-            )
-        )
+        _print_json({"dimension": bound.dimension, "max_arity": bound.max_arity, "s": bound.s,
+                     "M": bound.m, "B": bound.to_json_dict()})
     else:
         print(f"dimension {bound.dimension}, max arity {bound.max_arity}, s {bound.s}")
         print(f"M = {bound.m}")
@@ -114,9 +106,7 @@ def _cmd_bound(args) -> int:
 
 
 def _verdict_exit(verdict, args) -> int:
-    import json
-
-    print(json.dumps(verdict.to_json_dict()))
+    _print_json(verdict.to_json_dict())
     if args.require_decided and isinstance(verdict, decide.ZeroUpTo):
         return EXIT_UNDECIDED
     return EXIT_OK
@@ -135,34 +125,38 @@ def _cmd_equiv(args) -> int:
     return _verdict_exit(check(a, b, args.cap), args)
 
 
-_UNARY_OPS = {
-    "gf-scale": lambda a, c: closure.gf_scale(a, c),
-    "ts-scale": lambda a, c: closure.ts_scale(a, c),
-    "gf-shift-forward": lambda a, c: closure.gf_shift_forward(a),
-    "gf-shift-backward": lambda a, c: closure.gf_shift_backward(a),
-    "gf-derive": lambda a, c: closure.gf_derive(a),
-    "gf-integrate": lambda a, c: closure.gf_integrate(a),
-    "gf-inverse": lambda a, c: closure.gf_inverse(a),
-    "arity-distinct": lambda a, c: core.make_arity_distinct(a),
+# op name -> (the module its function is read from when it runs, the function's
+# name, the operand it needs); the order is that of the help text: the sorted
+# operations on one automaton, then the sorted binary ones.  arity-distinct is
+# read from core, so that it does not run closure.
+_OPS = {
+    "arity-distinct": (core, "make_arity_distinct", None),
+    "gf-derive": (closure, "gf_derive", None),
+    "gf-integrate": (closure, "gf_integrate", None),
+    "gf-inverse": (closure, "gf_inverse", None),
+    "gf-scale": (closure, "gf_scale", "-c"),
+    "gf-shift-backward": (closure, "gf_shift_backward", None),
+    "gf-shift-forward": (closure, "gf_shift_forward", None),
+    "ts-scale": (closure, "ts_scale", "-c"),
+    "gf-add": (closure, "gf_add", "-b"),
+    "gf-cauchy": (closure, "gf_cauchy", "-b"),
+    "gf-mul-shifted": (closure, "gf_mul_shifted", "-b"),
+    "ts-add": (closure, "ts_add", "-b"),
+    "ts-hadamard": (closure, "ts_hadamard", "-b"),
 }
 
+
 class _ClosureOps(dict):
-    """Operation name -> ``closure`` function, looked up on each access: the
-    table names the functions, so building it runs no layer, and an access
-    sees whatever ``closure`` holds then (the benchmark's tracer patches
-    ``closure.ts_add`` there)."""
+    """Rows of ``_OPS``, read as name -> function, looked up on each access:
+    an access sees whatever the module holds then (the benchmark's tracer
+    patches ``closure.ts_add`` there)."""
 
     def __getitem__(self, name):
-        return getattr(closure, dict.__getitem__(self, name))
+        module, function, _ = dict.__getitem__(self, name)
+        return getattr(module, function)
 
 
-_BINARY_OPS = _ClosureOps({
-    "ts-add": "ts_add",
-    "ts-hadamard": "ts_hadamard",
-    "gf-add": "gf_add",
-    "gf-mul-shifted": "gf_mul_shifted",
-    "gf-cauchy": "gf_cauchy",
-})
+_BINARY_OPS = _ClosureOps(_OPS)  # every operation; bench/test_bench.py reads it by this name
 
 
 def _parse_scalar(text: str):
@@ -176,18 +170,17 @@ def _parse_scalar(text: str):
 
 def _cmd_op(args) -> int:
     a = _load_automaton(args.automaton)
-    if args.name in _UNARY_OPS:
-        if args.name.endswith("scale"):
-            if args.scalar is None:
-                raise InputFormatError(f"{args.name} needs -c <rational>")
-            result = _UNARY_OPS[args.name](a, _parse_scalar(args.scalar))
-        else:
-            result = _UNARY_OPS[args.name](a, None)
-    else:
+    operand = _OPS[args.name][2]
+    operands = ()
+    if operand == "-c":
+        if args.scalar is None:
+            raise InputFormatError(f"{args.name} needs -c <rational>")
+        operands = (_parse_scalar(args.scalar),)
+    elif operand == "-b":
         if args.b is None:
             raise InputFormatError(f"{args.name} needs a second automaton (-b)")
-        result = _BINARY_OPS[args.name](a, _load_automaton(args.b))
-    _write_automaton(result, args.output)
+        operands = (_load_automaton(args.b),)
+    _write_automaton(_BINARY_OPS[args.name](a, *operands), args.output)
     return EXIT_OK
 
 
@@ -230,7 +223,7 @@ def _cmd_enum_trees(args) -> int:
     pairs = []
     for part in args.alphabet.split(","):
         name, _, arity = part.strip().partition("/")
-        if not arity.isdigit():
+        if not arity.isdecimal():
             raise InputFormatError(f"bad alphabet entry {part!r}; use name/arity")
         pairs.append((name, int(arity)))
     alphabet = core.RankedAlphabet.of(*pairs)
@@ -247,104 +240,61 @@ def _cmd_taylor(args) -> int:
     return EXIT_OK
 
 
+# the arguments several subcommands share: (flag, keyword arguments of add_argument)
+_AUTOMATON = ("-a", {"dest": "automaton", "required": True})
+_FILE = ("-f", {"dest": "file", "required": True})
+_OUTPUT = ("-o", {"dest": "output", "default": "-"})
+_N = ("-n", {"type": int, "default": 10})
+_FORMAT = ("--format", {"choices": ["table", "json"], "default": "table"})
+_DECISION = (("--cap", {"type": int, "default": 50}), ("--tree-series", {"action": "store_true"}),
+             ("--require-decided", {"action": "store_true"}))
+
+# every subcommand, in the order of the help text: name, help, handler, arguments
+_COMMANDS = (
+    ("eval", "evaluate an automaton on one tree", _cmd_eval, (
+        _AUTOMATON, ("-t", {"dest": "tree", "required": True, "help": "s-expression tree"}),
+        ("--vector", {"action": "store_true", "help": "also print mu~(t)"}), _FORMAT)),
+    ("series", "generating-function prefix", _cmd_series, (
+        _AUTOMATON, _N, ("--counts", {"action": "store_true", "help": "multiply by n!"}),
+        ("--format", {"choices": ["table", "csv", "json"], "default": "table"}))),
+    ("bound", "zeroness bound of an automaton", _cmd_bound, (_AUTOMATON, _FORMAT)),
+    ("zero", "decide zeroness (series or tree series)", _cmd_zero, (_AUTOMATON, *_DECISION)),
+    ("equiv", "decide equivalence of two automata", _cmd_equiv, (
+        _AUTOMATON, ("-b", {"required": True}), *_DECISION)),
+    ("op", "apply a closure operation", _cmd_op, (
+        ("name", {"choices": list(_OPS)}), _AUTOMATON, ("-b", {}),
+        ("-c", {"dest": "scalar", "help": "rational scalar for the scale ops"}), _OUTPUT)),
+    ("compile", "compile a source file to an automaton", _cmd_compile, (
+        ("language", {"choices": ["dfinite", "cda", "rda", "da"]}), _FILE, _OUTPUT)),
+    ("species", "count or compile a species specification", _cmd_species, (
+        ("action", {"choices": ["count", "compile"]}), _FILE,
+        ("--target", {"help": "species name (default: first)"}), _N, _OUTPUT)),
+    ("emit-system", "print the defining differential system", _cmd_emit_system, (
+        _AUTOMATON, ("--solve", {"type": int, "default": 0, "help": "also forward-solve to n"}))),
+    ("enum-trees", "list all trees of one size", _cmd_enum_trees, (
+        ("--alphabet", {"required": True, "help": 'e.g. "a/0,f/2"'}),
+        ("-n", {"type": int, "required": True}))),
+    ("taylor", "solve a rational system term by term", _cmd_taylor, (_FILE, _N)),
+)
+
+
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or, given ``argv``, one on which every
     subcommand has its name and help but only the one ``argv`` names (its
     first argument not starting with ``-``) has its arguments: the only
     subparser that parsing ``argv`` can reach."""
     named = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
-
-    def wanted(command):
-        return named is None or named == command
-
     parser = argparse.ArgumentParser(
         prog="treeseries",
         description="size-weighted tree automata, their series, and compilers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate an automaton on one tree")
-    if wanted("eval"):
-        p.add_argument("-a", dest="automaton", required=True)
-        p.add_argument("-t", dest="tree", required=True, help="s-expression tree")
-        p.add_argument("--vector", action="store_true", help="also print mu~(t)")
-        p.add_argument("--format", choices=["table", "json"], default="table")
-        p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("series", help="generating-function prefix")
-    if wanted("series"):
-        p.add_argument("-a", dest="automaton", required=True)
-        p.add_argument("-n", type=int, default=10)
-        p.add_argument("--counts", action="store_true", help="multiply by n!")
-        p.add_argument("--format", choices=["table", "csv", "json"], default="table")
-        p.set_defaults(func=_cmd_series)
-
-    p = sub.add_parser("bound", help="zeroness bound of an automaton")
-    if wanted("bound"):
-        p.add_argument("-a", dest="automaton", required=True)
-        p.add_argument("--format", choices=["table", "json"], default="table")
-        p.set_defaults(func=_cmd_bound)
-
-    p = sub.add_parser("zero", help="decide zeroness (series or tree series)")
-    if wanted("zero"):
-        p.add_argument("-a", dest="automaton", required=True)
-        p.add_argument("--cap", type=int, default=50)
-        p.add_argument("--tree-series", action="store_true")
-        p.add_argument("--require-decided", action="store_true")
-        p.set_defaults(func=_cmd_zero)
-
-    p = sub.add_parser("equiv", help="decide equivalence of two automata")
-    if wanted("equiv"):
-        p.add_argument("-a", dest="automaton", required=True)
-        p.add_argument("-b", dest="b", required=True)
-        p.add_argument("--cap", type=int, default=50)
-        p.add_argument("--tree-series", action="store_true")
-        p.add_argument("--require-decided", action="store_true")
-        p.set_defaults(func=_cmd_equiv)
-
-    p = sub.add_parser("op", help="apply a closure operation")
-    if wanted("op"):
-        p.add_argument("name", choices=sorted(_UNARY_OPS) + sorted(_BINARY_OPS))
-        p.add_argument("-a", dest="automaton", required=True)
-        p.add_argument("-b", dest="b")
-        p.add_argument("-c", dest="scalar", help="rational scalar for the scale ops")
-        p.add_argument("-o", dest="output", default="-")
-        p.set_defaults(func=_cmd_op)
-
-    p = sub.add_parser("compile", help="compile a source file to an automaton")
-    if wanted("compile"):
-        p.add_argument("language", choices=["dfinite", "cda", "rda", "da"])
-        p.add_argument("-f", dest="file", required=True)
-        p.add_argument("-o", dest="output", default="-")
-        p.set_defaults(func=_cmd_compile)
-
-    p = sub.add_parser("species", help="count or compile a species specification")
-    if wanted("species"):
-        p.add_argument("action", choices=["count", "compile"])
-        p.add_argument("-f", dest="file", required=True)
-        p.add_argument("--target", default=None, help="species name (default: first)")
-        p.add_argument("-n", type=int, default=10)
-        p.add_argument("-o", dest="output", default="-")
-        p.set_defaults(func=_cmd_species)
-
-    p = sub.add_parser("emit-system", help="print the defining differential system")
-    if wanted("emit-system"):
-        p.add_argument("-a", dest="automaton", required=True)
-        p.add_argument("--solve", type=int, default=0, help="also forward-solve to n")
-        p.set_defaults(func=_cmd_emit_system)
-
-    p = sub.add_parser("enum-trees", help="list all trees of one size")
-    if wanted("enum-trees"):
-        p.add_argument("--alphabet", required=True, help='e.g. "a/0,f/2"')
-        p.add_argument("-n", type=int, required=True)
-        p.set_defaults(func=_cmd_enum_trees)
-
-    p = sub.add_parser("taylor", help="solve a rational system term by term")
-    if wanted("taylor"):
-        p.add_argument("-f", dest="file", required=True)
-        p.add_argument("-n", type=int, default=10)
-        p.set_defaults(func=_cmd_taylor)
-
+    for name, help_text, handler, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if named in (None, name):
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
+            p.set_defaults(func=handler)
     return parser
 
 

@@ -334,17 +334,23 @@ def automaton_from_json(text: str) -> Automaton:
         raise InputFormatError(f"bad automaton JSON: {exc}") from exc
 
     def expect(value, kind, what):
-        if not isinstance(value, kind):
+        # type(), not isinstance(): a JSON true or false is no integer
+        if type(value) is not kind:
             raise InputFormatError(f"bad automaton JSON: {what} must be a JSON {kind.__name__}")
         return value
 
     try:
         expect(payload, dict, "the automaton")
-        d = int(payload["dimension"])
-        alphabet = RankedAlphabet.of(
-            *[(s["name"], s["arity"]) for s in payload["alphabet"]]
-        )
+        d = expect(payload["dimension"], int, "the dimension")
+        alphabet = RankedAlphabet.of(*[
+            (expect(s["name"], str, "a symbol name"), expect(s["arity"], int, "an arity"))
+            for s in payload["alphabet"]
+        ])
         stored = expect(payload.get("weights", {}), dict, "weights")
+        unknown = set(stored) - set(alphabet.names())
+        if unknown:
+            raise InputFormatError(f"bad automaton JSON: weight of {min(unknown)!r}, "
+                                   "which is not in the alphabet")
         parse_size_rational = exactmath.parse_size_rational
         parsed = {}  # (text, arity) -> SizeRational: weight strings repeat, values are immutable
         weights = {}
@@ -354,9 +360,13 @@ def automaton_from_json(text: str) -> Automaton:
             for cell in expect(spec.get("entries", []), list, f"the entries of {name!r}"):
                 expect(cell, dict, f"an entry of {name!r}")
                 if arity == 0:
+                    if cell.get("row", []) != []:
+                        raise InputFormatError(f"bad row {cell['row']} for nullary symbol {name!r}; "
+                                               "use []")
                     row, value = 0, Fraction(str(cell["value"]))
                 else:
-                    idx = tuple(int(x) - 1 for x in cell["row"])
+                    idx = tuple(expect(x, int, "a row index") - 1
+                                for x in expect(cell["row"], list, f"a row of {name!r}"))
                     if len(idx) != arity or any(not 0 <= x < d for x in idx):
                         raise InputFormatError(
                             f"bad row index {cell['row']} for symbol {name!r}"
@@ -366,9 +376,14 @@ def automaton_from_json(text: str) -> Automaton:
                     value = parsed.get(key)
                     if value is None:
                         value = parsed[key] = parse_size_rational(*key)
-                col = int(cell["col"])
+                col = expect(cell["col"], int, "a column")
                 if not 1 <= col <= d:
                     raise InputFormatError(f"column {col} out of range 1..{d}")
+                if (row, col - 1) in cells:
+                    raise InputFormatError(
+                        f"bad automaton JSON: two entries of {name!r} at row "
+                        f"{cell.get('row', [])} and column {col}"
+                    )
                 cells[(row, col - 1)] = value
             weights[name] = cells
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:

@@ -198,12 +198,12 @@ class ConvolutionEngine:
             (factor(prefix[:-1]), sequences[prefix[-1]], terms)
             for prefix, terms in partials.items()
         ]
-        self._cell_den = lcm(*(c.denominator for t in cells.values() for _, c in t))
+        den = self._cell_den = lcm(*(c.denominator for t in cells.values() for _, c in t))
         self._cells = [
             (
                 factor(key[:-1]),
                 sequences[key[-1]],
-                [(col, int(c * self._cell_den)) for col, c in targets],
+                [(col, c.numerator * (den // c.denominator)) for col, c in targets],
             )
             for key, targets in cells.items()
         ]

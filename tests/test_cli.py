@@ -347,6 +347,7 @@ def test_weight_dividing_by_zero_exits_2(tmp_path, capsys):
         ("1/(x0+1)*(x1+1)*(x1+2)", "more denominator factors than variables"),
         ("x01", "unknown variable 'x01'"),
         ("x0\n+1", "trailing input"),
+        ("x0^²", "unexpected character '²' (line 1, column 4)"),
     ],
 )
 def test_malformed_weight_exits_2(value, message, tmp_path, capsys):
@@ -356,6 +357,79 @@ def test_malformed_weight_exits_2(value, message, tmp_path, capsys):
     path.write_text(json.dumps(payload))
     err = _exits_2_without_traceback(capsys, "series", "-a", str(path), "-n", "3")
     assert message in err
+
+
+def _duplicate_entry(payload):
+    entries = payload["weights"]["f"]["entries"]
+    entries.append(dict(entries[0], value="2/(x0)"))
+
+
+# a one-state automaton, so that every value that was read as 1 was in range
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda p: p["weights"]["g"]["entries"][0].update(row="11"), "a row of 'g' must be"),
+        (lambda p: p.update(dimension=True), "the dimension must be"),
+        (lambda p: p["alphabet"][1].update(arity=1.9), "an arity must be"),
+        (lambda p: p["weights"]["f"]["entries"][0].update(row=[1.7]), "a row index must be"),
+        (lambda p: p["weights"]["f"]["entries"][0].update(col=True), "a column must be"),
+        (lambda p: p["alphabet"][0].update(name=None), "a symbol name must be"),
+        (_duplicate_entry, "two entries of 'f' at row [1] and column 1"),
+        (lambda p: p["weights"].update(h={"entries": []}), "weight of 'h', which is not in"),
+        (lambda p: p["weights"]["a"]["entries"][0].update(row=[7, "x"]),
+         "bad row [7, 'x'] for nullary symbol 'a'"),
+    ],
+    ids=["row string", "dimension true", "arity 1.9", "row index 1.7", "col true", "name null",
+         "two entries of one cell", "weight of no symbol", "nullary row not empty"],
+)
+def test_automaton_json_that_was_reinterpreted_exits_2(mutate, message, tmp_path, capsys):
+    payload = {
+        "dimension": 1,
+        "alphabet": [{"name": "a", "arity": 0}, {"name": "f", "arity": 1},
+                     {"name": "g", "arity": 2}],
+        "weights": {
+            "a": {"entries": [{"row": [], "col": 1, "value": "1"}]},
+            "f": {"entries": [{"row": [1], "col": 1, "value": "1/(x0)"}]},
+            "g": {"entries": [{"row": [1, 1], "col": 1, "value": "1/(x0)"}]},
+        },
+    }
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(payload))
+    assert run(capsys, "series", "-a", str(path), "-n", "3")[0] == 0
+    mutate(payload)
+    path.write_text(json.dumps(payload))
+    err = _exits_2_without_traceback(capsys, "series", "-a", str(path), "-n", "3")
+    assert message in err
+
+
+# '²' is a digit to str.isdigit, but int() does not read it
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        ("rds", "y' = y^²\ny(0)=1\n", "unexpected character '²' (line 1, column 8)"),
+        ("spec", "A = set(X, card>=²)\n", "unexpected character '²' (line 1, column 18)"),
+        ("alphabet", "a/0,f/²", "bad alphabet entry 'f/²'"),
+    ],
+    ids=["rds", "spec", "alphabet"],
+)
+def test_a_digit_that_is_not_decimal_exits_2(kind, text, message, tmp_path, capsys):
+    path = tmp_path / "input"
+    if kind == "rds":
+        argv = ["compile", "rda", "-f", str(path)]
+    elif kind == "spec":
+        argv = ["species", "count", "-f", str(path)]
+    else:
+        argv = ["enum-trees", "--alphabet", text, "-n", "3"]
+    path.write_text(text, encoding="utf-8")
+    assert message in _exits_2_without_traceback(capsys, *argv)
+
+
+def test_decimal_digits_of_other_scripts_are_read(tmp_path, capsys):
+    arabic = run(capsys, "enum-trees", "--alphabet", "a/0,f/٣", "-n", "4")
+    assert arabic == run(capsys, "enum-trees", "--alphabet", "a/0,f/3", "-n", "4")
+    system = tmp_path / "s.rds"
+    system.write_text("y' = y^٢ ; y(0)=1\n", encoding="utf-8")
+    assert run(capsys, "taylor", "-f", str(system), "-n", "4") == (0, "y: 1 1 1 1 1\n", "")
 
 
 def test_compile_da_initial_value_dividing_by_zero_exits_2(tmp_path, capsys):

@@ -69,3 +69,155 @@ def test_selective_parser_matches_the_full_parser(argv):
 def test_selective_parser_gives_other_subcommands_no_arguments():
     out, err, code, _ = _parse(build_parser(["series"]), ["eval", "-a", "a.json", "-t", "(a)"])
     assert code == 2 and "unrecognized arguments: -a a.json -t (a)" in err
+
+
+# the exact text of `--help` and of each `<command> --help`, 80 columns wide
+HELP = {
+    "": """\
+usage: treeseries [-h]
+                  {eval,series,bound,zero,equiv,op,compile,species,emit-system,enum-trees,taylor}
+                  ...
+
+size-weighted tree automata, their series, and compilers
+
+positional arguments:
+  {eval,series,bound,zero,equiv,op,compile,species,emit-system,enum-trees,taylor}
+    eval                evaluate an automaton on one tree
+    series              generating-function prefix
+    bound               zeroness bound of an automaton
+    zero                decide zeroness (series or tree series)
+    equiv               decide equivalence of two automata
+    op                  apply a closure operation
+    compile             compile a source file to an automaton
+    species             count or compile a species specification
+    emit-system         print the defining differential system
+    enum-trees          list all trees of one size
+    taylor              solve a rational system term by term
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "eval": """\
+usage: treeseries eval [-h] -a AUTOMATON -t TREE [--vector]
+                       [--format {table,json}]
+
+options:
+  -h, --help            show this help message and exit
+  -a AUTOMATON
+  -t TREE               s-expression tree
+  --vector              also print mu~(t)
+  --format {table,json}
+""",
+    "series": """\
+usage: treeseries series [-h] -a AUTOMATON [-n N] [--counts]
+                         [--format {table,csv,json}]
+
+options:
+  -h, --help            show this help message and exit
+  -a AUTOMATON
+  -n N
+  --counts              multiply by n!
+  --format {table,csv,json}
+""",
+    "bound": """\
+usage: treeseries bound [-h] -a AUTOMATON [--format {table,json}]
+
+options:
+  -h, --help            show this help message and exit
+  -a AUTOMATON
+  --format {table,json}
+""",
+    "zero": """\
+usage: treeseries zero [-h] -a AUTOMATON [--cap CAP] [--tree-series]
+                       [--require-decided]
+
+options:
+  -h, --help         show this help message and exit
+  -a AUTOMATON
+  --cap CAP
+  --tree-series
+  --require-decided
+""",
+    "equiv": """\
+usage: treeseries equiv [-h] -a AUTOMATON -b B [--cap CAP] [--tree-series]
+                        [--require-decided]
+
+options:
+  -h, --help         show this help message and exit
+  -a AUTOMATON
+  -b B
+  --cap CAP
+  --tree-series
+  --require-decided
+""",
+    "op": """\
+usage: treeseries op [-h] -a AUTOMATON [-b B] [-c SCALAR] [-o OUTPUT]
+                     {arity-distinct,gf-derive,gf-integrate,gf-inverse,gf-scale,gf-shift-backward,gf-shift-forward,ts-scale,gf-add,gf-cauchy,gf-mul-shifted,ts-add,ts-hadamard}
+
+positional arguments:
+  {arity-distinct,gf-derive,gf-integrate,gf-inverse,gf-scale,gf-shift-backward,gf-shift-forward,ts-scale,gf-add,gf-cauchy,gf-mul-shifted,ts-add,ts-hadamard}
+
+options:
+  -h, --help            show this help message and exit
+  -a AUTOMATON
+  -b B
+  -c SCALAR             rational scalar for the scale ops
+  -o OUTPUT
+""",
+    "compile": """\
+usage: treeseries compile [-h] -f FILE [-o OUTPUT] {dfinite,cda,rda,da}
+
+positional arguments:
+  {dfinite,cda,rda,da}
+
+options:
+  -h, --help            show this help message and exit
+  -f FILE
+  -o OUTPUT
+""",
+    "species": """\
+usage: treeseries species [-h] -f FILE [--target TARGET] [-n N] [-o OUTPUT]
+                          {count,compile}
+
+positional arguments:
+  {count,compile}
+
+options:
+  -h, --help       show this help message and exit
+  -f FILE
+  --target TARGET  species name (default: first)
+  -n N
+  -o OUTPUT
+""",
+    "emit-system": """\
+usage: treeseries emit-system [-h] -a AUTOMATON [--solve SOLVE]
+
+options:
+  -h, --help     show this help message and exit
+  -a AUTOMATON
+  --solve SOLVE  also forward-solve to n
+""",
+    "enum-trees": """\
+usage: treeseries enum-trees [-h] --alphabet ALPHABET -n N
+
+options:
+  -h, --help           show this help message and exit
+  --alphabet ALPHABET  e.g. "a/0,f/2"
+  -n N
+""",
+    "taylor": """\
+usage: treeseries taylor [-h] -f FILE [-n N]
+
+options:
+  -h, --help  show this help message and exit
+  -f FILE
+  -n N
+""",
+}
+
+
+def test_help_text_is_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, text in HELP.items():
+        argv = [command, "--help"] if command else ["--help"]
+        assert _parse(build_parser(argv), argv) == (text, "", 0, None), command
