@@ -19,7 +19,7 @@ import itertools
 from fractions import Fraction
 
 from ._record import record
-from .core import Automaton, RankedAlphabet
+from .core import Automaton, RankedAlphabet, symbol_char
 from .errors import InputFormatError, SymbolMismatch, TooManyTrees, nesting_guard
 
 ENUMERATION_GUARD = 10**6
@@ -85,7 +85,7 @@ def parse_tree(text: str) -> Tree:
     def symbol() -> str:
         nonlocal pos
         start = pos
-        while pos < len(text) and (text[pos].isalnum() or text[pos] in "_-'"):
+        while pos < len(text) and symbol_char(text[pos]):
             pos += 1
         if start == pos:
             raise InputFormatError(f"expected a symbol at position {pos} in {text!r}")

@@ -1,21 +1,23 @@
 """Command-line front end.
 
 Exit codes: 0 success; 2 parse or file-format error; 3 invariant violation
-in the inputs; 4 verdict undecided (ZeroUpTo) under --require-decided.
+in the inputs, or out of memory; 4 verdict undecided (ZeroUpTo) under
+--require-decided.
 Errors print one structured line on stderr; there are no tracebacks.
-``json`` is imported only where output is written as JSON, and ``Fraction``
-only where ``op -c`` is read.  One table, ``_COMMANDS``, gives every
-subcommand its help, handler and arguments, and one, ``_OPS``, every ``op``
-operation; the operations are read from their module when one runs, so
-``--help`` runs no layer.
+``json`` is imported only where output is written as JSON, ``Fraction``
+only where ``op -c`` is read, and ``argparse`` only for lines that
+``_plain_args`` declines.  One table, ``_COMMANDS``, gives every subcommand
+its help, handler and arguments, and one, ``_OPS``, every ``op`` operation;
+the operations are read from their module when one runs, so ``--help`` runs
+no layer.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import math
 import sys
+from types import SimpleNamespace
 
 from . import closure, compile, core, decide, series, species
 from .errors import InputFormatError, TreeSeriesError
@@ -283,6 +285,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     subcommand has its name and help but only the one ``argv`` names (its
     first argument not starting with ``-``) has its arguments: the only
     subparser that parsing ``argv`` can reach."""
+    import argparse
+
     named = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
     parser = argparse.ArgumentParser(
         prog="treeseries",
@@ -296,6 +300,38 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
                 p.add_argument(flag, **options)
             p.set_defaults(func=handler)
     return parser
+
+
+def _plain_args(argv):
+    """What argparse reads from a plain ``argv`` (a subcommand, exact flags,
+    values not starting with "-", positionals), else None."""
+    row = next((r for r in _COMMANDS if argv[:1] == [r[0]]), None)
+    options = dict(row[3]) if row else {}
+    queue = [f for f in options if f[0] != "-"]
+    given, rest = {}, iter(argv[1:])
+    for token in rest:
+        if token[:1] != "-" and queue:
+            flag, value = queue.pop(0), token
+        elif token[:1] == "-" and token in options:
+            flag, value = token, "action" in options[token] or next(rest, "-")
+        else:
+            return None
+        opts = options[flag]
+        if value is not True:
+            if value[:1] == "-":
+                return None
+            try:
+                value = opts.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in opts.get("choices", [value]):
+                return None
+        given[flag] = value
+    if not row or queue or any(o.get("required") and f not in given for f, o in row[3]):
+        return None
+    return SimpleNamespace(command=row[0], func=row[2], **{
+        o.get("dest", f.lstrip("-").replace("-", "_")):
+        given.get(f, o.get("default", False if "action" in o else None)) for f, o in row[3]})
 
 
 _SIZE_FLAGS = {"n": "-n", "cap": "--cap", "solve": "--solve"}
@@ -315,7 +351,7 @@ def main(argv=None) -> int:
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] == "-c" and argv[i].startswith("-") and argv[i][1:2].isdigit():
             argv[i - 1 : i + 1] = ["-c=" + argv[i]]
-    args = build_parser(argv).parse_args(argv)
+    args = _plain_args(argv) or build_parser(argv).parse_args(argv)
     try:
         _check_sizes(args)
         return args.func(args)
@@ -330,6 +366,9 @@ def main(argv=None) -> int:
         # level of nesting in the input
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_FORMAT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 def run() -> int:

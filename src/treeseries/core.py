@@ -44,6 +44,11 @@ def __getattr__(name):
 # alphabets
 
 
+def symbol_char(c: str) -> bool:
+    """Whether a symbol name in a tree may contain ``c``."""
+    return c.isalnum() or c in "_-'"
+
+
 @record
 class RankedAlphabet:
     symbols: tuple  # of (name, arity) pairs, order significant
@@ -54,9 +59,11 @@ class RankedAlphabet:
             raise InvariantError("alphabet names must be pairwise distinct")
         if not any(k == 0 for _, k in self.symbols):
             raise InvariantError("alphabet needs at least one nullary symbol")
-        for _, k in self.symbols:
+        for n, k in self.symbols:
             if k < 0:
                 raise InvariantError("arity must be nonnegative")
+            if not n or not all(map(symbol_char, n)):
+                raise InvariantError(f"symbol {n!r} cannot be read in a tree")
 
     @classmethod
     def of(cls, *pairs) -> "RankedAlphabet":

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -189,6 +190,20 @@ def test_enum_trees_guard_on_a_wide_symbol_exits_3_quickly():
     )
     assert done.returncode == 3 and done.stdout == ""
     assert done.stderr == "error: more than 1000000 trees of size 6; refusing to enumerate\n"
+
+
+@pytest.mark.parametrize("name", ["a b", "", "f(", "sigma0)"])
+def test_a_symbol_name_no_tree_can_hold_exits_3(name, tmp_path, capsys):
+    # the witness tree of the verdict would read back as another tree
+    payload = json.loads(automaton_to_json(bell_automaton()))
+    payload["alphabet"][0]["name"] = name
+    payload["weights"][name] = payload["weights"].pop("sigma0")
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "zero", "--tree-series", "-a", str(path), "--cap", "3")
+    assert (code, out, err) == (3, "", f"error: symbol {name!r} cannot be read in a tree\n")
+    code, out, err = run(capsys, "enum-trees", "--alphabet", f"{name}/0,f/1", "-n", "2")
+    assert (code, out, err) == (3, "", f"error: symbol {name!r} cannot be read in a tree\n")
 
 
 def test_emit_system(bell_path, capsys):
@@ -661,6 +676,31 @@ def test_python_m_treeseries_exits_as_main_returns(argv, exit_code, exit_inputs,
         written = (tmp_path / "child.json").read_text()
         assert written == (tmp_path / "main.json").read_text()
         assert automaton_from_json(written).dimension == 5
+
+
+def _limit_memory():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("argv", [["series", "-n", "3"], ["eval", "-t", "(f (a))"],
+                                  ["op", "gf-derive"]], ids=lambda argv: argv[0])
+def test_running_out_of_memory_exits_3(argv, tmp_path):
+    # a dimension of 10^9 passes every check of the JSON reader; the child's
+    # 1 GiB address-space limit makes the first vector of that length fail
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "dimension": 10**9,
+        "alphabet": [{"name": "a", "arity": 0}, {"name": "f", "arity": 1}],
+        "weights": {"a": {"entries": [{"row": [], "col": 1, "value": "1"}]},
+                    "f": {"entries": [{"row": [1], "col": 1, "value": "1/(x0)"}]}},
+    }))
+    done = subprocess.run(
+        [sys.executable, "-m", "treeseries", *argv, "-a", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(_ROOT / "src")), capture_output=True, text=True,
+        timeout=60, preexec_fn=_limit_memory,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (3, "", "error: out of memory\n")
 
 
 _ATEXIT_PROBE = """

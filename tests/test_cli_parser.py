@@ -1,13 +1,18 @@
 """The command-line parser gives arguments only to the subcommand its argv
 names; on every argv it must behave exactly as the parser of every
-subcommand does: same output, same exit code, same parsed arguments."""
+subcommand does: same output, same exit code, same parsed arguments.  The
+reader of plain lines, which runs before argparse, must return what argparse
+returns or decline the line."""
 
 import contextlib
 import io
+import random
+import shlex
+from pathlib import Path
 
 import pytest
 
-from treeseries.cli import build_parser
+from treeseries.cli import _COMMANDS, _plain_args, build_parser
 
 # per subcommand: a valid call, one missing a required argument, and one with
 # a bad choice (or, where the subcommand has no choices, a bad number)
@@ -64,6 +69,88 @@ def test_every_subcommand_is_covered():
 @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
 def test_selective_parser_matches_the_full_parser(argv):
     assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
+
+
+# the commands of the README's tour, without the leading `treeseries`
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+TOUR = [shlex.split(line, comments=True)[1:] for line in README.splitlines()
+        if line.startswith("treeseries ")]
+
+
+def _read_alike(argv):
+    """The plain reader's namespace for argv, checked against argparse's:
+    the reader declines every line argparse refuses or explains, and reads
+    every line it does not decline as argparse does."""
+    plain = _plain_args(argv)
+    _, _, code, namespace = _parse(build_parser(argv), argv)
+    if code is not None:
+        assert plain is None, argv
+    elif plain is not None:
+        assert vars(plain) == vars(namespace), argv
+    return plain
+
+
+@pytest.mark.parametrize("argv", ARGVS + TOUR, ids=" ".join)
+def test_plain_reader_matches_argparse(argv):
+    _read_alike(argv)
+
+
+def test_plain_reader_reads_every_valid_call_and_tour_command():
+    assert len(TOUR) >= 20
+    calls = [[command, *valid] for command, (valid, _, _) in CALLS.items()]
+    # argparse reads a negative number as a value; the reader declines it
+    declined = [argv for argv in calls + TOUR if _read_alike(argv) is None]
+    assert declined == [["op", "gf-scale", "-a", "samples/bell.json", "-c", "-1", "-o",
+                         "/tmp/neg.json"]]
+
+
+# tokens that a line may hold in place of, or next to, a subcommand's own
+SAMPLES = ["a.json", "(f (a))", "3", "0", "-1", "-3/2", "", "\u0663", "-", "--", "-h", "--help",
+           "x y", "1.5", "--cap=5", "-n5", "--tree", "--form", "-a=a.json", "series"]
+
+
+def _random_line(rng):
+    """A subcommand's arguments in a random order with random values, then up
+    to two tokens inserted, deleted or replaced."""
+    name, _, _, arguments = rng.choice(_COMMANDS)
+    pool = list(SAMPLES)
+    groups = []
+    for flag, options in arguments:
+        values = options.get("choices") or (["7", "-2", "x"] if "type" in options else SAMPLES[:2])
+        pool += [flag, *values]
+        if rng.random() < 0.9:
+            value = rng.choice(values)
+            groups.append([value] if flag[0] != "-" else [flag] if "action" in options
+                          else [flag, value])
+    rng.shuffle(groups)
+    tokens = [token for group in groups for token in group]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        i = rng.randrange(len(tokens) + 1)
+        if i == len(tokens) or rng.random() < 0.4:
+            tokens.insert(i, rng.choice(pool))
+        elif rng.random() < 0.5:
+            del tokens[i]
+        else:
+            tokens[i] = rng.choice(pool)
+    return [name if rng.random() < 0.97 else rng.choice(pool), *tokens]
+
+
+def test_plain_reader_matches_argparse_on_random_lines():
+    rng = random.Random(7)
+    read = sum(_read_alike(_random_line(rng)) is not None for _ in range(2000))
+    assert read >= 500
+
+
+def test_every_argument_uses_only_options_the_plain_reader_handles():
+    known = {"dest", "type", "default", "required", "action", "choices", "help"}
+    for name, _, _, arguments in _COMMANDS:
+        for flag, options in arguments:
+            assert set(options) <= known, (name, flag)
+            assert options.get("action", "store_true") == "store_true", (name, flag)
+            # the reader catches the ValueError of int, and keeps a default as
+            # it is, where argparse would convert a string through the type
+            assert options.get("type", int) is int, (name, flag)
+            assert not ("type" in options and isinstance(options.get("default"), str))
 
 
 def test_selective_parser_gives_other_subcommands_no_arguments():

@@ -61,6 +61,32 @@ def test_alphabet_rejects_duplicates():
         RankedAlphabet.of(("a", 0), ("a", 1))
 
 
+@pytest.mark.parametrize("name", ["a b", "", "f(", "sigma0)", "a,b", "x\ty"])
+def test_alphabet_rejects_a_name_no_tree_can_hold(name):
+    # format_tree would write a tree that parse_tree reads as another one
+    with pytest.raises(InvariantError, match="cannot be read in a tree"):
+        RankedAlphabet.of((name, 0), ("f", 1))
+
+
+def test_every_name_the_alphabet_accepts_reads_back_from_a_tree():
+    # the names the package makes up (closure, make_arity_distinct, the
+    # compilers), and random strings over symbol and syntax characters
+    names = ["__u", "__u2", "__r_sigma0", "h0", "h2", "eps", "sigma", "sigma12", "g3"]
+    rng = random.Random(3)
+    names += ["".join(rng.choice("a0_-'\u0663() ,/") for _ in range(rng.randrange(4)))
+              for _ in range(300)]
+    accepted = 0
+    for name in names:
+        try:
+            RankedAlphabet.of((name, 0))
+        except InvariantError:
+            continue
+        accepted += 1
+        assert parse_tree(format_tree(t(name))) == t(name)
+        assert parse_tree(format_tree(t(name, t(name)))) == t(name, t(name))
+    assert accepted >= 50
+
+
 def test_tree_size():
     assert tree_size(t("sigma0")) == 0
     assert tree_size(t("sigma2", t("sigma0"), t("sigma1", t("sigma0")))) == 2

@@ -1,6 +1,7 @@
 """The package runs a layer only when something uses it, and still offers
 the same public names, bound to the same objects, as an eager import did."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -138,6 +139,45 @@ def test_help_imports_no_fractions():
     assert _python(probe, *argv).split() == ["0", "True"]
 
 
+# the command's exit code, stdout and stderr, and which of the parser's
+# modules it imported
+_PARSER_PROBE = """
+import contextlib, io, runpy, sys
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    try:
+        runpy.run_module("treeseries", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code or 0
+print(repr((code, out.getvalue(), err.getvalue(),
+            [m for m in ("argparse", "gettext", "locale") if m in sys.modules])))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "-a", "samples/bell.json", "-n", "3"],
+    ["equiv", "-a", "samples/bell.json", "-b", "samples/bell.json", "--cap", "5"],
+], ids=lambda argv: argv[0])
+def test_a_plain_command_imports_no_argparse(argv):
+    code, out, err, imported = ast.literal_eval(_python(_PARSER_PROBE, *argv))
+    assert (code, err, imported) == (0, "", []) and out
+
+
+def test_help_and_usage_errors_run_argparse():
+    from test_cli_parser import HELP
+
+    code, out, err, imported = ast.literal_eval(_python(_PARSER_PROBE, "--help", COLUMNS="80"))
+    assert (code, out, err) == (0, HELP[""], "") and "argparse" in imported
+    code, out, err, imported = ast.literal_eval(
+        _python(_PARSER_PROBE, "series", "-n", "5", COLUMNS="80"))
+    assert (code, out) == (2, "") and "argparse" in imported
+    assert err == """\
+usage: treeseries series [-h] -a AUTOMATON [-n N] [--counts]
+                         [--format {table,csv,json}]
+treeseries series: error: the following arguments are required: -a
+"""
+
+
 def test_cli_import_puts_every_layer_in_sys_modules():
     # bench/tracing.py imports treeseries.cli and then indexes sys.modules for
     # every layer
@@ -261,11 +301,12 @@ def test_no_module_is_over_16_kib():
 # the benchmark runs every job without a bytecode cache, so a command compiles
 # the source of each module it runs: 117.8 KiB took 32-38 ms of an `equiv` job
 # on a 2-core x86-64 VM before `_shift`, `_system` and `_format` were split off;
-# it compiles 107.5 KiB now
+# it compiles 110,560 bytes (108.0 KiB) now
 COMPILE_BUDGET = 108 * 1024
-# `species count` and `compile rda` on samples/ compile 132.5 and 101.3 KiB,
-# and `zero --tree-series`, the command that runs `_trees`, 120.6 KiB; each
-# cap is that rounded up to the next KiB, so none can grow past it
+# `species count` and `compile rda` on samples/ compile 136,159 and 104,222
+# bytes (133.0 and 101.8 KiB), and `zero --tree-series`, the command that runs
+# `_trees`, 123,724 bytes (120.8 KiB); each cap is that rounded up to the
+# next KiB, so none can grow past it
 SPECIES_COUNT_KIB = 133
 COMPILE_RDA_KIB = 102
 ZERO_TREE_SERIES_KIB = 121
