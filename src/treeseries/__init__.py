@@ -26,10 +26,8 @@ from . import errors
 _EXPORTS = {
     "core": (
         "Automaton",
-        "FinalVector",
         "RankedAlphabet",
         "Tree",
-        "absorb_final_vector",
         "automaton_from_json",
         "automaton_to_json",
         "enumerate_trees",
@@ -62,6 +60,8 @@ _EXPORTS = {
         "series_scale",
     ),
     "closure": (
+        "FinalVector",
+        "absorb_final_vector",
         "gf_add",
         "gf_cauchy",
         "gf_derive",

@@ -80,20 +80,46 @@ def format_size_rational(f: exactmath.SizeRational) -> str:
 # automata
 
 
-def automaton_to_json(a: core.Automaton) -> str:
+def _quote(text: str) -> str:
+    """``text`` as ``json.dumps`` writes it: only a name that is not
+    printable ASCII needs the json module."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
     import json
 
-    payload = {
-        "dimension": a.dimension,
-        "alphabet": [{"name": n, "arity": k} for n, k in a.alphabet.symbols],
-        "weights": {},
-    }
+    return json.dumps(text)
+
+
+def _row(states) -> str:
+    if not states:
+        return "[]"
+    items = ",\n".join(f"            {s + 1}" for s in states)
+    return f"[\n{items}\n          ]"
+
+
+def automaton_to_json(a: core.Automaton) -> str:
+    """The text ``json.dumps(payload, indent=2)`` writes, and a newline, for
+    the payload of dimension, alphabet and nonzero weight entries; each
+    distinct weight is formatted once."""
+    symbols = ",\n".join(
+        f'    {{\n      "name": {_quote(n)},\n      "arity": {k}\n    }}'
+        for n, k in a.alphabet.symbols
+    )
+    texts = {}  # a nullary value, or the (num, dens) of a weight -> its quoted text
+    weights = []
     for name, matrix in a.weights:
-        text = str if matrix.arity == 0 else format_size_rational
+        nullary = matrix.arity == 0
         entries = []
         for states, row in matrix.rows.values():
-            row_ix = [s + 1 for s in states]
+            head = f'        {{\n          "row": {_row(states)},\n          "col": '
             for j, entry in row:
-                entries.append({"row": row_ix, "col": j + 1, "value": text(entry)})
-        payload["weights"][name] = {"entries": entries}
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+                key = entry if nullary else (entry.num, entry.dens)
+                value = texts.get(key)
+                if value is None:
+                    value = texts[key] = _quote(
+                        str(entry) if nullary else format_size_rational(entry))
+                entries.append(f'{head}{j + 1},\n          "value": {value}\n        }}')
+        body = "[\n" + ",\n".join(entries) + "\n      ]" if entries else "[]"
+        weights.append(f'    {_quote(name)}: {{\n      "entries": {body}\n    }}')
+    return (f'{{\n  "dimension": {a.dimension},\n  "alphabet": [\n{symbols}\n  ],\n'
+            '  "weights": {\n' + ",\n".join(weights) + "\n  }\n}\n")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import core, exactmath, series
-from .closure import _embed_shifted
+from .closure import FinalVector, _embed_shifted, absorb_final_vector
 from .errors import ZeroConstantTerm
 
 
@@ -144,8 +144,8 @@ def gf_shift_backward(a: core.Automaton) -> core.Automaton:
 def gf_derive(a: core.Automaton) -> core.Automaton:
     """f -> f', as the x*f' construction followed by a backward shift."""
     poly = exactmath.UniPolynomial
-    theta = core.absorb_final_vector(
-        a, core.FinalVector.of((poly.x(), poly.const(1)), *([0] * (a.dimension - 1)))
+    theta = absorb_final_vector(
+        a, FinalVector.of((poly.x(), poly.const(1)), *([0] * (a.dimension - 1)))
     )
     return gf_shift_backward(theta)
 
@@ -153,8 +153,8 @@ def gf_derive(a: core.Automaton) -> core.Automaton:
 def gf_integrate(a: core.Automaton) -> core.Automaton:
     """f -> integral of f from 0, as (1/x) integral followed by a forward shift."""
     poly = exactmath.UniPolynomial
-    inner = core.absorb_final_vector(
-        a, core.FinalVector.of((poly.const(1), poly((1, 1))), *([0] * (a.dimension - 1)))
+    inner = absorb_final_vector(
+        a, FinalVector.of((poly.const(1), poly((1, 1))), *([0] * (a.dimension - 1)))
     )
     return gf_shift_forward(inner)
 

@@ -4,12 +4,12 @@ Exit codes: 0 success; 2 parse or file-format error; 3 invariant violation
 in the inputs, or out of memory; 4 verdict undecided (ZeroUpTo) under
 --require-decided.
 Errors print one structured line on stderr; there are no tracebacks.
-``json`` is imported only where output is written as JSON, ``Fraction``
-only where ``op -c`` is read, and ``argparse`` only for lines that
-``_plain_args`` declines.  One table, ``_COMMANDS``, gives every subcommand
-its help, handler and arguments, and one, ``_OPS``, every ``op`` operation;
-the operations are read from their module when one runs, so ``--help`` runs
-no layer.
+``json`` is imported only to read JSON or print a JSON result, ``Fraction``
+only for ``op -c``, and ``argparse`` only for lines that ``_plain_args``
+declines.  One table, ``_COMMANDS``, gives every subcommand its help,
+handler and arguments, and one, ``_OPS``, every ``op`` operation; the
+operations are read from their module when one runs, so ``--help`` runs no
+layer.
 """
 
 from __future__ import annotations

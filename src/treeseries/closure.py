@@ -17,7 +17,8 @@ below): deciding equivalence only adds and scales automata.
 from __future__ import annotations
 
 from . import _shift, core, exactmath
-from .errors import AlphabetMismatch
+from ._record import record
+from .errors import AlphabetMismatch, InvalidBeta
 
 # names of this module that _shift defines
 _SHIFT_NAMES = frozenset((
@@ -42,6 +43,88 @@ def _embed_shifted(matrix, arity: int, offset: int, d_old: int, d_new: int) -> d
     }
 
 
+@record
+class FinalVector:
+    """Column vector of univariate rational functions of the size, each
+    defined at every nonnegative integer."""
+
+    entries: tuple  # of (UniPolynomial numerator, UniPolynomial denominator)
+
+    def __post_init__(self):
+        for num, den in self.entries:
+            if den.is_zero:
+                raise InvalidBeta("final vector denominator is zero")
+            bad = {r for r in exactmath.poly_integer_roots(den) if r >= 0}
+            if bad:
+                raise InvalidBeta(
+                    f"final vector denominator has nonnegative root(s) {sorted(bad)}"
+                )
+
+    @classmethod
+    def of(cls, *entries) -> "FinalVector":
+        poly = exactmath.UniPolynomial
+        packed = []
+        for e in entries:
+            if isinstance(e, tuple):
+                packed.append(e)
+            elif isinstance(e, poly):
+                packed.append((e, poly.const(1)))
+            else:
+                packed.append((poly.const(exactmath._frac(e)), poly.const(1)))
+        return cls(tuple(packed))
+
+    @classmethod
+    def unit(cls, d: int, scale=1) -> "FinalVector":
+        entries = [scale] + [0] * (d - 1)
+        return cls.of(*entries)
+
+    def __len__(self):
+        return len(self.entries)
+
+    def value_at(self, n: int) -> tuple:
+        return tuple(num(n) / den(n) for num, den in self.entries)
+
+
+def absorb_final_vector(a: core.Automaton, beta: FinalVector) -> core.Automaton:
+    """Automaton of dimension d+1 whose value on t is mu~_a(t) . beta(|t|).
+
+    The new first coordinate carries the absorbed value; coordinates 2..d+1
+    replay the original automaton unchanged.
+    """
+    if len(beta) != a.dimension:
+        raise InvalidBeta(f"final vector must have {a.dimension} entries")
+    d = a.dimension
+    beta0 = beta.value_at(0)
+    # a constant entry c/1 scales a weight, a zero one drops its terms
+    # (ts_add and ts_scale absorb unit vectors); only the others multiply
+    constant = [
+        value if num.degree <= 0 and den.degree == 0 else None
+        for (num, den), value in zip(beta.entries, beta0)
+    ]
+    shift = core.shift_row
+    weights = {}
+    for name, arity in a.alphabet.symbols:
+        old = a.weight(name).cells
+        cells = {}
+        # column 0 holds M = mu(g) . beta(x0), one entry per old row
+        m_col = {}
+        for (row, col), entry in old.items():
+            cells[(shift(row, arity, d, d + 1, 1), col + 1)] = entry
+            c = beta0[col] if arity == 0 else constant[col]
+            if c == 0:
+                continue
+            if c is not None:
+                term = entry * c if arity == 0 else entry.scale(c)
+            else:
+                num, den = beta.entries[col]
+                term = entry.mul_univariate(num, den, 0)
+            m_col[row] = m_col[row] + term if row in m_col else term
+        for row, value in m_col.items():
+            cells[(shift(row, arity, d, d + 1, 1), 0)] = value
+        weights[name] = cells
+    return core.Automaton.build(d + 1, a.alphabet, weights)
+
+
 # ---------------------------------------------------------------------------
 # formal tree series operations
 
@@ -62,8 +145,8 @@ def ts_add(a1: core.Automaton, a2: core.Automaton) -> core.Automaton:
         cells.update(_embed_shifted(a2.weight(name), arity, d1, d2, d))
         weights[name] = cells
     block = core.Automaton.build(d, a1.alphabet, weights)
-    beta = core.FinalVector.of(*([1] + [0] * (d1 - 1) + [1] + [0] * (d2 - 1)))
-    return core.absorb_final_vector(block, beta)
+    beta = FinalVector.of(*([1] + [0] * (d1 - 1) + [1] + [0] * (d2 - 1)))
+    return absorb_final_vector(block, beta)
 
 
 def ts_scale(a: core.Automaton, c) -> core.Automaton:
@@ -71,7 +154,7 @@ def ts_scale(a: core.Automaton, c) -> core.Automaton:
     c = exactmath._frac(c)
     if c == 1:
         return a
-    return core.absorb_final_vector(a, core.FinalVector.unit(a.dimension, scale=c))
+    return absorb_final_vector(a, FinalVector.unit(a.dimension, scale=c))
 
 
 def ts_hadamard(a1: core.Automaton, a2: core.Automaton) -> core.Automaton:

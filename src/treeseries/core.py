@@ -1,4 +1,4 @@
-"""Ranked alphabets, automata, final vectors, and the JSON format.
+"""Ranked alphabets, automata, and the JSON format.
 
 An automaton is a pair (d, mu): nullary symbols get row vectors in Q^(1xd);
 a symbol of arity k >= 1 gets a d^k x d matrix of SizeRational in x0..xk,
@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import _format, _trees, exactmath
+from . import _format, _trees, closure, exactmath
 from ._record import record
-from .errors import InputFormatError, InvalidBeta, InvariantError, SymbolMismatch
+from .errors import InputFormatError, InvariantError, SymbolMismatch
 
 # names of this module that other modules define
 _ELSEWHERE = {
@@ -30,6 +30,8 @@ _ELSEWHERE = {
         "parse_tree", "tree_size",
     ), _trees),
     "automaton_to_json": _format,
+    "FinalVector": closure,
+    "absorb_final_vector": closure,
 }
 
 
@@ -210,91 +212,6 @@ class Automaton:
 
 
 # ---------------------------------------------------------------------------
-# final vectors
-
-
-@record
-class FinalVector:
-    """Column vector of univariate rational functions of the size, each
-    defined at every nonnegative integer."""
-
-    entries: tuple  # of (UniPolynomial numerator, UniPolynomial denominator)
-
-    def __post_init__(self):
-        for num, den in self.entries:
-            if den.is_zero:
-                raise InvalidBeta("final vector denominator is zero")
-            bad = {r for r in exactmath.poly_integer_roots(den) if r >= 0}
-            if bad:
-                raise InvalidBeta(
-                    f"final vector denominator has nonnegative root(s) {sorted(bad)}"
-                )
-
-    @classmethod
-    def of(cls, *entries) -> "FinalVector":
-        poly = exactmath.UniPolynomial
-        packed = []
-        for e in entries:
-            if isinstance(e, tuple):
-                packed.append(e)
-            elif isinstance(e, poly):
-                packed.append((e, poly.const(1)))
-            else:
-                packed.append((poly.const(exactmath._frac(e)), poly.const(1)))
-        return cls(tuple(packed))
-
-    @classmethod
-    def unit(cls, d: int, scale=1) -> "FinalVector":
-        entries = [scale] + [0] * (d - 1)
-        return cls.of(*entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def value_at(self, n: int) -> tuple:
-        return tuple(num(n) / den(n) for num, den in self.entries)
-
-
-def absorb_final_vector(a: Automaton, beta: FinalVector) -> Automaton:
-    """Automaton of dimension d+1 whose value on t is mu~_a(t) . beta(|t|).
-
-    The new first coordinate carries the absorbed value; coordinates 2..d+1
-    replay the original automaton unchanged.
-    """
-    if len(beta) != a.dimension:
-        raise InvalidBeta(f"final vector must have {a.dimension} entries")
-    d = a.dimension
-    beta0 = beta.value_at(0)
-    # a constant entry c/1 scales a weight, a zero one drops its terms
-    # (ts_add and ts_scale absorb unit vectors); only the others multiply
-    constant = [
-        value if num.degree <= 0 and den.degree == 0 else None
-        for (num, den), value in zip(beta.entries, beta0)
-    ]
-    weights = {}
-    for name, arity in a.alphabet.symbols:
-        old = a.weight(name).cells
-        cells = {}
-        # column 0 holds M = mu(g) . beta(x0), one entry per old row
-        m_col = {}
-        for (row, col), entry in old.items():
-            cells[(shift_row(row, arity, d, d + 1, 1), col + 1)] = entry
-            c = beta0[col] if arity == 0 else constant[col]
-            if c == 0:
-                continue
-            if c is not None:
-                term = entry * c if arity == 0 else entry.scale(c)
-            else:
-                num, den = beta.entries[col]
-                term = entry.mul_univariate(num, den, 0)
-            m_col[row] = m_col[row] + term if row in m_col else term
-        for row, value in m_col.items():
-            cells[(shift_row(row, arity, d, d + 1, 1), 0)] = value
-        weights[name] = cells
-    return Automaton.build(d + 1, a.alphabet, weights)
-
-
-# ---------------------------------------------------------------------------
 # alphabet normalizations
 
 
@@ -336,7 +253,7 @@ def automaton_from_json(text: str) -> Automaton:
     import json
 
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_float=str)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InputFormatError(f"bad automaton JSON: {exc}") from exc
 

@@ -393,9 +393,15 @@ def _duplicate_entry(payload):
         (lambda p: p["weights"].update(h={"entries": []}), "weight of 'h', which is not in"),
         (lambda p: p["weights"]["a"]["entries"][0].update(row=[7, "x"]),
          "bad row [7, 'x'] for nullary symbol 'a'"),
+        (lambda p: p.update(dimension=2.0), "the dimension must be"),
+        (lambda p: p["alphabet"][1].update(arity=1.0), "an arity must be"),
+        (lambda p: p["weights"]["f"]["entries"][0].update(row=[1.0]), "a row index must be"),
+        (lambda p: p["weights"]["f"]["entries"][0].update(col=1.0), "a column must be"),
+        (lambda p: p["weights"]["f"]["entries"][0].update(value=0.1), "unexpected character '.'"),
     ],
     ids=["row string", "dimension true", "arity 1.9", "row index 1.7", "col true", "name null",
-         "two entries of one cell", "weight of no symbol", "nullary row not empty"],
+         "two entries of one cell", "weight of no symbol", "nullary row not empty",
+         "dimension 2.0", "arity 1.0", "row index 1.0", "col 1.0", "unary value 0.1"],
 )
 def test_automaton_json_that_was_reinterpreted_exits_2(mutate, message, tmp_path, capsys):
     payload = {
@@ -415,6 +421,20 @@ def test_automaton_json_that_was_reinterpreted_exits_2(mutate, message, tmp_path
     path.write_text(json.dumps(payload))
     err = _exits_2_without_traceback(capsys, "series", "-a", str(path), "-n", "3")
     assert message in err
+
+
+# a JSON number is read from its literal, not through a binary float
+@pytest.mark.parametrize("literal, value", [
+    ("12345678901234567890.5", "24691357802469135781/2"),
+    ("1e-400", f"1/1{'0' * 400}"),
+    ("-0.5", "-1/2"),
+], ids=["20 digits", "1e-400", "-0.5"])
+def test_a_nullary_value_written_as_a_json_number_is_read_exactly(literal, value, tmp_path,
+                                                                    capsys):
+    path = tmp_path / "a.json"
+    path.write_text('{"dimension": 1, "alphabet": [{"name": "a", "arity": 0}], "weights": '
+                    f'{{"a": {{"entries": [{{"row": [], "col": 1, "value": {literal}}}]}}}}}}')
+    assert run(capsys, "series", "-a", str(path), "-n", "0") == (0, f"0  {value}\n", "")
 
 
 # '²' is a digit to str.isdigit, but int() does not read it

@@ -417,6 +417,25 @@ def test_compiled_automaton_is_byte_exact(source, label):
     assert digest == COMPILED_SHA256[source, label], f"dimension {a.dimension}, {cells} cells"
 
 
+# `compile rda` of each gold system and `species compile` of each gold species
+# write those bytes too
+@pytest.mark.parametrize("label, source", GOLD_SOURCES)
+def test_compile_commands_write_the_pinned_bytes(label, source, tmp_path, capsys):
+    from treeseries.cli import main
+
+    _, spec, target, system, _ = next(g for g in GOLD_SPECIES if g[0] == label)
+    path, out = tmp_path / "input", tmp_path / "out.json"
+    if source == "species":
+        path.write_text(spec)
+        argv = ["species", "compile", "-f", str(path), "--target", target]
+    else:
+        path.write_text(system)
+        argv = ["compile", "rda", "-f", str(path)]
+    assert main([*argv, "-o", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == COMPILED_SHA256[source, label]
+
+
 # ---------------------------------------------------------------------------
 # differential equations
 
