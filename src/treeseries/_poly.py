@@ -210,7 +210,7 @@ class MultiPolynomial:
     of children of the tree symbol the polynomial annotates.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_hash")
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
@@ -224,6 +224,7 @@ class MultiPolynomial:
                     raise ValueError("exponent tuple has wrong length")
                 clean[tuple(exps)] = coeff
         self.terms = clean
+        self._hash = None
 
     @property
     def arity(self) -> int:
@@ -284,7 +285,9 @@ class MultiPolynomial:
         )
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        if self._hash is None:
+            self._hash = hash((self.nvars, frozenset(self.terms.items())))
+        return self._hash
 
     def __repr__(self):
         return f"MultiPolynomial({self.nvars}, {self.terms})"

@@ -180,7 +180,8 @@ def rda_normal_forms(s: RDS):
     holds C_{h,g} (arity 2), and pairs maps variables to order-1 series
     values.
     """
-    if not s.is_rda:
+    z0 = [q(s.init) for _, q in s.rhs]
+    if 0 in z0:
         raise NotRDA("a right-hand side denominator vanishes at the initial point")
     k = len(s.variables)
     raw = [p for pair in s.rhs for p in pair]  # P1, Q1, P2, Q2, ...
@@ -190,7 +191,6 @@ def rda_normal_forms(s: RDS):
     n_chain = len(chains)
 
     # order-1 (value, first-derivative-coefficient) pairs for every variable
-    z0 = [q(s.init) for _, q in s.rhs]
     w0 = [p(s.init) for p, _ in s.rhs]
     duals = [_dual(s.init[j], w0[j] / z0[j]) for j in range(k)]
     for _, (u, v) in chains:

@@ -12,48 +12,29 @@ The common-denominator form of the weights (exactmath) writes each weight as
 
 on every realizable size tuple, so a_n[col] is 1/Q0(n) times the sum, over
 the nonzero cells c = M_{g,e}[row][col], of c times the k-fold Cauchy
-convolution at n-1 of the scalar sequences
-
-    s_i[m] = m^e_i * a_m[row_i] / Q_{g,i}(m).
-
-ConvolutionEngine extends every such sequence by one term per coefficient
-and keeps the partial convolutions s_1 * ... * s_j (j < k), shared by all
-cells, rows and symbols with the same leading sequences.  A coefficient then
-costs O(k n) products per cell, where summing over compositions costs
-O(n^(k-1)) weight evaluations.  This is the naive quadratic form of online
-series multiplication (van der Hoeven, "Relax, but don't be too lazy",
-JSC 2002).  The generating prefix is the first component of each vector.
-
-The arithmetic is fraction-free.  Each sequence and partial convolution is
-a list of integer numerators over one shared integer denominator D; a term
-is reduced before it is appended, and when its denominator r does not
-divide D, D and every stored numerator are multiplied by r / gcd(D, r)
-(lifting).  So the convolution of two sequences at index m is one integer
-dot product over the product of their denominators, and a component of a_n
-is summed as an integer fraction and becomes a Fraction only when it is
-divided by Q0(n).  D grows to the lcm of the term denominators seen so far,
-which can be far longer than any reduced term (the permutations count keeps
-9-bit terms over a D of several hundred bits); lifting then costs one
-multiplication per stored term and happens only when a new factor appears.
-brute_force_coefficient recomputes a_n by summing mu~ over every tree of
-size n and is the independent oracle for the engine.
+convolution at m = n-1 of the sequences s_i[m] = m^e_i a_m[row_i] / Q_{g,i}(m).
+As n1+...+nk = m, ConvolutionEngine puts nk = m - n1 - ... - n(k-1) into
+nk^ek, making c a polynomial in m, where that merges cells.  It extends each
+sequence by one term per coefficient and keeps the partial convolutions
+s_1 * ... * s_j (j < k) that cells share: the naive quadratic form of online
+series multiplication (van der Hoeven, "Relax, but don't be too lazy", JSC
+2002).  Each is kept fraction-free, as integer numerators over one
+denominator that is lifted when a term brings a new factor, so a convolution
+is one integer dot product.  brute_force_coefficient, which sums mu~ over
+every tree of size n, is the engine's independent oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import dropwhile
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, not_
 
 from . import core
 from ._record import record
 from .core import Automaton, unrank_row
-from .exactmath import (
-    CommonDenominatorForm,
-    UniPolynomial,
-    _frac,
-    normalize_common_denominator,
-)
+from .exactmath import CommonDenominatorForm, UniPolynomial, _frac, normalize_common_denominator
 
 
 @record
@@ -96,11 +77,10 @@ def series_scale(s: SeriesPrefix, c) -> SeriesPrefix:
 
 
 def series_cauchy(s1: SeriesPrefix, s2: SeriesPrefix) -> SeriesPrefix:
-    n = min(len(s1), len(s2))
-    out = []
-    for m in range(n):
-        out.append(sum((s1[i] * s2[m - i] for i in range(m + 1)), Fraction(0)))
-    return SeriesPrefix(tuple(out))
+    return SeriesPrefix(tuple(
+        sum((s1[i] * s2[m - i] for i in range(m + 1)), Fraction(0))
+        for m in range(min(len(s1), len(s2)))
+    ))
 
 
 def s_derive(s: SeriesPrefix) -> SeriesPrefix:
@@ -126,11 +106,7 @@ def common_form(a: Automaton) -> CommonDenominatorForm:
 
 
 class _Terms:
-    """A scaled sequence or a partial convolution: term m is nums[m] / den.
-
-    Terms are appended in lowest terms; when a term's denominator does not
-    divide den, every stored numerator is lifted by the missing factor first.
-    """
+    """A sequence or partial convolution: term m is nums[m] / den."""
 
     __slots__ = ("nums", "den")
 
@@ -151,61 +127,54 @@ class _Terms:
 class ConvolutionEngine:
     """Coefficient vectors a_0, a_1, ... from a_0 and a common-denominator form.
 
-    Scaled sequences are keyed by (Q, e, state), partial convolutions by the
-    tuple of their sequence keys; each grows by one term per coefficient and
-    is stored as _Terms, integer numerators over one shared denominator that
-    is lifted only when a new term's reduced denominator does not divide it.
-    Convolutions of a cell's full key are needed at one index only and are
-    not stored.  The polynomials Q are evaluated with integer coefficients,
-    cell coefficients are integers over their common denominator, and each
-    component of a_n is summed as an integer numerator and denominator: it
-    becomes a Fraction once, when it is divided by Q0(n).
+    A cell key holds (Q, e, state) per child; keys with equal Qs and states
+    form a family.  Where expanding n_k^e_k by n_k = m - n_1 - ... - n_(k-1)
+    and merging equal keys leaves a family fewer keys, the engine uses that
+    form: the cells (0,0), (1,0), (0,1) that x0 = 1 + x1 + x2 makes of c*x0
+    become one, (m + 1) c at (0,0).  The form keeps x0, as bound, the
+    verdicts and emit-system print what they read from it.
     """
 
     def __init__(self, a0, form: CommonDenominatorForm):
         self.vectors = [tuple(a0)]
         self._q0 = _cleared(form.q0)
         d = len(a0)
-        cells = {}  # full key -> [(col, coefficient)]
+        dens = {c.denominator for dec in form.symbols.values()
+                for matrix in dec.matrices.values() for c in matrix.values()}
+        den = self._cell_den = lcm(*dens)
+        quotients = {q: den // q for q in dens}
+        families = {}  # (Q_1..Q_k, states) -> {(e_1..e_k): [(col, c * den)]}
         for dec in form.symbols.values():
             for exps, matrix in dec.matrices.items():
                 for (row, col), c in matrix.items():
-                    states = unrank_row(row, d, dec.arity)
-                    key = tuple(zip(dec.child_denominators, exps, states))
-                    cells.setdefault(key, []).append((col, c))
-        sequences = {}  # (Q, e, state) -> its terms
-        partials = {}  # key prefix of length 2..k-1 -> its convolution
+                    family = (dec.child_denominators, unrank_row(row, d, dec.arity))
+                    families.setdefault(family, {}).setdefault(exps, []).append(
+                        (col, c.numerator * quotients[c.denominator])
+                    )
+        cells = {}  # full key -> [(col, integer or integer polynomial in m)]
+        expansions = {}  # k -> the terms of (m - n_1 - ... - n_(k-1))^e, by e
+        for (qs, states), keys in families.items():
+            if any(exps[-1] for exps in keys):
+                k = len(states)
+                keys = _last_size_eliminated(keys, expansions.setdefault(k, [{(0,) * k: 1}]))
+            for exps, targets in keys.items():
+                cells[tuple(zip(qs, exps, states))] = targets
+        convs = {}  # key prefix -> its sequence (length 1) or partial convolution
         for key in cells:
-            for part in key:
-                sequences.setdefault(part, _Terms())
-            for j in range(2, len(key)):
-                partials.setdefault(key[:j], _Terms())
-
-        def factor(prefix):  # the convolution of the sequences in prefix
-            if len(prefix) > 1:
-                return partials[prefix]
-            return sequences[prefix[0]] if prefix else None
-
-        scalings = {}  # (Q, e) -> its index in self._scalings
+            for j in range(len(key)):
+                convs.setdefault(key[j:j + 1], _Terms())
+                if j > 1:
+                    convs.setdefault(key[:j], _Terms())
         self._sequences = [
-            (state, scalings.setdefault((q, e), len(scalings)), terms)
-            for (q, e, state), terms in sequences.items()
+            (state, _cleared(q) + (e,), terms)
+            for ((q, e, state), *longer), terms in convs.items() if not longer
         ]
-        self._scalings = [_cleared(q) + (e,) for q, e in scalings]
-        # a prefix is inserted before its extensions, so this order computes
-        # every left factor before it is used
+        # a prefix is inserted after its left factor, which is so computed first
         self._partials = [
-            (factor(prefix[:-1]), sequences[prefix[-1]], terms)
-            for prefix, terms in partials.items()
+            (convs[key[:-1]], convs[key[-1:]], terms) for key, terms in convs.items() if key[1:]
         ]
-        den = self._cell_den = lcm(*(c.denominator for t in cells.values() for _, c in t))
         self._cells = [
-            (
-                factor(key[:-1]),
-                sequences[key[-1]],
-                [(col, c.numerator * (den // c.denominator)) for col, c in targets],
-            )
-            for key, targets in cells.items()
+            (convs.get(key[:-1]), convs[key[-1:]], targets) for key, targets in cells.items()
         ]
 
     def up_to(self, n_max: int):
@@ -216,22 +185,18 @@ class ConvolutionEngine:
     def _step(self):
         m = len(self.vectors) - 1
         last = self.vectors[m]
-        # m^e / Q(m) as (numerator, positive denominator), computed on first use
-        scales = [None] * len(self._scalings)
-        for state, i, terms in self._sequences:
+        for state, (poly, c, e), terms in self._sequences:
             v = last[state]
             if not v:
                 terms.nums.append(0)
                 continue
-            scale = scales[i]
-            if scale is None:
-                poly, c, e = self._scalings[i]
-                q = _at(poly, m)
-                if not q:
-                    raise ZeroDivisionError(f"denominator vanishes at size {m}")
-                scale = scales[i] = (m**e * c, q) if q > 0 else (-(m**e) * c, -q)
-            num = v.numerator * scale[0]
-            den = v.denominator * scale[1]
+            q = _at(poly, m)  # term m is v * m^e / Q(m) = v * m^e * c / q
+            if not q:
+                raise ZeroDivisionError(f"denominator vanishes at size {m}")
+            if q < 0:
+                q, c = -q, -c
+            num = v.numerator * m**e * c
+            den = v.denominator * q
             g = gcd(num, den)
             terms.append(num // g, den // g)
         for left, right, terms in self._partials:
@@ -251,6 +216,8 @@ class ConvolutionEngine:
             if not num:
                 continue
             for col, c in targets:
+                if c.__class__ is tuple:
+                    c = _at(c, m)
                 acc = nums[col]
                 if not acc:
                     nums[col], dens[col] = c * num, den
@@ -265,6 +232,33 @@ class ConvolutionEngine:
         self.vectors.append(
             tuple(Fraction(num * q0_den, den * q) for num, den in zip(nums, dens))
         )
+
+
+def _last_size_eliminated(keys: dict, powers: list) -> dict:
+    """keys, exponents -> [(col, c)], with n_k^e_k expanded by
+    n_k = m - n_1 - ... - n_(k-1) if that leaves fewer keys; powers[e] holds
+    (m - n_1 - ... - n_(k-1))^e by the exponents of m, n_1, ..."""
+    out, top = {}, max(exps[-1] for exps in keys)
+    for exps, targets in keys.items():
+        e = exps[-1]
+        while len(powers) <= e:
+            step = {}
+            for key, v in powers[-1].items():
+                for i in range(len(key)):
+                    up = key[:i] + (key[i] + 1,) + key[i + 1:]
+                    step[up] = step.get(up, 0) + (-v if i else v)
+            powers.append(step)
+        for (j, *js), b in powers[e].items():
+            polys = out.setdefault(tuple(map(add, exps, js)) + (0,), {})
+            for col, c in targets:
+                polys.setdefault(col, [0] * (top + 1))[j] += b * c
+    merged = {}
+    for exps, polys in out.items():
+        for col, p in polys.items():
+            p = tuple(dropwhile(not_, reversed(p)))
+            if p:
+                merged.setdefault(exps, []).append((col, p if len(p) > 1 else p[0]))
+    return merged if len(merged) < len(keys) else keys
 
 
 def _cleared(q: UniPolynomial) -> tuple:
@@ -288,13 +282,9 @@ def _dot(left: _Terms, right: _Terms) -> int:
 
 
 class CoefficientStream:
-    """Resumable cache of the coefficient vectors of one automaton.
-
-    The engine, and the common-denominator form it runs on, is built on the
-    first request for a coefficient of size >= 1; pass ``form`` when it is
-    already at hand.  Not safe to share between threads; create one per
-    consumer.
-    """
+    """Resumable cache of the coefficient vectors of one automaton; the engine
+    (and the form, unless ``form`` is given) is built on the first request for
+    a size >= 1.  Not safe to share between threads."""
 
     def __init__(self, automaton: Automaton, form: CommonDenominatorForm = None):
         self.automaton = automaton

@@ -306,11 +306,11 @@ def test_no_module_is_over_16_kib():
 # the benchmark runs every job without a bytecode cache, so a command compiles
 # the source of each module it runs: 117.8 KiB took 32-38 ms of an `equiv` job
 # on a 2-core x86-64 VM before `_shift`, `_system` and `_format` were split off;
-# it compiles 110,575 bytes (108.0 KiB) now
+# it compiles 110,546 bytes (108.0 KiB) now
 COMPILE_BUDGET = 108 * 1024
-# `species count` and `compile rda` on samples/ compile 133,114 and 102,395
-# bytes (130.0 and 100.0 KiB), and `zero --tree-series`, the command that runs
-# `_trees`, 123,739 bytes (120.8 KiB); each cap is the figure it was set at
+# `species count` and `compile rda` on samples/ compile 133,080 and 102,492
+# bytes (130.0 and 100.1 KiB), and `zero --tree-series`, the command that runs
+# `_trees`, 123,710 bytes (120.8 KiB); each cap is the figure it was set at
 # rounded up to the next KiB, and no cap is raised
 SPECIES_COUNT_KIB = 133
 COMPILE_RDA_KIB = 102

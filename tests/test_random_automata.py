@@ -1,6 +1,7 @@
 """Property tests: closure operations agree with prefix/value oracles on
 randomized small automata, not just on the curated ones."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,6 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_compile import GOLD_SOURCES, _gold_rds
+from test_series import dots_per_coefficient, form_key_convolutions
+from treeseries._trees import compositions
 from treeseries.closure import (
     gf_add,
     gf_cauchy,
@@ -39,10 +43,14 @@ from treeseries.decide import (
     check_equiv_genfun,
     check_equiv_tree_series,
 )
+from treeseries.compile import compile_rda
 from treeseries.series import (
+    ConvolutionEngine,
     brute_force_coefficient,
     coefficients,
+    common_form,
     generating_prefix,
+    initial_vector,
     series_add,
     series_cauchy,
 )
@@ -207,7 +215,7 @@ _POOL3 = [
     "0", "0", "0", "1", "1/(x0)", "(x3+1)/(x0)", "x1*x2", "-(x2+1)/(x0+1)*(x1+1)",
     "(x0+x3)/(x0)*(1)*(1)*(x3+2)", "1/2",
 ]
-_POOLS = {1: _POOL1, 3: _POOL3}
+_POOLS = {1: _POOL1, 2: _POOL2, 3: _POOL3}
 
 
 def _seeded_automaton(seed: int, alphabet: RankedAlphabet, dmax: int) -> Automaton:
@@ -377,3 +385,79 @@ def _equal_pairs(draw):
 def test_decide_verdicts_on_pairs_equal_by_construction(pair):
     verdicts = _decide_against_brute_force(*pair)
     assert all(isinstance(v, ZeroUpTo) for v in verdicts)
+
+
+# ---------------------------------------------------------------------------
+# the engine against a size-DP oracle, at sizes brute force cannot reach
+
+
+def _size_dp(a: Automaton, n_max: int) -> tuple:
+    """S_0..S_n_max, S_m the sum of mu~(t) over the trees t of size m, by
+    dynamic programming over sizes: each nonzero cell's raw SizeRational is
+    evaluated at (m, m_1..m_k) for every composition of m - 1 into k parts and
+    weighted by the children's S_{m_i}[s_i].  It reads no normal form, no
+    integer denominators and no x0 rewrite, only the automaton's weights."""
+    d = a.dimension
+    leaves = [a.weight(name).cells for name in a.alphabet.of_arity(0)]
+    nodes = [(a.weight(name).cells, k) for name, k in a.alphabet.symbols if k]
+    sums = [[F(0)] * d]
+    for cells in leaves:
+        for (_, col), v in cells.items():
+            sums[0][col] += v
+    for m in range(1, n_max + 1):
+        acc = [F(0)] * d
+        for cells, k in nodes:
+            for sizes in compositions(m - 1, k):
+                for (row, col), entry in cells.items():
+                    product = math.prod(sums[n][s] for n, s in zip(sizes, unrank_row(row, d, k)))
+                    if product:
+                        acc[col] += entry((m, *sizes)) * product
+        sums.append(acc)
+    return tuple(tuple(s) for s in sums)
+
+
+_TERNARY = RankedAlphabet.of(("a", 0), ("u", 1), ("t", 3))
+
+
+# seeds whose ternary weights give the last child an exponent of 2 or more,
+# so the engine expands (m - n_1 - n_2)^e with its signs and binomial factors
+@pytest.mark.parametrize("seed", [0, 5, 7, 9, 11, 12, 13, 17, 23, 24, 25, 27])
+def test_engine_matches_size_dp_with_ternary_symbol(seed):
+    a = _seeded_automaton(seed, _TERNARY, 2)
+    form = common_form(a)
+    assert max(exps[-1] for exps in form.symbols["t"].matrices) >= 2
+    engine = ConvolutionEngine(initial_vector(a), form)
+    # a coefficient of degree 2 or more in m: an n_3^e with e >= 2 was expanded
+    assert any(type(c) is tuple and len(c) > 2 for *_, targets in engine._cells for _, c in targets)
+    assert tuple(engine.up_to(12)) == _size_dp(a, 12)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_engine_matches_size_dp_unary_only(seed):
+    a = _seeded_automaton(seed, RankedAlphabet.of(("a", 0), ("b", 0), ("u", 1), ("v", 1)), 3)
+    assert coefficients(a, 25).vectors == _size_dp(a, 25)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(automata(), automata())
+def test_engine_matches_size_dp_on_closure_results(a1, a2):
+    for a in (
+        a1, ts_add(a1, a2), ts_hadamard(a1, a2), gf_add(a1, a2), gf_cauchy(a1, a2),
+        gf_mul_shifted(a1, a2), gf_shift_forward(a1), gf_shift_backward(a1), gf_derive(a1),
+        gf_integrate(a1),
+    ):
+        assert coefficients(a, 10).vectors == _size_dp(a, 10)
+        assert dots_per_coefficient(a) <= form_key_convolutions(a)
+
+
+@pytest.mark.parametrize("label, source", GOLD_SOURCES)
+def test_engine_matches_size_dp_on_gold_automata(label, source):
+    a = compile_rda(_gold_rds(label, source))
+    assert coefficients(a, 12).vectors == _size_dp(a, 12)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_engine_convolves_no_more_than_the_form_keys(seed):
+    for alphabet in (_TERNARY, _WIDE):
+        a = _seeded_automaton(seed, alphabet, 2 + seed % 2)
+        assert dots_per_coefficient(a) <= form_key_convolutions(a)

@@ -1,21 +1,35 @@
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
-from treeseries.compile import DFiniteRecurrence, compile_dfinite
-from treeseries.core import RankedAlphabet, Automaton
+import pytest
+
+from species_gold import GOLD_SPECIES
+from treeseries import series
+from treeseries.compile import (
+    DFiniteRecurrence,
+    compile_cda,
+    compile_dfinite,
+    compile_rda,
+    parse_rds,
+)
+from treeseries.core import RankedAlphabet, Automaton, automaton_from_json, unrank_row
 from treeseries.exactmath import UniPolynomial
 from treeseries.series import (
     CoefficientStream,
+    ConvolutionEngine,
     SeriesPrefix,
     brute_force_coefficient,
     coefficients,
+    common_form,
     generating_prefix,
+    initial_vector,
     s_derive,
     series_add,
     series_cauchy,
     series_scale,
 )
-from treeseries.species import count_species, parse_species
+from treeseries.species import count_species, parse_species, species_to_rds
 
 BELL_COUNTS = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
@@ -165,3 +179,69 @@ def test_stream_is_resumable(bell):
 
 def test_coefficients_deterministic(bell):
     assert coefficients(bell, 8).vectors == coefficients(bell, 8).vectors
+
+
+# ---------------------------------------------------------------------------
+# convolutions per coefficient
+
+
+def dots_per_coefficient(a: Automaton) -> int:
+    """The integer dot products (series._dot calls) of one engine step."""
+    engine = ConvolutionEngine(initial_vector(a), common_form(a))
+    engine.up_to(3)
+    dot, calls = series._dot, []
+    series._dot = lambda left, right: calls.append(1) or dot(left, right)
+    try:
+        engine._step()
+    finally:
+        series._dot = dot
+    return len(calls)
+
+
+def form_key_convolutions(a: Automaton) -> int:
+    """The dot products per coefficient of an engine that convolves each cell
+    key (Q, e, state) of the form as it stands: one per distinct key of two or
+    more children, and one per distinct proper prefix of two or more."""
+    keys = {
+        tuple(zip(dec.child_denominators, exps, unrank_row(row, a.dimension, dec.arity)))
+        for dec in common_form(a).symbols.values()
+        for exps, matrix in dec.matrices.items()
+        for row, _ in matrix
+    }
+    prefixes = {key[:j] for key in keys for j in range(2, len(key))}
+    return sum(len(key) > 1 for key in keys) + len(prefixes)
+
+
+# on the automata `species count` builds; the form's own keys cost 10, 2, 11,
+# 4, 23, 3, 14, 4, 38, 6 and 5: a weight term c*x0, which the x0 rewrite
+# spreads over three keys, costs one convolution
+GOLD_DOTS = {
+    "non-plane trees": 6,
+    "plane binary trees": 2,
+    "plane general trees": 5,
+    "permutations": 4,
+    "functional graphs": 13,
+    "set partitions": 1,
+    "non-plane ternary trees": 6,
+    "hierarchies": 4,
+    "3-constrained functional graphs": 18,
+    "3-balanced hierarchies": 2,
+    "surjections": 3,
+}
+
+
+@pytest.mark.parametrize("row", GOLD_SPECIES, ids=[r[0] for r in GOLD_SPECIES])
+def test_dot_products_per_coefficient_on_gold_species(row):
+    label, spec, target, *_ = row
+    a = compile_rda(species_to_rds(parse_species(spec), target))
+    assert dots_per_coefficient(a) == GOLD_DOTS[label] <= form_key_convolutions(a)
+
+
+def test_dot_products_per_coefficient_on_samples():
+    sample = Path(__file__).resolve().parent.parent / "samples" / "cubic.json"
+    cubic = automaton_from_json(sample.read_text())
+    assert (dots_per_coefficient(cubic), form_key_convolutions(cubic)) == (3, 5)
+    # constant numerators: nothing to rewrite, the ternary key and its prefix stay
+    cda = compile_cda(parse_rds("y' = 1 + y^3 ; y(0)=0"))
+    assert ("g3", 3) in cda.alphabet.symbols
+    assert (dots_per_coefficient(cda), form_key_convolutions(cda)) == (2, 2)
