@@ -33,7 +33,6 @@ from .errors import (
 # right-hand side reach.  Solving for the derivatives multiplies
 # denominators, so each level of cycle(cycle(...)) doubles the terms; the
 # largest right-hand side of the gold species and their joins has 80.
-# species checks set(A, card>=k) against it before writing out its k + 1 terms.
 RHS_TERM_BUDGET = 2000
 
 

@@ -345,6 +345,7 @@ def _check_sizes(args):
 
 
 def main(argv=None) -> int:
+    sys.set_int_max_str_digits(0)
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse takes -3/2 for an unknown option, though it reads -1 as a
     # value: a negative number after -c is joined to it, as -c=-3/2

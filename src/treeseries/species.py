@@ -6,7 +6,8 @@ and cycle, with cardinality constraints card=k and card>=k on sequence and
 set.  Each construct contributes equations over EGF variables:
 
     set(A):       v' = v * A'            v(0) = 1
-    set(A,>=k):   u' = u * A', v = u - sum_{j<k} A^j / j!
+    set(A,>=k):   v = u - A^(k-1) / (k-1)!, with u = set(A,>=k-1)
+                  (u' = A' * (u + A^(k-2) / (k-2)!), u(0) = 0, for k >= 2)
     set(A,=k):    v = A^k / k!
     sequence(A):  v = 1 / (1 - A)        (and the card variants v = A^k ...)
     cycle(A):     v' = A' / (1 - A)      v(0) = 0
@@ -46,7 +47,6 @@ from ._species_rds import RHS_TERM_BUDGET, diffsys_to_rds, rds_with_target
 from .compile import RDS, compile_rda
 from .errors import (
     BadCardinality,
-    InvariantError,
     NonIntegerCount,
     ParseError,
     UnknownName,
@@ -297,6 +297,23 @@ class DiffEqSystem:
         return [name for _, name, _ in self.equations]
 
 
+# the largest j whose j! a set's cardinality may need: 10^5! takes 0.09 s to
+# compute and has 456,574 digits; a larger j is refused before any work
+FACTORIAL_LIMIT = 10**5
+
+
+def _power(w: str, j: int, card: tuple):
+    """w^j / j! as an expression, for a set with constraint ``card``."""
+    if j > FACTORIAL_LIMIT:
+        op = "=" if card[0] == "eq" else ">="
+        raise UnsupportedConstruct(
+            f"set(..., card{op}{card[1]}) needs {j}!, past the limit of {FACTORIAL_LIMIT}!"
+        )
+    if j == 0:
+        return Const(Fraction(1))
+    return Mul((Const(Fraction(1, math.factorial(j))), Pow(Var(w), j)))
+
+
 def species_to_diffsys(spec: SpeciesSpec) -> DiffEqSystem:
     counts = empty_counts(spec)
     equations = []
@@ -326,18 +343,6 @@ def species_to_diffsys(spec: SpeciesSpec) -> DiffEqSystem:
         init[name] = _empty_count(e, counts)
         return name
 
-    def truncation(w: str, k: int):
-        """sum_{j<k} w^j / j! as an expression."""
-        if k + 1 > RHS_TERM_BUDGET:
-            raise InvariantError(
-                f"set(..., card>={k}) needs a right-hand side of {k + 1} terms, past the"
-                f" budget of {RHS_TERM_BUDGET}"
-            )
-        terms = [Const(Fraction(1))]
-        for j in range(1, k):
-            terms.append(Mul((Const(Fraction(1, math.factorial(j))), Pow(Var(w), j))))
-        return nary(Add, terms)
-
     def translate(e, bind: str = None):
         """Translate e; when bind is given, make that the defining variable."""
         if isinstance(e, SpOne):
@@ -361,24 +366,15 @@ def species_to_diffsys(spec: SpeciesSpec) -> DiffEqSystem:
             return DivE(Pow(Var(w), k), one_minus)
         if isinstance(e, SpSet):
             w = ensure_var(e.arg)
-            if e.card is not None and e.card[0] == "eq":
-                k = e.card[1]
-                if k == 0:
-                    return Const(Fraction(1))
-                try:
-                    scale = Fraction(1, math.factorial(k))
-                except OverflowError:
-                    raise UnsupportedConstruct(f"set(..., card={k}): {k}! is too large") from None
-                return Mul((Const(scale), Pow(Var(w), k)))
-            full = bind if (e.card is None and bind) else fresh()
-            equations.append(("diff", full, Mul((Var(full), DVar(w)))))
-            init[full] = Fraction(1)
-            if e.card is None:
-                return Var(full)
-            k = e.card[1]
-            if k == 0:
-                return Var(full)
-            return Add((Var(full), Neg(truncation(w, k))))
+            kind, k = e.card or ("ge", 0)
+            if kind == "eq":
+                return _power(w, k, e.card)
+            # u = set(A, card>=k-1), so that v = u - A^(k-1)/(k-1)! and v' = A'*u
+            u = bind if (e.card is None and bind) else fresh()
+            grow = Var(u) if k <= 1 else Add((Var(u), _power(w, k - 2, e.card)))
+            equations.append(("diff", u, Mul((grow, DVar(w)))))
+            init[u] = Fraction(1 if k <= 1 else 0)
+            return Var(u) if k == 0 else Add((Var(u), Neg(_power(w, k - 1, e.card))))
         if isinstance(e, SpCycle):
             w = ensure_var(e.arg)
             v = bind if bind else fresh()

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import os
 import re
 import resource
@@ -563,18 +564,21 @@ def test_cycles_nested_50_deep_exit_3_quickly(tmp_path):
 
 
 @pytest.mark.parametrize("card", [
-    "card>=5000", f"card>={2**63}", f"card>={10**20}", f"card={2**63}", f"card={10**20}",
+    f"card>={2**63}", f"card>={10**20}", f"card={2**63}", f"card={10**20}",
+    f"card={10**8}", f"card>={10**8}",
 ])
 def test_set_with_a_cardinality_out_of_reach_exits_3_quickly(tmp_path, card):
-    # card>=k writes out k terms, so k is checked against the term budget
-    # first; card=k divides by k!, which math.factorial refuses past 2^63 - 1
+    # card=k divides by k! and card>=k by (k-1)!; a factorial past
+    # FACTORIAL_LIMIT is refused before it is computed
     done = _species_count_in_child(tmp_path, f"set(X, {card})")
     assert done.returncode == 3 and done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "past the limit of 100000" in done.stderr
 
 
 @pytest.mark.parametrize("species", [
     "set(X, card=5000)", "sequence(X, card=5000)", "sequence(X, card>=5000)",
+    "set(X, card>=5000)", "set(X, card>=100000)",
 ])
 def test_large_cardinality_within_reach_counts_quickly(tmp_path, species):
     done = _species_count_in_child(tmp_path, species)
@@ -587,6 +591,50 @@ def test_sequence_with_a_huge_cardinality_counts_quickly(tmp_path, species):
     # and no step writes out k factors
     done = _species_count_in_child(tmp_path, species)
     assert done.returncode == 0 and done.stdout.split() == ["0"] * 6
+
+
+# CPython converts an int of more than 4,300 digits to or from text only once
+# that limit is lifted; main lifts it, so an exact answer prints in full
+
+
+def test_species_count_prints_a_count_of_more_than_4300_digits(tmp_path, capsys):
+    spec = tmp_path / "permutations.spec"
+    spec.write_text("D = set(cycle(X))\n")
+    code, out, err = run(capsys, "species", "count", "-f", str(spec), "-n", "1600")
+    assert (code, err) == (0, "")
+    last = out.split()[-1]
+    assert len(last) > 4300 and int(last) == math.factorial(1600)
+
+
+def test_equiv_prints_a_bound_exponent_of_more_than_4300_digits(tmp_path, capsys):
+    from species_gold import GOLD_SPECIES
+
+    _, text, target, *_ = next(g for g in GOLD_SPECIES if g[0] == "3-constrained functional graphs")
+    spec, k = tmp_path / "k.spec", str(tmp_path / "k.json")
+    spec.write_text(text + "\n")
+    assert main(["species", "compile", "-f", str(spec), "--target", target, "-o", k]) == 0
+    code, out, err = run(capsys, "equiv", "-a", k, "-b", k, "--tree-series", "--cap", "5")
+    assert (code, err) == (0, "")
+    exponent = json.loads(out)["bound"]["exponent"]
+    # the verdict's bound is that of the Hadamard square of K - K
+    neg, d, square = (str(tmp_path / f"{name}.json") for name in ("neg", "d", "square"))
+    for op in (["ts-scale", "-a", k, "-c", "-1", "-o", neg], ["ts-add", "-a", k, "-b", neg, "-o", d],
+               ["ts-hadamard", "-a", d, "-b", d, "-o", square]):
+        assert main(["op", *op]) == 0
+    code, out, _ = run(capsys, "bound", "-a", square, "--format", "json")
+    m = json.loads(out)["M"]
+    assert code == 0 and len(exponent) > 4300 and exponent == str(m * 2**m)
+
+
+def test_species_compile_writes_a_weight_of_more_than_4300_digits(tmp_path, capsys):
+    # set(X, card>=1800) subtracts X^1799/1799!, and 1799! has 5,077 digits
+    spec, out = tmp_path / "a.spec", str(tmp_path / "a.json")
+    spec.write_text("A = set(X, card>=1800)\n")
+    code, _, err = run(capsys, "species", "compile", "-f", str(spec), "-o", out)
+    assert (code, err) == (0, "")
+    code, text, _ = run(capsys, "series", "-a", out, "-n", "1801", "--counts")
+    counts = [line.split()[1] for line in text.splitlines()]
+    assert code == 0 and counts == ["0"] * 1800 + ["1", "1"]
 
 
 def test_compile_rda_y_to_the_10_20_compiles_quickly_and_matches_closed_form(tmp_path):

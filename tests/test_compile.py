@@ -300,7 +300,7 @@ GOLD_DIMENSIONS = {
     "functional graphs": (13, 13),
     "set partitions": (6, 4),
     "non-plane ternary trees": (7, 11),
-    "hierarchies": (6, 9),
+    "hierarchies": (7, 9),
     "3-constrained functional graphs": (19, 40),
     "3-balanced hierarchies": (11, 7),
     "surjections": (6, 5),
@@ -371,7 +371,7 @@ COMPILED_SHA256 = {
     ("system", "hierarchies"):
         "cf69ff5a54c3e57f0c1f9f24d62ec54250bf551676ef595f027bd117c5a5ae11",
     ("species", "hierarchies"):
-        "703b421b9b36410e068e4423124fcc27eff88c4ef4ca11414459bb4f79e49fa8",
+        "a7d407213b1d6edce6594711c6dc1e1374bb04eda79f0672d0aeb9a072d13215",
     ("system", "3-constrained functional graphs"):
         "9079a5af1dbb06745e437bc2a52673cd849da0ef35a6a99eac1da8ab672fa84c",
     ("species", "3-constrained functional graphs"):

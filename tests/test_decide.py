@@ -355,11 +355,11 @@ def _hierarchies():
 
 
 def test_hierarchies_minus_itself_is_zero_as_tree_series():
-    # the Hadamard square of H - H has dimension 196; scanned to cap 12
+    # the Hadamard square of H - H has dimension 256; scanned to cap 12
     h = _hierarchies()
     verdict = check_zero_tree_series(ts_add(h, ts_scale(h, -1)), 12)
     assert isinstance(verdict, ZeroUpTo) and verdict.n == 12
-    assert verdict.bound.dimension == 14 * 14
+    assert verdict.bound.dimension == 16 * 16
 
 
 def test_bound_repr_stays_short():

@@ -15,6 +15,8 @@ from treeseries.errors import (
 )
 from treeseries.series import generating_prefix
 from treeseries.species import (
+    SpCycle,
+    SpOne,
     SpProd,
     SpRef,
     SpSet,
@@ -310,6 +312,100 @@ def test_nested_set_growth_is_pinned():
             cells = sum(len(a.weight(name).cells) for name, k in a.alphabet.symbols if k >= 1)
             grown.append((a.dimension, cells))
     assert grown == [(64, 316), (150, 1312), (366, 5535)]
+
+
+@pytest.mark.parametrize("text, sets", [
+    ("A = set(X, card>={k})", 1),
+    ("A = X + set(A, card>={k})", 1),
+    ("A = set(set(X, card>={k}), card>={k})", 2),
+])
+def test_card_ge_growth_is_logarithmic_in_k(text, sets):
+    # set(A, card>=k) writes two powers, A^(k-1) and A^(k-2), and the compiler
+    # splits each into about log2 k squarings: doubling k adds at most 4 states
+    # and 4 cells per set
+    grown = []
+    for k in (250, 500, 1000, 2000):
+        a = compile_rda(species_to_rds(parse_species(text.format(k=k))))
+        grown.append((a.dimension, sum(len(m.cells) for _, m in a.weights)))
+    for (states, cells), (more_states, more_cells) in zip(grown, grown[1:]):
+        assert more_states - states <= 4 * sets and more_cells - cells <= 4 * sets, grown
+    if text == "A = set(X, card>={k})":
+        assert grown == [(15, 16), (19, 20), (21, 22), (23, 24)]
+
+
+# ---------------------------------------------------------------------------
+# set(A, card>=k) against an oracle that sums its powers
+
+
+def _times(a, b):
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(len(a))]
+
+
+def _power_sum(a, weight, js):
+    """sum over j in js of weight(j) * a^j, on the prefix of a, a(0) = 0: a^j
+    vanishes below degree j, so powers past the prefix add nothing."""
+    total, power = [F(0)] * len(a), [F(1)] + [F(0)] * (len(a) - 1)
+    for j in range(len(a)):
+        if j in js:
+            total = [t + weight(j) * p for t, p in zip(total, power)]
+        power = _times(power, a)
+    return total
+
+
+def _oracle_value(e, values, n):
+    if isinstance(e, SpOne):
+        return [F(1)] + [F(0)] * n
+    if isinstance(e, SpX):
+        return [F(0), F(1)] + [F(0)] * (n - 1)
+    if isinstance(e, SpRef):
+        return values[e.name]
+    args = [_oracle_value(arg, values, n) for arg in getattr(e, "args", ())]
+    if isinstance(e, SpSum):
+        return [sum(c) for c in zip(*args)]
+    if isinstance(e, SpProd):
+        product = args[0]
+        for arg in args[1:]:
+            product = _times(product, arg)
+        return product
+    a = _oracle_value(e.arg, values, n)
+    if isinstance(e, SpCycle):
+        return _power_sum(a, lambda j: F(1, j), range(1, n + 1))
+    kind, k = e.card or ("ge", 0)
+    js = range(k, k + 1) if kind == "eq" else range(k, n + 1)
+    weight = (lambda j: F(1, math.factorial(j))) if isinstance(e, SpSet) else (lambda j: F(1))
+    return _power_sum(a, weight, js)
+
+
+def _oracle_counts(text, n):
+    """Counts of sizes 0..n of the first name, from the EGF prefixes of every
+    name, iterated from zero to a fixpoint: each round fixes at least one more
+    coefficient of a recursive name."""
+    spec = parse_species(text)
+    values = {name: [F(0)] * (n + 1) for name in spec.names()}
+    for _ in range((n + 2) * len(values)):
+        new = {name: _oracle_value(e, values, n) for name, e in spec.equations}
+        if new == values:
+            return [c * math.factorial(m) for m, c in enumerate(values[spec.names()[0]])]
+        values = new
+    raise AssertionError("the prefixes do not reach a fixpoint")
+
+
+def _card_ge_specifications():
+    for k in range(10):
+        j = max(k, 1)  # an inner set must have no empty structure
+        yield f"A = set(X, card>={k})"
+        yield f"A = set(set(X, card>={j}), card>={k})"
+        yield f"A = set(set(set(X, card>={j}), card>={j}), card>={k})"
+        yield f"A = X + X*set(A, card>={k})"
+        if k >= 2:
+            yield f"A = X + set(A, card>={k})"
+        yield f"A = X*set(X, card>={k})*set(cycle(X), card>={k})"
+        yield f"A = set(B, card>={k})\nB = X + X*A"
+
+
+@pytest.mark.parametrize("text", _card_ge_specifications())
+def test_card_ge_counts_match_the_power_sum_oracle(text):
+    assert count_species(parse_species(text), n_max=20) == _oracle_counts(text, 20)
 
 
 # ---------------------------------------------------------------------------
