@@ -19,7 +19,7 @@ import functools
 import operator
 from fractions import Fraction
 
-from ._poly import power
+from ._poly import grlex, power
 from ._record import record
 from .errors import ParseError
 from .exactmath import MultiPolynomial
@@ -293,20 +293,17 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: MultiPolynomial, den: MultiPolynomial = None):
-        if den is None:
-            den = MultiPolynomial.const(num.nvars, 1)
-        if den.is_zero:
+        if den is not None and den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
+        if den is None or num.is_zero:
             den = MultiPolynomial.const(num.nvars, 1)
         else:
-            lead = den.sorted_terms()[0][1]
+            lead = max(den.terms.items(), key=grlex)[1]
             if lead != 1:
                 num = num.scale(1 / lead)
                 den = den.scale(1 / lead)
             if num.terms == den.terms:
-                num = MultiPolynomial.const(num.nvars, 1)
-                den = MultiPolynomial.const(num.nvars, 1)
+                num = den = MultiPolynomial.const(num.nvars, 1)
         self.num = num
         self.den = den
 

@@ -4,7 +4,8 @@ A ``UniPolynomial`` stores coefficients lowest degree first with no trailing
 zeros.  A ``MultiPolynomial`` over variables x0..xk maps exponent tuples to
 nonzero coefficients.  Neither is changed after construction, so results
 may share them (``p.pow(1)`` is ``p``).  ``exactmath`` builds the size-weight
-functions on them and binds every name defined here but ``_ONE`` and ``power``.
+functions on them and binds every name defined here but ``_ONE``, ``grlex`` and
+``power``.
 """
 
 from __future__ import annotations
@@ -19,11 +20,14 @@ _ONE = (Fraction(1),)  # coefficients of the constant polynomial 1
 def _frac(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot coerce {value!r} to a rational")
+
+
+def grlex(term):
+    """Graded lexicographic sort key of a term (exponents, coefficient)."""
+    return sum(term[0]), term[0]
 
 
 def power(base, e: int, one):
@@ -49,7 +53,7 @@ class UniPolynomial:
     __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs=()):
-        cs = [_frac(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else _frac(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -57,7 +61,7 @@ class UniPolynomial:
 
     @classmethod
     def const(cls, c) -> "UniPolynomial":
-        return cls((_frac(c),))
+        return cls((c,))
 
     @classmethod
     def x(cls) -> "UniPolynomial":
@@ -217,12 +221,12 @@ class MultiPolynomial:
         clean = {}
         if terms:
             for exps, coeff in terms.items():
-                coeff = _frac(coeff)
-                if coeff == 0:
-                    continue
-                if len(exps) != nvars:
-                    raise ValueError("exponent tuple has wrong length")
-                clean[tuple(exps)] = coeff
+                if type(coeff) is not Fraction:
+                    coeff = _frac(coeff)
+                if coeff:
+                    if len(exps) != nvars:
+                        raise ValueError("exponent tuple has wrong length")
+                    clean[tuple(exps)] = coeff
         self.terms = clean
         self._hash = None
 
@@ -232,9 +236,6 @@ class MultiPolynomial:
 
     @classmethod
     def const(cls, nvars: int, c) -> "MultiPolynomial":
-        c = _frac(c)
-        if c == 0:
-            return cls(nvars)
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
@@ -247,10 +248,9 @@ class MultiPolynomial:
     def from_uni(cls, p: UniPolynomial, nvars: int, index: int) -> "MultiPolynomial":
         terms = {}
         for e, c in enumerate(p.coeffs):
-            if c != 0:
-                exps = [0] * nvars
-                exps[index] = e
-                terms[tuple(exps)] = c
+            exps = [0] * nvars
+            exps[index] = e
+            terms[tuple(exps)] = c
         return cls(nvars, terms)
 
     def to_uni(self, index: int) -> UniPolynomial:
@@ -294,16 +294,14 @@ class MultiPolynomial:
 
     def sorted_terms(self):
         """Terms in descending graded lexicographic order, x0 weightiest."""
-        return sorted(
-            self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True
-        )
+        return sorted(self.terms.items(), key=grlex, reverse=True)
 
     def __add__(self, other: "MultiPolynomial") -> "MultiPolynomial":
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
+            out[exps] = out[exps] + c if exps in out else c
         return MultiPolynomial(self.nvars, out)
 
     def __neg__(self) -> "MultiPolynomial":
@@ -319,7 +317,7 @@ class MultiPolynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
         return MultiPolynomial(self.nvars, out)
 
     def scale(self, c) -> "MultiPolynomial":
@@ -363,7 +361,7 @@ class MultiPolynomial:
                     cache[e] = images[i].pow(e)
                 term = term * cache[e]
             for key, value in term.terms.items():
-                acc[key] = acc.get(key, 0) + value
+                acc[key] = acc[key] + value if key in acc else value
         return MultiPolynomial(nvars, acc)
 
     def restrict(self, keep) -> "MultiPolynomial":
@@ -385,5 +383,5 @@ class MultiPolynomial:
             if e == 0:
                 continue
             key = tuple(v - 1 if i == index else v for i, v in enumerate(exps))
-            out[key] = out.get(key, Fraction(0)) + c * e
+            out[key] = out[key] + c * e if key in out else c * e
         return MultiPolynomial(self.nvars, out)

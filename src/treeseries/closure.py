@@ -70,7 +70,7 @@ class FinalVector:
             elif isinstance(e, poly):
                 packed.append((e, poly.const(1)))
             else:
-                packed.append((poly.const(exactmath._frac(e)), poly.const(1)))
+                packed.append((poly.const(e), poly.const(1)))
         return cls(tuple(packed))
 
     @classmethod

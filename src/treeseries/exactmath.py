@@ -22,10 +22,16 @@ other modules read here (``UniPolynomial``, ``MultiPolynomial``,
 ``CommonDenominatorForm``, ``normalize_common_denominator``) are bound to
 the defining objects.  The text forms (``format_*``) live in ``_format``
 and are read from it on first use (``__getattr__`` below).
+
+``SizeRational(num, dens)`` checks every value it builds, the results of its
+ring operations included: each denominator of a nonzero value must pass
+``_check_denominator``.  A bounded ``functools.lru_cache`` remembers the
+passes, by denominator and slot; a refusal raises and is never stored.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from . import _expr, _format
@@ -48,6 +54,10 @@ def __getattr__(name):
 # the restricted ring of size-weight functions
 
 
+_ONE = UniPolynomial.const(1)  # the trivial denominator, shared by every value
+
+
+@functools.lru_cache(maxsize=1024)
 def _check_denominator(q: UniPolynomial, slot: int):
     if q.is_zero:
         raise InvalidDenominator("denominator is the zero polynomial")
@@ -74,28 +84,20 @@ class SizeRational:
 
     def __init__(self, num: MultiPolynomial, dens=None):
         nvars = num.nvars
-        if dens is None:
-            dens = [UniPolynomial.const(1)] * nvars
-        dens = list(dens)
+        dens = [_ONE] * nvars if dens is None else list(dens)
         if len(dens) != nvars:
             raise ValueError("need one denominator per variable")
         if num.is_zero:
-            self.num = num
-            self.dens = tuple(UniPolynomial.const(1) for _ in range(nvars))
-            return
-        scale = Fraction(1)
-        monic = []
+            dens = [_ONE] * nvars
+        scale = 1
         for slot, q in enumerate(dens):
             _check_denominator(q, slot)
-            if q.degree == 0:
-                scale *= q.coeffs[0]
-                monic.append(UniPolynomial.const(1))
-            else:
-                m, lead = q.monic()
+            lead = q.coeffs[-1]
+            if lead != 1:  # a monic q is kept as it is
                 scale *= lead
-                monic.append(m)
+                dens[slot] = q.monic()[0] if q.degree else _ONE
         self.num = num.scale(1 / scale) if scale != 1 else num
-        self.dens = tuple(monic)
+        self.dens = tuple(dens)
 
     # -- constructors -------------------------------------------------------
 
@@ -148,19 +150,11 @@ class SizeRational:
     def __mul__(self, other: "SizeRational") -> "SizeRational":
         if self.nvars != other.nvars:
             raise ValueError("arity mismatch")
-        if self.is_zero or other.is_zero:
-            return SizeRational(MultiPolynomial(self.nvars))
         dens = [qa * qb for qa, qb in zip(self.dens, other.dens)]
         return SizeRational(self.num * other.num, dens)
 
     def scale(self, c) -> "SizeRational":
-        # self's denominators are monic and checked already
-        num = self.num.scale(c)
-        if num.is_zero:
-            return SizeRational(num)
-        out = object.__new__(SizeRational)
-        out.num, out.dens = num, self.dens
-        return out
+        return SizeRational(self.num.scale(c), self.dens)
 
     def __eq__(self, other):
         if not isinstance(other, SizeRational) or self.nvars != other.nvars:
@@ -204,7 +198,7 @@ class SizeRational:
                   for i, s in enumerate(shifts)]
         images += [const(nvars, 0) for _ in range(nvars, self.nvars)]
         num = self.num.compose(images)
-        dens = [UniPolynomial.const(1)] * nvars
+        dens = [_ONE] * nvars
         scale = Fraction(1)
         for i, q in enumerate(self.dens):
             if q.is_one:
@@ -267,7 +261,7 @@ def parse_size_rational(text: str, arity: int) -> SizeRational:
     ts = _expr.TokenStream(tokens[:cut] + [_expr.Token("end", "", end.line, end.column)])
     num = polynomial(ts, "the numerator")
     ts.expect_end()
-    dens = [UniPolynomial.const(1)] * nvars
+    dens = [_ONE] * nvars
     if end.kind == "/":
         ts = _expr.TokenStream(tokens[cut + 1 :])
         slot = 0

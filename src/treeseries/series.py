@@ -141,7 +141,11 @@ class ConvolutionEngine:
         d = len(a0)
         dens = {c.denominator for dec in form.symbols.values()
                 for matrix in dec.matrices.values() for c in matrix.values()}
-        den = self._cell_den = lcm(*dens)
+        den = 1  # largest first: a q that divides den costs a remainder, not an lcm
+        for q in sorted(dens, reverse=True):
+            if den % q:
+                den = lcm(den, q)
+        self._cell_den = den
         quotients = {q: den // q for q in dens}
         families = {}  # (Q_1..Q_k, states) -> {(e_1..e_k): [(col, c * den)]}
         for dec in form.symbols.values():

@@ -164,6 +164,19 @@ def test_invariant_violation_exits_3(tmp_path, capsys):
     assert "constant term" in err
 
 
+def test_a_weight_with_a_forbidden_root_exits_3_every_time(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "dimension": 1,
+        "alphabet": [{"name": "a", "arity": 0}, {"name": "f", "arity": 1}],
+        "weights": {"a": {"entries": [{"row": [], "col": 1, "value": "1"}]},
+                    "f": {"entries": [{"row": [1], "col": 1, "value": "1/(x0-2)"}]}},
+    }))
+    for _ in range(2):  # a refusal is not remembered: the second run checks again
+        assert run(capsys, "series", "-a", str(path), "-n", "3") == (
+            3, "", "error: denominator for x0 has forbidden integer root(s) [2]\n")
+
+
 def test_enum_trees(capsys):
     code, out, _ = run(capsys, "enum-trees", "--alphabet", "a/0,f/2", "-n", "2")
     assert code == 0

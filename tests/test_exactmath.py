@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeseries import exactmath
+from treeseries.closure import FinalVector
 from treeseries.errors import (
     DenominatorZero,
     InputFormatError,
+    InvalidBeta,
     InvalidDenominator,
     ZeroPolynomial,
 )
@@ -304,6 +307,52 @@ def test_membership_x0_root_zero_accepted():
     assert f((2, 7)) == F(1, 2)
 
 
+# x0 - 2 and x0^2 + 3*x0 - 10 = (x0 - 2)(x0 + 5): the root 2 is a size of every slot
+FORBIDDEN_ROOT_2 = [("x0-2", up(-2, 1)), ("x0^2+3*x0-10", up(-10, 3, 1))]
+
+
+@pytest.mark.parametrize("text, q", FORBIDDEN_ROOT_2, ids=[t for t, _ in FORBIDDEN_ROOT_2])
+def test_a_forbidden_root_is_refused_on_every_construction(text, q):
+    # the denominator check remembers passes only: each construction of a
+    # refused value misses the cache, runs the check, and refuses again
+    check = exactmath._check_denominator
+    num = MultiPolynomial.const(2, 1)
+    SizeRational(num)  # the constant denominators pass, and are stored
+    constructions = [
+        (lambda: SizeRational(num, [q, up(1)]), InvalidDenominator,
+         "denominator for x0 has forbidden integer root(s) [2]", 1),
+        (lambda: SizeRational(num, [up(1), q]), InvalidDenominator,
+         "denominator for x1 has forbidden integer root(s) [2]", 1),
+        (lambda: parse_size_rational(f"1/({text})", 1), InvalidDenominator,
+         "denominator for x0 has forbidden integer root(s) [2]", 1),
+        # the final vector checks its denominators itself, with no cache
+        (lambda: FinalVector.of((up(1), q)), InvalidBeta,
+         "final vector denominator has nonnegative root(s) [2]", 0),
+    ]
+    for build, error, message, misses in constructions:
+        for _ in range(2):
+            before = check.cache_info()
+            with pytest.raises(error) as info:
+                build()
+            assert str(info.value) == message
+            after = check.cache_info()
+            assert (after.misses - before.misses, after.currsize) == (misses, before.currsize)
+
+
+def test_the_denominator_cache_is_bounded_and_still_refuses_when_full():
+    check = exactmath._check_denominator
+    bound = check.cache_info().maxsize
+    num = MultiPolynomial.const(1, 1)
+    # x0 + k has the root -k, allowed in x0's slot: each one passes, and is stored
+    for k in range(bound + 50):
+        assert SizeRational(num, [up(k, 1)]).dens == (up(k, 1),)
+    assert check.cache_info().currsize == bound
+    for _ in range(2):
+        with pytest.raises(InvalidDenominator, match=r"x0 has forbidden integer root\(s\) \[2\]"):
+            SizeRational(num, [up(-2, 1)])
+    assert check.cache_info().currsize == bound
+
+
 def test_eval_examples():
     f = parse_size_rational("(x1+1)/(x0+1)", 1)
     assert size_rational_eval(f, (1, 0)) == F(1, 2)
@@ -356,6 +405,31 @@ def test_substitute_sizes_agrees_with_evaluation(arity, seed):
                 assert g(point) == f(shifted), (shifts, point)
     with pytest.raises(ValueError):
         f.substitute_sizes((0,) * (arity + 2))
+
+
+def _assert_canonical(f: SizeRational):
+    """Denominators monic (all 1 for zero), every coefficient a Fraction, and
+    the same fields as the value read back from its text form."""
+    if f.is_zero:
+        assert all(q.is_one for q in f.dens)
+    assert all(q.coeffs[-1] == 1 for q in f.dens)
+    coeffs = [*f.num.terms.values()] + [c for q in f.dens for c in q.coeffs]
+    assert all(type(c) is F for c in coeffs), coeffs
+    again = parse_size_rational(format_size_rational(f), f.arity)
+    assert (again.num.nvars, again.num.terms, again.dens) == (f.nvars, f.num.terms, f.dens)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("arity", [1, 2])
+def test_ring_results_are_canonical(arity, seed):
+    rng = random.Random(1000 + seed * 10 + arity)
+    f, g = _seeded_size_rational(rng, arity), _seeded_size_rational(rng, arity)
+    results = [f + g, f * g, f - g, f - f, f * (g - g), f.scale(F(-3, 2)), f.scale(0),
+               f.mul_univariate(up(1, 2), up(6, 2), 0),
+               f.mul_univariate(up(0, 3), up(4, 4, 1), arity)]
+    results += [f.substitute_sizes(shifts) for shifts in [(0,), (1, 0), (2,) * (arity + 1)]]
+    for result in [f, g] + results:
+        _assert_canonical(result)
 
 
 # ---------------------------------------------------------------------------

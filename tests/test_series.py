@@ -1,4 +1,6 @@
+import json
 import math
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -179,6 +181,46 @@ def test_stream_is_resumable(bell):
 
 def test_coefficients_deterministic(bell):
     assert coefficients(bell, 8).vectors == coefficients(bell, 8).vectors
+
+
+# ---------------------------------------------------------------------------
+# the engine's cell denominator
+
+
+def _cell_dens(form) -> set:
+    return {c.denominator for dec in form.symbols.values()
+            for matrix in dec.matrices.values() for c in matrix.values()}
+
+
+def test_cell_denominator_is_the_lcm_of_a_seeded_set():
+    rng = random.Random(7)
+    d, names = 6, [f"f{i}" for i in range(12)]
+    weights = {"a": {"entries": [{"row": [], "col": 1, "value": "1"}]}}
+    for name in names:
+        entries = weights[name] = {"entries": []}
+        for i in range(1, d + 1):
+            for j in range(1, d + 1):
+                if rng.random() < 0.7:
+                    den = 2 ** rng.randrange(40) * 3 ** rng.randrange(25) * rng.choice([1, 5, 7, 35])
+                    entries["entries"].append({"row": [i], "col": j, "value": f"1/{den}"})
+    alphabet = [{"name": "a", "arity": 0}] + [{"name": n, "arity": 1} for n in names]
+    a = automaton_from_json(json.dumps({"dimension": d, "alphabet": alphabet, "weights": weights}))
+    form = common_form(a)
+    dens = _cell_dens(form)
+    assert len(dens) > 100
+    assert ConvolutionEngine(initial_vector(a), form)._cell_den == math.lcm(*dens)
+
+
+def test_cell_denominator_of_the_written_out_exponential_sum():
+    # y' = 1 + x + x^2/2! + ... + x^199/199!, with 200 terms written out
+    rhs = " + ".join(f"x^{k}/{math.factorial(k)}" for k in range(200))
+    a = compile_rda(parse_rds(f"y' = {rhs} ; y(0)=0"))
+    form = common_form(a)
+    dens = _cell_dens(form)
+    engine = ConvolutionEngine(initial_vector(a), form)
+    assert engine._cell_den == math.lcm(*dens) == math.factorial(199)
+    # e^x - 1, the first coefficients of y, through the engine
+    assert [v[0] for v in engine.up_to(6)] == [0] + [F(1, math.factorial(n)) for n in range(1, 7)]
 
 
 # ---------------------------------------------------------------------------
