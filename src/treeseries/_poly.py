@@ -113,14 +113,16 @@ class UniPolynomial:
         return self + (-other)
 
     def __mul__(self, other: "UniPolynomial") -> "UniPolynomial":
-        if self.is_zero or other.is_zero:
-            return UniPolynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+        a, b = self.coeffs, other.coeffs
+        if b == _ONE or not a:  # p * 1 and 0 * q are a factor itself
+            return self
+        if a == _ONE or not b:
+            return other
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
         return UniPolynomial(out)
 
     def scale(self, c) -> "UniPolynomial":

@@ -5,17 +5,16 @@ in the inputs, or out of memory; 4 verdict undecided (ZeroUpTo) under
 --require-decided.
 Errors print one structured line on stderr; there are no tracebacks.
 ``json`` is imported only to read JSON or print a JSON result, ``Fraction``
-only for ``op -c``, and ``argparse`` only for lines that ``_plain_args``
-declines.  One table, ``_COMMANDS``, gives every subcommand its help,
-handler and arguments, and one, ``_OPS``, every ``op`` operation; the
-operations are read from their module when one runs, so ``--help`` runs no
-layer.
+only for ``op -c``, and ``argparse`` (with ``_argparser``) only for lines
+that ``_plain_args`` declines.  One table, ``_COMMANDS``, gives every
+subcommand its help, handler and arguments, and one, ``_OPS``, every ``op``
+operation; the operations are read from their module when one runs, so
+``--help`` runs no layer.
 """
 
 from __future__ import annotations
 
 import gc
-import math
 import sys
 from types import SimpleNamespace
 
@@ -90,7 +89,8 @@ def _cmd_series(args) -> int:
     prefix = series.generating_prefix(a, args.n)
     values = list(prefix.coefficients)
     if args.counts:
-        values = [v * math.factorial(n) for n, v in enumerate(values)]
+        f = 1
+        values = [v * (f := f * (n or 1)) for n, v in enumerate(values)]
     _emit_series(values, args.format)
     return EXIT_OK
 
@@ -281,25 +281,11 @@ _COMMANDS = (
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or, given ``argv``, one on which every
-    subcommand has its name and help but only the one ``argv`` names (its
-    first argument not starting with ``-``) has its arguments: the only
-    subparser that parsing ``argv`` can reach."""
-    import argparse
+    """The parser of ``_argparser``, which is imported, with argparse, only
+    for the lines that ``_plain_args`` declines."""
+    from . import _argparser
 
-    named = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
-    parser = argparse.ArgumentParser(
-        prog="treeseries",
-        description="size-weighted tree automata, their series, and compilers",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, handler, arguments in _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        if named in (None, name):
-            for flag, options in arguments:
-                p.add_argument(flag, **options)
-            p.set_defaults(func=handler)
-    return parser
+    return _argparser.build_parser(argv)
 
 
 def _plain_args(argv):

@@ -26,7 +26,7 @@ from ._expr import Const, TokenStream, expr_variables, parse_expression, stateme
 from ._record import record
 from .core import Automaton, RankedAlphabet, row_index
 from .errors import NotRDA, ParseError, ZeroPolynomial, nesting_guard
-from .exactmath import MultiPolynomial, SizeRational, UniPolynomial, _frac
+from .exactmath import MultiPolynomial, SizeRational, UniPolynomial, _ONE, _frac
 
 # names of this module that _languages defines
 _LANGUAGE_NAMES = frozenset((
@@ -167,7 +167,7 @@ def _add_scaled(terms: dict, c: Fraction, form: dict):
 def _inv_shifted_x0(scale: Fraction) -> SizeRational:
     """1 / (scale * (x0 + 1)) as a SizeRational of arity 1."""
     num = MultiPolynomial.const(2, 1 / scale)
-    return SizeRational(num, [UniPolynomial((1, 1)), UniPolynomial.const(1)])
+    return SizeRational(num, [UniPolynomial((1, 1)), _ONE])
 
 
 def rda_normal_forms(s: RDS):
@@ -232,9 +232,9 @@ def rda_normal_forms(s: RDS):
         z_ref = reps[("z", j)]
         if z_ref is not None:
             # -(x2+1)/(z0_j (x0+1)) on the ordered pair (z_j, y_j)
-            c, one = -z_ref[0] / z0[j], UniPolynomial.const(1)
+            c = -z_ref[0] / z0[j]
             num = MultiPolynomial(3, {(0, 0, 1): c, (0, 0, 0): c})
-            terms[(z_ref[1], ("y", j))] = SizeRational(num, [UniPolynomial((1, 1)), one, one])
+            terms[(z_ref[1], ("y", j))] = SizeRational(num, [UniPolynomial((1, 1)), _ONE, _ONE])
         forms[("y", j)] = terms
 
     def add_product(terms, coeff, i, j):

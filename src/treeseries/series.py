@@ -14,14 +14,18 @@ on every realizable size tuple, so a_n[col] is 1/Q0(n) times the sum, over
 the nonzero cells c = M_{g,e}[row][col], of c times the k-fold Cauchy
 convolution at m = n-1 of the sequences s_i[m] = m^e_i a_m[row_i] / Q_{g,i}(m).
 As n1+...+nk = m, ConvolutionEngine puts nk = m - n1 - ... - n(k-1) into
-nk^ek, making c a polynomial in m, where that merges cells.  It extends each
-sequence by one term per coefficient and keeps the partial convolutions
-s_1 * ... * s_j (j < k) that cells share: the naive quadratic form of online
-series multiplication (van der Hoeven, "Relax, but don't be too lazy", JSC
-2002).  Each is kept fraction-free, as integer numerators over one
-denominator that is lifted when a term brings a new factor, so a convolution
-is one integer dot product.  brute_force_coefficient, which sums mu~ over
-every tree of size n, is the engine's independent oracle.
+nk^ek, making c a polynomial in m, where that merges cells.  Cells of
+constant c_j that share all children but the last, L, and a column need one
+convolution, sum_j c_j (L * R_j) = L * sum_j c_j R_j, where that saves some.
+It extends each sequence by one term per coefficient and keeps the partial
+convolutions s_1 * ... * s_j (j < k) that cells share: the naive quadratic
+form of online series multiplication (van der Hoeven, "Relax, but don't be
+too lazy", JSC 2002).  Each is kept fraction-free, as integer numerators
+over one denominator that is lifted when a term brings a new factor, so a
+convolution is one integer dot product.  brute_force_coefficient, which sums
+mu~ over every tree of size n, is the engine's independent oracle; it and
+the prefix arithmetic are names of this module, but live in ``_prefix``
+(``__getattr__`` below), as no command runs them.
 """
 
 from __future__ import annotations
@@ -31,10 +35,24 @@ from itertools import dropwhile
 from math import gcd, lcm
 from operator import add, mul, not_
 
-from . import core
 from ._record import record
 from .core import Automaton, unrank_row
 from .exactmath import CommonDenominatorForm, UniPolynomial, _frac, normalize_common_denominator
+
+_ZERO = Fraction(0)
+
+# names of this module that _prefix defines
+_PREFIX_NAMES = frozenset((
+    "brute_force_coefficient", "s_derive", "series_add", "series_cauchy", "series_scale",
+))
+
+
+def __getattr__(name):
+    if name in _PREFIX_NAMES:
+        from . import _prefix
+
+        return getattr(_prefix, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @record
@@ -66,28 +84,6 @@ class VectorSeriesPrefix:
         return SeriesPrefix(tuple(v[0] for v in self.vectors))
 
 
-def series_add(s1: SeriesPrefix, s2: SeriesPrefix) -> SeriesPrefix:
-    n = min(len(s1), len(s2))
-    return SeriesPrefix(tuple(s1[i] + s2[i] for i in range(n)))
-
-
-def series_scale(s: SeriesPrefix, c) -> SeriesPrefix:
-    c = _frac(c)
-    return SeriesPrefix(tuple(a * c for a in s.coefficients))
-
-
-def series_cauchy(s1: SeriesPrefix, s2: SeriesPrefix) -> SeriesPrefix:
-    return SeriesPrefix(tuple(
-        sum((s1[i] * s2[m - i] for i in range(m + 1)), Fraction(0))
-        for m in range(min(len(s1), len(s2)))
-    ))
-
-
-def s_derive(s: SeriesPrefix) -> SeriesPrefix:
-    """The operator f -> x f' on prefixes: coefficient n becomes n * a_n."""
-    return SeriesPrefix(tuple(n * a for n, a in enumerate(s.coefficients)))
-
-
 def initial_vector(a: Automaton) -> tuple:
     """a_0: the sum of the nullary weight rows."""
     a0 = [Fraction(0)] * a.dimension
@@ -115,7 +111,13 @@ class _Terms:
         self.den = 1
 
     def append(self, num: int, den: int):
-        """Append num/den, given in lowest terms with den > 0."""
+        """Append num/den, den != 0."""
+        if not num:
+            return self.nums.append(0)
+        g = gcd(num, den)
+        if den < 0:
+            g = -g
+        num, den = num // g, den // g
         shared = self.den
         if shared % den:
             lift = den // gcd(shared, den)
@@ -132,7 +134,11 @@ class ConvolutionEngine:
     and merging equal keys leaves a family fewer keys, the engine uses that
     form: the cells (0,0), (1,0), (0,1) that x0 = 1 + x1 + x2 makes of c*x0
     become one, (m + 1) c at (0,0).  The form keeps x0, as bound, the
-    verdicts and emit-system print what they read from it.
+    verdicts and emit-system print what they read from it.  Then the cells of
+    constant c of a left factor (all children but the last) that reach fewer
+    columns than there are cells become one cell per column, whose sequence
+    sums its members (c, Q, e, state) as c * a_m[state] * m^e / Q(m); a plain
+    sequence is one member with c = 1.
     """
 
     def __init__(self, a0, form: CommonDenominatorForm):
@@ -162,7 +168,20 @@ class ConvolutionEngine:
                 k = len(states)
                 keys = _last_size_eliminated(keys, expansions.setdefault(k, [{(0,) * k: 1}]))
             for exps, targets in keys.items():
-                cells[tuple(zip(qs, exps, states))] = targets
+                cells[tuple(((1, q, e, s),) for q, e, s in zip(qs, exps, states))] = targets
+        groups = {}  # left factor -> (keys of constant c, col -> members (c, Q, e, state))
+        for key, targets in cells.items():
+            if key[1:] and all(c.__class__ is int for _, c in targets):
+                keys, sums = groups.setdefault(key[:-1], ([], {}))
+                keys.append(key)
+                for col, c in targets:
+                    sums.setdefault(col, []).append((c, *key[-1][0][1:]))
+        for left, (keys, sums) in groups.items():
+            if len(sums) < len(keys):
+                for key in keys:
+                    del cells[key]
+                for col, members in sums.items():
+                    cells.setdefault(left + (tuple(members),), []).append((col, 1))
         convs = {}  # key prefix -> its sequence (length 1) or partial convolution
         for key in cells:
             for j in range(len(key)):
@@ -170,8 +189,8 @@ class ConvolutionEngine:
                 if j > 1:
                     convs.setdefault(key[:j], _Terms())
         self._sequences = [
-            (state, _cleared(q) + (e,), terms)
-            for ((q, e, state), *longer), terms in convs.items() if not longer
+            ([(c, _cleared(q), e, state) for c, q, e, state in members], terms)
+            for (members, *longer), terms in convs.items() if not longer
         ]
         # a prefix is inserted after its left factor, which is so computed first
         self._partials = [
@@ -189,28 +208,22 @@ class ConvolutionEngine:
     def _step(self):
         m = len(self.vectors) - 1
         last = self.vectors[m]
-        for state, (poly, c, e), terms in self._sequences:
-            v = last[state]
-            if not v:
-                terms.nums.append(0)
-                continue
-            q = _at(poly, m)  # term m is v * m^e / Q(m) = v * m^e * c / q
-            if not q:
-                raise ZeroDivisionError(f"denominator vanishes at size {m}")
-            if q < 0:
-                q, c = -q, -c
-            num = v.numerator * m**e * c
-            den = v.denominator * q
-            g = gcd(num, den)
-            terms.append(num // g, den // g)
+        for members, terms in self._sequences:
+            num, den = 0, 1
+            for c, (poly, qc), e, state in members:
+                v = last[state]
+                if v:  # c * v * m^e / Q(m) = c * v * m^e * qc / q
+                    q = _at(poly, m)
+                    if not q:
+                        raise ZeroDivisionError(f"denominator vanishes at size {m}")
+                    n, d = c * qc * v.numerator * m**e, v.denominator * q
+                    if den == d:
+                        num += n
+                    else:
+                        num, den = num * d + n * den, den * d
+            terms.append(num, den)
         for left, right, terms in self._partials:
-            num = _dot(left, right)
-            if num:
-                den = left.den * right.den
-                g = gcd(num, den)
-                terms.append(num // g, den // g)
-            else:
-                terms.nums.append(0)
+            terms.append(_dot(left, right), left.den * right.den)
         nums, dens = [0] * len(last), [1] * len(last)
         for left, right, targets in self._cells:
             if left is None:
@@ -222,19 +235,16 @@ class ConvolutionEngine:
             for col, c in targets:
                 if c.__class__ is tuple:
                     c = _at(c, m)
-                acc = nums[col]
-                if not acc:
-                    nums[col], dens[col] = c * num, den
-                elif dens[col] == den:
-                    nums[col] = acc + c * num
+                if dens[col] == den:
+                    nums[col] += c * num
                 else:
                     g = gcd(dens[col], den)
-                    nums[col] = acc * (den // g) + c * num * (dens[col] // g)
+                    nums[col] = nums[col] * (den // g) + c * num * (dens[col] // g)
                     dens[col] = dens[col] // g * den
         q0_poly, q0_den = self._q0
         q = _at(q0_poly, m + 1) * self._cell_den
         self.vectors.append(
-            tuple(Fraction(num * q0_den, den * q) for num, den in zip(nums, dens))
+            tuple(Fraction(num * q0_den, den * q) if num else _ZERO for num, den in zip(nums, dens))
         )
 
 
@@ -313,12 +323,3 @@ def coefficients(a: Automaton, n_max: int) -> VectorSeriesPrefix:
 def generating_prefix(a: Automaton, n_max: int) -> SeriesPrefix:
     """First components of the coefficient vectors: the generating function."""
     return coefficients(a, n_max).firsts()
-
-
-def brute_force_coefficient(a: Automaton, n: int):
-    """Sum of mu~(t) over every tree of size n, by exhaustive enumeration."""
-    acc = [Fraction(0)] * a.dimension
-    for vec in core.mu_tildes(a, core.enumerate_trees(a.alphabet, n)):
-        for j, v in enumerate(vec):
-            acc[j] += v
-    return tuple(acc)

@@ -418,12 +418,13 @@ def count_species(spec: SpeciesSpec, target: str = None, n_max: int = 10):
     """Numbers of labelled structures of sizes 0..n_max, via the automaton."""
     rds = species_to_rds(spec, target)
     prefix = series.generating_prefix(compile_rda(rds), n_max)
-    counts = []
+    counts, factorial = [], 1
     for n, c in enumerate(prefix.coefficients):
-        value = c * math.factorial(n)
-        if value.denominator != 1 or value < 0:
+        factorial *= n or 1
+        count, rest = divmod(c.numerator * factorial, c.denominator)
+        if rest or count < 0:
             raise NonIntegerCount(
-                f"count at size {n} is {value}, not a nonnegative integer"
+                f"count at size {n} is {c * factorial}, not a nonnegative integer"
             )
-        counts.append(int(value))
+        counts.append(count)
     return counts

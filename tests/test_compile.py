@@ -32,6 +32,7 @@ from treeseries.errors import (
     ParseError,
     SeparantVanishes,
 )
+from treeseries import exactmath
 from treeseries.exactmath import MultiPolynomial, UniPolynomial
 from treeseries.series import generating_prefix
 from treeseries.species import parse_species, species_to_rds
@@ -324,6 +325,15 @@ def test_gold_compiled_dimension_and_prefix(label, source):
     assert a.dimension == GOLD_DIMENSIONS[label][0 if source == "species" else 1]
     expected = taylor_oracle(s, 8)[s.variables[0]].coefficients
     assert generating_prefix(a, 8).coefficients == expected
+
+
+@pytest.mark.parametrize("label, source", GOLD_SOURCES)
+def test_compiled_trivial_denominators_are_the_shared_one(label, source):
+    # the denominator check's cache then finds each of them by identity
+    a = compile_rda(_gold_rds(label, source))
+    trivial = [q for name, k in a.alphabet.symbols if k
+               for entry in a.weight(name).cells.values() for q in entry.dens if q.is_one]
+    assert trivial and all(q is exactmath._ONE for q in trivial)
 
 
 def test_normal_forms_stay_in_ring():

@@ -192,6 +192,22 @@ def test_unipoly_ring_laws(a, b, c):
 
 
 @settings(max_examples=60, deadline=None)
+@given(unipolys(), unipolys(), size_rationals())
+def test_unipoly_product_by_one_is_the_other_factor(a, b, f):
+    one, zero = UniPolynomial.const(1), UniPolynomial()
+    assert a * one is a and (one * a is a or a.is_one)
+    for p, q in [(a, b), (a, one), (one, b), (a, zero), (zero, b), (a, UniPolynomial.const(F(1, 2)))]:
+        expected = [F(0)] * (len(p.coeffs) + len(q.coeffs))
+        for i, x in enumerate(p.coeffs):
+            for j, y in enumerate(q.coeffs):
+                expected[i + j] += x * y
+        assert p * q == UniPolynomial(expected)
+    # a product by a constant keeps the very denominators, which the
+    # denominator check's cache then finds by identity
+    assert all(x is y for x, y in zip((f * SizeRational.const(1, 3)).dens, f.dens))
+
+
+@settings(max_examples=60, deadline=None)
 @given(multipolys(), multipolys(), multipolys())
 def test_multipoly_ring_laws(a, b, c):
     assert a + b == b + a

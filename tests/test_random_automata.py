@@ -461,3 +461,49 @@ def test_engine_convolves_no_more_than_the_form_keys(seed):
     for alphabet in (_TERNARY, _WIDE):
         a = _seeded_automaton(seed, alphabet, 2 + seed % 2)
         assert dots_per_coefficient(a) <= form_key_convolutions(a)
+
+
+# weights of the cells that share a left factor: constants and the sizes of
+# the first children, which keep a cell's coefficient constant, and the last
+# child's size and denominator, which go into the summed sequence; x_k^2 may
+# turn a coefficient into a polynomial in m, which the engine keeps apart.  No
+# weight has a denominator in x0, whose rewrite would do that to every cell
+_SHARED_POOLS = {
+    2: (["1", "-2", "2/3", "x1", "1/(1)*(x1+1)"], ["x2", "1/(1)*(1)*(x2+2)", "x2^2", "x1*x2"]),
+    3: (["1", "-1/2", "x1*x2", "1/(1)*(x1+1)*(1)"], ["x3", "1/(1)*(1)*(1)*(x3+1)", "x3^2"]),
+}
+
+
+def _shared_left_automaton(seed: int) -> Automaton:
+    """Three states over a/0, u/1, f/2, t/3.  For two left factors (the
+    states of all children but the last) per symbol, 2 or 3 rows that differ
+    only in the last state put weights into one column: cells that share a
+    left factor and a column, a partial convolution of two sequences being
+    the left factor of the ternary ones.  The first left factor's weights
+    are constants and sizes of the first children only."""
+    rng = random.Random(seed)
+    d = 3
+    weights = {
+        "a": [[rng.choice([-1, 1, 2]) for _ in range(d)]],
+        "u": {(rng.randrange(d), rng.randrange(d)): rng.choice(["1", "x1", "-1/3"])},
+    }
+    for name, k in (("f", 2), ("t", 3)):
+        first, more = _SHARED_POOLS[k]
+        cells = {}
+        for pool in (first, first + more):
+            left, col = tuple(rng.randrange(d) for _ in range(k - 1)), rng.randrange(d)
+            for last in rng.sample(range(d), rng.randint(2, d)):
+                cells[(row_index(left + (last,), d), col)] = rng.choice(pool)
+        weights[name] = cells
+    return Automaton.build(d, _WIDE, weights)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_engine_matches_size_dp_on_cells_that_share_a_left_factor(seed):
+    a = _shared_left_automaton(seed)
+    engine = ConvolutionEngine(initial_vector(a), common_form(a))
+    # some cell convolves a partial convolution with a sequence that sums cells
+    summed = {terms for members, terms in engine._sequences if len(members) > 1}
+    partials = {terms for *_, terms in engine._partials}
+    assert any(left in partials and right in summed for left, right, _ in engine._cells)
+    assert tuple(engine.up_to(25)) == _size_dp(a, 25)

@@ -440,6 +440,21 @@ def test_labelled_trees_counts():
     assert count_species(spec, "A", 5) == [0, 1, 2, 9, 64, 625]
 
 
+@pytest.mark.parametrize("coefficients, message", [
+    ((F(1), F(1), F(7, 4)), "count at size 2 is 7/2, not a nonnegative integer"),
+    ((F(1), F(-3)), "count at size 1 is -3, not a nonnegative integer"),
+])
+def test_a_count_that_is_no_nonnegative_integer_is_refused(monkeypatch, coefficients, message):
+    # the prefix of a series whose coefficients times n! are no counts
+    from treeseries import series
+    from treeseries.errors import NonIntegerCount
+
+    monkeypatch.setattr(series, "generating_prefix", lambda a, n: series.SeriesPrefix(coefficients))
+    with pytest.raises(NonIntegerCount) as info:
+        count_species(parse_species(BELL_SPECIES_TEXT), None, len(coefficients) - 1)
+    assert str(info.value) == message
+
+
 def test_surjection_counts_match_fubini_recurrence():
     # a_n = sum_{k=1..n} C(n,k) a_{n-k}, a_0 = 1
     fubini = [1]
