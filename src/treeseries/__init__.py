@@ -12,9 +12,10 @@ the layers it calls; every layer is still in ``sys.modules`` as soon as the
 package is imported.
 
 ``core``, ``exactmath``, ``closure``, ``compile`` and ``decide`` keep code
-few commands run in ``_trees``, ``_format``, ``_shift``, ``_languages`` and
-``_system``, and read those names from them on first use through a
-module-level ``__getattr__`` over a name table, just as this package does.
+few commands run in ``_trees``, ``_format``, ``_reader``, ``_shift``,
+``_languages`` and ``_system``, and read those names from them on first use
+through a module-level ``__getattr__`` over a name table, just as this
+package does.
 """
 
 import importlib.util
@@ -129,7 +130,7 @@ decide = _lazy("decide")
 species = _lazy("species")
 # modules split off layers are registered but not bound, so the package's
 # names stay the ones it has always offered; __getattr__ finds them
-for _split in ("_format", "_shift", "_system"):
+for _split in ("_format", "_reader", "_shift", "_system"):
     _lazy(_split)
 del _split
 

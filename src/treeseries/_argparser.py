@@ -17,10 +17,10 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         description="size-weighted tree automata, their series, and compilers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, handler, arguments in cli._COMMANDS:
+    for name, help_text, module, arguments in cli._COMMANDS:
         p = sub.add_parser(name, help=help_text)
         if named in (None, name):
             for flag, options in arguments:
                 p.add_argument(flag, **options)
-            p.set_defaults(func=handler)
+            p.set_defaults(module=module)
     return parser

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import series
+from . import cli, series
 from ._expr import RatFunc, Token, TokenStream, expr_variables, parse_expression, statements, to_ratfunc
 from ._record import record
-from .compile import RDS, _at_zero, _index_tuple, _parse_init_clause
+from .compile import RDS, _at_zero, _index_tuple, _parse_init_clause, parse_rds
 from .core import Automaton, RankedAlphabet, row_index
 from .errors import (
     InvalidJet,
@@ -395,3 +395,15 @@ def parse_da(text: str) -> DAEquation:
             raise ParseError(f"missing jet value {name}(0)")
         jet.append(init[name])
     return DAEquation(poly, tuple(jet))
+
+
+# ---------------------------------------------------------------------------
+# the `taylor` command
+
+
+def _cmd_taylor(args) -> int:
+    rds = parse_rds(cli._read(args.file))
+    result = taylor_oracle(rds, args.n)
+    for name in rds.variables:
+        print(f"{name}: " + " ".join(str(v) for v in result[name].coefficients))
+    return cli.EXIT_OK

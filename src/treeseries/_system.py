@@ -9,11 +9,14 @@ zeroness and equivalence scans use the same form, but never the system.
 
 from __future__ import annotations
 
+import sys
+
+from . import cli
 from ._format import format_unipoly
 from ._record import record
 from .core import Automaton
 from .exactmath import CommonDenominatorForm
-from .series import ConvolutionEngine, VectorSeriesPrefix, common_form, initial_vector
+from .series import ConvolutionEngine, VectorSeriesPrefix, _emit_series, common_form, initial_vector
 
 
 @record
@@ -93,3 +96,17 @@ def emit_differential_system(a: Automaton) -> DifferentialSystem:
         common_form(a),
         {name: k for name, k in a.alphabet.symbols if k >= 1},
     )
+
+
+# ---------------------------------------------------------------------------
+# the `emit-system` command
+
+
+def _cmd_emit_system(args) -> int:
+    system = emit_differential_system(cli._load_automaton(args.automaton))
+    sys.stdout.write(system.equations_text())
+    if args.solve:
+        prefix = system.forward_solve(args.solve)
+        print()
+        _emit_series([v[0] for v in prefix.vectors], "table")
+    return cli.EXIT_OK

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from . import cli
 from ._record import record
 from .core import Automaton, RankedAlphabet, symbol_char
 from .errors import InputFormatError, SymbolMismatch, TooManyTrees, nesting_guard
@@ -277,3 +278,34 @@ def enumerate_trees(alphabet: RankedAlphabet, n: int):
                 out.extend(Tree(name, kids) for kids in itertools.product(*pools))
         by_size.append(out)
     return by_size[n] if n >= 0 else []
+
+
+# ---------------------------------------------------------------------------
+# the `eval` and `enum-trees` commands
+
+
+def _cmd_eval(args) -> int:
+    a = cli._load_automaton(args.automaton)
+    mu_tilde, value = evaluate(a, parse_tree(args.tree))
+    if args.format == "json":
+        out = {"value": str(value)}
+        if args.vector:
+            out["mu_tilde"] = [str(v) for v in mu_tilde]
+        cli._print_json(out)
+    else:
+        print(value)
+        if args.vector:
+            print(" ".join(str(v) for v in mu_tilde))
+    return cli.EXIT_OK
+
+
+def _cmd_enum_trees(args) -> int:
+    pairs = []
+    for part in args.alphabet.split(","):
+        name, _, arity = part.strip().partition("/")
+        if not arity.isdecimal():
+            raise InputFormatError(f"bad alphabet entry {part!r}; use name/arity")
+        pairs.append((name, int(arity)))
+    for t in enumerate_trees(RankedAlphabet.of(*pairs), args.n):
+        print(format_tree(t))
+    return cli.EXIT_OK

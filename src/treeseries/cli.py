@@ -8,17 +8,19 @@ Errors print one structured line on stderr; there are no tracebacks.
 only for ``op -c``, and ``argparse`` (with ``_argparser``) only for lines
 that ``_plain_args`` declines.  One table, ``_COMMANDS``, gives every
 subcommand its help, handler and arguments, and one, ``_OPS``, every ``op``
-operation; the operations are read from their module when one runs, so
-``--help`` runs no layer.
+operation.  Every handler but ``op``'s lives in a module its command runs,
+and handlers and operations are read from their module when one runs, so a
+command compiles no other command's handler and ``--help`` runs no layer.
 """
 
 from __future__ import annotations
 
-import gc
+import atexit
+import os
 import sys
 from types import SimpleNamespace
 
-from . import closure, compile, core, decide, series, species
+from . import _languages, _system, _trees, closure, compile, core, decide, series, species
 from .errors import InputFormatError, TreeSeriesError
 
 EXIT_OK = 0
@@ -52,79 +54,6 @@ def _print_json(value):
     import json
 
     print(json.dumps(value))
-
-
-def _emit_series(values, fmt: str):
-    if fmt == "json":
-        _print_json({"coefficients": [str(v) for v in values]})
-    elif fmt == "csv":
-        print("n,coefficient")
-        for n, v in enumerate(values):
-            print(f"{n},{v}")
-    else:
-        width = max(len(str(len(values) - 1)), 1)
-        vwidth = max((len(str(v)) for v in values), default=1)
-        for n, v in enumerate(values):
-            print(f"{n:>{width}}  {str(v):>{vwidth}}")
-
-
-def _cmd_eval(args) -> int:
-    a = _load_automaton(args.automaton)
-    t = core.parse_tree(args.tree)
-    mu_tilde, value = core.evaluate(a, t)
-    if args.format == "json":
-        out = {"value": str(value)}
-        if args.vector:
-            out["mu_tilde"] = [str(v) for v in mu_tilde]
-        _print_json(out)
-    else:
-        print(value)
-        if args.vector:
-            print(" ".join(str(v) for v in mu_tilde))
-    return EXIT_OK
-
-
-def _cmd_series(args) -> int:
-    a = _load_automaton(args.automaton)
-    prefix = series.generating_prefix(a, args.n)
-    values = list(prefix.coefficients)
-    if args.counts:
-        f = 1
-        values = [v * (f := f * (n or 1)) for n, v in enumerate(values)]
-    _emit_series(values, args.format)
-    return EXIT_OK
-
-
-def _cmd_bound(args) -> int:
-    bound = decide.compute_bound(_load_automaton(args.automaton))
-    if args.format == "json":
-        _print_json({"dimension": bound.dimension, "max_arity": bound.max_arity, "s": bound.s,
-                     "M": bound.m, "B": bound.to_json_dict()})
-    else:
-        print(f"dimension {bound.dimension}, max arity {bound.max_arity}, s {bound.s}")
-        print(f"M = {bound.m}")
-        print(f"B = {bound.describe()}")
-    return EXIT_OK
-
-
-def _verdict_exit(verdict, args) -> int:
-    _print_json(verdict.to_json_dict())
-    if args.require_decided and isinstance(verdict, decide.ZeroUpTo):
-        return EXIT_UNDECIDED
-    return EXIT_OK
-
-
-def _cmd_zero(args) -> int:
-    a = _load_automaton(args.automaton)
-    check = decide.check_zero_tree_series if args.tree_series else decide.check_zero_genfun
-    return _verdict_exit(check(a, args.cap), args)
-
-
-def _cmd_equiv(args) -> int:
-    a = _load_automaton(args.automaton)
-    b = _load_automaton(args.b)
-    check = decide.check_equiv_tree_series if args.tree_series else decide.check_equiv_genfun
-    return _verdict_exit(check(a, b, args.cap), args)
 
 
 # op name -> (the module its function is read from when it runs, the function's
@@ -186,62 +115,6 @@ def _cmd_op(args) -> int:
     return EXIT_OK
 
 
-def _cmd_compile(args) -> int:
-    text = _read(args.file)
-    if args.language == "dfinite":
-        automaton = compile.compile_dfinite(compile.parse_dfinite(text))
-    elif args.language == "cda":
-        automaton = compile.compile_cda(compile.parse_rds(text))
-    elif args.language == "rda":
-        automaton = compile.compile_rda(compile.parse_rds(text))
-    else:
-        automaton = compile.compile_rda(compile.da_to_rds(compile.parse_da(text)))
-    _write_automaton(automaton, args.output)
-    return EXIT_OK
-
-
-def _cmd_species(args) -> int:
-    spec = species.parse_species(_read(args.file))
-    if args.action == "count":
-        counts = species.count_species(spec, args.target, args.n)
-        print(" ".join(str(c) for c in counts))
-    else:
-        rds = species.species_to_rds(spec, args.target)
-        _write_automaton(compile.compile_rda(rds), args.output)
-    return EXIT_OK
-
-
-def _cmd_emit_system(args) -> int:
-    system = decide.emit_differential_system(_load_automaton(args.automaton))
-    sys.stdout.write(system.equations_text())
-    if args.solve:
-        prefix = system.forward_solve(args.solve)
-        print()
-        _emit_series([v[0] for v in prefix.vectors], "table")
-    return EXIT_OK
-
-
-def _cmd_enum_trees(args) -> int:
-    pairs = []
-    for part in args.alphabet.split(","):
-        name, _, arity = part.strip().partition("/")
-        if not arity.isdecimal():
-            raise InputFormatError(f"bad alphabet entry {part!r}; use name/arity")
-        pairs.append((name, int(arity)))
-    alphabet = core.RankedAlphabet.of(*pairs)
-    for t in core.enumerate_trees(alphabet, args.n):
-        print(core.format_tree(t))
-    return EXIT_OK
-
-
-def _cmd_taylor(args) -> int:
-    rds = compile.parse_rds(_read(args.file))
-    result = compile.taylor_oracle(rds, args.n)
-    for name in rds.variables:
-        print(f"{name}: " + " ".join(str(v) for v in result[name].coefficients))
-    return EXIT_OK
-
-
 # the arguments several subcommands share: (flag, keyword arguments of add_argument)
 _AUTOMATON = ("-a", {"dest": "automaton", "required": True})
 _FILE = ("-f", {"dest": "file", "required": True})
@@ -251,32 +124,33 @@ _FORMAT = ("--format", {"choices": ["table", "json"], "default": "table"})
 _DECISION = (("--cap", {"type": int, "default": 50}), ("--tree-series", {"action": "store_true"}),
              ("--require-decided", {"action": "store_true"}))
 
-# every subcommand, in the order of the help text: name, help, handler, arguments
+# every subcommand, in the order of the help text: name, help, the module its
+# handler `_cmd_<name>` (`-` read as `_`) is read from when it runs, arguments
 _COMMANDS = (
-    ("eval", "evaluate an automaton on one tree", _cmd_eval, (
+    ("eval", "evaluate an automaton on one tree", _trees, (
         _AUTOMATON, ("-t", {"dest": "tree", "required": True, "help": "s-expression tree"}),
         ("--vector", {"action": "store_true", "help": "also print mu~(t)"}), _FORMAT)),
-    ("series", "generating-function prefix", _cmd_series, (
+    ("series", "generating-function prefix", series, (
         _AUTOMATON, _N, ("--counts", {"action": "store_true", "help": "multiply by n!"}),
         ("--format", {"choices": ["table", "csv", "json"], "default": "table"}))),
-    ("bound", "zeroness bound of an automaton", _cmd_bound, (_AUTOMATON, _FORMAT)),
-    ("zero", "decide zeroness (series or tree series)", _cmd_zero, (_AUTOMATON, *_DECISION)),
-    ("equiv", "decide equivalence of two automata", _cmd_equiv, (
+    ("bound", "zeroness bound of an automaton", decide, (_AUTOMATON, _FORMAT)),
+    ("zero", "decide zeroness (series or tree series)", decide, (_AUTOMATON, *_DECISION)),
+    ("equiv", "decide equivalence of two automata", decide, (
         _AUTOMATON, ("-b", {"required": True}), *_DECISION)),
-    ("op", "apply a closure operation", _cmd_op, (
+    ("op", "apply a closure operation", sys.modules[__name__], (
         ("name", {"choices": list(_OPS)}), _AUTOMATON, ("-b", {}),
         ("-c", {"dest": "scalar", "help": "rational scalar for the scale ops"}), _OUTPUT)),
-    ("compile", "compile a source file to an automaton", _cmd_compile, (
+    ("compile", "compile a source file to an automaton", compile, (
         ("language", {"choices": ["dfinite", "cda", "rda", "da"]}), _FILE, _OUTPUT)),
-    ("species", "count or compile a species specification", _cmd_species, (
+    ("species", "count or compile a species specification", species, (
         ("action", {"choices": ["count", "compile"]}), _FILE,
         ("--target", {"help": "species name (default: first)"}), _N, _OUTPUT)),
-    ("emit-system", "print the defining differential system", _cmd_emit_system, (
+    ("emit-system", "print the defining differential system", _system, (
         _AUTOMATON, ("--solve", {"type": int, "default": 0, "help": "also forward-solve to n"}))),
-    ("enum-trees", "list all trees of one size", _cmd_enum_trees, (
+    ("enum-trees", "list all trees of one size", _trees, (
         ("--alphabet", {"required": True, "help": 'e.g. "a/0,f/2"'}),
         ("-n", {"type": int, "required": True}))),
-    ("taylor", "solve a rational system term by term", _cmd_taylor, (_FILE, _N)),
+    ("taylor", "solve a rational system term by term", _languages, (_FILE, _N)),
 )
 
 
@@ -315,7 +189,7 @@ def _plain_args(argv):
         given[flag] = value
     if not row or queue or any(o.get("required") and f not in given for f, o in row[3]):
         return None
-    return SimpleNamespace(command=row[0], func=row[2], **{
+    return SimpleNamespace(command=row[0], module=row[2], **{
         o.get("dest", f.lstrip("-").replace("-", "_")):
         given.get(f, o.get("default", False if "action" in o else None)) for f, o in row[3]})
 
@@ -341,7 +215,7 @@ def main(argv=None) -> int:
     args = _plain_args(argv) or build_parser(argv).parse_args(argv)
     try:
         _check_sizes(args)
-        return args.func(args)
+        return getattr(args.module, "_cmd_" + args.command.replace("-", "_"))(args)
     except (InputFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
@@ -359,13 +233,23 @@ def main(argv=None) -> int:
 
 
 def run() -> int:
-    """The command's exit: `main()`, then `gc.freeze()`, so that shutdown's
-    collections skip every object alive by then.  `main` itself never
-    freezes: it runs many times in one process in tests and the benchmark."""
+    """The command's exit: `main()` (or argparse's exit), the atexit
+    callbacks, a flush of stdout and stderr, then `os._exit`, which skips
+    the interpreter's teardown.  If a flush fails, the interpreter exits as
+    usual.  `main` never exits: tests and the benchmark call it many times."""
     try:
-        return main()
-    finally:
-        gc.freeze()
+        code = main()
+    except SystemExit as exc:
+        code = exc.code or 0
+        if not isinstance(code, int):
+            raise
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        return code
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import _languages
+from . import _languages, cli
 from ._expr import Const, TokenStream, expr_variables, parse_expression, statements, to_ratfunc
 from ._record import record
 from .core import Automaton, RankedAlphabet, row_index
@@ -164,10 +164,15 @@ def _add_scaled(terms: dict, c: Fraction, form: dict):
         _add(terms, key, sr.scale(c))
 
 
+# x0 + 1, shared by every cell that divides by it, so that the denominator
+# cache of SizeRational finds it by identity rather than comparing values
+_X0_PLUS_1 = UniPolynomial((1, 1))
+
+
 def _inv_shifted_x0(scale: Fraction) -> SizeRational:
     """1 / (scale * (x0 + 1)) as a SizeRational of arity 1."""
     num = MultiPolynomial.const(2, 1 / scale)
-    return SizeRational(num, [UniPolynomial((1, 1)), _ONE])
+    return SizeRational(num, [_X0_PLUS_1, _ONE])
 
 
 def rda_normal_forms(s: RDS):
@@ -234,7 +239,7 @@ def rda_normal_forms(s: RDS):
             # -(x2+1)/(z0_j (x0+1)) on the ordered pair (z_j, y_j)
             c = -z_ref[0] / z0[j]
             num = MultiPolynomial(3, {(0, 0, 1): c, (0, 0, 0): c})
-            terms[(z_ref[1], ("y", j))] = SizeRational(num, [UniPolynomial((1, 1)), _ONE, _ONE])
+            terms[(z_ref[1], ("y", j))] = SizeRational(num, [_X0_PLUS_1, _ONE, _ONE])
         forms[("y", j)] = terms
 
     def add_product(terms, coeff, i, j):
@@ -396,3 +401,21 @@ def _at_zero(name, name_tok, k_tok):
     if k_tok.text != "0":
         raise ParseError("initial values are given at 0", k_tok.line, k_tok.column)
     return name
+
+
+# ---------------------------------------------------------------------------
+# the `compile` command
+
+
+def _cmd_compile(args) -> int:
+    text = cli._read(args.file)
+    if args.language == "dfinite":
+        automaton = _languages.compile_dfinite(_languages.parse_dfinite(text))
+    elif args.language == "cda":
+        automaton = _languages.compile_cda(parse_rds(text))
+    elif args.language == "rda":
+        automaton = compile_rda(parse_rds(text))
+    else:
+        automaton = compile_rda(_languages.da_to_rds(_languages.parse_da(text)))
+    cli._write_automaton(automaton, args.output)
+    return cli.EXIT_OK

@@ -1,4 +1,4 @@
-"""Ranked alphabets, automata, and the JSON format.
+"""Ranked alphabets and automata.
 
 An automaton is a pair (d, mu): nullary symbols get row vectors in Q^(1xd);
 a symbol of arity k >= 1 gets a d^k x d matrix of SizeRational in x0..xk,
@@ -10,17 +10,17 @@ as dense rows only when a caller indexes it.
 
 Trees, their evaluation and exhaustive tree enumeration are names of this
 module too, but live in ``_trees``, which runs on the first read of one of
-them (``__getattr__`` below): most commands never touch a tree.  So does
-the JSON writer, in ``_format``.
+them (``__getattr__`` below): most commands never touch a tree.  So do the
+JSON reader, in ``_reader``, and the JSON writer, in ``_format``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import _format, _trees, closure, exactmath
+from . import _format, _reader, _trees, closure, exactmath
 from ._record import record
-from .errors import InputFormatError, InvariantError, SymbolMismatch
+from .errors import InvariantError, SymbolMismatch
 
 # names of this module that other modules define
 _ELSEWHERE = {
@@ -29,6 +29,7 @@ _ELSEWHERE = {
         "enumerate_trees", "evaluate", "format_tree", "kron", "mu_tildes",
         "parse_tree", "tree_size",
     ), _trees),
+    "automaton_from_json": _reader,
     "automaton_to_json": _format,
     "FinalVector": closure,
     "absorb_final_vector": closure,
@@ -243,73 +244,3 @@ def unify_alphabets(a1: Automaton, a2: Automaton):
         return a1, a2
     arities = sorted(a1.alphabet.arity_counts().keys() | a2.alphabet.arity_counts().keys())
     return _merge_onto(a1, arities), _merge_onto(a2, arities)
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-
-
-def automaton_from_json(text: str) -> Automaton:
-    import json
-
-    try:
-        payload = json.loads(text, parse_float=str)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise InputFormatError(f"bad automaton JSON: {exc}") from exc
-
-    def expect(value, kind, what):
-        # type(), not isinstance(): a JSON true or false is no integer
-        if type(value) is not kind:
-            raise InputFormatError(f"bad automaton JSON: {what} must be a JSON {kind.__name__}")
-        return value
-
-    try:
-        expect(payload, dict, "the automaton")
-        d = expect(payload["dimension"], int, "the dimension")
-        alphabet = RankedAlphabet.of(*[
-            (expect(s["name"], str, "a symbol name"), expect(s["arity"], int, "an arity"))
-            for s in payload["alphabet"]
-        ])
-        stored = expect(payload.get("weights", {}), dict, "weights")
-        unknown = set(stored) - set(alphabet.names())
-        if unknown:
-            raise InputFormatError(f"bad automaton JSON: weight of {min(unknown)!r}, "
-                                   "which is not in the alphabet")
-        parse_size_rational = exactmath.parse_size_rational
-        parsed = {}  # (text, arity) -> SizeRational: weight strings repeat, values are immutable
-        weights = {}
-        for name, arity in alphabet.symbols:
-            spec = expect(stored.get(name, {}), dict, f"the weight of {name!r}")
-            cells = {}
-            for cell in expect(spec.get("entries", []), list, f"the entries of {name!r}"):
-                expect(cell, dict, f"an entry of {name!r}")
-                if arity == 0:
-                    if cell.get("row", []) != []:
-                        raise InputFormatError(f"bad row {cell['row']} for nullary symbol {name!r}; "
-                                               "use []")
-                    row, value = 0, Fraction(str(cell["value"]))
-                else:
-                    idx = tuple(expect(x, int, "a row index") - 1
-                                for x in expect(cell["row"], list, f"a row of {name!r}"))
-                    if len(idx) != arity or any(not 0 <= x < d for x in idx):
-                        raise InputFormatError(
-                            f"bad row index {cell['row']} for symbol {name!r}"
-                        )
-                    row = row_index(idx, d)
-                    key = (str(cell["value"]), arity)
-                    value = parsed.get(key)
-                    if value is None:
-                        value = parsed[key] = parse_size_rational(*key)
-                col = expect(cell["col"], int, "a column")
-                if not 1 <= col <= d:
-                    raise InputFormatError(f"column {col} out of range 1..{d}")
-                if (row, col - 1) in cells:
-                    raise InputFormatError(
-                        f"bad automaton JSON: two entries of {name!r} at row "
-                        f"{cell.get('row', [])} and column {col}"
-                    )
-                cells[(row, col - 1)] = value
-            weights[name] = cells
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise InputFormatError(f"bad automaton JSON: {exc}") from exc
-    return Automaton.build(d, alphabet, weights)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import _system, closure, core
+from . import _system, cli, closure, core
 from ._record import record
 from .core import Automaton
 from .errors import TooManyTrees
@@ -222,3 +222,38 @@ def check_equiv_tree_series(a1: Automaton, a2: Automaton, cap: int):
         _, v2 = core.evaluate(a2, t)
         return DifferAt(t, (v1, v2))
     return verdict
+
+
+# ---------------------------------------------------------------------------
+# the `bound`, `zero` and `equiv` commands
+
+
+def _cmd_bound(args) -> int:
+    bound = compute_bound(cli._load_automaton(args.automaton))
+    if args.format == "json":
+        cli._print_json({"dimension": bound.dimension, "max_arity": bound.max_arity,
+                         "s": bound.s, "M": bound.m, "B": bound.to_json_dict()})
+    else:
+        print(f"dimension {bound.dimension}, max arity {bound.max_arity}, s {bound.s}")
+        print(f"M = {bound.m}")
+        print(f"B = {bound.describe()}")
+    return cli.EXIT_OK
+
+
+def _verdict_exit(args, tree_series, genfun, *paths) -> int:
+    """Decide on the automata read from ``paths``, print the verdict, and
+    give the exit code: EXIT_UNDECIDED for ZeroUpTo under --require-decided."""
+    check = tree_series if args.tree_series else genfun
+    verdict = check(*map(cli._load_automaton, paths), args.cap)
+    cli._print_json(verdict.to_json_dict())
+    if args.require_decided and isinstance(verdict, ZeroUpTo):
+        return cli.EXIT_UNDECIDED
+    return cli.EXIT_OK
+
+
+def _cmd_zero(args) -> int:
+    return _verdict_exit(args, check_zero_tree_series, check_zero_genfun, args.automaton)
+
+
+def _cmd_equiv(args) -> int:
+    return _verdict_exit(args, check_equiv_tree_series, check_equiv_genfun, args.automaton, args.b)

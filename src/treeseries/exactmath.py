@@ -14,14 +14,14 @@ and the per-variable denominator shape is preserved by sums and products,
 so the set forms a ring.  Denominators are kept factored per variable and
 are never expanded into a joint multivariate denominator.
 
-This module defines ``SizeRational`` and its parser.  The polynomials it is
-built on live in ``_poly``, and the sparse weight matrices and the
-common-denominator normal form in ``_weights``; the names of theirs that
-other modules read here (``UniPolynomial``, ``MultiPolynomial``,
-``poly_gcd``, ``poly_lcm``, ``poly_integer_roots``, ``WeightMatrix``,
-``CommonDenominatorForm``, ``normalize_common_denominator``) are bound to
-the defining objects.  The text forms (``format_*``) live in ``_format``
-and are read from it on first use (``__getattr__`` below).
+This module defines ``SizeRational``.  The polynomials it is built on live
+in ``_poly``, and the sparse weight matrices and the common-denominator
+normal form in ``_weights``; the names of theirs that other modules read
+here (``UniPolynomial``, ``MultiPolynomial``, ``poly_gcd``, ``poly_lcm``,
+``poly_integer_roots``, ``WeightMatrix``, ``CommonDenominatorForm``,
+``normalize_common_denominator``) are bound to the defining objects.  The text forms (``format_*``) live in ``_format``,
+and their parser (``parse_size_rational``) in ``_reader``; both are read
+from there on first use (``__getattr__`` below).
 
 ``SizeRational(num, dens)`` checks every value it builds, the results of its
 ring operations included: each denominator of a nonzero value must pass
@@ -34,10 +34,10 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from . import _expr, _format
+from . import _format, _reader
 from ._poly import MultiPolynomial, UniPolynomial, _frac, poly_gcd, poly_integer_roots, poly_lcm
 from ._weights import CommonDenominatorForm, WeightMatrix, normalize_common_denominator
-from .errors import DenominatorZero, InputFormatError, InvalidDenominator, nesting_guard
+from .errors import DenominatorZero, InvalidDenominator
 
 Rational = Fraction
 
@@ -47,6 +47,8 @@ _FORMAT_NAMES = frozenset(("format_multipoly", "format_size_rational", "format_u
 def __getattr__(name):
     if name in _FORMAT_NAMES:
         return getattr(_format, name)
+    if name == "parse_size_rational":
+        return _reader.parse_size_rational
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -225,60 +227,3 @@ class SizeRational:
 def size_rational_eval(f: SizeRational, point) -> Fraction:
     """Exact value of f at a tuple of sizes."""
     return f(point)
-
-
-# ---------------------------------------------------------------------------
-# text format
-
-
-@nesting_guard(InputFormatError)
-def parse_size_rational(text: str, arity: int) -> SizeRational:
-    """Parse a weight: a polynomial over x0..xk in the expression syntax of
-    the other text formats, then an optional denominator chain
-
-        <polynomial> [ "/" "(" <poly in x0> ")" { "*" "(" <poly in xi> ")" } ]
-
-    whose factor i may only use xi.  The chain starts at the first '/'
-    outside parentheses followed by '('; any other '/' divides inside the
-    numerator."""
-    nvars = arity + 1
-    var_index = {f"x{i}": i for i in range(nvars)}
-
-    def polynomial(ts, what: str) -> MultiPolynomial:
-        value = _expr.to_ratfunc(_expr.parse_expression(ts), var_index, nvars)
-        if not value.is_polynomial():
-            raise InputFormatError(f"{what} of {text!r} is not a polynomial")
-        return value.num
-
-    tokens = _expr.tokenize(text)
-    depth, cut = 0, len(tokens) - 1  # the chain's '/', else the end token
-    for i, tok in enumerate(tokens):
-        depth += (tok.kind == "(") - (tok.kind == ")")
-        if tok.kind == "/" and depth == 0 and tokens[i + 1].kind == "(":
-            cut = i
-            break
-    end = tokens[cut]
-    ts = _expr.TokenStream(tokens[:cut] + [_expr.Token("end", "", end.line, end.column)])
-    num = polynomial(ts, "the numerator")
-    ts.expect_end()
-    dens = [_ONE] * nvars
-    if end.kind == "/":
-        ts = _expr.TokenStream(tokens[cut + 1 :])
-        slot = 0
-        while True:
-            ts.expect("(")
-            factor = polynomial(ts, f"denominator factor #{slot}")
-            ts.expect(")")
-            if slot >= nvars:
-                raise InputFormatError("more denominator factors than variables")
-            try:
-                dens[slot] = factor.to_uni(slot)
-            except ValueError:
-                raise InputFormatError(
-                    f"denominator factor #{slot} must only use x{slot}"
-                ) from None
-            slot += 1
-            if not ts.accept("*"):
-                break
-        ts.expect_end()
-    return SizeRational(num, dens)

@@ -35,6 +35,7 @@ from itertools import dropwhile
 from math import gcd, lcm
 from operator import add, mul, not_
 
+from . import cli
 from ._record import record
 from .core import Automaton, unrank_row
 from .exactmath import CommonDenominatorForm, UniPolynomial, _frac, normalize_common_denominator
@@ -323,3 +324,31 @@ def coefficients(a: Automaton, n_max: int) -> VectorSeriesPrefix:
 def generating_prefix(a: Automaton, n_max: int) -> SeriesPrefix:
     """First components of the coefficient vectors: the generating function."""
     return coefficients(a, n_max).firsts()
+
+
+# ---------------------------------------------------------------------------
+# the `series` command
+
+
+def _emit_series(values, fmt: str):
+    if fmt == "json":
+        cli._print_json({"coefficients": [str(v) for v in values]})
+    elif fmt == "csv":
+        print("n,coefficient")
+        for n, v in enumerate(values):
+            print(f"{n},{v}")
+    else:
+        width = max(len(str(len(values) - 1)), 1)
+        vwidth = max((len(str(v)) for v in values), default=1)
+        for n, v in enumerate(values):
+            print(f"{n:>{width}}  {str(v):>{vwidth}}")
+
+
+def _cmd_series(args) -> int:
+    a = cli._load_automaton(args.automaton)
+    values = list(generating_prefix(a, args.n).coefficients)
+    if args.counts:
+        f = 1
+        values = [v * (f := f * (n or 1)) for n, v in enumerate(values)]
+    _emit_series(values, args.format)
+    return cli.EXIT_OK

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import series
+from . import cli, series
 from ._expr import (
     Add,
     Const,
@@ -428,3 +428,16 @@ def count_species(spec: SpeciesSpec, target: str = None, n_max: int = 10):
             )
         counts.append(count)
     return counts
+
+
+# ---------------------------------------------------------------------------
+# the `species` command
+
+
+def _cmd_species(args) -> int:
+    spec = parse_species(cli._read(args.file))
+    if args.action == "count":
+        print(" ".join(str(c) for c in count_species(spec, args.target, args.n)))
+    else:
+        cli._write_automaton(compile_rda(species_to_rds(spec, args.target)), args.output)
+    return cli.EXIT_OK

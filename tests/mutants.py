@@ -1,0 +1,139 @@
+"""Mutants that the test suite must catch: each breaks the engine, the
+species lowering, the exact ring or the command's exit in a way that an
+oracle of the suite, not the code under test, has to notice.
+
+    python3 tests/mutants.py            # every mutant
+    python3 tests/mutants.py NAME ...   # the named ones
+
+Each mutant is a module of the package, an anchor (source text that occurs
+exactly once in it), the text that replaces the anchor, the test files to
+run, and the least number of their tests that must fail: a little under the
+number that failed when the mutant was added, as the Hypothesis tests draw
+new examples on every run.  For each mutant, src/, tests/ and samples/ are
+copied into a temporary directory, the anchor is replaced there, and the
+test files run with that copy first on PYTHONPATH; the mutant is caught
+when at least that many tests fail.  The exit code is 0 when every mutant
+run is caught.  Tier-1 does not collect this file; `tests/test_mutants.py`
+checks that every anchor occurs exactly once, so that a change that moves
+mutated code must update its mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+ENGINE_TESTS = ("tests/test_series.py", "tests/test_random_automata.py")
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file name under src/treeseries
+    anchor: str
+    replacement: str
+    tests: tuple
+    least_failed: int
+
+
+MUTANTS = (
+    # each term of (m - n_1 - ... - n_(k-1))^e keeps only its sign, which
+    # changes the expansion only for e >= 2
+    Mutant("binomial-dropped", "series.py",
+           "polys.setdefault(col, [0] * (top + 1))[j] += b * c",
+           "polys.setdefault(col, [0] * (top + 1))[j] += ((b > 0) - (b < 0)) * c",
+           ENGINE_TESTS, 20),
+    # 1 added to every cell coefficient of degree 2 or more in m, from m = 8
+    Mutant("m-polynomial-off-by-one", "series.py",
+           "                    c = _at(c, m)\n",
+           "                    c = _at(c, m) + (len(c) > 2 and m >= 8)\n",
+           ENGINE_TESTS, 15),
+    # the cells that share a left factor and a column lose the last member
+    # of their combined sequence
+    Mutant("combined-sequence-member-dropped", "series.py",
+           "cells.setdefault(left + (tuple(members),), []).append((col, 1))",
+           "cells.setdefault(left + (tuple(members[:-1]),), []).append((col, 1))",
+           ENGINE_TESTS, 28),
+    # set(A, card>=k) for k >= 2 without the A^(k-2)/(k-2)! term of u'
+    Mutant("card-ge-term-dropped", "species.py",
+           "grow = Var(u) if k <= 1 else Add((Var(u), _power(w, k - 2, e.card)))",
+           "grow = Var(u)",
+           ("tests/test_species.py",), 45),
+    # u = set(A, card>=k-1) starts at 1 for every k, not at 0 for k >= 2
+    Mutant("card-ge-start-at-one", "species.py",
+           "init[u] = Fraction(1 if k <= 1 else 0)",
+           "init[u] = Fraction(1)",
+           ("tests/test_species.py",), 55),
+    # the constructor normalizes constant denominators only and keeps a
+    # non-monic one of degree 1 or more
+    Mutant("non-monic-denominator-kept", "exactmath.py",
+           "            if lead != 1:  # a monic q is kept as it is\n",
+           "            if lead != 1 and not q.degree:  # a monic q is kept as it is\n",
+           ("tests/test_exactmath.py",), 14),
+    # the command ends in os._exit without flushing stdout and stderr, so
+    # output still buffered at the exit is lost
+    Mutant("exit-without-flush", "cli.py",
+           "        sys.stdout.flush()\n        sys.stderr.flush()\n",
+           "        pass\n",
+           ("tests/test_cli.py",), 3),
+)
+
+
+def _copy(tmp: Path):
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+    for part in ("src", "tests", "samples"):
+        shutil.copytree(ROOT / part, tmp / part, ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", tmp / "pyproject.toml")
+
+
+def run(mutant: Mutant) -> tuple:
+    """(caught, failed tests, seconds) for one mutant."""
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="treeseries-mutant-") as tmp:
+        tmp = Path(tmp)
+        _copy(tmp)
+        path = tmp / "src" / "treeseries" / mutant.module
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.anchor) != 1:
+            raise SystemExit(f"{mutant.name}: the anchor does not occur exactly once "
+                             f"in {mutant.module}")
+        path.write_text(text.replace(mutant.anchor, mutant.replacement), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "--tb=no", "-p", "no:cacheprovider",
+             *mutant.tests],
+            cwd=tmp, env=env, capture_output=True, text=True,
+        )
+    summary = done.stdout.strip().splitlines()[-1] if done.stdout.strip() else done.stderr
+    found = re.search(r"(\d+) failed", summary)
+    failed = int(found.group(1)) if found else 0
+    return failed >= mutant.least_failed, failed, time.perf_counter() - start
+
+
+def main(names) -> int:
+    known = {m.name: m for m in MUTANTS}
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}; known: {', '.join(known)}",
+              file=sys.stderr)
+        return 2
+    survived = 0
+    for mutant in [known[n] for n in names] or MUTANTS:
+        caught, failed, seconds = run(mutant)
+        survived += not caught
+        verdict = "caught" if caught else "SURVIVED"
+        print(f"{mutant.name}: {verdict} ({failed} failed, at least {mutant.least_failed} "
+              f"needed; {seconds:.0f} s)", flush=True)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -703,8 +703,9 @@ def test_compile_rda_y150_is_narrow_and_matches_taylor(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the command's exit: `python -m treeseries` runs `cli.run`, which freezes
-# every live object after `main` so that shutdown's collections skip them
+# the command's exit: `python -m treeseries` runs `cli.run`, which runs the
+# atexit callbacks after `main`, flushes stdout and stderr, and ends in
+# `os._exit`, skipping the interpreter's teardown
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -723,11 +724,13 @@ def exit_inputs(tmp_path, bell_path, capsys):
     return paths
 
 
-def _treeseries_in_child(*argv, code=None):
+def _treeseries_in_child(*argv, code=None, buffered=False, **run_args):
     env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"), COLUMNS="80")
+    if buffered:  # stdout block-buffered, as in a pipe by default
+        env.pop("PYTHONUNBUFFERED", None)
     command = ["-m", "treeseries"] if code is None else ["-c", code]
-    return subprocess.run([sys.executable, *command, *argv], cwd=_ROOT, env=env,
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *command, *argv], cwd=_ROOT, env=env, text=True,
+                          timeout=60, **{"capture_output": True, **run_args})
 
 
 @pytest.mark.parametrize("argv, exit_code", [
@@ -784,22 +787,98 @@ def test_running_out_of_memory_exits_3(argv, tmp_path):
     assert (done.returncode, done.stdout, done.stderr) == (3, "", "error: out of memory\n")
 
 
+# an atexit callback registered before the command runs, and os._exit, which
+# reports its code and then exits
 _ATEXIT_PROBE = """
-import atexit, gc, runpy
-atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+import atexit, os, runpy
+atexit.register(lambda: print("atexit callback"))
+exit = os._exit
+
+def reporting_exit(code):
+    print("os._exit", code, flush=True)
+    exit(code)
+
+os._exit = reporting_exit
 runpy.run_module("treeseries", run_name="__main__", alter_sys=True)
 """
 
 
 @pytest.mark.parametrize("argv, exit_code", [
-    (["series", "-a", "samples/bell.json", "-n", "2"], 0),
+    (["series", "-a", "{bell}", "-n", "2"], 0),
     (["--help"], 0),
     (["series", "-n", "5"], 2),
-], ids=["ok", "help", "usage"])
-def test_the_exit_freezes_and_still_runs_atexit_callbacks(argv, exit_code):
-    done = _treeseries_in_child(*argv, code=_ATEXIT_PROBE)
+    (["series", "-a", "{bad}", "-n", "3"], 2),
+    (["op", "gf-inverse", "-a", "{lt}"], 3),
+    (["zero", "-a", "{sum}", "--cap", "10", "--require-decided"], 4),
+], ids=["ok", "help", "usage", "format", "invariant", "undecided"])
+def test_the_exit_runs_atexit_callbacks_once_then_os_exit(argv, exit_code, exit_inputs):
+    argv = [arg.format(**exit_inputs) for arg in argv]
+    done = _treeseries_in_child(*argv, code=_ATEXIT_PROBE, buffered=True)
     assert done.returncode == exit_code
-    assert done.stdout.splitlines()[-1] == "frozen at exit: True"
+    lines = done.stdout.splitlines()
+    assert lines.count("atexit callback") == 1
+    assert lines[-2:] == ["atexit callback", f"os._exit {exit_code}"]
+
+
+# measured at the commit before the exit skipped teardown: when stdout is a
+# closed pipe, a write that reaches the pipe in `main` is an error (exit 2),
+# and output still buffered at the exit fails the interpreter's last flush
+_FLUSH_FAILED = ("Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
+                 "encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv, exit_code, err", [
+    (["series", "-a", "samples/bell.json", "-n", "3"], 120, _FLUSH_FAILED),
+    (["--help"], 120, _FLUSH_FAILED),
+    (["series", "-a", "samples/bell.json", "-n", "400", "--counts"], 2,
+     "error: [Errno 32] Broken pipe\n"),
+    (["series", "-n", "5"], 2, "usage: treeseries series [-h] -a AUTOMATON [-n N] [--counts]\n"
+     "                         [--format {table,csv,json}]\n"
+     "treeseries series: error: the following arguments are required: -a\n"),
+], ids=["buffered", "help", "large", "usage"])
+def test_a_closed_stdout_pipe_exits_as_before(argv, exit_code, err):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _treeseries_in_child(*argv, buffered=True, stdout=write, stderr=subprocess.PIPE,
+                                    capture_output=False)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (exit_code, err)
+
+
+def test_an_output_file_and_a_buffered_stdout_are_written_in_full(tmp_path, capsys):
+    spec, bell = str(_ROOT / "samples" / "bell.spec"), str(_ROOT / "samples" / "bell.json")
+    code, expected, _ = run(capsys, "species", "compile", "-f", spec)
+    done = _treeseries_in_child("species", "compile", "-f", spec, "-o", str(tmp_path / "bell.json"),
+                                buffered=True)
+    assert (code, done.returncode, done.stdout, done.stderr) == (0, 0, "", "")
+    assert (tmp_path / "bell.json").read_text() == expected
+    argv = ["series", "-a", bell, "-n", "300", "--counts"]
+    code, expected, _ = run(capsys, *argv)
+    assert len(expected) > 16 * 8192  # many buffers
+    done = _treeseries_in_child(*argv, buffered=True)
+    assert (code, done.returncode, done.stdout, done.stderr) == (0, 0, expected, "")
+
+
+_ESCAPE_PROBE = """
+import atexit, runpy, treeseries.cli
+atexit.register(lambda: print("atexit callback"))
+
+def failing(args):
+    raise RuntimeError("not a TreeSeriesError")
+
+treeseries.cli._check_sizes = failing
+runpy.run_module("treeseries", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_an_exception_that_escapes_main_exits_1_with_a_traceback():
+    done = _treeseries_in_child("series", "-a", "samples/bell.json", "-n", "3", code=_ESCAPE_PROBE)
+    assert done.returncode == 1
+    assert done.stdout == "atexit callback\n"
+    assert done.stderr.startswith("Traceback (most recent call last):\n")
+    assert done.stderr.endswith("RuntimeError: not a TreeSeriesError\n")
 
 
 def test_main_in_process_never_freezes(bell_path, capsys):

@@ -13,8 +13,8 @@ import pytest
 import treeseries
 
 _ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("exactmath", "core", "_trees", "_format", "series", "closure", "_shift", "_expr",
-          "compile", "_languages", "decide", "_system", "species")
+LAYERS = ("exactmath", "core", "_trees", "_format", "_reader", "series", "closure", "_shift",
+          "_expr", "compile", "_languages", "decide", "_system", "species")
 
 # a layer has run once its module is no longer the LazyLoader placeholder
 _REPORT = """
@@ -23,7 +23,8 @@ layers = {layers!r}
 print(" ".join(n for n in layers if type(sys.modules["treeseries." + n]) is types.ModuleType))
 """
 _RUN_CLI = """
-import contextlib, io, runpy
+import contextlib, io, os, runpy, sys
+os._exit = sys.exit  # the command ends in os._exit, which would end the probe
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
         runpy.run_module("treeseries", run_name="__main__", alter_sys=True)
@@ -53,15 +54,17 @@ def test_import_runs_no_layer():
 
 
 # --help and usage errors run no layer; reading an automaton runs core and
-# exactmath, and _expr, which parses the weight strings; only commands that
-# build, evaluate or enumerate trees run _trees, only the source languages
-# other than rational systems run _languages, and only closure operations and
-# the decisions built on them (equiv, tree-series zero) run closure; only the
-# operations that shift sizes run _shift, only emit-system runs _system, and
-# only commands that write an automaton or a system run _format
-READ = {"core", "exactmath", "_expr"}
+# exactmath, _reader, which reads it, and _expr, which parses the weight
+# strings, while compiling runs no _reader; only commands that build, evaluate
+# or enumerate trees run _trees, only the source languages other than
+# rational systems run _languages, and only closure operations and the
+# decisions built on them (equiv, tree-series zero) run closure; only the
+# operations that shift sizes run _shift, only emit-system runs _system (and
+# not decide, which it does not use), and only commands that write an
+# automaton or a system run _format
+READ = {"core", "exactmath", "_reader", "_expr"}
 DECIDE = READ | {"series", "decide"}
-COMPILE = READ | {"compile"}
+COMPILE = {"core", "exactmath", "_expr", "compile"}
 SPLIT = {"_format", "_shift", "_system"}
 
 
@@ -80,7 +83,7 @@ SPLIT = {"_format", "_shift", "_system"}
         (["equiv", "-a", "samples/bell.json", "-b", "samples/bell.json", "--cap", "5"], 0,
          DECIDE | {"closure"}),
         (["emit-system", "-a", "samples/bell.json", "--solve", "3"], 0,
-         DECIDE | {"_system", "_format"}),
+         READ | {"series", "_system", "_format"}),
         (["op", "gf-derive", "-a", "samples/bell.json"], 0,
          READ | {"closure", "_shift", "_format"}),
         (["op", "gf-inverse", "-a", "samples/bell.json"], 0,
@@ -146,7 +149,8 @@ def test_help_imports_no_fractions():
 # the command's exit code, stdout and stderr, and which of the parser's
 # modules it imported
 _PARSER_PROBE = """
-import contextlib, io, runpy, sys
+import contextlib, io, os, runpy, sys
+os._exit = sys.exit  # the command ends in os._exit, which would end the probe
 out, err = io.StringIO(), io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     try:
@@ -306,39 +310,47 @@ def test_no_module_is_over_16_kib():
 # the benchmark runs every job without a bytecode cache, so a command compiles
 # the source of each module it runs: 117.8 KiB took 32-38 ms of an `equiv` job
 # on a 2-core x86-64 VM before `_shift`, `_system` and `_format` were split off;
-# it compiles 110,546 bytes (108.0 KiB) now
+# it compiles 109,476 bytes (106.9 KiB) now
 COMPILE_BUDGET = 108 * 1024
-# `species count` and `compile rda` on samples/ compile 133,080 and 102,492
-# bytes (130.0 and 100.1 KiB), and `zero --tree-series`, the command that runs
-# `_trees`, 123,710 bytes (120.8 KiB); each cap is the figure it was set at
-# rounded up to the next KiB, and no cap is raised
+# `species count` and `compile rda` on samples/ were set at 133,080 and
+# 102,492 bytes (130.0 and 100.1 KiB), and `zero --tree-series`, the command
+# that runs `_trees`, at 123,710 bytes (120.8 KiB); each cap is the figure it
+# was set at rounded up to the next KiB, and no cap is raised
 SPECIES_COUNT_KIB = 133
 COMPILE_RDA_KIB = 102
 ZERO_TREE_SERIES_KIB = 121
 _COUNT_COMPILED = """
-import builtins, pathlib
+import ast, builtins, pathlib
 sizes = []
 
 def counting(source, filename, *args, **kwargs):
     path = pathlib.Path(str(filename))
     if path.parent.name == "treeseries":
-        sizes.append((path.name, len(source)))
+        tree = original(source, filename, "exec", ast.PyCF_ONLY_AST)
+        sizes.append((path.name, len(source), sum(1 for _ in ast.walk(tree))))
     return original(source, filename, *args, **kwargs)
 
 original, builtins.compile = builtins.compile, counting
 """ + _RUN_CLI + "print(repr(sizes))\n"
 
 
-def _compiled_bytes(tmp_path, argv):
-    """The package source bytes the command compiled, and each module's share
-    as text, which a failed cap prints to show which module grew."""
+def _compiled(tmp_path, argv):
+    """(module, source bytes, AST nodes) of each package module the command
+    compiled."""
     # an empty cache prefix: nothing is read from or written to __pycache__
     out = _python(_COUNT_COMPILED, *argv, PYTHONPYCACHEPREFIX=str(tmp_path),
                   PYTHONDONTWRITEBYTECODE="1")
     exit_code, sizes = out.split("\n", 1)
     assert int(exit_code) == 0
-    sizes = ast.literal_eval(sizes)
-    return sum(size for _, size in sizes), ", ".join(f"{name} {size}" for name, size in sizes)
+    return ast.literal_eval(sizes)
+
+
+def _compiled_bytes(tmp_path, argv):
+    """The package source bytes the command compiled, and each module's share
+    as text, which a failed cap prints to show which module grew."""
+    sizes = _compiled(tmp_path, argv)
+    text = ", ".join(f"{name} {size}" for name, size, _ in sizes)
+    return sum(size for _, size, _ in sizes), text
 
 
 def test_equiv_compiles_at_most_110_kib_of_package_source(tmp_path):
@@ -355,3 +367,30 @@ def test_equiv_compiles_at_most_110_kib_of_package_source(tmp_path):
 def test_command_compiles_at_most_its_budget_of_package_source(tmp_path, argv, kib):
     compiled, sizes = _compiled_bytes(tmp_path, argv)
     assert 50 * 1024 < compiled <= kib * 1024, sizes
+
+
+# Compile time tracks AST nodes, not bytes: in fresh processes, compile() cost
+# 2.3-2.7 us per node in every module of the package, but anywhere from 0.18
+# to 0.43 us per byte (the best of 20 warm compiles: 0.91-1.12 us per node,
+# 0.09-0.21 us per byte; CPython 3.11.7, 2-core x86-64 VM).  2,497 nodes that
+# never run, added to cli.py, made `species count`, `equiv` and `op gf-derive`
+# 2.9-4.2% slower and `--help` 7.0% slower (31 fresh processes per side).  So
+# each command's count is pinned: a change that moves one says by how much
+# every run of it pays.
+# Before the command handlers left cli.py and the JSON reader left core.py and
+# exactmath.py, these commands compiled 3,375, 23,858, 19,074, 17,929 and
+# 21,496 nodes.
+COMPILED_NODES = [
+    (["--help"], 2372),
+    (["species", "count", "-f", "samples/bell.spec", "-n", "5"], 22303),
+    (["equiv", "-a", "samples/bell.json", "-b", "samples/bell.json", "--cap", "5"], 18567),
+    (["compile", "rda", "-f", "samples/bell.rds"], 16050),
+    (["zero", "--tree-series", "-a", "samples/bell.json", "--cap", "5"], 21215),
+]
+
+
+@pytest.mark.parametrize("argv, nodes", COMPILED_NODES,
+                         ids=[" ".join(argv[:2]) for argv, _ in COMPILED_NODES])
+def test_command_compiles_its_pinned_number_of_ast_nodes(tmp_path, argv, nodes):
+    compiled = _compiled(tmp_path, argv)
+    assert sum(n for _, _, n in compiled) == nodes, ", ".join(f"{m} {n}" for m, _, n in compiled)

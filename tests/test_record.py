@@ -166,7 +166,8 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 def test_cli_start_loads_neither_dataclasses_nor_inspect():
     cli = """
-import runpy
+import os, runpy
+os._exit = sys.exit  # the command ends in os._exit, which would end the probe
 try:
     runpy.run_module("treeseries", run_name="__main__", alter_sys=True)
 except SystemExit:
@@ -182,7 +183,7 @@ assert "treeseries.cli" in sys.modules
 # package passes to exec or eval is code generated at run time (the standard
 # library's namedtuple, which `fractions` reaches through `decimal`, evals one)
 _NO_SOURCE_STRINGS = """
-import builtins, runpy, sys
+import builtins, os, runpy, sys
 strings = []
 
 def guard(original):
@@ -194,6 +195,7 @@ def guard(original):
     return guarded
 
 builtins.exec, builtins.eval = guard(builtins.exec), guard(builtins.eval)
+os._exit = sys.exit  # the command ends in os._exit, which would end the probe
 try:
     runpy.run_module("treeseries", run_name="__main__", alter_sys=True)
 except SystemExit as exc:

@@ -270,15 +270,20 @@ def test_normalization_compares_each_cell_denominator_tuple_once(monkeypatch):
     # tuples: grouping the cells by tuple compares each cell's tuple once, and
     # lcms and cofactors are taken per tuple (10,080 comparisons when they were
     # taken per variable and per cell); the cells hold 3 distinct entries, and
-    # x0 is eliminated once per entry, not once per cell
-    from treeseries import _weights
+    # x0 is eliminated once per entry, not once per cell.  The compiler gives
+    # every cell the same x0 + 1, which tuple comparison finds by identity, so
+    # each cell is rebuilt from its text, with denominators of its own
+    from treeseries import Automaton, _weights
     from treeseries._poly import UniPolynomial
-    from treeseries.exactmath import normalize_common_denominator
+    from treeseries.exactmath import format_size_rational, normalize_common_denominator
 
     inner = "X"
     for _ in range(20):
         inner = f"set({inner}, card>=1)"
     a = compile_rda(species_to_rds(parse_species(f"B = X*{inner}"), "B"))
+    a = Automaton.build(a.dimension, a.alphabet, {
+        name: {key: format_size_rational(e) if k else e for key, e in a.weight(name).cells.items()}
+        for name, k in a.alphabet.symbols})
     weights = [(name, k, a.weight(name)) for name, k in a.alphabet.symbols if k >= 1]
     entries = sum(len({(e.dens, e.num) for e in m.cells.values()}) for _, _, m in weights)
     calls, eliminations = [0], [0]
