@@ -11,11 +11,12 @@ running a layer does not run the layers it only names.  A command runs only
 the layers it calls; every layer is still in ``sys.modules`` as soon as the
 package is imported.
 
-``core``, ``exactmath``, ``closure``, ``compile`` and ``decide`` keep code
-few commands run in ``_trees``, ``_format``, ``_reader``, ``_shift``,
-``_languages`` and ``_system``, and read those names from them on first use
-through a module-level ``__getattr__`` over a name table, just as this
-package does.
+A layer also offers names that another module defines: code that few
+commands run is kept in modules of its own (``_trees``, ``_reader``,
+``_format``, ``_prefix``, ``_shift``, ``_languages``, ``_system`` and
+``_argparser``).  ``_FORWARDS`` below says where each such name lives, and
+the layer's module-level ``__getattr__`` reads it from there on first use,
+through ``_forward``, so the module that defines it runs only then.
 """
 
 import importlib.util
@@ -25,88 +26,54 @@ from . import errors
 
 # public names, by the layer that defines them
 _EXPORTS = {
-    "core": (
-        "Automaton",
-        "RankedAlphabet",
-        "Tree",
-        "automaton_from_json",
-        "automaton_to_json",
-        "enumerate_trees",
-        "evaluate",
-        "kron",
-        "make_arity_distinct",
-        "parse_tree",
-        "tree_size",
-        "unify_alphabets",
-    ),
-    "exactmath": (
-        "MultiPolynomial",
-        "Rational",
-        "SizeRational",
-        "UniPolynomial",
-        "normalize_common_denominator",
-        "parse_size_rational",
-        "poly_integer_roots",
-        "size_rational_eval",
-    ),
-    "series": (
-        "SeriesPrefix",
-        "VectorSeriesPrefix",
-        "brute_force_coefficient",
-        "coefficients",
-        "generating_prefix",
-        "s_derive",
-        "series_add",
-        "series_cauchy",
-        "series_scale",
-    ),
-    "closure": (
-        "FinalVector",
-        "absorb_final_vector",
-        "gf_add",
-        "gf_cauchy",
-        "gf_derive",
-        "gf_integrate",
-        "gf_inverse",
-        "gf_mul_shifted",
-        "gf_scale",
-        "gf_shift_backward",
-        "gf_shift_forward",
-        "ts_add",
-        "ts_hadamard",
-        "ts_scale",
-    ),
-    "compile": (
-        "DAEquation",
-        "DFiniteRecurrence",
-        "RDS",
-        "compile_cda",
-        "compile_dfinite",
-        "compile_rda",
-        "da_to_rds",
-        "parse_da",
-        "parse_dfinite",
-        "parse_rds",
-        "taylor_oracle",
-    ),
-    "decide": (
-        "check_equiv_genfun",
-        "check_equiv_tree_series",
-        "check_zero_genfun",
-        "check_zero_tree_series",
-        "compute_bound",
-        "emit_differential_system",
-    ),
-    "species": (
-        "SpeciesSpec",
-        "count_species",
-        "diffsys_to_rds",
-        "parse_species",
-        "species_to_diffsys",
-        "species_to_rds",
-    ),
+    "core": "Automaton RankedAlphabet Tree automaton_from_json automaton_to_json "
+            "enumerate_trees evaluate kron make_arity_distinct parse_tree tree_size "
+            "unify_alphabets",
+    "exactmath": "MultiPolynomial Rational SizeRational UniPolynomial "
+                 "normalize_common_denominator parse_size_rational poly_integer_roots "
+                 "size_rational_eval",
+    "series": "SeriesPrefix VectorSeriesPrefix brute_force_coefficient coefficients "
+              "generating_prefix s_derive series_add series_cauchy series_scale",
+    "closure": "FinalVector absorb_final_vector gf_add gf_cauchy gf_derive gf_integrate "
+               "gf_inverse gf_mul_shifted gf_scale gf_shift_backward gf_shift_forward ts_add "
+               "ts_hadamard ts_scale",
+    "compile": "DAEquation DFiniteRecurrence RDS compile_cda compile_dfinite compile_rda "
+               "da_to_rds parse_da parse_dfinite parse_rds taylor_oracle",
+    "decide": "check_equiv_genfun check_equiv_tree_series check_zero_genfun "
+              "check_zero_tree_series compute_bound emit_differential_system",
+    "species": "SpeciesSpec count_species diffsys_to_rds parse_species species_to_diffsys "
+               "species_to_rds",
 }
-_HOME = {name: layer for layer, names in _EXPORTS.items() for name in names}
+_HOME = {name: layer for layer, names in _EXPORTS.items() for name in names.split()}
+
+# names that a layer offers but another module defines: (layer, home module) -> names
+_FORWARDS = {
+    ("core", "_trees"): "ENUMERATION_GUARD Tree check_tree compositions count_trees "
+                        "enumerate_trees evaluate format_tree kron mu_tildes parse_tree tree_size",
+    ("core", "_reader"): "automaton_from_json",
+    ("core", "_format"): "automaton_to_json",
+    ("core", "closure"): "FinalVector absorb_final_vector",
+    ("exactmath", "_format"): "format_multipoly format_size_rational format_unipoly",
+    ("exactmath", "_reader"): "parse_size_rational",
+    ("series", "_prefix"): "brute_force_coefficient s_derive series_add series_cauchy "
+                           "series_scale",
+    ("closure", "_shift"): "gf_cauchy gf_derive gf_integrate gf_inverse gf_mul_shifted "
+                           "gf_shift_backward gf_shift_forward",
+    ("compile", "_languages"): "DAEquation DFiniteRecurrence compile_cda compile_dfinite "
+                               "da_to_rds parse_da parse_dfinite taylor_oracle",
+    ("decide", "_system"): "DifferentialSystem emit_differential_system",
+    ("cli", "_argparser"): "build_parser",
+}
+
+
+def _forward(module: str, name: str):
+    """``name`` of the layer ``module`` (its ``__name__``), read from the
+    module that ``_FORWARDS`` says defines it."""
+    layer = module.rpartition(".")[2]
+    for (owner, home), names in _FORWARDS.items():
+        if owner == layer and name in names.split():
+            return getattr(sys.modules[f"{__name__}.{home}"], name)
+    raise AttributeError(f"module {module!r} has no attribute {name!r}")
 
 
 def _lazy(layer: str):
@@ -130,7 +97,7 @@ decide = _lazy("decide")
 species = _lazy("species")
 # modules split off layers are registered but not bound, so the package's
 # names stay the ones it has always offered; __getattr__ finds them
-for _split in ("_format", "_reader", "_shift", "_system"):
+for _split in ("_format", "_reader", "_prefix", "_shift", "_system", "_argparser"):
     _lazy(_split)
 del _split
 

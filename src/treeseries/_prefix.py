@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import core
+from . import _trees
 from .core import Automaton
 from .exactmath import _frac
 from .series import SeriesPrefix
@@ -36,7 +36,7 @@ def s_derive(s: SeriesPrefix) -> SeriesPrefix:
 def brute_force_coefficient(a: Automaton, n: int):
     """Sum of mu~(t) over every tree of size n, by exhaustive enumeration."""
     acc = [Fraction(0)] * a.dimension
-    for vec in core.mu_tildes(a, core.enumerate_trees(a.alphabet, n)):
+    for vec in _trees.mu_tildes(a, _trees.enumerate_trees(a.alphabet, n)):
         for j, v in enumerate(vec):
             acc[j] += v
     return tuple(acc)

@@ -20,8 +20,14 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import _languages, _system, _trees, closure, compile, core, decide, series, species
+from . import (_argparser, _format, _forward, _languages, _reader, _system, _trees, closure,
+               compile, core, decide, series, species)
 from .errors import InputFormatError, TreeSeriesError
+
+
+def __getattr__(name):
+    return _forward(__name__, name)
+
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
@@ -38,11 +44,11 @@ def _read(path: str) -> str:
 
 
 def _load_automaton(path: str) -> core.Automaton:
-    return core.automaton_from_json(_read(path))
+    return _reader.automaton_from_json(_read(path))
 
 
 def _write_automaton(a: core.Automaton, path: str):
-    text = core.automaton_to_json(a)
+    text = _format.automaton_to_json(a)
     if path == "-" or path is None:
         sys.stdout.write(text)
     else:
@@ -154,14 +160,6 @@ _COMMANDS = (
 )
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser of ``_argparser``, which is imported, with argparse, only
-    for the lines that ``_plain_args`` declines."""
-    from . import _argparser
-
-    return _argparser.build_parser(argv)
-
-
 def _plain_args(argv):
     """What argparse reads from a plain ``argv`` (a subcommand, exact flags,
     values not starting with "-", positionals), else None."""
@@ -212,7 +210,7 @@ def main(argv=None) -> int:
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] == "-c" and argv[i].startswith("-") and argv[i][1:2].isdigit():
             argv[i - 1 : i + 1] = ["-c=" + argv[i]]
-    args = _plain_args(argv) or build_parser(argv).parse_args(argv)
+    args = _plain_args(argv) or _argparser.build_parser(argv).parse_args(argv)
     try:
         _check_sizes(args)
         return getattr(args.module, "_cmd_" + args.command.replace("-", "_"))(args)

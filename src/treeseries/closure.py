@@ -11,26 +11,19 @@ The operations that shift sizes (``gf_shift_forward``, ``gf_shift_backward``,
 ``gf_mul_shifted``) and those built on them (``gf_cauchy``, ``gf_derive``,
 ``gf_integrate``, ``gf_inverse``) are names of this module too, but live in
 ``_shift``, which runs on the first read of one of them (``__getattr__``
-below): deciding equivalence only adds and scales automata.
+below; the package's ``_FORWARDS``): deciding equivalence only adds and
+scales automata.
 """
 
 from __future__ import annotations
 
-from . import _shift, core, exactmath
+from . import _forward, core, exactmath
 from ._record import record
 from .errors import AlphabetMismatch, InvalidBeta
 
-# names of this module that _shift defines
-_SHIFT_NAMES = frozenset((
-    "gf_cauchy", "gf_derive", "gf_integrate", "gf_inverse", "gf_mul_shifted",
-    "gf_shift_backward", "gf_shift_forward",
-))
-
 
 def __getattr__(name):
-    if name in _SHIFT_NAMES:
-        return getattr(_shift, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _forward(__name__, name)
 
 
 def _embed_shifted(matrix, arity: int, offset: int, d_old: int, d_new: int) -> dict:

@@ -14,31 +14,24 @@ all-ones coordinate.
 The other source languages (recurrences, polynomial systems, differential
 equations) and the Taylor oracle are names of this module too, but live in
 ``_languages``, which runs on the first read of one of them (``__getattr__``
-below): species and ``compile rda`` never use them.
+below; the package's ``_FORWARDS``): species and ``compile rda`` never use
+them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import _languages, cli
+from . import _forward, _languages, cli
 from ._expr import Const, TokenStream, expr_variables, parse_expression, statements, to_ratfunc
 from ._record import record
 from .core import Automaton, RankedAlphabet, row_index
 from .errors import NotRDA, ParseError, ZeroPolynomial, nesting_guard
 from .exactmath import MultiPolynomial, SizeRational, UniPolynomial, _ONE, _frac
 
-# names of this module that _languages defines
-_LANGUAGE_NAMES = frozenset((
-    "DAEquation", "DFiniteRecurrence", "compile_cda", "compile_dfinite", "da_to_rds",
-    "parse_da", "parse_dfinite", "taylor_oracle",
-))
-
 
 def __getattr__(name):
-    if name in _LANGUAGE_NAMES:
-        return getattr(_languages, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _forward(__name__, name)
 
 
 # ---------------------------------------------------------------------------

@@ -9,38 +9,23 @@ and writer, and evaluation touch the nonzero cells only, and a matrix reads
 as dense rows only when a caller indexes it.
 
 Trees, their evaluation and exhaustive tree enumeration are names of this
-module too, but live in ``_trees``, which runs on the first read of one of
-them (``__getattr__`` below): most commands never touch a tree.  So do the
-JSON reader, in ``_reader``, and the JSON writer, in ``_format``.
+module too, but live in ``_trees``: most commands never touch a tree.  So do
+the JSON reader, in ``_reader``, and the JSON writer, in ``_format``.  The
+package's ``_FORWARDS`` lists these names; ``__getattr__`` below reads them
+from there on first use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import _format, _reader, _trees, closure, exactmath
+from . import _forward, _reader, exactmath
 from ._record import record
 from .errors import InvariantError, SymbolMismatch
 
-# names of this module that other modules define
-_ELSEWHERE = {
-    **dict.fromkeys((
-        "ENUMERATION_GUARD", "Tree", "check_tree", "compositions", "count_trees",
-        "enumerate_trees", "evaluate", "format_tree", "kron", "mu_tildes",
-        "parse_tree", "tree_size",
-    ), _trees),
-    "automaton_from_json": _reader,
-    "automaton_to_json": _format,
-    "FinalVector": closure,
-    "absorb_final_vector": closure,
-}
-
 
 def __getattr__(name):
-    module = _ELSEWHERE.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(module, name)
+    return _forward(__name__, name)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +116,7 @@ def _entry(value, arity: int):
     if isinstance(value, exactmath.SizeRational):
         return value
     if isinstance(value, str):
-        return exactmath.parse_size_rational(value, arity)
+        return _reader.parse_size_rational(value, arity)
     return exactmath.SizeRational.const(arity, value)
 
 

@@ -20,28 +20,24 @@ Tree-series zeroness reduces to generating-function zeroness of the squared
 The defining system itself (``DifferentialSystem``,
 ``emit_differential_system``) is a name of this module too, but lives in
 ``_system``, which runs on the first read of one of them (``__getattr__``
-below): only ``emit-system`` writes or solves it.
+below; the package's ``_FORWARDS``): only ``emit-system`` writes or solves
+it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import _system, cli, closure, core
+from . import _forward, _trees, cli, closure
 from ._record import record
 from .core import Automaton
 from .errors import TooManyTrees
 from .exactmath import CommonDenominatorForm
 from .series import CoefficientStream, common_form
 
-# names of this module that _system defines
-_SYSTEM_NAMES = frozenset(("DifferentialSystem", "emit_differential_system"))
-
 
 def __getattr__(name):
-    if name in _SYSTEM_NAMES:
-        return getattr(_system, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _forward(__name__, name)
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +140,13 @@ class NonzeroAt:
 
 @record
 class DifferAt:
-    tree: core.Tree
+    tree: _trees.Tree
     values: tuple
 
     def to_json_dict(self):
         return {
             "verdict": "differ_at",
-            "tree": core.format_tree(self.tree),
+            "tree": _trees.format_tree(self.tree),
             "values": [str(v) for v in self.values],
         }
 
@@ -190,13 +186,13 @@ def check_equiv_genfun(a1: Automaton, a2: Automaton, cap: int):
 def _witness_tree(a: Automaton, n: int):
     """The first tree of size n, in enumeration order, whose value is nonzero."""
     try:
-        trees = core.enumerate_trees(a.alphabet, n)
+        trees = _trees.enumerate_trees(a.alphabet, n)
     except TooManyTrees as exc:
         raise TooManyTrees(
             f"a tree of size {n} with nonzero value exists, but there are too"
             f" many trees of that size to search ({exc})"
         ) from exc
-    for t, mu_tilde in zip(trees, core.mu_tildes(a, trees)):
+    for t, mu_tilde in zip(trees, _trees.mu_tildes(a, trees)):
         if mu_tilde[0] != 0:
             return t, mu_tilde[0]
     raise AssertionError("squared series was nonzero but no witness tree found")
@@ -218,8 +214,8 @@ def check_equiv_tree_series(a1: Automaton, a2: Automaton, cap: int):
     verdict = check_zero_tree_series(diff, cap)
     if isinstance(verdict, DifferAt):
         t = verdict.tree
-        _, v1 = core.evaluate(a1, t)
-        _, v2 = core.evaluate(a2, t)
+        _, v1 = _trees.evaluate(a1, t)
+        _, v2 = _trees.evaluate(a2, t)
         return DifferAt(t, (v1, v2))
     return verdict
 

@@ -19,9 +19,10 @@ in ``_poly``, and the sparse weight matrices and the common-denominator
 normal form in ``_weights``; the names of theirs that other modules read
 here (``UniPolynomial``, ``MultiPolynomial``, ``poly_gcd``, ``poly_lcm``,
 ``poly_integer_roots``, ``WeightMatrix``, ``CommonDenominatorForm``,
-``normalize_common_denominator``) are bound to the defining objects.  The text forms (``format_*``) live in ``_format``,
-and their parser (``parse_size_rational``) in ``_reader``; both are read
-from there on first use (``__getattr__`` below).
+``normalize_common_denominator``) are bound to the defining objects.  The
+text forms (``format_*``) live in ``_format``, and their parser
+(``parse_size_rational``) in ``_reader``; ``__getattr__`` below reads them
+from there on first use, as the package's ``_FORWARDS`` says.
 
 ``SizeRational(num, dens)`` checks every value it builds, the results of its
 ring operations included: each denominator of a nonzero value must pass
@@ -34,22 +35,16 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from . import _format, _reader
+from . import _format, _forward
 from ._poly import MultiPolynomial, UniPolynomial, _frac, poly_gcd, poly_integer_roots, poly_lcm
 from ._weights import CommonDenominatorForm, WeightMatrix, normalize_common_denominator
 from .errors import DenominatorZero, InvalidDenominator
 
 Rational = Fraction
 
-_FORMAT_NAMES = frozenset(("format_multipoly", "format_size_rational", "format_unipoly"))
-
 
 def __getattr__(name):
-    if name in _FORMAT_NAMES:
-        return getattr(_format, name)
-    if name == "parse_size_rational":
-        return _reader.parse_size_rational
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _forward(__name__, name)
 
 
 # ---------------------------------------------------------------------------

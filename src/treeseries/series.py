@@ -24,8 +24,8 @@ too lazy", JSC 2002).  Each is kept fraction-free, as integer numerators
 over one denominator that is lifted when a term brings a new factor, so a
 convolution is one integer dot product.  brute_force_coefficient, which sums
 mu~ over every tree of size n, is the engine's independent oracle; it and
-the prefix arithmetic are names of this module, but live in ``_prefix``
-(``__getattr__`` below), as no command runs them.
+the prefix arithmetic are names of this module, but live in ``_prefix``, as
+no command runs them (``__getattr__`` below; the package's ``_FORWARDS``).
 """
 
 from __future__ import annotations
@@ -35,25 +35,16 @@ from itertools import dropwhile
 from math import gcd, lcm
 from operator import add, mul, not_
 
-from . import cli
+from . import _forward, cli
 from ._record import record
 from .core import Automaton, unrank_row
 from .exactmath import CommonDenominatorForm, UniPolynomial, _frac, normalize_common_denominator
 
 _ZERO = Fraction(0)
 
-# names of this module that _prefix defines
-_PREFIX_NAMES = frozenset((
-    "brute_force_coefficient", "s_derive", "series_add", "series_cauchy", "series_scale",
-))
-
 
 def __getattr__(name):
-    if name in _PREFIX_NAMES:
-        from . import _prefix
-
-        return getattr(_prefix, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _forward(__name__, name)
 
 
 @record

@@ -84,6 +84,12 @@ MUTANTS = (
            "        sys.stdout.flush()\n        sys.stderr.flush()\n",
            "        pass\n",
            ("tests/test_cli.py",), 3),
+    # core reads FinalVector and absorb_final_vector from _shift, which imports
+    # them from closure: the same objects, but reading one runs _shift
+    Mutant("forward-to-wrong-home", "__init__.py",
+           '("core", "closure"): "FinalVector absorb_final_vector"',
+           '("core", "_shift"): "FinalVector absorb_final_vector"',
+           ("tests/test_lazy_layers.py",), 1),
 )
 
 
@@ -91,7 +97,8 @@ def _copy(tmp: Path):
     ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
     for part in ("src", "tests", "samples"):
         shutil.copytree(ROOT / part, tmp / part, ignore=ignore)
-    shutil.copy(ROOT / "pyproject.toml", tmp / "pyproject.toml")
+    for name in ("pyproject.toml", "README.md"):  # test_cli_parser reads the README's tour
+        shutil.copy(ROOT / name, tmp / name)
 
 
 def run(mutant: Mutant) -> tuple:

@@ -754,7 +754,7 @@ def test_python_m_treeseries_exits_as_main_returns(argv, exit_code, exit_inputs,
         code = exc.code
     out, err = capsys.readouterr()
     assert code == exit_code
-    done = _treeseries_in_child(*command("child.json"))
+    done = _treeseries_in_child(*command("child.json"), buffered=True)
     assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
     if "{out}" in argv:
         written = (tmp_path / "child.json").read_text()

@@ -13,8 +13,8 @@ import pytest
 import treeseries
 
 _ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("exactmath", "core", "_trees", "_format", "_reader", "series", "closure", "_shift",
-          "_expr", "compile", "_languages", "decide", "_system", "species")
+LAYERS = ("exactmath", "core", "_trees", "_format", "_reader", "series", "_prefix", "closure",
+          "_shift", "_expr", "compile", "_languages", "decide", "_system", "species", "_argparser")
 
 # a layer has run once its module is no longer the LazyLoader placeholder
 _REPORT = """
@@ -53,7 +53,8 @@ def test_import_runs_no_layer():
     assert _layers_run("import treeseries") == set()
 
 
-# --help and usage errors run no layer; reading an automaton runs core and
+# --help and usage errors run only _argparser, and no plain command line runs
+# it; no command runs _prefix; reading an automaton runs core and
 # exactmath, _reader, which reads it, and _expr, which parses the weight
 # strings, while compiling runs no _reader; only commands that build, evaluate
 # or enumerate trees run _trees, only the source languages other than
@@ -71,8 +72,8 @@ SPLIT = {"_format", "_shift", "_system"}
 @pytest.mark.parametrize(
     "argv, code, ran",
     [
-        (["--help"], 0, set()),
-        (["series", "-n", "5"], 2, set()),
+        (["--help"], 0, {"_argparser"}),
+        (["series", "-n", "5"], 2, {"_argparser"}),
         (["eval", "-a", "samples/bell.json", "-t", "(sigma1 (sigma0))"], 0, READ | {"_trees"}),
         (["enum-trees", "--alphabet", "a/0,f/2", "-n", "3"], 0, {"core", "_trees"}),
         (["series", "-a", "samples/bell.json", "-n", "5"], 0, READ | {"series"}),
@@ -285,6 +286,28 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(treeseries, "WeightMatrix")
 
 
+def test_each_forwarded_name_is_read_from_the_module_that_defines_it():
+    layers = set()
+    for (layer, home), names in treeseries._FORWARDS.items():
+        module = sys.modules["treeseries." + layer]
+        defining = sys.modules["treeseries." + home]
+        layers.add(module)
+        for name in names.split():
+            value = getattr(module, name)
+            assert value is vars(defining)[name], (layer, name)
+            if isinstance(value, (type, types.FunctionType)):  # not one that only imports it
+                assert value.__module__ == defining.__name__, (layer, name)
+            assert name not in vars(module), (layer, name)
+            namespace = {}
+            exec(f"from treeseries.{layer} import {name}", namespace)
+            assert namespace[name] is value, (layer, name)
+    assert len(layers) == 7
+    for module in layers:
+        with pytest.raises(AttributeError) as raised:
+            module.x
+        assert str(raised.value) == f"module {module.__name__!r} has no attribute 'x'"
+
+
 # ---------------------------------------------------------------------------
 # source size
 
@@ -379,13 +402,14 @@ def test_command_compiles_at_most_its_budget_of_package_source(tmp_path, argv, k
 # every run of it pays.
 # Before the command handlers left cli.py and the JSON reader left core.py and
 # exactmath.py, these commands compiled 3,375, 23,858, 19,074, 17,929 and
-# 21,496 nodes.
+# 21,496 nodes; before the layers' name tables became the package's one
+# _FORWARDS, 2,372, 22,303, 18,567, 16,050 and 21,215.
 COMPILED_NODES = [
-    (["--help"], 2372),
-    (["species", "count", "-f", "samples/bell.spec", "-n", "5"], 22303),
-    (["equiv", "-a", "samples/bell.json", "-b", "samples/bell.json", "--cap", "5"], 18567),
-    (["compile", "rda", "-f", "samples/bell.rds"], 16050),
-    (["zero", "--tree-series", "-a", "samples/bell.json", "--cap", "5"], 21215),
+    (["--help"], 2449),
+    (["species", "count", "-f", "samples/bell.spec", "-n", "5"], 22201),
+    (["equiv", "-a", "samples/bell.json", "-b", "samples/bell.json", "--cap", "5"], 18435),
+    (["compile", "rda", "-f", "samples/bell.rds"], 15982),
+    (["zero", "--tree-series", "-a", "samples/bell.json", "--cap", "5"], 21083),
 ]
 
 
