@@ -13,10 +13,10 @@ package is imported.
 
 A layer also offers names that another module defines: code that few
 commands run is kept in modules of its own (``_trees``, ``_reader``,
-``_format``, ``_prefix``, ``_shift``, ``_languages``, ``_system`` and
-``_argparser``).  ``_FORWARDS`` below says where each such name lives, and
-the layer's module-level ``__getattr__`` reads it from there on first use,
-through ``_forward``, so the module that defines it runs only then.
+``_format``, ``_shift``, ``_languages`` and ``_system``).  ``_FORWARDS``
+below says where each such name lives, and the layer's module-level
+``__getattr__`` reads it from there on first use, through ``_forward``, so
+the module that defines it runs only then.
 """
 
 import importlib.util
@@ -55,14 +55,11 @@ _FORWARDS = {
     ("core", "closure"): "FinalVector absorb_final_vector",
     ("exactmath", "_format"): "format_multipoly format_size_rational format_unipoly",
     ("exactmath", "_reader"): "parse_size_rational",
-    ("series", "_prefix"): "brute_force_coefficient s_derive series_add series_cauchy "
-                           "series_scale",
     ("closure", "_shift"): "gf_cauchy gf_derive gf_integrate gf_inverse gf_mul_shifted "
                            "gf_shift_backward gf_shift_forward",
     ("compile", "_languages"): "DAEquation DFiniteRecurrence compile_cda compile_dfinite "
                                "da_to_rds parse_da parse_dfinite taylor_oracle",
     ("decide", "_system"): "DifferentialSystem emit_differential_system",
-    ("cli", "_argparser"): "build_parser",
 }
 
 
@@ -97,7 +94,7 @@ decide = _lazy("decide")
 species = _lazy("species")
 # modules split off layers are registered but not bound, so the package's
 # names stay the ones it has always offered; __getattr__ finds them
-for _split in ("_format", "_reader", "_prefix", "_shift", "_system", "_argparser"):
+for _split in ("_format", "_reader", "_shift", "_system"):
     _lazy(_split)
 del _split
 

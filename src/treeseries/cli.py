@@ -5,8 +5,8 @@ in the inputs, or out of memory; 4 verdict undecided (ZeroUpTo) under
 --require-decided.
 Errors print one structured line on stderr; there are no tracebacks.
 ``json`` is imported only to read JSON or print a JSON result, ``Fraction``
-only for ``op -c``, and ``argparse`` (with ``_argparser``) only for lines
-that ``_plain_args`` declines.  One table, ``_COMMANDS``, gives every
+only for ``op -c``, and ``argparse`` (inside ``build_parser``) only for
+lines that ``_plain_args`` declines.  One table, ``_COMMANDS``, gives every
 subcommand its help, handler and arguments, and one, ``_OPS``, every ``op``
 operation.  Every handler but ``op``'s lives in a module its command runs,
 and handlers and operations are read from their module when one runs, so a
@@ -20,13 +20,9 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import (_argparser, _format, _forward, _languages, _reader, _system, _trees, closure,
-               compile, core, decide, series, species)
+from . import (_format, _languages, _reader, _system, _trees, closure, compile, core, decide,
+               series, species)
 from .errors import InputFormatError, TreeSeriesError
-
-
-def __getattr__(name):
-    return _forward(__name__, name)
 
 
 EXIT_OK = 0
@@ -192,6 +188,28 @@ def _plain_args(argv):
         given.get(f, o.get("default", False if "action" in o else None)) for f, o in row[3]})
 
 
+def build_parser(argv=None):
+    """The parser of every subcommand, or, given ``argv``, one on which every
+    subcommand has its name and help but only the one ``argv`` names (its
+    first argument not starting with ``-``) has its arguments: the only
+    subparser that parsing ``argv`` can reach."""
+    import argparse
+
+    named = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
+    parser = argparse.ArgumentParser(
+        prog="treeseries",
+        description="size-weighted tree automata, their series, and compilers",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, module, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if named in (None, name):
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
+            p.set_defaults(module=module)
+    return parser
+
+
 _SIZE_FLAGS = {"n": "-n", "cap": "--cap", "solve": "--solve"}
 
 
@@ -210,7 +228,7 @@ def main(argv=None) -> int:
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] == "-c" and argv[i].startswith("-") and argv[i][1:2].isdigit():
             argv[i - 1 : i + 1] = ["-c=" + argv[i]]
-    args = _plain_args(argv) or _argparser.build_parser(argv).parse_args(argv)
+    args = _plain_args(argv) or build_parser(argv).parse_args(argv)
     try:
         _check_sizes(args)
         return getattr(args.module, "_cmd_" + args.command.replace("-", "_"))(args)

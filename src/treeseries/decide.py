@@ -50,10 +50,14 @@ class ZeroBound:
     max_arity: int  # D
     s: int
     m: int  # M
-    exponent: int  # M * 2^M, exact
+
+    @property
+    def exponent(self) -> int:
+        """M * 2^M, exact: about M/3 digits, built only where it is printed."""
+        return self.m * 2**self.m
 
     def __repr__(self):
-        # the exact exponent has about M/3 digits; M is enough to rebuild it
+        # M is enough to rebuild the exponent
         return (
             f"ZeroBound(dimension={self.dimension}, max_arity={self.max_arity},"
             f" s={self.s}, m={self.m}, exponent={self.m}*2^{self.m})"
@@ -72,11 +76,11 @@ class ZeroBound:
         small = self.small_value()
         if small is not None:
             return cap >= small
-        if cap <= 0:
-            return False
-        if self.exponent >= cap.bit_length():
-            return False  # D^E >= 2^E > cap
-        return self.max_arity**self.exponent <= cap
+        if cap <= 0 or self.m >= cap.bit_length():
+            return False  # D^E >= 2^E >= 2^M > cap
+        exponent = self.exponent  # 2^M <= cap here, so E = M 2^M <= M cap
+        # D^E >= 2^E > cap once E reaches the bit length of cap
+        return exponent < cap.bit_length() and self.max_arity**exponent <= cap
 
     def describe(self) -> str:
         small = self.small_value()
@@ -105,7 +109,7 @@ def compute_bound(a: Automaton, form: CommonDenominatorForm = None) -> ZeroBound
     weighted = sum(k * count for k, count in a.alphabet.arity_counts().items() if k > 0)
     m = a.dimension * (s + 2) * (1 + weighted) + 1
     d_arity = a.alphabet.max_arity
-    return ZeroBound(a.dimension, d_arity, s, m, m * (2**m))
+    return ZeroBound(a.dimension, d_arity, s, m)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,8 @@ form of online series multiplication (van der Hoeven, "Relax, but don't be
 too lazy", JSC 2002).  Each is kept fraction-free, as integer numerators
 over one denominator that is lifted when a term brings a new factor, so a
 convolution is one integer dot product.  brute_force_coefficient, which sums
-mu~ over every tree of size n, is the engine's independent oracle; it and
-the prefix arithmetic are names of this module, but live in ``_prefix``, as
-no command runs them (``__getattr__`` below; the package's ``_FORWARDS``).
+mu~ over every tree of size n with the tree evaluator of ``_trees``, is the
+engine's independent oracle.
 """
 
 from __future__ import annotations
@@ -35,16 +34,12 @@ from itertools import dropwhile
 from math import gcd, lcm
 from operator import add, mul, not_
 
-from . import _forward, cli
+from . import _trees, cli
 from ._record import record
 from .core import Automaton, unrank_row
 from .exactmath import CommonDenominatorForm, UniPolynomial, _frac, normalize_common_denominator
 
 _ZERO = Fraction(0)
-
-
-def __getattr__(name):
-    return _forward(__name__, name)
 
 
 @record
@@ -315,6 +310,41 @@ def coefficients(a: Automaton, n_max: int) -> VectorSeriesPrefix:
 def generating_prefix(a: Automaton, n_max: int) -> SeriesPrefix:
     """First components of the coefficient vectors: the generating function."""
     return coefficients(a, n_max).firsts()
+
+
+# ---------------------------------------------------------------------------
+# prefix arithmetic and the brute-force oracle
+
+
+def series_add(s1: SeriesPrefix, s2: SeriesPrefix) -> SeriesPrefix:
+    n = min(len(s1), len(s2))
+    return SeriesPrefix(tuple(s1[i] + s2[i] for i in range(n)))
+
+
+def series_scale(s: SeriesPrefix, c) -> SeriesPrefix:
+    c = _frac(c)
+    return SeriesPrefix(tuple(a * c for a in s.coefficients))
+
+
+def series_cauchy(s1: SeriesPrefix, s2: SeriesPrefix) -> SeriesPrefix:
+    return SeriesPrefix(tuple(
+        sum((s1[i] * s2[m - i] for i in range(m + 1)), _ZERO)
+        for m in range(min(len(s1), len(s2)))
+    ))
+
+
+def s_derive(s: SeriesPrefix) -> SeriesPrefix:
+    """The operator f -> x f' on prefixes: coefficient n becomes n * a_n."""
+    return SeriesPrefix(tuple(n * a for n, a in enumerate(s.coefficients)))
+
+
+def brute_force_coefficient(a: Automaton, n: int):
+    """Sum of mu~(t) over every tree of size n, by exhaustive enumeration."""
+    acc = [_ZERO] * a.dimension
+    for vec in _trees.mu_tildes(a, _trees.enumerate_trees(a.alphabet, n)):
+        for j, v in enumerate(vec):
+            acc[j] += v
+    return tuple(acc)
 
 
 # ---------------------------------------------------------------------------

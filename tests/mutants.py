@@ -1,6 +1,6 @@
 """Mutants that the test suite must catch: each breaks the engine, the
-species lowering, the exact ring or the command's exit in a way that an
-oracle of the suite, not the code under test, has to notice.
+species lowering, the exact ring, or the command's start-up or exit in a way
+that an oracle of the suite, not the code under test, has to notice.
 
     python3 tests/mutants.py            # every mutant
     python3 tests/mutants.py NAME ...   # the named ones
@@ -43,6 +43,14 @@ class Mutant(NamedTuple):
     tests: tuple
     least_failed: int
 
+
+# cli.build_parser down to its docstring
+_BUILD_PARSER = '''def build_parser(argv=None):
+    """The parser of every subcommand, or, given ``argv``, one on which every
+    subcommand has its name and help but only the one ``argv`` names (its
+    first argument not starting with ``-``) has its arguments: the only
+    subparser that parsing ``argv`` can reach."""
+'''
 
 MUTANTS = (
     # each term of (m - n_1 - ... - n_(k-1))^e keeps only its sign, which
@@ -90,6 +98,11 @@ MUTANTS = (
            '("core", "closure"): "FinalVector absorb_final_vector"',
            '("core", "_shift"): "FinalVector absorb_final_vector"',
            ("tests/test_lazy_layers.py",), 1),
+    # cli imports argparse at module level instead of inside build_parser, so
+    # every command loads it, a plain command line too
+    Mutant("argparse-at-module-level", "cli.py",
+           _BUILD_PARSER + "    import argparse\n", "import argparse\n\n\n" + _BUILD_PARSER,
+           ("tests/test_lazy_layers.py",), 2),
 )
 
 

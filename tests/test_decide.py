@@ -1,6 +1,10 @@
 import math
+import os
+import resource
+import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +73,41 @@ def test_lazy_comparison_never_materializes(bell):
     bound = compute_bound(bell)
     # huge caps still compare exactly without computing 2^838860800
     assert not bound.cap_reaches(2**4096)
+
+
+_HUGE_BOUND = """
+import json
+from treeseries.core import automaton_from_json
+from treeseries.decide import compute_bound
+
+a = automaton_from_json(json.dumps({
+    "dimension": 1000000000,
+    "alphabet": [{"name": "a", "arity": 0}, {"name": "f", "arity": 2}],
+    "weights": {"a": {"entries": [{"row": [], "col": 1, "value": "1"}]},
+                "f": {"entries": [{"row": [1, 1], "col": 1, "value": "1/(x0)"}]}},
+}))
+print(compute_bound(a).cap_reaches(10**6))
+"""
+
+
+def _limit_memory():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_bound_of_a_very_large_dimension_is_compared_without_its_exponent():
+    # M = 9 * 10^9 + 1, so M * 2^M would need more than 10^9 bytes.
+    # The check runs in a child under a 1 GiB address-space limit and a
+    # timeout, so a bound that did build it fails here instead of exhausting
+    # memory
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _HUGE_BOUND], env=env, capture_output=True, text=True,
+        timeout=60, preexec_fn=_limit_memory,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 # ---------------------------------------------------------------------------
