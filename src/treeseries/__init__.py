@@ -7,13 +7,15 @@ attributes; a public name read from the package runs the layer that defines
 it.  The layers that the CLI and ``closure``, ``compile``, ``decide``,
 ``species`` and ``core`` need from other layers are reached through their
 modules (``from . import core`` and ``core.evaluate(...)`` at call time), so
-running a layer does not run the layers it only names.  A command runs only
-the layers it calls; every layer is still in ``sys.modules`` as soon as the
-package is imported.
+running a layer does not run the layers it only names.  Value classes are
+made by ``core.record``, so a layer that defines one runs ``core``, which
+every command that runs a layer runs anyway.  A command runs only the layers
+it calls; every layer is still in ``sys.modules`` as soon as the package is
+imported.
 
 A layer also offers names that another module defines: code that few
 commands run is kept in modules of its own (``_trees``, ``_reader``,
-``_format``, ``_shift``, ``_languages`` and ``_system``).  ``_FORWARDS``
+``_format``, ``_shift`` and ``_languages``).  ``_FORWARDS``
 below says where each such name lives, and the layer's module-level
 ``__getattr__`` reads it from there on first use, through ``_forward``, so
 the module that defines it runs only then.
@@ -59,7 +61,6 @@ _FORWARDS = {
                            "gf_shift_backward gf_shift_forward",
     ("compile", "_languages"): "DAEquation DFiniteRecurrence compile_cda compile_dfinite "
                                "da_to_rds parse_da parse_dfinite taylor_oracle",
-    ("decide", "_system"): "DifferentialSystem emit_differential_system",
 }
 
 
@@ -94,7 +95,7 @@ decide = _lazy("decide")
 species = _lazy("species")
 # modules split off layers are registered but not bound, so the package's
 # names stay the ones it has always offered; __getattr__ finds them
-for _split in ("_format", "_reader", "_shift", "_system"):
+for _split in ("_format", "_reader", "_shift"):
     _lazy(_split)
 del _split
 

@@ -20,7 +20,7 @@ import operator
 from fractions import Fraction
 
 from ._poly import grlex, power
-from ._record import record
+from .core import record
 from .errors import ParseError
 from .exactmath import MultiPolynomial
 

@@ -24,9 +24,8 @@ from fractions import Fraction
 
 from . import cli, series
 from ._expr import RatFunc, Token, TokenStream, expr_variables, parse_expression, statements, to_ratfunc
-from ._record import record
 from .compile import RDS, _at_zero, _index_tuple, _parse_init_clause, parse_rds
-from .core import Automaton, RankedAlphabet, row_index
+from .core import Automaton, RankedAlphabet, record, row_index
 from .errors import (
     InvalidJet,
     LeadingRoot,

@@ -19,8 +19,7 @@ import itertools
 from fractions import Fraction
 
 from . import cli
-from ._record import record
-from .core import Automaton, RankedAlphabet, symbol_char
+from .core import Automaton, RankedAlphabet, record, symbol_char
 from .errors import InputFormatError, SymbolMismatch, TooManyTrees, nesting_guard
 
 ENUMERATION_GUARD = 10**6

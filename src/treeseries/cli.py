@@ -20,8 +20,8 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import (_format, _languages, _reader, _system, _trees, closure, compile, core, decide,
-               series, species)
+from . import (_format, _languages, _reader, _trees, closure, compile, core, decide, series,
+               species)
 from .errors import InputFormatError, TreeSeriesError
 
 
@@ -147,7 +147,7 @@ _COMMANDS = (
     ("species", "count or compile a species specification", species, (
         ("action", {"choices": ["count", "compile"]}), _FILE,
         ("--target", {"help": "species name (default: first)"}), _N, _OUTPUT)),
-    ("emit-system", "print the defining differential system", _system, (
+    ("emit-system", "print the defining differential system", decide, (
         _AUTOMATON, ("--solve", {"type": int, "default": 0, "help": "also forward-solve to n"}))),
     ("enum-trees", "list all trees of one size", _trees, (
         ("--alphabet", {"required": True, "help": 'e.g. "a/0,f/2"'}),

@@ -18,7 +18,7 @@ scales automata.
 from __future__ import annotations
 
 from . import _forward, core, exactmath
-from ._record import record
+from .core import record
 from .errors import AlphabetMismatch, InvalidBeta
 
 

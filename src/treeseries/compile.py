@@ -24,8 +24,7 @@ from fractions import Fraction
 
 from . import _forward, _languages, cli
 from ._expr import Const, TokenStream, expr_variables, parse_expression, statements, to_ratfunc
-from ._record import record
-from .core import Automaton, RankedAlphabet, row_index
+from .core import Automaton, RankedAlphabet, record, row_index
 from .errors import NotRDA, ParseError, ZeroPolynomial, nesting_guard
 from .exactmath import MultiPolynomial, SizeRational, UniPolynomial, _ONE, _frac
 

@@ -35,8 +35,7 @@ from math import gcd, lcm
 from operator import add, mul, not_
 
 from . import _trees, cli
-from ._record import record
-from .core import Automaton, unrank_row
+from .core import Automaton, record, unrank_row
 from .exactmath import CommonDenominatorForm, UniPolynomial, _frac, normalize_common_denominator
 
 _ZERO = Fraction(0)

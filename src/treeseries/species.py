@@ -42,9 +42,9 @@ from ._expr import (
     nary,
     statements,
 )
-from ._record import record
 from ._species_rds import RHS_TERM_BUDGET, diffsys_to_rds, rds_with_target
 from .compile import RDS, compile_rda
+from .core import record
 from .errors import (
     BadCardinality,
     NonIntegerCount,

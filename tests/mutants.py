@@ -1,6 +1,7 @@
 """Mutants that the test suite must catch: each breaks the engine, the
-species lowering, the exact ring, or the command's start-up or exit in a way
-that an oracle of the suite, not the code under test, has to notice.
+common-denominator normal form, the species lowering, the exact ring, the
+value classes, or the command's start-up or exit in a way that an oracle of
+the suite, not the code under test, has to notice.
 
     python3 tests/mutants.py            # every mutant
     python3 tests/mutants.py NAME ...   # the named ones
@@ -80,6 +81,17 @@ MUTANTS = (
            "init[u] = Fraction(1 if k <= 1 else 0)",
            "init[u] = Fraction(1)",
            ("tests/test_species.py",), 55),
+    # the normal form rewrites x0 as x1 + ... + xk: the 1 of
+    # x0 -> 1 + x1 + ... + xk is dropped from every power it builds
+    Mutant("x0-one-dropped", "exactmath.py",
+           "                step[key] = step.get(key, 0) + value\n",
+           "",
+           ENGINE_TESTS + ("tests/test_exactmath.py",), 65),
+    # records of different classes with equal fields compare equal
+    Mutant("record-eq-across-classes", "core.py",
+           "        if other.__class__ is self.__class__:\n",
+           '        if hasattr(other, "__record_fields__"):\n',
+           ("tests/test_record.py",), 1),
     # the constructor normalizes constant denominators only and keeps a
     # non-monic one of degree 1 or more
     Mutant("non-monic-denominator-kept", "exactmath.py",

@@ -511,7 +511,7 @@ def test_build_refuses_a_size_rational_of_another_arity(arity):
 
 
 def test_normalization_folds_each_distinct_denominator_once(bell, monkeypatch):
-    from treeseries import _weights, exactmath
+    from treeseries import exactmath
     from treeseries.closure import gf_add, gf_scale
 
     a = gf_add(_wide_bell(2000), gf_scale(bell, -1))
@@ -526,8 +526,8 @@ def test_normalization_folds_each_distinct_denominator_once(bell, monkeypatch):
     }
     cells = sum(len(matrix.cells) for _, _, matrix in weights)
     calls = []
-    poly_lcm = _weights.poly_lcm  # normalization folds denominators in _weights
-    monkeypatch.setattr(_weights, "poly_lcm", lambda p, q: calls.append(1) or poly_lcm(p, q))
+    poly_lcm = exactmath.poly_lcm  # normalization folds denominators in exactmath
+    monkeypatch.setattr(exactmath, "poly_lcm", lambda p, q: calls.append(1) or poly_lcm(p, q))
     form = exactmath.normalize_common_denominator(weights)
     assert cells > 2000 and 0 < len(calls) <= len(distinct) <= 3
     assert form.q0 == UniPolynomial((0, 1)) * UniPolynomial((1, 1))

@@ -129,7 +129,7 @@ def test_x0_elimination_matches_compose(weights):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 4).flatmap(lambda n: st.lists(multipolys(nvars=n), max_size=4)))
 def test_eliminate_x0_matches_compose_with_shared_powers(nums):
-    from treeseries._weights import _eliminate_x0
+    from treeseries.exactmath import _eliminate_x0
 
     powers = {}
     for num in nums:

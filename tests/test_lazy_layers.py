@@ -2,10 +2,12 @@
 the same public names, bound to the same objects, as an eager import did."""
 
 import ast
+import itertools
 import os
 import subprocess
 import sys
 import types
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ import treeseries
 
 _ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("exactmath", "core", "_trees", "_format", "_reader", "series", "closure", "_shift",
-          "_expr", "compile", "_languages", "decide", "_system", "species")
+          "_expr", "compile", "_languages", "decide", "species")
 
 # a layer has run once its module is no longer the LazyLoader placeholder
 _REPORT = """
@@ -59,49 +61,45 @@ def test_import_runs_no_layer():
 # or enumerate trees run _trees, only the source languages other than
 # rational systems run _languages, and only closure operations and the
 # decisions built on them (equiv, tree-series zero) run closure; only the
-# operations that shift sizes run _shift, only emit-system runs _system (and
-# not decide, which it does not use), and only commands that write an
+# operations that shift sizes run _shift, and only commands that write an
 # automaton or a system run _format
 READ = {"core", "exactmath", "_reader", "_expr"}
 DECIDE = READ | {"series", "decide"}
 COMPILE = {"core", "exactmath", "_expr", "compile"}
-SPLIT = {"_format", "_shift", "_system"}
+SPLIT = {"_format", "_shift"}
+LAYER_ROWS = [
+    (["--help"], 0, set()),
+    (["series", "-n", "5"], 2, set()),
+    (["eval", "-a", "samples/bell.json", "-t", "(sigma1 (sigma0))"], 0, READ | {"_trees"}),
+    (["enum-trees", "--alphabet", "a/0,f/2", "-n", "3"], 0, {"core", "_trees"}),
+    (["series", "-a", "samples/bell.json", "-n", "5"], 0, READ | {"series"}),
+    (["bound", "-a", "samples/bell.json"], 0, DECIDE),
+    (["zero", "-a", "samples/bell.json", "--cap", "5"], 0, DECIDE),
+    (["zero", "--tree-series", "-a", "samples/bell.json", "--cap", "5"], 0,
+     DECIDE | {"closure", "_trees"}),
+    (["equiv", "-a", "samples/bell.json", "-b", "samples/bell.json", "--cap", "5"], 0,
+     DECIDE | {"closure"}),
+    (["emit-system", "-a", "samples/bell.json", "--solve", "3"], 0, DECIDE | {"_format"}),
+    (["op", "gf-derive", "-a", "samples/bell.json"], 0,
+     READ | {"closure", "_shift", "_format"}),
+    (["op", "gf-inverse", "-a", "samples/bell.json"], 0,
+     READ | {"closure", "_shift", "series", "_format"}),
+    (["op", "ts-add", "-a", "samples/bell.json", "-b", "samples/bell.json"], 0,
+     READ | {"closure", "_format"}),
+    (["compile", "rda", "-f", "samples/bell.rds"], 0, COMPILE | {"_format"}),
+    (["compile", "cda", "-f", "samples/bell.rds"], 0, COMPILE | {"_languages", "_format"}),
+    (["compile", "da", "-f", "samples/cubic.da"], 0, COMPILE | {"_languages", "_format"}),
+    (["compile", "dfinite", "-f", "samples/factorial.dfinite"], 0,
+     COMPILE | {"_languages", "_format"}),
+    (["taylor", "-f", "samples/bell.rds", "-n", "5"], 0, COMPILE | {"_languages", "series"}),
+    (["species", "count", "-f", "samples/bell.spec", "-n", "5"], 0,
+     COMPILE | {"series", "species"}),
+    (["species", "compile", "-f", "samples/bell.spec"], 0,
+     COMPILE | {"species", "_format"}),
+]
 
 
-@pytest.mark.parametrize(
-    "argv, code, ran",
-    [
-        (["--help"], 0, set()),
-        (["series", "-n", "5"], 2, set()),
-        (["eval", "-a", "samples/bell.json", "-t", "(sigma1 (sigma0))"], 0, READ | {"_trees"}),
-        (["enum-trees", "--alphabet", "a/0,f/2", "-n", "3"], 0, {"core", "_trees"}),
-        (["series", "-a", "samples/bell.json", "-n", "5"], 0, READ | {"series"}),
-        (["bound", "-a", "samples/bell.json"], 0, DECIDE),
-        (["zero", "-a", "samples/bell.json", "--cap", "5"], 0, DECIDE),
-        (["zero", "--tree-series", "-a", "samples/bell.json", "--cap", "5"], 0,
-         DECIDE | {"closure", "_trees"}),
-        (["equiv", "-a", "samples/bell.json", "-b", "samples/bell.json", "--cap", "5"], 0,
-         DECIDE | {"closure"}),
-        (["emit-system", "-a", "samples/bell.json", "--solve", "3"], 0,
-         READ | {"series", "_system", "_format"}),
-        (["op", "gf-derive", "-a", "samples/bell.json"], 0,
-         READ | {"closure", "_shift", "_format"}),
-        (["op", "gf-inverse", "-a", "samples/bell.json"], 0,
-         READ | {"closure", "_shift", "series", "_format"}),
-        (["op", "ts-add", "-a", "samples/bell.json", "-b", "samples/bell.json"], 0,
-         READ | {"closure", "_format"}),
-        (["compile", "rda", "-f", "samples/bell.rds"], 0, COMPILE | {"_format"}),
-        (["compile", "cda", "-f", "samples/bell.rds"], 0, COMPILE | {"_languages", "_format"}),
-        (["compile", "da", "-f", "samples/cubic.da"], 0, COMPILE | {"_languages", "_format"}),
-        (["compile", "dfinite", "-f", "samples/factorial.dfinite"], 0,
-         COMPILE | {"_languages", "_format"}),
-        (["taylor", "-f", "samples/bell.rds", "-n", "5"], 0, COMPILE | {"_languages", "series"}),
-        (["species", "count", "-f", "samples/bell.spec", "-n", "5"], 0,
-         COMPILE | {"series", "species"}),
-        (["species", "compile", "-f", "samples/bell.spec"], 0,
-         COMPILE | {"species", "_format"}),
-    ],
-)
+@pytest.mark.parametrize("argv, code, ran", LAYER_ROWS)
 def test_command_runs_only_the_layers_it_uses(argv, code, ran):
     exit_code, *layers = _python(_RUN_CLI + _REPORT.format(layers=LAYERS), *argv).split()
     assert int(exit_code) == code
@@ -300,7 +298,7 @@ def test_each_forwarded_name_is_read_from_the_module_that_defines_it():
             namespace = {}
             exec(f"from treeseries.{layer} import {name}", namespace)
             assert namespace[name] is value, (layer, name)
-    assert len(layers) == 5
+    assert len(layers) == 4
     for module in layers:
         with pytest.raises(AttributeError) as raised:
             module.x
@@ -346,14 +344,14 @@ original, builtins.compile = builtins.compile, counting
 """ + _RUN_CLI + "print(repr(sizes))\n"
 
 
-def _compiled(tmp_path, argv):
+def _compiled(tmp_path, argv, code=0):
     """(module, source bytes, AST nodes) of each package module the command
-    compiled."""
+    compiled; the command exits with ``code``."""
     # an empty cache prefix: nothing is read from or written to __pycache__
     out = _python(_COUNT_COMPILED, *argv, PYTHONPYCACHEPREFIX=str(tmp_path),
                   PYTHONDONTWRITEBYTECODE="1")
     exit_code, sizes = out.split("\n", 1)
-    assert int(exit_code) == 0
+    assert int(exit_code) == code
     return ast.literal_eval(sizes)
 
 
@@ -370,14 +368,19 @@ def _compiled(tmp_path, argv):
 # 21,496 nodes; before the layers' name tables became the package's one
 # _FORWARDS, 2,372, 22,303, 18,567, 16,050 and 21,215; before the prefix
 # arithmetic joined series and the argparse parser joined cli, 2,449, 22,201,
-# 18,435, 15,982 and 21,083, and `series` 15,924.
+# 18,435, 15,982 and 21,083, and `series` 15,924; before the weight matrices
+# joined exactmath, @record core and the differential system decide, 2,411,
+# 22,567, 18,825, 16,085 and 21,473, `series` 16,290, `bound` 17,572 and
+# `emit-system` 17,674.
 COMPILED_NODES = [
-    (["--help"], 2411),
-    (["species", "count", "-f", "samples/bell.spec", "-n", "5"], 22567),
-    (["equiv", "-a", "samples/bell.json", "-b", "samples/bell.json", "--cap", "5"], 18825),
-    (["compile", "rda", "-f", "samples/bell.rds"], 16085),
-    (["zero", "--tree-series", "-a", "samples/bell.json", "--cap", "5"], 21473),
-    (["series", "-a", "samples/bell.json", "-n", "5"], 16290),
+    (["--help"], 2404),
+    (["species", "count", "-f", "samples/bell.spec", "-n", "5"], 22530),
+    (["equiv", "-a", "samples/bell.json", "-b", "samples/bell.json", "--cap", "5"], 19336),
+    (["compile", "rda", "-f", "samples/bell.rds"], 16049),
+    (["zero", "--tree-series", "-a", "samples/bell.json", "--cap", "5"], 21983),
+    (["series", "-a", "samples/bell.json", "-n", "5"], 16254),
+    (["bound", "-a", "samples/bell.json"], 18083),
+    (["emit-system", "-a", "samples/bell.json", "--solve", "3"], 18895),
 ]
 
 
@@ -386,3 +389,28 @@ COMPILED_NODES = [
 def test_command_compiles_its_pinned_number_of_ast_nodes(tmp_path, argv, nodes):
     compiled = _compiled(tmp_path, argv)
     assert sum(n for _, _, n in compiled) == nodes, ", ".join(f"{m} {n}" for m, _, n in compiled)
+
+
+def test_no_two_modules_are_compiled_by_the_same_commands(tmp_path):
+    """A module split off another pays for its import by keeping its nodes off
+    the commands that compile the other one but not it.  Two modules that
+    the same commands compile keep nothing off any of them, so they are one
+    module, unless together they would be over the size cap.  The modules
+    that --help compiles (the package, __main__, cli and errors) are
+    compiled by every command and are exempt."""
+    rows = {tuple(argv): code for argv, code, _ in LAYER_ROWS}
+    rows.update((tuple(argv), 0) for argv, _ in COMPILED_NODES)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        compiled = dict(zip(rows, pool.map(
+            lambda argv: _compiled(tmp_path, list(argv), rows[argv]), rows)))
+    exempt = {module for module, _, _ in compiled[("--help",)]}
+    commands, sizes = {}, {}
+    for argv, modules in compiled.items():
+        for module, size, _ in modules:
+            commands.setdefault(module, set()).add(argv)
+            sizes[module] = size
+    groups = {}
+    for module in sorted(commands.keys() - exempt):
+        groups.setdefault(frozenset(commands[module]), []).append(module)
+    assert [(a, b) for group in groups.values() for a, b in itertools.combinations(group, 2)
+            if sizes[a] + sizes[b] <= MODULE_BYTES] == []

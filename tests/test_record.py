@@ -1,4 +1,4 @@
-"""The frozen value classes built by ``_record.record`` behave as
+"""The frozen value classes built by ``core.record`` behave as
 ``@dataclass(frozen=True)`` classes do, and importing the package loads
 neither ``dataclasses`` nor ``inspect``."""
 
@@ -12,8 +12,7 @@ from pathlib import Path
 import pytest
 
 from treeseries._expr import Add, Mul, Var
-from treeseries._record import FrozenInstanceError, record
-from treeseries.core import Tree, parse_tree
+from treeseries.core import FrozenInstanceError, Tree, parse_tree, record
 from treeseries.decide import NonzeroAt, check_equiv_genfun
 
 

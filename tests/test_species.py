@@ -273,7 +273,7 @@ def test_normalization_compares_each_cell_denominator_tuple_once(monkeypatch):
     # x0 is eliminated once per entry, not once per cell.  The compiler gives
     # every cell the same x0 + 1, which tuple comparison finds by identity, so
     # each cell is rebuilt from its text, with denominators of its own
-    from treeseries import Automaton, _weights
+    from treeseries import Automaton, exactmath
     from treeseries._poly import UniPolynomial
     from treeseries.exactmath import format_size_rational, normalize_common_denominator
 
@@ -287,7 +287,7 @@ def test_normalization_compares_each_cell_denominator_tuple_once(monkeypatch):
     weights = [(name, k, a.weight(name)) for name, k in a.alphabet.symbols if k >= 1]
     entries = sum(len({(e.dens, e.num) for e in m.cells.values()}) for _, _, m in weights)
     calls, eliminations = [0], [0]
-    equal, eliminate = UniPolynomial.__eq__, _weights._eliminate_x0
+    equal, eliminate = UniPolynomial.__eq__, exactmath._eliminate_x0
 
     def counted(self, other):
         calls[0] += 1
@@ -298,7 +298,7 @@ def test_normalization_compares_each_cell_denominator_tuple_once(monkeypatch):
         return eliminate(num, powers)
 
     monkeypatch.setattr(UniPolynomial, "__eq__", counted)
-    monkeypatch.setattr(_weights, "_eliminate_x0", counted_elimination)
+    monkeypatch.setattr(exactmath, "_eliminate_x0", counted_elimination)
     normalize_common_denominator(weights)
     assert 0 < calls[0] <= sum((k + 1) * len(matrix.cells) for _, k, matrix in weights)
     assert eliminations[0] == entries == 3
