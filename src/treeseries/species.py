@@ -3,7 +3,11 @@ exponential generating functions, and counting.
 
 The supported constructions are 1, X, named references, +, *, sequence, set,
 and cycle, with cardinality constraints card=k and card>=k on sequence and
-set.  Each construct contributes equations over EGF variables:
+set.  A specification is ``_expr`` nodes (``Const(1)``, ``Var("X")`` for the
+atom, ``Var(name)``, ``Add``, ``Mul``) plus the construct records ``SpSeq``,
+``SpSet`` and ``SpCycle``; ``x``, the EGF variable, cannot be defined, nor
+can ``X`` or a construct name.  Each construct contributes equations over
+EGF variables:
 
     set(A):       v' = v * A'            v(0) = 1
     set(A,>=k):   v = u - A^(k-1) / (k-1)!, with u = set(A,>=k-1)
@@ -60,31 +64,6 @@ from .errors import (
 
 
 @record
-class SpOne:
-    pass
-
-
-@record
-class SpX:
-    pass
-
-
-@record
-class SpRef:
-    name: str
-
-
-@record
-class SpSum:
-    args: tuple  # two or more summands
-
-
-@record
-class SpProd:
-    args: tuple  # two or more factors
-
-
-@record
 class SpSeq:
     arg: object
     card: tuple = None  # ("eq"|"ge", k)
@@ -116,6 +95,7 @@ class SpeciesSpec:
 
 
 _CONSTRUCTS = {"set", "sequence", "cycle"}
+_RESERVED = _CONSTRUCTS | {"X", "x"}
 
 
 @nesting_guard(ParseError)
@@ -128,13 +108,13 @@ def parse_species(text: str) -> SpeciesSpec:
         terms = [term()]
         while ts.accept("+"):
             terms.append(term())
-        return nary(SpSum, terms)
+        return nary(Add, terms)
 
     def term():
         factors = [factor()]
         while ts.accept("*"):
             factors.append(factor())
-        return nary(SpProd, factors)
+        return nary(Mul, factors)
 
     def factor():
         tok = ts.peek()
@@ -144,7 +124,7 @@ def parse_species(text: str) -> SpeciesSpec:
                 raise ParseError(
                     f"the only literal species is 1, found {tok.text}", tok.line, tok.column
                 )
-            return SpOne()
+            return Const(Fraction(1))
         if tok.kind == "(":
             ts.next()
             inner = expr()
@@ -173,9 +153,7 @@ def parse_species(text: str) -> SpeciesSpec:
                     "cycle does not take a cardinality constraint", tok.line, tok.column
                 )
             return SpCycle(arg)
-        if tok.text == "X":
-            return SpX()
-        return SpRef(tok.text)
+        return Var(tok.text)
 
     def cardinality():
         tok = ts.expect("name")
@@ -194,7 +172,7 @@ def parse_species(text: str) -> SpeciesSpec:
     for stmt in statements(text):
         ts = TokenStream(stmt)
         name_tok = ts.expect("name")
-        if name_tok.text in _CONSTRUCTS or name_tok.text == "X":
+        if name_tok.text in _RESERVED:
             raise ParseError(
                 f"{name_tok.text!r} cannot be defined", name_tok.line, name_tok.column
             )
@@ -218,9 +196,9 @@ def parse_species(text: str) -> SpeciesSpec:
 def _references(expr, out=None):
     if out is None:
         out = set()
-    if isinstance(expr, SpRef):
+    if isinstance(expr, Var) and expr.name != "X":
         out.add(expr.name)
-    elif isinstance(expr, (SpSum, SpProd)):
+    elif isinstance(expr, (Add, Mul)):
         for arg in expr.args:
             _references(arg, out)
     elif isinstance(expr, (SpSeq, SpSet, SpCycle)):
@@ -234,15 +212,13 @@ def _references(expr, out=None):
 
 def _empty_count(e, values: dict) -> Fraction:
     """Structures of e on the empty label set, given those of every name."""
-    if isinstance(e, SpOne):
-        return Fraction(1)
-    if isinstance(e, SpX):
-        return Fraction(0)
-    if isinstance(e, SpRef):
-        return values[e.name]
-    if isinstance(e, SpSum):
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return Fraction(0) if e.name == "X" else values[e.name]
+    if isinstance(e, Add):
         return sum(_empty_count(arg, values) for arg in e.args)
-    if isinstance(e, SpProd):
+    if isinstance(e, Mul):
         return math.prod(_empty_count(arg, values) for arg in e.args)
     if isinstance(e, (SpSeq, SpSet)):
         if e.card and e.card[1] >= 1:
@@ -265,7 +241,7 @@ def empty_counts(spec: SpeciesSpec) -> dict:
         raise UnsupportedConstruct("empty-set counts do not stabilize; bad recursion")
 
     def check(e):
-        if isinstance(e, (SpSum, SpProd)):
+        if isinstance(e, (Add, Mul)):
             for arg in e.args:
                 check(arg)
         elif isinstance(e, (SpSeq, SpSet, SpCycle)):
@@ -288,7 +264,8 @@ def empty_counts(spec: SpeciesSpec) -> dict:
 class DiffEqSystem:
     """Equations over EGF variables: ("alg", v, rhs) meaning v = rhs, or
     ("diff", v, rhs) meaning v' = rhs; rhs may mention other variables,
-    their first derivatives, and x."""
+    their first derivatives, and x, which the normalization reads as the
+    independent variable: no other variable may be named x."""
 
     equations: tuple  # of (kind, name, Expr)
     init: dict  # name -> Fraction
@@ -318,7 +295,7 @@ def species_to_diffsys(spec: SpeciesSpec) -> DiffEqSystem:
     counts = empty_counts(spec)
     equations = []
     init = {}
-    taken = set(spec.names()) | {"x"}
+    taken = set(spec.names())
     counter = [0]
 
     def fresh() -> str:
@@ -331,10 +308,6 @@ def species_to_diffsys(spec: SpeciesSpec) -> DiffEqSystem:
 
     def ensure_var(e) -> str:
         """A variable name whose series is the EGF of e."""
-        if isinstance(e, SpX):
-            return "x"
-        if isinstance(e, SpRef):
-            return e.name
         t = translate(e)
         if isinstance(t, Var):
             return t.name
@@ -345,16 +318,12 @@ def species_to_diffsys(spec: SpeciesSpec) -> DiffEqSystem:
 
     def translate(e, bind: str = None):
         """Translate e; when bind is given, make that the defining variable."""
-        if isinstance(e, SpOne):
-            return Const(Fraction(1))
-        if isinstance(e, SpX):
-            return Var("x")
-        if isinstance(e, SpRef):
-            return Var(e.name)
-        if isinstance(e, SpSum):
-            return Add(tuple(map(translate, e.args)))
-        if isinstance(e, SpProd):
-            return Mul(tuple(map(translate, e.args)))
+        if isinstance(e, Var) and e.name == "X":
+            return Var("x")  # the atom's EGF
+        if isinstance(e, (Const, Var)):
+            return e
+        if isinstance(e, (Add, Mul)):
+            return type(e)(tuple(map(translate, e.args)))
         if isinstance(e, SpSeq):
             w = ensure_var(e.arg)
             one_minus = Add((Const(Fraction(1)), Neg(Var(w))))

@@ -1,7 +1,7 @@
 """Mutants that the test suite must catch: each breaks the engine, the
-common-denominator normal form, the species lowering, the exact ring, the
-value classes, or the command's start-up or exit in a way that an oracle of
-the suite, not the code under test, has to notice.
+common-denominator normal form, the species parser and lowering, the exact
+ring, the value classes, or the command's start-up or exit in a way that an
+oracle of the suite, not the code under test, has to notice.
 
     python3 tests/mutants.py            # every mutant
     python3 tests/mutants.py NAME ...   # the named ones
@@ -81,6 +81,16 @@ MUTANTS = (
            "init[u] = Fraction(1 if k <= 1 else 0)",
            "init[u] = Fraction(1)",
            ("tests/test_species.py",), 55),
+    # the translation keeps the atom as Var("X") instead of the EGF variable x
+    Mutant("atom-not-mapped", "species.py",
+           'return Var("x")  # the atom\'s EGF',
+           "return e",
+           ("tests/test_species.py",), 110),
+    # a species may be named x, which the normalization reads as the EGF variable
+    Mutant("x-definable", "species.py",
+           '_RESERVED = _CONSTRUCTS | {"X", "x"}',
+           '_RESERVED = _CONSTRUCTS | {"X"}',
+           ("tests/test_species.py",), 1),
     # the normal form rewrites x0 as x1 + ... + xk: the 1 of
     # x0 -> 1 + x1 + ... + xk is dropped from every power it builds
     Mutant("x0-one-dropped", "exactmath.py",

@@ -371,10 +371,11 @@ def _compiled(tmp_path, argv, code=0):
 # 18,435, 15,982 and 21,083, and `series` 15,924; before the weight matrices
 # joined exactmath, @record core and the differential system decide, 2,411,
 # 22,567, 18,825, 16,085 and 21,473, `series` 16,290, `bound` 17,572 and
-# `emit-system` 17,674.
+# `emit-system` 17,674; before species specifications were written in
+# _expr's nodes, `species count` 22,530.
 COMPILED_NODES = [
     (["--help"], 2404),
-    (["species", "count", "-f", "samples/bell.spec", "-n", "5"], 22530),
+    (["species", "count", "-f", "samples/bell.spec", "-n", "5"], 22447),
     (["equiv", "-a", "samples/bell.json", "-b", "samples/bell.json", "--cap", "5"], 19336),
     (["compile", "rda", "-f", "samples/bell.rds"], 16049),
     (["zero", "--tree-series", "-a", "samples/bell.json", "--cap", "5"], 21983),
