@@ -6,7 +6,11 @@ root symbols or substitute sizes, and the calculus built on them
 literally, so every link is testable on its own.  ``closure`` offers every
 name here as its own and runs this module on the first read of one of them:
 deciding equivalence only adds and scales automata, so ``equiv`` and ``zero``
-never compile this code.
+never compile this code.  The ``op`` command reads these operations from
+here, and this module reads ``closure`` only when ``gf_derive`` or
+``gf_integrate`` absorbs a final vector, so the other five run no
+``closure``; ``gf_inverse`` reads a_0 with ``core.initial_vector`` and runs
+no coefficient engine.
 
 Fresh symbols introduced here use the reserved "__" prefix, which user
 alphabets must avoid.
@@ -16,8 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import core, exactmath, series
-from .closure import FinalVector, _embed_shifted, absorb_final_vector
+from . import closure, core, exactmath
 from .errors import ZeroConstantTerm
 
 
@@ -36,7 +39,7 @@ def _rooted(parts, arity: int, root_states, value):
     weights, offset = {}, 1
     for p in parts:
         for name, k in p.alphabet.symbols:
-            weights[name] = _embed_shifted(p.weight(name), k, offset, p.dimension, d)
+            weights[name] = core._embed_shifted(p.weight(name), k, offset, p.dimension, d)
         offset += p.dimension
     root = core.row_index(root_states, d)
     weights[u_name] = {(root, 0): exactmath.SizeRational.const(arity, value)}
@@ -92,7 +95,7 @@ def gf_shift_backward(a: core.Automaton) -> core.Automaton:
     alphabet = core.RankedAlphabet.of(*symbols)
 
     weights = {
-        name: _embed_shifted(a.weight(name), arity, d, d, d_new)
+        name: core._embed_shifted(a.weight(name), arity, d, d, d_new)
         for name, arity in a.alphabet.symbols
     }
     row_index = core.row_index
@@ -144,8 +147,8 @@ def gf_shift_backward(a: core.Automaton) -> core.Automaton:
 def gf_derive(a: core.Automaton) -> core.Automaton:
     """f -> f', as the x*f' construction followed by a backward shift."""
     poly = exactmath.UniPolynomial
-    theta = absorb_final_vector(
-        a, FinalVector.of((poly.x(), poly.const(1)), *([0] * (a.dimension - 1)))
+    theta = closure.absorb_final_vector(
+        a, closure.FinalVector.of((poly.x(), poly.const(1)), *([0] * (a.dimension - 1)))
     )
     return gf_shift_backward(theta)
 
@@ -153,8 +156,8 @@ def gf_derive(a: core.Automaton) -> core.Automaton:
 def gf_integrate(a: core.Automaton) -> core.Automaton:
     """f -> integral of f from 0, as (1/x) integral followed by a forward shift."""
     poly = exactmath.UniPolynomial
-    inner = absorb_final_vector(
-        a, FinalVector.of((poly.const(1), poly((1, 1))), *([0] * (a.dimension - 1)))
+    inner = closure.absorb_final_vector(
+        a, closure.FinalVector.of((poly.const(1), poly((1, 1))), *([0] * (a.dimension - 1)))
     )
     return gf_shift_forward(inner)
 
@@ -171,7 +174,7 @@ def gf_inverse(a: core.Automaton) -> core.Automaton:
     inverse coefficients b_n = -(1/a_0) * sum a_{i+1} b_{n-1-i} via a fresh
     binary symbol.
     """
-    a0 = series.generating_prefix(a, 0)[0]
+    a0 = core.initial_vector(a)[0]
     if a0 == 0:
         raise ZeroConstantTerm("series has zero constant term; no inverse")
     shifted = core.make_arity_distinct(gf_shift_backward(a))

@@ -8,7 +8,11 @@ derivatives; an algebraic one v = F is differentiated by the chain rule on
 F = P/Q, as ``_languages.da_to_rds`` differentiates a polynomial.  One
 Gaussian elimination, ``_solve``, then solves for the derivatives: one name
 at a time while some name's dependencies are solved, and the coupled rest
-together; ``rds_with_target`` puts the series target first.  Both relabel
+together.  Each step of the elimination is refused before it multiplies
+operands whose term counts have a product past ``SOLVE_WORK_BUDGET``, and
+after when its result has more than ``RHS_TERM_BUDGET`` terms, so a
+specification that nests too deeply ends in a refusal, not in minutes of
+work.  ``rds_with_target`` puts the series target first.  Both relabel
 variables only through ``MultiPolynomial.restrict``, which drops the
 derivative slots and permutes the variables without multiplying
 polynomials.  ``species`` re-exports the public names of this module.
@@ -34,6 +38,13 @@ from .errors import (
 # denominators, so each level of cycle(cycle(...)) doubles the terms; the
 # largest right-hand side of the gold species and their joins has 80.
 RHS_TERM_BUDGET = 2000
+# Most work, the product of its operands' term counts, that one step of
+# ``_solve`` may do: the work of multiplying two right-hand sides of half the
+# term budget.  Among the gold species, samples/*.spec and the specifications
+# of seeds 1-14 of tests/test_species.py's random generator, the largest
+# step of one that counts does 64,328; at about 4 us a unit (CPython 3.11,
+# 2-core x86-64 VM), the budget bounds a step to a few seconds.
+SOLVE_WORK_BUDGET = (RHS_TERM_BUDGET // 2) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +161,20 @@ def _chain_rule(rf: RatFunc, slot_names: list, nvars: int):
     return const, lin
 
 
-def _budgeted(rf: RatFunc, name: str) -> RatFunc:
+def _budgeted(name: str, form, *operands: RatFunc) -> RatFunc:
+    """form(*operands) for the row of ``name``, refused before it is formed
+    when the operands' term counts multiply past ``SOLVE_WORK_BUDGET`` (the
+    products multiply every term of one operand by every term of the next),
+    and after when its terms pass ``RHS_TERM_BUDGET``."""
+    work = 1
+    for rf in operands:
+        work *= len(rf.num.terms) + len(rf.den.terms)
+    if work > SOLVE_WORK_BUDGET:
+        raise InvariantError(
+            f"solving for {name}' needs {work} products of terms, past {SOLVE_WORK_BUDGET};"
+            " the specification nests too deeply"
+        )
+    rf = form(*operands)
     terms = len(rf.num.terms) + len(rf.den.terms)
     if terms > RHS_TERM_BUDGET:
         raise InvariantError(
@@ -158,6 +182,14 @@ def _budgeted(rf: RatFunc, name: str) -> RatFunc:
             f" ({terms}); the specification nests too deeply"
         )
     return rf
+
+
+def _plus_product(a: RatFunc, f: RatFunc, b: RatFunc) -> RatFunc:
+    return a + f * b
+
+
+def _minus_product(a: RatFunc, f: RatFunc, b: RatFunc) -> RatFunc:
+    return a - f * b
 
 
 def _solve(names: list, pending: dict, solved: dict, zero: RatFunc, one: RatFunc):
@@ -174,9 +206,9 @@ def _solve(names: list, pending: dict, solved: dict, zero: RatFunc, one: RatFunc
         row[pos[n]] = one
         for u, coeff in lin.items():
             if u in pos:
-                row[pos[u]] = row[pos[u]] - coeff
+                row[pos[u]] = _budgeted(n, RatFunc.__sub__, row[pos[u]], coeff)
             else:
-                const = _budgeted(const + coeff * solved[u], n)
+                const = _budgeted(n, _plus_product, const, coeff, solved[u])
         matrix.append(row)
         rhs.append(const)
     for col in range(m):
@@ -191,16 +223,17 @@ def _solve(names: list, pending: dict, solved: dict, zero: RatFunc, one: RatFunc
         for r in range(m):
             if r == col or matrix[r][col].is_zero:
                 continue
-            factor = matrix[r][col] / inv
+            factor = _budgeted(names[r], RatFunc.__truediv__, matrix[r][col], inv)
             for c in range(col, m):
-                matrix[r][c] = _budgeted(matrix[r][c] - factor * matrix[col][c], names[r])
-            rhs[r] = _budgeted(rhs[r] - factor * rhs[col], names[r])
+                matrix[r][c] = _budgeted(names[r], _minus_product, matrix[r][c], factor,
+                                         matrix[col][c])
+            rhs[r] = _budgeted(names[r], _minus_product, rhs[r], factor, rhs[col])
     for i, n in enumerate(names):
         # RatFunc writes a pivot equal to 1 as 1/1; a row without a
         # self-coefficient is not divided
         diagonal = matrix[i][i]
         unit = diagonal.num.terms == diagonal.den.terms
-        solved[n] = rhs[i] if unit else _budgeted(rhs[i] / diagonal, n)
+        solved[n] = rhs[i] if unit else _budgeted(n, RatFunc.__truediv__, rhs[i], diagonal)
 
 
 # ---------------------------------------------------------------------------

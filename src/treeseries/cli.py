@@ -4,13 +4,14 @@ Exit codes: 0 success; 2 parse or file-format error; 3 invariant violation
 in the inputs, or out of memory; 4 verdict undecided (ZeroUpTo) under
 --require-decided.
 Errors print one structured line on stderr; there are no tracebacks.
-``json`` is imported only to read JSON or print a JSON result, ``Fraction``
-only for ``op -c``, and ``argparse`` (inside ``build_parser``) only for
-lines that ``_plain_args`` declines.  One table, ``_COMMANDS``, gives every
-subcommand its help, handler and arguments, and one, ``_OPS``, every ``op``
-operation.  Every handler but ``op``'s lives in a module its command runs,
-and handlers and operations are read from their module when one runs, so a
-command compiles no other command's handler and ``--help`` runs no layer.
+``json`` is imported only to read JSON or print a JSON result, and
+``argparse`` (inside ``build_parser``) only for lines that ``_plain_args``
+declines.  One table, ``_COMMANDS``, gives every subcommand its help,
+handler and arguments, and one, ``_OPS``, every ``op`` operation.  Every
+handler lives in a module its command runs (``op``'s in ``core``), every
+operation is read from the module that defines it, and handlers and
+operations are read from their module when one runs, so a command compiles
+no other command's handler and ``--help`` runs no layer.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import (_format, _languages, _reader, _trees, closure, compile, core, decide, series,
-               species)
+from . import (_format, _languages, _reader, _shift, _trees, closure, compile, core, decide,
+               series, species)
 from .errors import InputFormatError, TreeSeriesError
 
 
@@ -58,22 +59,23 @@ def _print_json(value):
     print(json.dumps(value))
 
 
-# op name -> (the module its function is read from when it runs, the function's
-# name, the operand it needs); the order is that of the help text: the sorted
-# operations on one automaton, then the sorted binary ones.  arity-distinct is
-# read from core, so that it does not run closure.
+# op name -> (the module that defines its function, from which the function is
+# read when it runs, the function's name, the operand it needs); the order is
+# that of the help text: the sorted operations on one automaton, then the
+# sorted binary ones.  So arity-distinct runs no closure, and the operations
+# that shift sizes run it only where they absorb a final vector.
 _OPS = {
     "arity-distinct": (core, "make_arity_distinct", None),
-    "gf-derive": (closure, "gf_derive", None),
-    "gf-integrate": (closure, "gf_integrate", None),
-    "gf-inverse": (closure, "gf_inverse", None),
+    "gf-derive": (_shift, "gf_derive", None),
+    "gf-integrate": (_shift, "gf_integrate", None),
+    "gf-inverse": (_shift, "gf_inverse", None),
     "gf-scale": (closure, "gf_scale", "-c"),
-    "gf-shift-backward": (closure, "gf_shift_backward", None),
-    "gf-shift-forward": (closure, "gf_shift_forward", None),
+    "gf-shift-backward": (_shift, "gf_shift_backward", None),
+    "gf-shift-forward": (_shift, "gf_shift_forward", None),
     "ts-scale": (closure, "ts_scale", "-c"),
     "gf-add": (closure, "gf_add", "-b"),
-    "gf-cauchy": (closure, "gf_cauchy", "-b"),
-    "gf-mul-shifted": (closure, "gf_mul_shifted", "-b"),
+    "gf-cauchy": (_shift, "gf_cauchy", "-b"),
+    "gf-mul-shifted": (_shift, "gf_mul_shifted", "-b"),
     "ts-add": (closure, "ts_add", "-b"),
     "ts-hadamard": (closure, "ts_hadamard", "-b"),
 }
@@ -90,31 +92,6 @@ class _ClosureOps(dict):
 
 
 _BINARY_OPS = _ClosureOps(_OPS)  # every operation; bench/test_bench.py reads it by this name
-
-
-def _parse_scalar(text: str):
-    from fractions import Fraction
-
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise InputFormatError(f"division by zero in -c {text}") from None
-
-
-def _cmd_op(args) -> int:
-    a = _load_automaton(args.automaton)
-    operand = _OPS[args.name][2]
-    operands = ()
-    if operand == "-c":
-        if args.scalar is None:
-            raise InputFormatError(f"{args.name} needs -c <rational>")
-        operands = (_parse_scalar(args.scalar),)
-    elif operand == "-b":
-        if args.b is None:
-            raise InputFormatError(f"{args.name} needs a second automaton (-b)")
-        operands = (_load_automaton(args.b),)
-    _write_automaton(_BINARY_OPS[args.name](a, *operands), args.output)
-    return EXIT_OK
 
 
 # the arguments several subcommands share: (flag, keyword arguments of add_argument)
@@ -139,7 +116,7 @@ _COMMANDS = (
     ("zero", "decide zeroness (series or tree series)", decide, (_AUTOMATON, *_DECISION)),
     ("equiv", "decide equivalence of two automata", decide, (
         _AUTOMATON, ("-b", {"required": True}), *_DECISION)),
-    ("op", "apply a closure operation", sys.modules[__name__], (
+    ("op", "apply a closure operation", core, (
         ("name", {"choices": list(_OPS)}), _AUTOMATON, ("-b", {}),
         ("-c", {"dest": "scalar", "help": "rational scalar for the scale ops"}), _OUTPUT)),
     ("compile", "compile a source file to an automaton", compile, (

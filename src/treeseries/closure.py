@@ -12,7 +12,10 @@ The operations that shift sizes (``gf_shift_forward``, ``gf_shift_backward``,
 ``gf_integrate``, ``gf_inverse``) are names of this module too, but live in
 ``_shift``, which runs on the first read of one of them (``__getattr__``
 below; the package's ``_FORWARDS``): deciding equivalence only adds and
-scales automata.
+scales automata.  ``_shift`` reads only ``FinalVector`` and
+``absorb_final_vector`` from here, in ``gf_derive`` and ``gf_integrate``, so
+the other shift operations run no code of this module; the cell re-indexing
+that both modules share, ``core._embed_shifted``, lives in ``core``.
 """
 
 from __future__ import annotations
@@ -24,16 +27,6 @@ from .errors import AlphabetMismatch, InvalidBeta
 
 def __getattr__(name):
     return _forward(__name__, name)
-
-
-def _embed_shifted(matrix, arity: int, offset: int, d_old: int, d_new: int) -> dict:
-    """Re-index the cells of a weight matrix into a larger automaton, states
-    shifted by offset; rows and columns of foreign states stay empty."""
-    shift_row = core.shift_row
-    return {
-        (shift_row(row, arity, d_old, d_new, offset), offset + col): entry
-        for (row, col), entry in matrix.cells.items()
-    }
 
 
 @record
@@ -134,8 +127,8 @@ def ts_add(a1: core.Automaton, a2: core.Automaton) -> core.Automaton:
     d = d1 + d2
     weights = {}
     for name, arity in a1.alphabet.symbols:
-        cells = _embed_shifted(a1.weight(name), arity, 0, d1, d)
-        cells.update(_embed_shifted(a2.weight(name), arity, d1, d2, d))
+        cells = core._embed_shifted(a1.weight(name), arity, 0, d1, d)
+        cells.update(core._embed_shifted(a2.weight(name), arity, d1, d2, d))
         weights[name] = cells
     block = core.Automaton.build(d, a1.alphabet, weights)
     beta = FinalVector.of(*([1] + [0] * (d1 - 1) + [1] + [0] * (d2 - 1)))

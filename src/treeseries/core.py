@@ -27,6 +27,12 @@ by closure are almost entirely zero, so every construction, the JSON reader
 and writer, and evaluation touch the nonzero cells only, and a matrix reads
 as dense rows only when a caller indexes it.
 
+``initial_vector`` (a_0, the sum of the nullary rows) and ``_embed_shifted``
+(a weight's cells moved into a larger automaton) live here because both the
+coefficient engine and the closure constructions use them, and so does the
+``op`` command's handler, ``_cmd_op``: every ``op`` runs this module, and
+only ``arity-distinct`` runs no other layer.
+
 Trees, their evaluation and exhaustive tree enumeration are names of this
 module too, but live in ``_trees``: most commands never touch a tree.  So do
 the JSON reader, in ``_reader``, and the JSON writer, in ``_format``.  The
@@ -39,8 +45,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import attrgetter
 
-from . import _forward, _reader, exactmath
-from .errors import InvariantError, SymbolMismatch
+from . import _forward, _reader, cli, exactmath
+from .errors import InputFormatError, InvariantError, SymbolMismatch
 
 
 def __getattr__(name):
@@ -208,6 +214,15 @@ def shift_row(row: int, k: int, d_old: int, d_new: int, offset: int) -> int:
     return row_index(tuple(s + offset for s in unrank_row(row, d_old, k)), d_new)
 
 
+def _embed_shifted(matrix, arity: int, offset: int, d_old: int, d_new: int) -> dict:
+    """Re-index the cells of a weight matrix into a larger automaton, states
+    shifted by offset; rows and columns of foreign states stay empty."""
+    return {
+        (shift_row(row, arity, d_old, d_new, offset), offset + col): entry
+        for (row, col), entry in matrix.cells.items()
+    }
+
+
 def _entry(value, arity: int):
     if arity == 0:
         return exactmath._frac(value)
@@ -295,6 +310,15 @@ class Automaton:
         raise SymbolMismatch(f"symbol {name!r} is not in the alphabet")
 
 
+def initial_vector(a: Automaton) -> tuple:
+    """a_0: the sum of the nullary weight rows."""
+    a0 = [Fraction(0)] * a.dimension
+    for name in a.alphabet.of_arity(0):
+        for (_, j), v in a.weight(name).cells.items():
+            a0[j] += v
+    return tuple(a0)
+
+
 # ---------------------------------------------------------------------------
 # alphabet normalizations
 
@@ -327,3 +351,26 @@ def unify_alphabets(a1: Automaton, a2: Automaton):
         return a1, a2
     arities = sorted(a1.alphabet.arity_counts().keys() | a2.alphabet.arity_counts().keys())
     return _merge_onto(a1, arities), _merge_onto(a2, arities)
+
+
+# ---------------------------------------------------------------------------
+# the `op` command
+
+
+def _cmd_op(args) -> int:
+    a = cli._load_automaton(args.automaton)
+    operand = cli._OPS[args.name][2]
+    operands = ()
+    if operand == "-c":
+        if args.scalar is None:
+            raise InputFormatError(f"{args.name} needs -c <rational>")
+        try:
+            operands = (Fraction(args.scalar),)
+        except ZeroDivisionError:
+            raise InputFormatError(f"division by zero in -c {args.scalar}") from None
+    elif operand == "-b":
+        if args.b is None:
+            raise InputFormatError(f"{args.name} needs a second automaton (-b)")
+        operands = (cli._load_automaton(args.b),)
+    cli._write_automaton(cli._BINARY_OPS[args.name](a, *operands), args.output)
+    return cli.EXIT_OK

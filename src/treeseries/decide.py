@@ -31,11 +31,11 @@ import sys
 from fractions import Fraction
 
 from . import _format, _trees, cli, closure
-from .core import Automaton, record
+from .core import Automaton, initial_vector, record
 from .errors import TooManyTrees
 from .exactmath import CommonDenominatorForm
 from .series import (CoefficientStream, ConvolutionEngine, VectorSeriesPrefix, _emit_series,
-                     common_form, initial_vector)
+                     common_form)
 
 
 # ---------------------------------------------------------------------------

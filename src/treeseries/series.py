@@ -35,7 +35,7 @@ from math import gcd, lcm
 from operator import add, mul, not_
 
 from . import _trees, cli
-from .core import Automaton, record, unrank_row
+from .core import Automaton, initial_vector, record, unrank_row
 from .exactmath import CommonDenominatorForm, UniPolynomial, _frac, normalize_common_denominator
 
 _ZERO = Fraction(0)
@@ -68,15 +68,6 @@ class VectorSeriesPrefix:
 
     def firsts(self) -> SeriesPrefix:
         return SeriesPrefix(tuple(v[0] for v in self.vectors))
-
-
-def initial_vector(a: Automaton) -> tuple:
-    """a_0: the sum of the nullary weight rows."""
-    a0 = [Fraction(0)] * a.dimension
-    for name in a.alphabet.of_arity(0):
-        for (_, j), v in a.weight(name).cells.items():
-            a0[j] += v
-    return tuple(a0)
 
 
 def common_form(a: Automaton) -> CommonDenominatorForm:

@@ -19,7 +19,7 @@ EGF variables:
 all requiring A(0) = 0.  Initial values come from counting structures on the
 empty label set: one evaluator, ``_empty_count``, gives them for the
 specification's names (a least fixpoint) and for the helper variables of
-the translation.
+the translation; ``empty_counts`` names the cycle of an ill-founded recursion.
 
 This module keeps the species syntax, the translation and the counting.  The
 normalization of the translated system to a first-order rational system
@@ -229,15 +229,67 @@ def _empty_count(e, values: dict) -> Fraction:
     raise TypeError(f"not a species node: {e!r}")
 
 
+def _inhabited(e, names: set) -> bool:
+    """Whether e has a structure of some size, given the names that do."""
+    if isinstance(e, (Add, Mul)):
+        return (any if isinstance(e, Add) else all)(_inhabited(arg, names) for arg in e.args)
+    if isinstance(e, SpCycle) or isinstance(e, (SpSeq, SpSet)) and e.card and e.card[1]:
+        return _inhabited(e.arg, names)
+    return not isinstance(e, Var) or e.name in names or e.name == "X"
+
+
+# the constraints under which sequence(A) and set(A) have a nonzero
+# derivative in A at A = 0
+_LINEAR_CARDS = {("ge", 0), ("ge", 1), ("eq", 1)}
+
+
+def _linear_refs(e, values: dict, names: set) -> set:
+    """The names, of ``names``, in which e has a nonzero partial at X = 0
+    and the counts ``values`` (construct arguments have no empty structure;
+    no partial is negative)."""
+    if isinstance(e, Var):
+        return {e.name} & names
+    if isinstance(e, Add):
+        return set().union(*(_linear_refs(arg, values, names) for arg in e.args))
+    if isinstance(e, Mul):  # a factor counts where the others have empty structures
+        counts = [_empty_count(arg, values) for arg in e.args]
+        return set().union(*(_linear_refs(arg, values, names) for i, arg in enumerate(e.args)
+                             if math.prod(counts[:i] + counts[i + 1:])))
+    if isinstance(e, SpCycle) or (
+            isinstance(e, (SpSeq, SpSet)) and (e.card or ("ge", 0)) in _LINEAR_CARDS):
+        return _linear_refs(e.arg, values, names)
+    return set()
+
+
 def empty_counts(spec: SpeciesSpec) -> dict:
-    """Structures on the empty label set, as a least fixpoint."""
+    """Structures on the empty label set, as a least fixpoint.  The names
+    with structures must meet the implicit-species condition: the Jacobian
+    of their right-hand sides at X = 0 and these counts is nilpotent, so no
+    name depends on itself through nonzero partials (where the counts do not
+    stabilize, one does at the last iterate)."""
     values = {name: Fraction(0) for name in spec.names()}
     for _ in range(len(values) + 2):
         new = {name: _empty_count(expr, values) for name, expr in spec.equations}
         if new == values:
             break
         values = new
-    else:
+    inhabited = set()
+    while len(inhabited) < len(grown := {n for n, e in spec.equations if _inhabited(e, inhabited)}):
+        inhabited = grown
+    # peel the names that depend on no name left; a walk in the rest closes a cycle
+    left = {name: _linear_refs(expr, values, inhabited) for name, expr in spec.equations}
+    while done := [name for name, refs in left.items() if refs.isdisjoint(left)]:
+        for name in done:
+            del left[name]
+    if left:
+        walk = [next(iter(left))]
+        while walk.count(walk[-1]) < 2:
+            walk.append(min(left[walk[-1]] & left.keys()))
+        raise UnsupportedConstruct(
+            f"ill-founded recursion {' -> '.join(walk[walk.index(walk[-1]):])}: the species"
+            " would have infinitely many structures of some size"
+        )
+    if new != values:
         raise UnsupportedConstruct("empty-set counts do not stabilize; bad recursion")
 
     def check(e):

@@ -1,7 +1,8 @@
 """Mutants that the test suite must catch: each breaks the engine, the
-common-denominator normal form, the species parser and lowering, the exact
-ring, the value classes, or the command's start-up or exit in a way that an
-oracle of the suite, not the code under test, has to notice.
+common-denominator normal form, a closure operation, the species parser,
+well-foundedness check and lowering, the exact ring, the value classes, or
+the command's start-up or exit in a way that an oracle of the suite, not the
+code under test, has to notice.
 
     python3 tests/mutants.py            # every mutant
     python3 tests/mutants.py NAME ...   # the named ones
@@ -125,6 +126,25 @@ MUTANTS = (
     Mutant("argparse-at-module-level", "cli.py",
            _BUILD_PARSER + "    import argparse\n", "import argparse\n\n\n" + _BUILD_PARSER,
            ("tests/test_lazy_layers.py",), 2),
+    # gf_inverse reads a_0 from component 1 of the initial vector, not 0
+    Mutant("inverse-reads-wrong-component", "_shift.py",
+           "a0 = core.initial_vector(a)[0]", "a0 = core.initial_vector(a)[1]",
+           ("tests/test_closure.py", "tests/test_edges.py"), 3),
+    # the well-foundedness check keeps only the Jacobian's diagonal, so it
+    # misses every cycle through two names or more, such as A = X + B, B = A
+    Mutant("well-foundedness-diagonal-only", "species.py",
+           "left = {name: _linear_refs(expr, values, inhabited) for name, expr in spec.equations}",
+           "left = {name: _linear_refs(expr, values, inhabited) & {name}"
+           " for name, expr in spec.equations}",
+           ("tests/test_species.py", "tests/test_cli.py"), 1),
+    # the engine reads Q0(n) + 1 for the normal form's Q0(n) from size 7 on:
+    # the brute-force verdict tests, which stop at size 6, cannot see it, and
+    # a pair whose two sides share their structure cancels it; the witness
+    # of a pair that first differs at size 7 shows it
+    Mutant("normal-form-off-from-size-7", "series.py",
+           "q = _at(q0_poly, m + 1) * self._cell_den",
+           "q = (_at(q0_poly, m + 1) + (m >= 6)) * self._cell_den",
+           ("tests/test_decide_oracle.py",), 1),
 )
 
 

@@ -61,8 +61,9 @@ def test_import_runs_no_layer():
 # or enumerate trees run _trees, only the source languages other than
 # rational systems run _languages, and only closure operations and the
 # decisions built on them (equiv, tree-series zero) run closure; only the
-# operations that shift sizes run _shift, and only commands that write an
-# automaton or a system run _format
+# operations that shift sizes run _shift, of which only gf-derive and
+# gf-integrate run closure, and only commands that write an automaton or a
+# system run _format
 READ = {"core", "exactmath", "_reader", "_expr"}
 DECIDE = READ | {"series", "decide"}
 COMPILE = {"core", "exactmath", "_expr", "compile"}
@@ -82,8 +83,7 @@ LAYER_ROWS = [
     (["emit-system", "-a", "samples/bell.json", "--solve", "3"], 0, DECIDE | {"_format"}),
     (["op", "gf-derive", "-a", "samples/bell.json"], 0,
      READ | {"closure", "_shift", "_format"}),
-    (["op", "gf-inverse", "-a", "samples/bell.json"], 0,
-     READ | {"closure", "_shift", "series", "_format"}),
+    (["op", "gf-inverse", "-a", "samples/bell.json"], 0, READ | {"_shift", "_format"}),
     (["op", "ts-add", "-a", "samples/bell.json", "-b", "samples/bell.json"], 0,
      READ | {"closure", "_format"}),
     (["compile", "rda", "-f", "samples/bell.rds"], 0, COMPILE | {"_format"}),
@@ -96,6 +96,10 @@ LAYER_ROWS = [
      COMPILE | {"series", "species"}),
     (["species", "compile", "-f", "samples/bell.spec"], 0,
      COMPILE | {"species", "_format"}),
+    (["op", "gf-cauchy", "-a", "samples/bell.json", "-b", "samples/bell.json"], 0,
+     READ | {"_shift", "_format"}),
+    (["op", "gf-mul-shifted", "-a", "samples/bell.json", "-b", "samples/bell.json"], 0,
+     READ | {"_shift", "_format"}),
 ]
 
 
@@ -193,6 +197,15 @@ import treeseries.cli
 print(all("treeseries." + n in sys.modules for n in {layers!r}))
 """.format(layers=LAYERS)
     assert _python(probe) == "True\n"
+
+
+def test_each_operation_and_handler_is_read_from_its_home_module():
+    # an operation read through closure's forwarding would run closure
+    from treeseries import cli
+
+    for name, (module, function, _) in cli._OPS.items():
+        assert getattr(module, function).__module__ == module.__name__, name
+    assert all(row[2] is not cli for row in cli._COMMANDS)
 
 
 def test_binary_op_calls_the_function_closure_holds_when_it_runs(monkeypatch, capsys):
@@ -372,16 +385,20 @@ def _compiled(tmp_path, argv, code=0):
 # joined exactmath, @record core and the differential system decide, 2,411,
 # 22,567, 18,825, 16,085 and 21,473, `series` 16,290, `bound` 17,572 and
 # `emit-system` 17,674; before species specifications were written in
-# _expr's nodes, `species count` 22,530.
+# _expr's nodes, `species count` 22,530; before `op` read each operation from
+# the module that defines it and its handler, `initial_vector` and
+# `_embed_shifted` joined core, and species recursions were checked for
+# well-foundedness and their solving for work, 2,404, 22,447, 19,336, 16,049
+# and 21,983, `series` 16,254, `bound` 18,083 and `emit-system` 18,895.
 COMPILED_NODES = [
-    (["--help"], 2404),
-    (["species", "count", "-f", "samples/bell.spec", "-n", "5"], 22447),
-    (["equiv", "-a", "samples/bell.json", "-b", "samples/bell.json", "--cap", "5"], 19336),
-    (["compile", "rda", "-f", "samples/bell.rds"], 16049),
-    (["zero", "--tree-series", "-a", "samples/bell.json", "--cap", "5"], 21983),
-    (["series", "-a", "samples/bell.json", "-n", "5"], 16254),
-    (["bound", "-a", "samples/bell.json"], 18083),
-    (["emit-system", "-a", "samples/bell.json", "--solve", "3"], 18895),
+    (["--help"], 2238),
+    (["species", "count", "-f", "samples/bell.spec", "-n", "5"], 23196),
+    (["equiv", "-a", "samples/bell.json", "-b", "samples/bell.json", "--cap", "5"], 19332),
+    (["compile", "rda", "-f", "samples/bell.rds"], 16183),
+    (["zero", "--tree-series", "-a", "samples/bell.json", "--cap", "5"], 21979),
+    (["series", "-a", "samples/bell.json", "-n", "5"], 16315),
+    (["bound", "-a", "samples/bell.json"], 18144),
+    (["emit-system", "-a", "samples/bell.json", "--solve", "3"], 18956),
 ]
 
 

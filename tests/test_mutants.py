@@ -9,7 +9,7 @@ _ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_mutant_anchor_occurs_exactly_once():
-    assert len({m.name for m in MUTANTS}) == len(MUTANTS) == 13
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS) == 16
     for mutant in MUTANTS:
         source = (_ROOT / "src" / "treeseries" / mutant.module).read_text(encoding="utf-8")
         assert source.count(mutant.anchor) == 1, mutant.name

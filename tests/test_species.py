@@ -1,7 +1,12 @@
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -594,3 +599,74 @@ def test_counts_translate_only_the_names_the_target_reaches():
     expected = [0, 0, 2, 3, 44, 210, 2874, 25620, 390704]
     assert count_species(parse_species(a0), "A0", 8) == expected
     assert count_species(spec, "A0", 8) == expected
+
+
+# ---------------------------------------------------------------------------
+# well-founded recursions (the implicit-species condition) and the work of
+# solving for the derivatives
+
+
+_ILL_FOUNDED = "the species would have infinitely many structures of some size"
+
+
+@pytest.mark.parametrize("text, cycle", [
+    ("A = ((A + (X + A)) + cycle(X))", "A -> A"),
+    ("A = ((cycle(A) + (X * 1)) + X)", "A -> A"),
+    ("A = X + A", "A -> A"),
+    ("A = X + B\nB = A", "A -> B -> A"),
+    ("A = 1 + A", "A -> A"),
+    ("A = X*B\nB = 1 + A + B", "B -> B"),
+])
+def test_an_ill_founded_recursion_is_refused_by_its_cycle(tmp_path, capsys, text, cycle):
+    # at the parent these ended in a negative count, an undefined right-hand
+    # side, a degenerate linear system and counts that do not stabilize
+    from treeseries import cli
+
+    path = tmp_path / "s.spec"
+    path.write_text(text + "\n")
+    assert cli.main(["species", "count", "-f", str(path), "-n", "5"]) == 3
+    assert capsys.readouterr() == ("", f"error: ill-founded recursion {cycle}: {_ILL_FOUNDED}\n")
+    with pytest.raises(UnsupportedConstruct):
+        empty_counts(parse_species(text))
+
+
+@pytest.mark.parametrize("text, counts", [
+    # B depends on A only through X: the Jacobian at X = 0 is nilpotent
+    ("A = X + B\nB = X*A", [0, 1, 2, 6, 24, 120, 720]),
+    # a name without structures is the empty species, set aside before the
+    # check, and counts as zeros
+    ("A = cycle(A)", [0] * 7),
+    ("A = ((X + B) * set(X*1))\nB = cycle(B)", [0, 1, 2, 3, 4, 5, 6]),
+    # A*A has no linear part at X = 0, and set(H, card>=2) none in H
+    ("A = X + A*A", [0, 1, 2, 12, 120, 1680, 30240]),
+    ("H = X + set(H, card>=2)", [0, 1, 1, 4, 26, 236, 2752]),
+])
+def test_a_well_founded_or_empty_recursion_counts(text, counts):
+    assert count_species(parse_species(text), n_max=6) == counts
+
+
+def test_a_solve_past_its_work_budget_is_refused_before_it_multiplies():
+    # at the parent this formed a right-hand side of 4,341 terms in 1.1 s
+    # before the term budget refused it
+    spec = parse_species(
+        "A = (cycle(X*A) + (X*C * B))\nB = (X*A * C)\nC = sequence(X*A, card=1)")
+    with pytest.raises(InvariantError) as info:
+        count_species(spec, n_max=8)
+    assert str(info.value) == ("solving for z1' needs 2328450 products of terms, past 1000000;"
+                               " the specification nests too deeply")
+
+
+def test_a_specification_that_took_minutes_to_solve_exits_3_quickly(tmp_path):
+    # at the parent a 25 s timeout stopped it, inside two _solve calls
+    spec = tmp_path / "slow.spec"
+    spec.write_text("A = (sequence(X*X*B, card>=1) * sequence(X*C))\n"
+                    "B = cycle(X*set(X*A, card>=0))\nC = (X + (X*A * X*A))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "treeseries", "species", "count", "-f", str(spec), "-n", "8"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert time.perf_counter() - start < 5
+    assert (done.returncode, done.stdout) == (3, "")
+    assert len(done.stderr.splitlines()) == 1 and "nests too deeply" in done.stderr
