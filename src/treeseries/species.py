@@ -19,7 +19,7 @@ EGF variables:
 all requiring A(0) = 0.  Initial values come from counting structures on the
 empty label set: one evaluator, ``_empty_count``, gives them for the
 specification's names (a least fixpoint) and for the helper variables of
-the translation; ``empty_counts`` names the cycle of an ill-founded recursion.
+the translation; ``empty_counts`` refuses an ill-founded recursion.
 
 This module keeps the species syntax, the translation and the counting.  The
 normalization of the translated system to a first-order rational system
@@ -238,20 +238,18 @@ def _inhabited(e, names: set) -> bool:
     return not isinstance(e, Var) or e.name in names or e.name == "X"
 
 
-# the constraints under which sequence(A) and set(A) have a nonzero
-# derivative in A at A = 0
+# sequence(A) and set(A) have a nonzero derivative at A = 0 under these
 _LINEAR_CARDS = {("ge", 0), ("ge", 1), ("eq", 1)}
 
 
 def _linear_refs(e, values: dict, names: set) -> set:
     """The names, of ``names``, in which e has a nonzero partial at X = 0
-    and the counts ``values`` (construct arguments have no empty structure;
-    no partial is negative)."""
+    and the counts ``values``; no partial is negative."""
     if isinstance(e, Var):
         return {e.name} & names
     if isinstance(e, Add):
         return set().union(*(_linear_refs(arg, values, names) for arg in e.args))
-    if isinstance(e, Mul):  # a factor counts where the others have empty structures
+    if isinstance(e, Mul):  # a factor counts if the others are nonzero
         counts = [_empty_count(arg, values) for arg in e.args]
         return set().union(*(_linear_refs(arg, values, names) for i, arg in enumerate(e.args)
                              if math.prod(counts[:i] + counts[i + 1:])))
@@ -261,18 +259,10 @@ def _linear_refs(e, values: dict, names: set) -> set:
     return set()
 
 
-def empty_counts(spec: SpeciesSpec) -> dict:
-    """Structures on the empty label set, as a least fixpoint.  The names
-    with structures must meet the implicit-species condition: the Jacobian
-    of their right-hand sides at X = 0 and these counts is nilpotent, so no
-    name depends on itself through nonzero partials (where the counts do not
-    stabilize, one does at the last iterate)."""
-    values = {name: Fraction(0) for name in spec.names()}
-    for _ in range(len(values) + 2):
-        new = {name: _empty_count(expr, values) for name, expr in spec.equations}
-        if new == values:
-            break
-        values = new
+def _refuse_ill_founded(spec: SpeciesSpec, values: dict):
+    """Refuse a name with structures that depends on itself through nonzero
+    partials at X = 0 and ``values``: the implicit-species condition wants
+    the Jacobian in those names nilpotent."""
     inhabited = set()
     while len(inhabited) < len(grown := {n for n, e in spec.equations if _inhabited(e, inhabited)}):
         inhabited = grown
@@ -289,8 +279,21 @@ def empty_counts(spec: SpeciesSpec) -> dict:
             f"ill-founded recursion {' -> '.join(walk[walk.index(walk[-1]):])}: the species"
             " would have infinitely many structures of some size"
         )
-    if new != values:
+
+
+def empty_counts(spec: SpeciesSpec) -> dict:
+    """Structures on the empty label set, as a least fixpoint, of a
+    well-founded recursion."""
+    values = {name: Fraction(0) for name in spec.names()}
+    for _ in range(len(values) + 2):
+        new = {name: _empty_count(expr, values) for name, expr in spec.equations}
+        if new == values:
+            break
+        values = new
+    else:  # a name then depends on itself at the last iterate
+        _refuse_ill_founded(spec, values)
         raise UnsupportedConstruct("empty-set counts do not stabilize; bad recursion")
+    _refuse_ill_founded(spec, values)
 
     def check(e):
         if isinstance(e, (Add, Mul)):

@@ -392,7 +392,7 @@ def _compiled(tmp_path, argv, code=0):
 # and 21,983, `series` 16,254, `bound` 18,083 and `emit-system` 18,895.
 COMPILED_NODES = [
     (["--help"], 2238),
-    (["species", "count", "-f", "samples/bell.spec", "-n", "5"], 23196),
+    (["species", "count", "-f", "samples/bell.spec", "-n", "5"], 23215),
     (["equiv", "-a", "samples/bell.json", "-b", "samples/bell.json", "--cap", "5"], 19332),
     (["compile", "rda", "-f", "samples/bell.rds"], 16183),
     (["zero", "--tree-series", "-a", "samples/bell.json", "--cap", "5"], 21979),
